@@ -8,6 +8,8 @@ smooth entry cofactors assembled from them never vanishes, which is what
 lets the Lax matrix extend to the whole projective phase space as K(u).
 """
 
+from collections import namedtuple
+import functools
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from .errors import (
     PoleAtMinusOne,
     SingularDenominator,
 )
+from .projective import as_vector
 
 _SERIES_CUT = 1e-4
 
@@ -35,51 +38,55 @@ def sinratio(x):
     return out if out.ndim else float(out)
 
 
-def _partial_sums(xi):
-    """S(i, j) = xi_i + ... + xi_j (0-based, inclusive) as a closure."""
-    cum = np.cumsum(xi)
-
-    def S(i, j):
-        return cum[j] - (cum[i - 1] if i > 0 else 0.0)
-
-    return S
+_CyclicIndex = namedtuple("_CyclicIndex", "diag sup prev")
 
 
-def _pair_angle(S, k, l):
-    """x_k - x_l as an alcove partial sum (well defined modulo pi)."""
-    if k == l:
-        return 0.0
-    if k > l:
-        return S(l, k - 1)
-    return -S(k, l - 1)
+@functools.lru_cache(maxsize=64)
+def _cyclic(n):
+    """Fancy indices for size n: the diagonal, the cyclic superdiagonal
+    (k, k+1 mod n) and the cyclic predecessor k-1 mod n."""
+    k = np.arange(n)
+    nxt = (k + 1) % n
+    prv = (k - 1) % n
+    for a in (k, nxt, prv):
+        a.flags.writeable = False
+    return _CyclicIndex(diag=(k, k), sup=(k, nxt), prev=prv)
 
 
-def _w_factor_data(xi, y):
+def _pair_angles(xi):
+    """phi[k, l] = x_k - x_l = C_k - C_l, with C_k = xi_0 + ... + xi_{k-1}
+    the alcove prefix sums (well defined modulo pi)."""
+    C = np.concatenate(([0.0], np.cumsum(xi[:-1])))
+    return C[:, None] - C
+
+
+def _w_ratios(phi, y, idx):
+    """ratio[k, j] = sin(phi_kj + y) / sin(phi_kj) with a unit diagonal.
+
+    W_k(y)^2 is the product of row k and W_k(-y)^2 that of column k, since
+    sin(phi_kj - y) / sin(phi_kj) = ratio[j, k].
+    """
+    s = np.sin(phi)
+    s[idx.diag] = 1.0
+    ratio = np.sin(phi + y) / s
+    ratio[idx.diag] = 1.0
+    return ratio
+
+
+def _w_factor_data(phi, sr, y):
     """Smooth squared factors of W_k(+-y) with the zero r_v^2 split off.
 
-    Returns (wp2, wm2) with W_k(+y)^2 = (xi_k - y) * wp2_k and
-    W_k(-y)^2 = (xi_{k-1} - y) * wm2_k, cyclic index k-1.
+    phi is _pair_angles(xi) and sr = sinratio(xi - y).  Returns (wp2, wm2)
+    with W_k(+y)^2 = (xi_k - y) * wp2_k and W_k(-y)^2 = (xi_{k-1} - y) *
+    wm2_k, cyclic index k-1.  The ratio on the cyclic superdiagonal,
+    sin(xi_k - y) / sin(xi_k) up to sign, is the one that vanishes at the
+    wall xi_k = y; it enters W_k(+y) by row and W_{k+1}(-y) by column.
     """
-    n = len(xi)
-    S = _partial_sums(xi)
-    wp2 = np.ones(n)
-    wm2 = np.ones(n)
-    for k in range(n):
-        for j in range(n):
-            if j == k:
-                continue
-            a = S(j, k - 1) if j < k else S(k, j - 1)
-            sa = math.sin(a)
-            # + coupling: numerator shift +y for j < k, -y for j > k
-            if (j == k + 1) or (k == n - 1 and j == 0):
-                wp2[k] *= sinratio(xi[k] - y) / sa
-            else:
-                wp2[k] *= math.sin(a + (y if j < k else -y)) / sa
-            # - coupling: shifts swapped
-            if (j == k - 1) or (k == 0 and j == n - 1):
-                wm2[k] *= sinratio(xi[(k - 1) % n] - y) / sa
-            else:
-                wm2[k] *= math.sin(a + (-y if j < k else y)) / sa
+    idx = _cyclic(len(sr))
+    ratio = _w_ratios(phi, y, idx)
+    ratio[idx.sup] = sr / np.sin(np.abs(phi[idx.sup]))
+    wp2 = ratio.prod(axis=1)
+    wm2 = ratio.prod(axis=0)
     if np.any(wp2 <= 0.0) or np.any(wm2 <= 0.0):
         raise DomainViolation("smooth Lax factors not positive; xi outside domain")
     return wp2, wm2
@@ -94,11 +101,10 @@ def w_factors(xi, c):
     All square roots are taken non-negative.
     """
     xi = check_shifted_alcove(xi, c)
-    wp2, wm2 = _w_factor_data(xi, c.y)
-    r = np.sqrt(np.maximum(xi - c.y, 0.0))
-    w_plus = np.sqrt(wp2)
-    w_minus = np.sqrt(wm2)
-    return r * w_plus, np.roll(r, 1) * w_minus, w_plus, w_minus
+    y = c.y
+    w_plus, w_minus = np.sqrt(_w_factor_data(_pair_angles(xi), sinratio(xi - y), y))
+    r = np.sqrt(np.maximum(xi - y, 0.0))
+    return r * w_plus, r[_cyclic(c.n).prev] * w_minus, w_plus, w_minus
 
 
 def lambda_matrix(xi, c):
@@ -109,26 +115,16 @@ def lambda_matrix(xi, c):
     denominator and Lambda equals the Lax entry itself.
     """
     xi = check_shifted_alcove(xi, c)
-    n, y = c.n, c.y
-    _, _, wp, wm = w_factors(xi, c)
-    S = _partial_sums(xi)
+    y = c.y
+    idx = _cyclic(c.n)
+    phi = _pair_angles(xi)
+    sr = sinratio(xi - y)
+    wp, wm = np.sqrt(_w_factor_data(phi, sr, y))
+    den = np.sin(phi + y)
+    den[idx.sup] = 1.0
     siny = math.sin(y)
-    lam = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            if l == (k + 1) % n:
-                lam[k, l] = (
-                    -siny
-                    * np.exp(1j * xi[k])
-                    * wp[k]
-                    * wm[l]
-                    / sinratio(xi[k] - y)
-                )
-            else:
-                phi = _pair_angle(S, k, l)
-                lam[k, l] = (
-                    siny * np.exp(-1j * phi) * wp[k] * wm[l] / math.sin(phi + y)
-                )
+    lam = siny * np.exp(-1j * phi) * wp[:, None] * wm / den
+    lam[idx.sup] = -siny * np.exp(1j * xi) * wp * wm[idx.sup[1]] / sr
     return lam
 
 
@@ -144,39 +140,30 @@ def _theta_vector(theta, n):
 
 
 def _local_lax_signed(xi, theta, n, y):
-    """L(delta(xi), Theta) for coupling argument y of either sign (interior only)."""
-    S = _partial_sums(xi)
-    w2_num = np.ones((2, n))  # row 0: W(+|y'|-pattern) squared values W_k(y), row 1: W_k(-y)
-    for k in range(n):
-        for j in range(n):
-            if j == k:
-                continue
-            a = S(j, k - 1) if j < k else S(k, j - 1)
-            sa = math.sin(a)
-            w2_num[0, k] *= math.sin(a + (y if j < k else -y)) / sa
-            w2_num[1, k] *= math.sin(a + (-y if j < k else y)) / sa
-    if np.any(w2_num < -1e-13):
+    """L(delta(xi), Theta) for coupling argument y of either sign (interior only).
+
+    L_kl = (e^{iy} - e^{-iy}) / (e^{iy} delta_k / delta_l - e^{-iy})
+    W_k(y) W_l(-y) Theta_l, evaluated with delta_k / delta_l = e^{2i phi_kl}
+    as sin y e^{-i phi_kl} W_k(y) W_l(-y) Theta_l / sin(phi_kl + y).
+    """
+    idx = _cyclic(n)
+    phi = _pair_angles(xi)
+    ratio = _w_ratios(phi, y, idx)
+    w2p = ratio.prod(axis=1)
+    w2m = ratio.prod(axis=0)
+    if np.any(w2p < -1e-13) or np.any(w2m < -1e-13):
         raise DomainViolation("W^2 factors negative; xi outside the coupling domain")
-    Wp = np.sqrt(np.maximum(w2_num[0], 0.0))
-    Wm = np.sqrt(np.maximum(w2_num[1], 0.0))
-    d = np.exp(1j * _delta_exponents(xi, n))
-    num = np.exp(1j * y) - np.exp(-1j * y)
-    L = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            den = np.exp(1j * y) * d[k] / d[l] - np.exp(-1j * y)
-            if abs(den) < 1e-12:
-                raise SingularDenominator(
-                    f"Lax denominator vanishes at entry ({k + 1}, {l + 1})"
-                )
-            L[k, l] = num / den * Wp[k] * Wm[l] * theta[l]
-    return L
-
-
-def _delta_exponents(xi, n):
-    base = (2.0 / n) * np.dot(np.arange(1, n), xi[: n - 1])
-    tails = 2.0 * np.concatenate([np.cumsum(xi[: n - 1][::-1])[::-1], [0.0]])
-    return base - tails
+    Wp = np.sqrt(np.maximum(w2p, 0.0))
+    Wm = np.sqrt(np.maximum(w2m, 0.0))
+    den = np.sin(phi + y)
+    # |e^{iy} delta_k / delta_l - e^{-iy}| = 2 |sin(phi_kl + y)|
+    small = 2.0 * np.abs(den) < 1e-12
+    if small.any():
+        k, l = np.argwhere(small)[0]
+        raise SingularDenominator(
+            f"Lax denominator vanishes at entry ({k + 1}, {l + 1})"
+        )
+    return math.sin(y) * np.exp(-1j * phi) / den * Wp[:, None] * Wm * theta
 
 
 def local_lax(xi, theta, c, y=None):
@@ -195,29 +182,17 @@ def local_hamiltonian(xi, p_angles, c):
     """H = sum_j cos(p_j) prod_{k != j} sqrt(1 - sin^2 y / sin^2(x_j - x_k)).
 
     Equals Re tr L(delta(xi), Theta) with Theta_j = exp(-i p_j); the momenta
-    must satisfy the center-of-mass condition sum p_j = 0 mod 2 pi.
+    must satisfy the center-of-mass condition sum p_j = 0 mod 2 pi.  The
+    product under the root is W_j(y)^2 W_j(-y)^2, so H is evaluated as
+    sum_j cos(p_j) W_j(y) W_j(-y), which vanishes exactly on the walls.
     """
-    xi = check_shifted_alcove(xi, c)
+    Wp, Wm, _, _ = w_factors(xi, c)
     p = np.asarray(p_angles, dtype=float)
     if p.shape != (c.n,):
         raise ValueError(f"need {c.n} momentum angles")
     if abs(math.remainder(p.sum(), 2.0 * math.pi)) > 1e-9:
         raise DomainViolation("momenta must sum to 0 mod 2 pi")
-    S = _partial_sums(xi)
-    siny2 = math.sin(c.y) ** 2
-    total = 0.0
-    for j in range(c.n):
-        prod = 1.0
-        for k in range(c.n):
-            if k == j:
-                continue
-            a = S(min(j, k), max(j, k) - 1)
-            bracket = 1.0 - siny2 / math.sin(a) ** 2
-            if bracket < -1e-12:
-                raise DomainViolation("negative interaction bracket; xi outside domain")
-            prod *= max(bracket, 0.0)
-        total += math.cos(p[j]) * math.sqrt(prod)
-    return total
+    return float(np.dot(np.cos(p), Wp * Wm))
 
 
 def v_vector(xi, c, sign=1):
@@ -290,21 +265,13 @@ def global_lax(u, c):
     K on the superdiagonal equals Lambda there (u_0 := u_n).  The result is
     special-unitary and depends only on the phase class of u.
     """
-    from .projective import as_vector
-
     u = as_vector(u)
-    n = c.n
     nrm2 = float(np.vdot(u, u).real)
     if abs(nrm2 - c.chi0) > 1e-8:
         raise NormViolation(f"|u|^2 = {nrm2:.12g}, expected chi0 = {c.chi0:.12g}")
     u = u * math.sqrt(c.chi0 / nrm2)
-    xi = np.abs(u) ** 2 + c.y
-    lam = lambda_matrix(xi, c)
-    K = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            if l == (k + 1) % n:
-                K[k, l] = lam[k, l]
-            else:
-                K[k, l] = np.conjugate(u[k]) * u[(l - 1) % n] * lam[k, l]
+    lam = lambda_matrix(np.abs(u) ** 2 + c.y, c)
+    idx = _cyclic(c.n)
+    K = np.conjugate(u)[:, None] * u[idx.prev] * lam
+    K[idx.sup] = lam[idx.sup]
     return K

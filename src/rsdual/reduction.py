@@ -140,12 +140,10 @@ def f_beta_inv(p, c, check=True, tol=1e-6):
     lam = lambda_matrix(np.maximum(xi, c.y), c)
     K0 = s.g @ p.A @ dagger(s.g)
 
-    zeta = np.ones(n, dtype=complex)
-    for k in range(1, n):
-        ratio = K0[k - 1, k] / lam[k - 1, k]
-        if abs(ratio) < 1e-13:
-            raise ConstraintViolation("vanishing superdiagonal in conjugated factor")
-        zeta[k] = zeta[k - 1] * ratio / abs(ratio)
+    ratio = np.diagonal(K0, 1) / np.diagonal(lam, 1)
+    if np.any(np.abs(ratio) < 1e-13):
+        raise ConstraintViolation("vanishing superdiagonal in conjugated factor")
+    zeta = np.concatenate(([1.0], np.cumprod(ratio / np.abs(ratio))))
     K = zeta[:, None] * K0 * np.conjugate(zeta)[None, :]
 
     closure = K[n - 1, 0] / lam[n - 1, 0]
@@ -157,12 +155,8 @@ def f_beta_inv(p, c, check=True, tol=1e-6):
     j = int(np.argmax(xi))  # 0-based chart; xi_j >= pi/n > y always
     col = (j + 1) % n
     rj = math.sqrt(xi[j] - c.y)
-    u = np.empty(n, dtype=complex)
+    u = np.conjugate(K[:, col] / (rj * lam[:, col]))
     u[j] = rj
-    for k in range(n):
-        if k == j:
-            continue
-        u[k] = np.conjugate(K[k, col] / (rj * lam[k, col]))
     return canonicalize(u, c)
 
 

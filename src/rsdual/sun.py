@@ -114,13 +114,10 @@ def spectral_xi(A, c):
     xi[:-1] = 0.5 * np.diff(lifted)
     xi[-1] = math.pi - xi[:-1].sum()
 
-    vecs = Z[:, perm].copy()
-    for k in range(n):
-        col = vecs[:, k]
-        idx = np.argmax(np.abs(col) > PHASE_TOL)
-        phase = col[idx] / abs(col[idx])
-        vecs[:, k] = col * np.conjugate(phase)
-    g = dagger(vecs)
+    vecs = Z[:, perm]
+    # the first entry of each column with modulus above PHASE_TOL goes real positive
+    lead = vecs[np.argmax(np.abs(vecs) > PHASE_TOL, axis=0), np.arange(n)]
+    g = dagger(vecs * np.conjugate(lead / np.abs(lead)))
 
     gap = 2.0 * float(xi.min())
     return SpectralData(xi=xi, g=g, regular=gap > c.gap_tol, gap=gap)

@@ -332,8 +332,11 @@ def _check_boundary_limit(c, samples, rng):
             z[k] = 0.0
             u0 = canonicalize(z, c)
             K0 = global_lax(u0, c)
-            z[k] = eps * (1.0 + 1j)
-            r = np.linalg.norm(global_lax(canonicalize(z, c), c) - K0)
+            # step off the wall u_k = 0 on the sphere |u|^2 = chi0 itself, so
+            # its length is eps * sqrt(2) whatever the scale of z
+            u1 = u0.copy()
+            u1[k] = eps * (1.0 + 1j)
+            r = np.linalg.norm(global_lax(canonicalize(u1, c), c) - K0)
             out.append((r, {"slot": k + 1, **_pt(u0)}))
     return out
 

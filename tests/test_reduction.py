@@ -17,7 +17,7 @@ from rsdual.double import (
     rho_embedding,
 )
 from rsdual.errors import ChartViolation, ConstraintViolation
-from rsdual.lax import global_lax, local_lax, reflection_g, v_vector
+from rsdual.lax import global_lax, lambda_matrix, local_lax, reflection_g, v_vector
 from rsdual.projective import (
     canonicalize,
     chart_index,
@@ -200,6 +200,42 @@ def test_f_beta_inv_boundary_points():
             j = chart_index(u)
             ub = f_beta_inv(section_F(u, j, c), c)
             assert projective_distance(ub, u) < 1e-9
+
+
+def ref_f_beta_inv(p, c):
+    """f_beta_inv with its torus phases and chart read-off as entry loops."""
+    n = c.n
+    s = spectral_xi(p.B, c)
+    lam = lambda_matrix(np.maximum(s.xi, c.y), c)
+    K0 = s.g @ p.A @ dagger(s.g)
+    zeta = np.ones(n, dtype=complex)
+    for k in range(1, n):
+        ratio = K0[k - 1, k] / lam[k - 1, k]
+        zeta[k] = zeta[k - 1] * ratio / abs(ratio)
+    K = zeta[:, None] * K0 * np.conjugate(zeta)[None, :]
+    j = int(np.argmax(s.xi))
+    col = (j + 1) % n
+    rj = math.sqrt(s.xi[j] - c.y)
+    u = np.empty(n, dtype=complex)
+    u[j] = rj
+    for k in range(n):
+        if k != j:
+            u[k] = np.conjugate(K[k, col] / (rj * lam[k, col]))
+    return canonicalize(u, c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_f_beta_inv_matches_entry_loops(n):
+    c = Coupling.default(n)
+    rng = np.random.default_rng([17, n])
+    for k in range(n):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z[k] = 0.0
+        for u in (canonicalize(z, c), rand_u(c)):
+            for j in range(1, n + 1):
+                if abs(u[j - 1]) > c.chart_tol:
+                    p = conjugate(section_F(u, j, c), stabilizer_element(n, rng))
+                    assert np.abs(f_beta_inv(p, c) - ref_f_beta_inv(p, c)).max() < 1e-12
 
 
 def test_f_beta_inv_gauge_invariance():

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from rsdual.coupling import Coupling, check_alcove, random_shifted_alcove
 from rsdual.errors import AlcoveViolation, NonRegular
 from rsdual.sun import (
+    PHASE_TOL,
     alcove_delta,
     alcove_exponents,
     dagger,
@@ -113,6 +114,20 @@ def test_spectral_insensitive_to_torus_redefinition():
     d = np.zeros(3, dtype=complex)
     d[1], d[0] = 1j, -1j
     assert np.allclose(dagger(g2) @ (d[:, None] * g2), grad, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_spectral_phase_convention(n):
+    # each eigenvector (row of g) has its first entry of modulus above
+    # PHASE_TOL real positive; permuted delta points put exact zeros first
+    c = Coupling.default(n)
+    perm = np.eye(n)[RNG.permutation(n)]
+    mats = [random_special_unitary(n, RNG) for _ in range(5)]
+    mats += [perm @ alcove_delta(random_alcove(n, RNG), c) @ perm.T]
+    for A in mats:
+        for row in spectral_xi(A, c).g:
+            lead = np.conjugate(row[np.argmax(np.abs(row) > PHASE_TOL)])
+            assert lead.real > 0.0 and abs(lead.imag) < 1e-15
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))

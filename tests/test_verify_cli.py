@@ -68,6 +68,19 @@ def test_failure_payload_names_first_bad_sample():
     assert res.failure["residual"] > 1e-30
 
 
+def test_boundary_limit_steps_on_the_sphere():
+    # Suite seed 952743807, n = 2, third sample, slot 1: there |z| = 0.024.
+    # A step of 1e-8 (1 + i) added to z before normalising was 7.4e-7 long
+    # on the sphere |u|^2 = chi0 and left a residual of 1.48e-6 over the
+    # 1e-6 tolerance; stepped from the canonical point it is 1.4e-8 long.
+    cfg = SuiteConfig(
+        checks=("boundary-limit",), n_list=(2,), samples=20, seed=952743807
+    )
+    (cell,) = run_suite(cfg).results
+    assert cell.passed
+    assert cell.max_residual < 3e-8 * 1.01
+
+
 def test_fd_residual_monotone_in_step():
     # first-order checks: central-difference residual shrinks with the step
     c = Coupling.default(3)
