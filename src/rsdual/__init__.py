@@ -7,19 +7,15 @@ mapping-class-group presentation, and ships a property-based verification
 suite plus a CLI front end.
 """
 
-from .coupling import AlcovePoint, Coupling
-from .double import DoublePoint, DoubleTangent, InvariantHamiltonian, TorusElement
-from .projective import ProjectivePoint
+from .coupling import Coupling
+from .double import DoublePoint, DoubleTangent, InvariantHamiltonian
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlcovePoint",
     "Coupling",
     "DoublePoint",
     "DoubleTangent",
     "InvariantHamiltonian",
-    "ProjectivePoint",
-    "TorusElement",
     "__version__",
 ]

@@ -113,7 +113,6 @@ def cmd_verify(args):
         seed=args.seed,
         tolerances=tolerances,
         checks=tuple(args.checks.split(",")) if args.checks else (),
-        jobs=args.jobs,
     )
     report = run_suite(cfg)
     _emit(report.to_json(), args.out)
@@ -236,7 +235,6 @@ def build_parser():
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--checks", default="", help="comma list of check selectors")
     pv.add_argument("--tol", action="append", help="override tolerance, name=value")
-    pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--out", default="", help="write report JSON here (default stdout)")
     pv.set_defaults(func=cmd_verify)
 

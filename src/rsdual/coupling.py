@@ -16,11 +16,6 @@ from .errors import AlcoveViolation, DomainViolation
 
 SUM_TOL = 1e-12
 
-ALCOVE = "alcove"
-OPEN_ALCOVE = "open_alcove"
-SHIFTED_ALCOVE = "shifted_alcove"
-POLYTOPE_INTERIOR = "polytope_interior"
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -89,48 +84,9 @@ class Coupling:
         return np.diag(self.weights[k - 1])
 
 
-def as_xi(x):
-    """Coerce an AlcovePoint or array-like to a float vector."""
-    if isinstance(x, AlcovePoint):
-        return np.asarray(x.xi, dtype=float)
-    return np.asarray(x, dtype=float)
-
-
-def alcove_region(xi, c, tol=SUM_TOL):
-    """Most restrictive region tag the point belongs to, or None."""
-    xi = as_xi(xi)
-    if xi.shape != (c.n,) or abs(xi.sum() - math.pi) > 1e-9:
-        return None
-    if np.all(xi > c.y + tol):
-        return POLYTOPE_INTERIOR
-    if np.all(xi >= c.y - tol):
-        return SHIFTED_ALCOVE
-    if np.all(xi > tol):
-        return OPEN_ALCOVE
-    if np.all(xi >= -tol):
-        return ALCOVE
-    return None
-
-
-@dataclass(frozen=True)
-class AlcovePoint:
-    """A point xi of the Weyl alcove together with its region tag."""
-
-    xi: np.ndarray
-    region: str = ALCOVE
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        object.__setattr__(self, "xi", xi)
-        check_alcove(xi, tol=1e-9)
-        order = [ALCOVE, OPEN_ALCOVE, SHIFTED_ALCOVE, POLYTOPE_INTERIOR]
-        if self.region not in order:
-            raise ValueError(f"unknown region tag {self.region!r}")
-
-
 def check_alcove(xi, tol=SUM_TOL):
     """Raise AlcoveViolation unless xi_j >= 0 and sum xi_j = pi."""
-    xi = as_xi(xi)
+    xi = np.asarray(xi, dtype=float)
     if abs(xi.sum() - math.pi) > max(tol, 1e-9):
         raise AlcoveViolation(f"sum(xi) = {xi.sum():.15g} differs from pi")
     if np.any(xi < -tol):
@@ -151,7 +107,7 @@ def check_shifted_alcove(xi, c, tol=SUM_TOL, strict=False):
 
 def full_xi(xi, c):
     """Extend an (n-1)-vector of polytope coordinates by xi_n = pi - sum."""
-    xi = as_xi(xi)
+    xi = np.asarray(xi, dtype=float)
     if xi.shape == (c.n,):
         return xi
     if xi.shape == (c.n - 1,):

@@ -8,7 +8,6 @@ central twist Q and the conjugating involution nu.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 import scipy.linalg
@@ -64,20 +63,6 @@ class DoubleTangent:
         dA = p.A @ traceless_antihermitian(dagger(p.A) @ self.dA)
         dB = p.B @ traceless_antihermitian(dagger(p.B) @ self.dB)
         return DoubleTangent(dA, dB)
-
-
-@dataclass(frozen=True)
-class TorusElement:
-    """Element of the (n-1)-torus, stored as angles reduced mod 2 pi."""
-
-    theta: tuple
-
-    def __init__(self, theta):
-        angles = tuple(float(t) % (2.0 * math.pi) for t in np.atleast_1d(theta))
-        object.__setattr__(self, "theta", angles)
-
-    def array(self):
-        return np.asarray(self.theta)
 
 
 def rho_embedding(theta, n):
@@ -162,15 +147,15 @@ def _wedge(c1, d1, c2, d2):
     return scalar_product(c1, d2) - scalar_product(c2, d1)
 
 
-def omega_eval(p, v1, v2, check=True):
+def omega_eval(p, v1, v2):
     """The invariant 2-form of the double evaluated on two tangents.
 
     2 omega = <A^{-1}dA ^ dB B^{-1}> + <dA A^{-1} ^ B^{-1}dB>
               - <(AB)^{-1} d(AB) ^ (BA)^{-1} d(BA)>.
+    Both tangents must lie in the tangent space at p (TangencyViolation).
     """
-    if check:
-        v1.check(p)
-        v2.check(p)
+    v1.check(p)
+    v2.check(p)
     A, B = p.A, p.B
     Ai, Bi = dagger(A), dagger(B)
     ab_i = Bi @ Ai
@@ -241,7 +226,6 @@ def torus_action(p, side, theta, c):
     side 'a': (A, B) -> (A, B g(A)^{-1} rho(tau) g(A));
     side 'b': (A, B) -> (A g(B)^{-1} rho(tau)^{-1} g(B), B).
     """
-    theta = theta.array() if isinstance(theta, TorusElement) else np.asarray(theta, float)
     rho = rho_embedding(theta, c.n)
     if side == "a":
         s = spectral_xi(p.A, c)

@@ -21,20 +21,10 @@ from .errors import (
     PoleAtMinusOne,
     SingularDenominator,
 )
-from .projective import as_vector
-
-_SERIES_CUT = 1e-4
-
 
 def sinratio(x):
-    """sin(x)/x, by series below |x| < 1e-4 so the ratio stays smooth at 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUT
-    out = np.where(
-        small,
-        1.0 - x * x / 6.0 + x**4 / 120.0,
-        np.sin(np.where(small, 1.0, x)) / np.where(small, 1.0, x),
-    )
+    """sin(x)/x, smooth through x = 0 (numpy's normalized sinc at x/pi)."""
+    out = np.sinc(np.asarray(x, dtype=float) / np.pi)
     return out if out.ndim else float(out)
 
 
@@ -114,7 +104,11 @@ def lambda_matrix(xi, c):
     Lambda_{kl}; on it the r factors cancel against the vanishing
     denominator and Lambda equals the Lax entry itself.
     """
-    xi = check_shifted_alcove(xi, c)
+    return _lambda_matrix(check_shifted_alcove(xi, c), c)
+
+
+def _lambda_matrix(xi, c):
+    """lambda_matrix on a xi the caller has already validated."""
     y = c.y
     idx = _cyclic(c.n)
     phi = _pair_angles(xi)
@@ -216,33 +210,29 @@ def mu_of_v(v, c):
     return np.exp(2j * c.y) * np.eye(c.n) + coeff * np.outer(v, np.conjugate(v))
 
 
-def reflection_g(v):
-    """Real orthogonal matrix with last column v, built from a unit vector.
+def reflection_g(x, j=None):
+    """The chart gauge built from a unit vector x: its last column is x.
 
-    g_{jn} = -g_{nj} = v_j, g_{nn} = v_n, g_{jl} = delta_{jl} - v_j v_l / (1 + v_n).
-    Requires v real with v_n != -1.
+    With w = x + e_j (chart j, 1-based, default n) this is the reflection
+    1 - w w^dagger / w_j with columns j and n swapped and column n negated.
+    For real x and j = n it is the real orthogonal
+    g_{jn} = -g_{nj} = x_j, g_{nn} = x_n, g_{jl} = delta_{jl} - x_j x_l / (1 + x_n);
+    for complex x it is unitary.  Requires x_j real with x_j != -1.
     """
-    v = np.asarray(v, dtype=float)
-    n = len(v)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise NormViolation(f"|v| = {np.linalg.norm(v):.12g}, expected 1")
-    d = 1.0 + v[-1]
+    x = np.asarray(x)
+    n = len(x)
+    j = n if j is None else j
+    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
+        raise NormViolation(f"|x| = {np.linalg.norm(x):.12g}, expected 1")
+    d = 1.0 + x[j - 1].real
     if d < 1e-12:
-        raise PoleAtMinusOne("reflection undefined at v_n = -1")
-    g = np.eye(n)
-    g[:-1, :-1] -= np.outer(v[:-1], v[:-1]) / d
-    g[:-1, -1] = v[:-1]
-    g[-1, :-1] = -v[:-1]
-    g[-1, -1] = v[-1]
+        raise PoleAtMinusOne(f"reflection undefined at x_{j} = -1")
+    w = x.astype(np.result_type(x, float))
+    w[j - 1] = d
+    g = np.eye(n) - np.outer(w, np.conjugate(w)) / d
+    g[:, j - 1] *= -1.0
+    g[:, [j - 1, n - 1]] = g[:, [n - 1, j - 1]]
     return g
-
-
-def transposition(j, n):
-    """Permutation matrix swapping slots j and n (1-based); identity for j = n."""
-    t = np.eye(n)
-    if j != n:
-        t[[j - 1, n - 1]] = t[[n - 1, j - 1]]
-    return t
 
 
 def reflection_g_chart(xi, j, c):
@@ -252,10 +242,7 @@ def reflection_g_chart(xi, j, c):
     conjugate mu_{v} to mu0 and differ by stabilizer factors only.
     """
     v, _ = v_vector(xi, c)
-    if j == c.n:
-        return reflection_g(v)
-    t = transposition(j, c.n)
-    return t @ reflection_g(t @ v)
+    return reflection_g(v, j)
 
 
 def global_lax(u, c):
@@ -265,7 +252,7 @@ def global_lax(u, c):
     K on the superdiagonal equals Lambda there (u_0 := u_n).  The result is
     special-unitary and depends only on the phase class of u.
     """
-    u = as_vector(u)
+    u = np.asarray(u, dtype=complex)
     nrm2 = float(np.vdot(u, u).real)
     if abs(nrm2 - c.chi0) > 1e-8:
         raise NormViolation(f"|u|^2 = {nrm2:.12g}, expected chi0 = {c.chi0:.12g}")

@@ -6,7 +6,6 @@ fixes a canonical representative, provides the Darboux parametrization by
 Fubini-Study form, the rotational torus action and the discrete involutions.
 """
 
-from dataclasses import dataclass
 import json
 import math
 import warnings
@@ -19,24 +18,10 @@ from .errors import ChartViolation, DomainViolation, ZeroVector
 TIE_TOL = 1e-12
 
 
-def as_vector(u):
-    """Coerce a ProjectivePoint or array-like to a complex vector."""
-    if isinstance(u, ProjectivePoint):
-        return u.u
-    return np.asarray(u, dtype=complex)
-
-
-def as_angles(theta):
-    """Coerce a TorusElement or array-like to an angle vector."""
-    if hasattr(theta, "array"):
-        return theta.array()
-    return np.asarray(theta, dtype=float)
-
-
 def canonicalize(u, c):
     """Canonical representative: |u|^2 = chi0 and the largest-modulus
     coordinate (smallest index on ties within 1e-12) real non-negative."""
-    u = as_vector(u)
+    u = np.asarray(u, dtype=complex)
     nrm = np.linalg.norm(u)
     if nrm < 1e-300:
         raise ZeroVector("cannot canonicalize the zero vector")
@@ -50,30 +35,11 @@ def canonicalize(u, c):
 
 def projective_distance(u, v):
     """Gauge-invariant distance min_phase |u - e^{i gamma} v|."""
-    u = as_vector(u)
-    v = as_vector(v)
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
     inner = np.vdot(v, u)
     phase = inner / abs(inner) if abs(inner) > 0 else 1.0
     return float(np.linalg.norm(u - phase * v))
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Canonical representative of a point of CP(n-1) at scale chi0."""
-
-    u: np.ndarray
-
-    @classmethod
-    def from_vector(cls, u, c):
-        return cls(canonicalize(u, c))
-
-    def to_json(self):
-        return [[float(z.real), float(z.imag)] for z in self.u]
-
-    @classmethod
-    def from_json(cls, data, c):
-        u = np.array([complex(re, im) for re, im in data])
-        return cls.from_vector(u, c)
 
 
 def point_to_json(u):
@@ -115,7 +81,7 @@ def e_param(xi, theta, c):
     representative.
     """
     xi = full_xi(xi, c)
-    theta = as_angles(theta)
+    theta = np.asarray(theta, dtype=float)
     if theta.shape != (c.n - 1,):
         raise ValueError(f"need {c.n - 1} torus angles")
     if np.any(xi < c.y - 1e-12) or abs(xi.sum() - math.pi) > 1e-9:
@@ -132,7 +98,7 @@ def e_param_inv(u, c):
     Requires every coordinate nonzero; returns (full xi, theta) with the
     gauge u_n > 0.
     """
-    u = as_vector(u)
+    u = np.asarray(u, dtype=complex)
     if np.any(np.abs(u) < 1e-12):
         raise ChartViolation("some coordinate vanishes; point outside CP(n-1)_0")
     u = u * (np.conjugate(u[-1]) / abs(u[-1]))
@@ -143,24 +109,24 @@ def e_param_inv(u, c):
 
 def moment_J(u, c):
     """Toric moment map J_k = |u_k|^2 + y, k = 1..n-1."""
-    u = as_vector(u)
+    u = np.asarray(u, dtype=complex)
     return np.abs(u[:-1]) ** 2 + c.y
 
 
 def moment_J_full(u, c):
     """All n shifted moduli; sums to pi when |u|^2 = chi0."""
-    u = as_vector(u)
+    u = np.asarray(u, dtype=complex)
     return np.abs(u) ** 2 + c.y
 
 
 def chart_index(u):
     """1-based index of the largest-modulus coordinate."""
-    return int(np.argmax(np.abs(as_vector(u)))) + 1
+    return int(np.argmax(np.abs(u))) + 1
 
 
 def chart_gauge(u, j, c):
     """Representative with u_j real positive (chart gauge), j 1-based."""
-    u = as_vector(u)
+    u = np.asarray(u, dtype=complex)
     if abs(u[j - 1]) <= c.chart_tol:
         raise ChartViolation(f"|u_{j}| = {abs(u[j - 1]):.3e} too small for chart {j}")
     return u * (np.conjugate(u[j - 1]) / abs(u[j - 1]))
@@ -227,8 +193,8 @@ def fs_omega_eval(u, v1, v2, c, j=None):
 
 def rot_action(theta, u):
     """Rotational torus action u_k -> e^{i theta_k} u_k, k = 1..n-1."""
-    u = as_vector(u).copy()
-    theta = as_angles(theta)
+    u = np.array(u, dtype=complex)
+    theta = np.asarray(theta, dtype=float)
     u[: len(u) - 1] *= np.exp(1j * theta)
     return u
 
@@ -241,7 +207,7 @@ def involution(which, u):
     reversal.  All three are involutive; C and Gamma are anti-symplectic,
     sigma is symplectic.
     """
-    u = as_vector(u)
+    u = np.asarray(u, dtype=complex)
     if which == "C":
         return np.conjugate(u)
     if which == "Gamma":

@@ -18,8 +18,8 @@ from .coupling import check_shifted_alcove
 from .double import DoublePoint, auto_apply, flow, moment
 from .errors import ConstraintViolation, NumericallyAmbiguous
 from .lax import (
+    _lambda_matrix,
     global_lax,
-    lambda_matrix,
     local_lax,
     reflection_g,
     v_vector,
@@ -39,42 +39,15 @@ def smooth_chart_gauge(u, j, c):
     """The unitary gauge G_y^j(u) that conjugates (K(u), delta(xi)) onto the
     constraint surface, written directly in chart-j coordinates.
 
-    On the dense part it equals Delta(tau)^{-1} g_y^j(xi) Delta_j(tau), but
-    the combination below is built from products conj(u_a) u_b and the
-    strictly positive smooth factors v_k / r_k, so it extends to the whole
-    chart |u_j| > 0.
+    On the dense part it equals Delta(tau)^{-1} g_y^j(xi) Delta_j(tau).  It
+    is the chart reflection of the unit vector conj(u_k) v_k / r_k, built
+    from u and the strictly positive smooth factors v_k / r_k, so it extends
+    to the whole chart |u_j| > 0.
     """
-    n = c.n
     u = chart_gauge(u, j, c)
-    xi = moment_J_full(u, c)
-    # strictly positive smooth factors v_k / r_k, finite at the walls
-    _, _, w_plus, _ = w_factors(xi, c)
-    wh = math.sqrt(math.sin(c.y) / math.sin(c.n * c.y)) * w_plus
-    jj = j - 1
-    last = n - 1
-    d = 1.0 + u[jj].real * wh[jj]
-    G = np.zeros((n, n), dtype=complex)
-    if jj == last:
-        for a in range(n - 1):
-            for b in range(n - 1):
-                G[a, b] = (a == b) - np.conjugate(u[a]) * u[b] * wh[a] * wh[b] / d
-            G[a, last] = np.conjugate(u[a]) * wh[a]
-            G[last, a] = -u[a] * wh[a]
-        G[last, last] = u[last].real * wh[last]
-        return G
-    others = [a for a in range(n) if a not in (jj, last)]
-    for a in others:
-        for b in others:
-            G[a, b] = (a == b) - np.conjugate(u[a]) * u[b] * wh[a] * wh[b] / d
-        G[a, jj] = -np.conjugate(u[a]) * u[last] * wh[a] * wh[last] / d
-        G[a, last] = np.conjugate(u[a]) * wh[a]
-        G[jj, a] = -u[a] * wh[a]
-        G[last, a] = -np.conjugate(u[last]) * u[a] * wh[last] * wh[a] / d
-    G[jj, jj] = -u[last] * wh[last]
-    G[jj, last] = u[jj].real * wh[jj]
-    G[last, jj] = 1.0 - (abs(u[last]) * wh[last]) ** 2 / d
-    G[last, last] = np.conjugate(u[last]) * wh[last]
-    return G
+    _, _, w_plus, _ = w_factors(moment_J_full(u, c), c)
+    x = np.conjugate(u) * math.sqrt(math.sin(c.y) / math.sin(c.n * c.y)) * w_plus
+    return reflection_g(x, j)
 
 
 def section_F(u, j, c):
@@ -88,12 +61,8 @@ def section_F(u, j, c):
     return DoublePoint(Gi @ K @ G, Gi @ delta @ G)
 
 
-def best_chart(u, c):
-    return chart_index(u)
-
-
 def section_best(u, c):
-    return section_F(u, best_chart(u, c), c)
+    return section_F(u, chart_index(u), c)
 
 
 def section_local(xi, theta, c):
@@ -116,28 +85,33 @@ def constraint_residual(p, c):
     return float(np.linalg.norm(moment(p) @ dagger(c.mu0) - np.eye(c.n)))
 
 
-def f_beta_inv(p, c, check=True, tol=1e-6):
+def f_beta_inv(p, c):
     """Label of the gauge orbit of a constrained pair: the unique projective
     point u with F_j(u) gauge-equivalent to (A, B).
 
     Steps: read xi from the spectrum of B; diagonalize B; rotate the
     diagonalizer by the torus element that matches the cyclic superdiagonal
     of the conjugated A against the nowhere-zero Lambda factors; read the
-    chart coordinates off the remaining entries.
+    chart coordinates off the remaining entries.  The pair must satisfy the
+    constraint to 1e-6, and the superdiagonal phases must close to 1e-5.
     """
-    if check:
-        res = constraint_residual(p, c)
-        if res > tol:
-            raise ConstraintViolation(f"moment residual {res:.3e} exceeds {tol:.1e}")
+    res = constraint_residual(p, c)
+    if res > 1e-6:
+        raise ConstraintViolation(f"moment residual {res:.3e} exceeds 1e-6")
     n = c.n
     s = spectral_xi(p.B, c)
     if not s.regular:
         raise NumericallyAmbiguous(
             f"second factor has eigenphase gap {s.gap:.3e} < gap_tol"
         )
-    xi = s.xi
-    check_shifted_alcove(xi, c, tol=1e-7)
-    lam = lambda_matrix(np.maximum(xi, c.y), c)
+    xi = check_shifted_alcove(s.xi, c, tol=1e-7)
+    # clip onto the walls xi_k >= y; the largest xi_j (>= pi/n > y) gives up
+    # the excess, so sum(xi) stays pi and xi_j still selects the chart
+    j = int(np.argmax(xi))
+    clipped = np.maximum(xi, c.y)
+    clipped[j] -= (clipped - xi).sum()
+    xi = clipped
+    lam = _lambda_matrix(xi, c)
     K0 = s.g @ p.A @ dagger(s.g)
 
     ratio = np.diagonal(K0, 1) / np.diagonal(lam, 1)
@@ -147,12 +121,11 @@ def f_beta_inv(p, c, check=True, tol=1e-6):
     K = zeta[:, None] * K0 * np.conjugate(zeta)[None, :]
 
     closure = K[n - 1, 0] / lam[n - 1, 0]
-    if check and abs(closure / abs(closure) - 1.0) > 1e-5:
+    if abs(closure / abs(closure) - 1.0) > 1e-5:
         raise ConstraintViolation(
             f"cyclic superdiagonal phase fails to close (off by {closure:.6g})"
         )
 
-    j = int(np.argmax(xi))  # 0-based chart; xi_j >= pi/n > y always
     col = (j + 1) % n
     rj = math.sqrt(xi[j] - c.y)
     u = np.conjugate(K[:, col] / (rj * lam[:, col]))

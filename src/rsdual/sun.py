@@ -13,7 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .coupling import as_xi, check_alcove
+from .coupling import check_alcove
 from .errors import NonRegular
 
 PHASE_TOL = 1e-12
@@ -55,7 +55,7 @@ def alcove_exponents(xi, c):
     These are the specific real logarithms used for real matrix powers; they
     agree with the eigenphases of delta(xi) modulo 2 pi.
     """
-    xi = as_xi(xi)
+    xi = np.asarray(xi, dtype=float)
     n = c.n
     base = (2.0 / n) * np.dot(np.arange(1, n), xi[: n - 1])
     tails = 2.0 * (np.concatenate([np.cumsum(xi[: n - 1][::-1])[::-1], [0.0]]))

@@ -3,10 +3,9 @@
 run_suite sweeps a configurable grid of (n, y) couplings, evaluates each
 selected check on seeded random samples and reports the worst residual per
 check against its tolerance.  Checks are deterministic given the seed and
-independent across (check, n) cells, so they can be fanned out safely.
+independent across (check, n) cells, so any cell can be run on its own.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import json
 import math
@@ -66,6 +65,29 @@ from .sun import (
 )
 
 
+def _chart_gradient(f, u, j, c, h):
+    """Central-difference gradient of f (scalar- or vector-valued) in the real
+    chart-j coordinates: row k is d/dq_k and row m + k is d/dp_k, where
+    w_k = q_k + i p_k are the n-1 chart coordinates of u."""
+    w0 = to_chart(u, j, c)
+    m = len(w0)
+    rows = []
+    for part in (1.0, 1j):
+        for k in range(m):
+            dw = np.zeros(m, dtype=complex)
+            dw[k] = part * h
+            rows.append(
+                (f(from_chart(w0 + dw, j, c)) - f(from_chart(w0 - dw, j, c))) / (2.0 * h)
+            )
+    return np.array(rows)
+
+
+def _bracket(ga, gb):
+    """-(1/2) sum (f_q g_p - f_p g_q) from two stacked chart gradients."""
+    m = len(ga) // 2
+    return -0.5 * float(np.dot(ga[:m], gb[m:]) - np.dot(ga[m:], gb[:m]))
+
+
 def poisson_bracket_fs(fa, fb, u, c, j=None, step=None):
     """Poisson bracket of two scalar functions of u in the chart Darboux
     structure, with central-difference gradients.
@@ -76,23 +98,7 @@ def poisson_bracket_fs(fa, fb, u, c, j=None, step=None):
     if j is None:
         j = chart_index(u)
     h = step if step is not None else c.fd_step
-    w0 = to_chart(u, j, c)
-    m = len(w0)
-
-    def grad(f):
-        g = np.empty(2 * m)
-        for k in range(m):
-            for part, idx in ((1.0, k), (1j, m + k)):
-                dw = np.zeros(m, dtype=complex)
-                dw[k] = part * h
-                g[idx] = (
-                    f(from_chart(w0 + dw, j, c)) - f(from_chart(w0 - dw, j, c))
-                ) / (2.0 * h)
-        return g[:m], g[m:]
-
-    fq, fp = grad(fa)
-    gq, gp = grad(fb)
-    return -0.5 * float(np.dot(fq, gp) - np.dot(fp, gq))
+    return _bracket(_chart_gradient(fa, u, j, c, h), _chart_gradient(fb, u, j, c, h))
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +352,17 @@ def _check_poisson(c, samples, rng):
         return []
     out = []
     pairs = [(k, l) for k in range(1, c.n) for l in range(k + 1, c.n)]
+
+    def actions(uu):
+        return spectral_xi(global_lax(uu, c), c).xi[: c.n - 1]
+
     for _ in range(samples):
         u = random_point(c, rng, interior_bias=0.08)
+        # one chart Jacobian of all Xi_k; row k - 1 is the gradient of Xi_k
+        grad = _chart_gradient(actions, u, chart_index(u), c, c.fd_step)
+        jac = np.ascontiguousarray(grad.T)
         for k, l in pairs:
-            fa = lambda uu, kk=k: float(spectral_xi(global_lax(uu, c), c).xi[kk - 1])
-            fb = lambda uu, ll=l: float(spectral_xi(global_lax(uu, c), c).xi[ll - 1])
-            out.append((abs(poisson_bracket_fs(fa, fb, u, c)), {"pair": [k, l], **_pt(u)}))
+            out.append((abs(_bracket(jac[k - 1], jac[l - 1])), {"pair": [k, l], **_pt(u)}))
     return out
 
 
@@ -513,7 +524,6 @@ class SuiteConfig:
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
     checks: tuple = ()
-    jobs: int = 1
 
     def couplings(self):
         ns = list(self.n_list)
@@ -631,10 +641,5 @@ def run_suite(cfg):
     """Run the selected checks over the configured couplings."""
     couplings = cfg.couplings()
     names = cfg.selected_checks()
-    cells = [(name, c) for name in names for c in couplings]
-    if cfg.jobs and cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda nc: _run_cell(nc[0], nc[1], cfg), cells))
-    else:
-        results = [_run_cell(name, c, cfg) for name, c in cells]
+    results = [_run_cell(name, c, cfg) for name in names for c in couplings]
     return SuiteReport(results=results, seed=cfg.seed)

@@ -11,7 +11,6 @@ from rsdual.double import (
     DoublePoint,
     DoubleTangent,
     InvariantHamiltonian,
-    TorusElement,
     apply_word,
     auto_apply,
     conjugate,
@@ -342,13 +341,6 @@ def test_spectral_flow_rejects_degenerate():
     p = DoublePoint(np.eye(n, dtype=complex), random_special_unitary(n, RNG))
     with pytest.raises(NonRegular):
         flow(p, InvariantHamiltonian("spectral", 1, "first"), 0.5, c)
-
-
-def test_torus_element_reduces_angles():
-    t = TorusElement([7.0, -1.0])
-    arr = t.array()
-    assert np.all(arr >= 0) and np.all(arr < 2 * math.pi)
-    assert abs(arr[0] - (7.0 - 2 * math.pi)) < 1e-14
 
 
 def test_invariant_hamiltonian_validation():

@@ -21,7 +21,6 @@ from rsdual.lax import (
     reflection_g,
     reflection_g_chart,
     sinratio,
-    transposition,
     v_vector,
     w_factors,
 )
@@ -402,9 +401,3 @@ def test_delta_of_moment_map_identities():
         dG = alcove_delta(moment_J_full(involution("Gamma", u), c), c)
         assert np.linalg.norm(dC - d) < 1e-12
         assert np.linalg.norm(dG - eta0 @ dagger(d) @ eta0) < 1e-10
-
-
-def test_transposition_matrix():
-    t = transposition(1, 3)
-    assert np.allclose(t @ t, np.eye(3))
-    assert np.allclose(transposition(3, 3), np.eye(3))

@@ -4,7 +4,8 @@ The reference functions below build every matrix entry in a Python loop,
 one scalar formula per entry.  The library builds the same objects as
 whole-matrix numpy expressions.  W+-, Lambda and K(u) must agree with the
 reference to 1e-12 on the interior, next to the walls of the moment
-polytope (including the series branch of sinratio) and on the walls.
+polytope (xi_k - y below 1e-4) and on the walls.  The chart gauge G_y^j(u)
+must agree with its entry-by-entry assembly to 1e-14 in every chart.
 L(delta, Theta) and H agree with it wherever the reference itself keeps
 1e-12; next to and on the walls, where the reference loses digits, they
 are checked against K(u) and L(-y) against L(y) instead.
@@ -26,11 +27,19 @@ from rsdual.lax import (
     sinratio,
     w_factors,
 )
-from rsdual.projective import canonicalize, moment_J_full, random_point, vertex_points
+from rsdual.projective import (
+    canonicalize,
+    chart_gauge,
+    moment_J_full,
+    random_point,
+    vertex_points,
+)
+from rsdual.reduction import smooth_chart_gauge
 from rsdual.sun import alcove_exponents, dagger
 
 NS = (2, 3, 4, 8, 16)
 TOL = 1e-12
+GAUGE_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +165,40 @@ def ref_local_hamiltonian(xi, p, c):
     return total
 
 
+def ref_smooth_chart_gauge(u, j, c):
+    """G_y^j(u) entry by entry from conj(u_a) u_b and the smooth factors
+    v_k / r_k, with the last chart j = n written out separately."""
+    n = c.n
+    u = chart_gauge(u, j, c)
+    _, _, w_plus, _ = w_factors(moment_J_full(u, c), c)
+    wh = math.sqrt(math.sin(c.y) / math.sin(c.n * c.y)) * w_plus
+    jj = j - 1
+    last = n - 1
+    d = 1.0 + u[jj].real * wh[jj]
+    G = np.zeros((n, n), dtype=complex)
+    if jj == last:
+        for a in range(n - 1):
+            for b in range(n - 1):
+                G[a, b] = (a == b) - np.conjugate(u[a]) * u[b] * wh[a] * wh[b] / d
+            G[a, last] = np.conjugate(u[a]) * wh[a]
+            G[last, a] = -u[a] * wh[a]
+        G[last, last] = u[last].real * wh[last]
+        return G
+    others = [a for a in range(n) if a not in (jj, last)]
+    for a in others:
+        for b in others:
+            G[a, b] = (a == b) - np.conjugate(u[a]) * u[b] * wh[a] * wh[b] / d
+        G[a, jj] = -np.conjugate(u[a]) * u[last] * wh[a] * wh[last] / d
+        G[a, last] = np.conjugate(u[a]) * wh[a]
+        G[jj, a] = -u[a] * wh[a]
+        G[last, a] = -np.conjugate(u[last]) * u[a] * wh[last] * wh[a] / d
+    G[jj, jj] = -u[last] * wh[last]
+    G[jj, last] = u[jj].real * wh[jj]
+    G[last, jj] = 1.0 - (abs(u[last]) * wh[last]) ** 2 / d
+    G[last, last] = np.conjugate(u[last]) * wh[last]
+    return G
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -189,6 +232,14 @@ def _assert_lax_core_matches(u, c):
     assert np.max(np.abs(global_lax(u, c) - ref_global_lax(u, c))) <= TOL
 
 
+def _assert_gauge_matches(u, c):
+    """G_y^j(u) against the entry assembly in every chart that contains u."""
+    for j in range(1, c.n + 1):
+        if abs(u[j - 1]) > c.chart_tol:
+            got = smooth_chart_gauge(u, j, c)
+            assert np.max(np.abs(got - ref_smooth_chart_gauge(u, j, c))) <= GAUGE_TOL
+
+
 # ---------------------------------------------------------------------------
 # tests
 
@@ -202,8 +253,16 @@ def test_w_lambda_and_global_lax_match_reference(n):
 
 
 @pytest.mark.parametrize("n", NS)
+def test_smooth_chart_gauge_matches_reference(n):
+    c = Coupling.default(n)
+    rng = np.random.default_rng([76, n])
+    for u in _points(c, rng) + vertex_points(c, eps=1e-4, rng=rng):
+        _assert_gauge_matches(u, c)
+
+
+@pytest.mark.parametrize("n", NS)
 def test_series_branch_points_take_the_series(n):
-    # the near-wall inputs above do reach sinratio's series branch
+    # the near-wall inputs above do reach xi_k - y < 1e-4
     c = Coupling.default(n)
     u = _near_wall_u(c, np.random.default_rng(5), 1e-8)
     xi = moment_J_full(u, c)
@@ -310,6 +369,7 @@ def test_lax_core_matches_reference_on_walls(point):
     c, u = point
     _assert_lax_core_matches(u, c)
     _assert_hamiltonian_is_trace_of_K(u, c)
+    _assert_gauge_matches(u, c)
 
 
 @pytest.mark.parametrize("n", (2, 3, 8))

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from rsdual.coupling import Coupling
 from rsdual.errors import ChartViolation, DomainViolation, ZeroVector
 from rsdual.projective import (
-    ProjectivePoint,
     canonicalize,
     chart_gauge,
     chart_index,
@@ -325,9 +324,6 @@ def test_json_round_trip():
     data = point_to_json(u)
     v = point_from_json(data, c)
     assert projective_distance(u, v) < 1e-12
-    p = ProjectivePoint.from_vector(u, c)
-    q = ProjectivePoint.from_json(p.to_json(), c)
-    assert projective_distance(p.u, q.u) < 1e-12
 
 
 def test_full_moment_sums_to_pi():

@@ -202,6 +202,30 @@ def test_f_beta_inv_boundary_points():
             assert projective_distance(ub, u) < 1e-9
 
 
+@pytest.mark.parametrize("delta", [1e-9, 5e-9, 5e-8])
+def test_f_beta_inv_accepts_xi_just_below_a_wall(delta):
+    # B carries xi_1 = y - delta: the pair is constrained to ~3 delta, inside
+    # the 1e-6 bound, and xi sits within the 1e-7 wall tolerance, so the
+    # label must come back next to the wall point instead of raising
+    c = Coupling.default(3)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        z[0] = 0.0
+        u = canonicalize(z, c)
+        j = chart_index(u)
+        G = smooth_chart_gauge(u, j, c)
+        xi = moment_J_full(u, c)
+        xi[0] -= delta
+        xi[1] += delta
+        p = DoublePoint(section_F(u, j, c).A, dagger(G) @ alcove_delta(xi, c) @ G)
+        assert constraint_residual(p, c) < 1e-6
+        # |u_k| = sqrt(xi_k - y) moves by at most delta / (2 |u_k|) in the
+        # two slots that take up the clipped delta
+        bound = delta / np.min(np.abs(u[1:]))
+        assert projective_distance(f_beta_inv(p, c), u) <= bound
+
+
 def ref_f_beta_inv(p, c):
     """f_beta_inv with its torus phases and chart read-off as entry loops."""
     n = c.n

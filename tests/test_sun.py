@@ -288,28 +288,3 @@ def test_coupling_invariants():
         Coupling(3, 0.0)
     with pytest.raises(ValueError):
         Coupling(1, 0.1)
-
-
-def test_alcove_point_regions():
-    from rsdual.coupling import (
-        POLYTOPE_INTERIOR,
-        SHIFTED_ALCOVE,
-        AlcovePoint,
-        alcove_region,
-    )
-
-    c = Coupling.default(3)
-    xi = random_shifted_alcove(c, RNG, margin=0.05)
-    assert alcove_region(xi, c) == POLYTOPE_INTERIOR
-    wall = xi.copy()
-    wall[1] += wall[0] - c.y
-    wall[0] = c.y
-    assert alcove_region(wall, c) == SHIFTED_ALCOVE
-    pt = AlcovePoint(xi, POLYTOPE_INTERIOR)
-    assert pt.region == POLYTOPE_INTERIOR
-    # ops accept the wrapped point directly
-    assert np.allclose(spectral_xi(alcove_delta(pt, c), c).xi, xi, atol=1e-12)
-    with pytest.raises(AlcoveViolation):
-        AlcovePoint(np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        AlcovePoint(xi, "nowhere")

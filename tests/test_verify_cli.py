@@ -11,7 +11,9 @@ from rsdual.cli import main
 from rsdual.coupling import Coupling
 from rsdual.errors import ConfigError
 from rsdual.projective import point_from_json, projective_distance, random_point
-from rsdual.verify import CHECKS, SuiteConfig, poisson_bracket_fs, run_suite
+from rsdual.lax import global_lax
+from rsdual.sun import spectral_xi
+from rsdual.verify import CHECKS, SuiteConfig, _check_poisson, poisson_bracket_fs, run_suite
 
 
 def test_default_suite_passes_quickly():
@@ -28,13 +30,22 @@ def test_suite_determinism():
     assert [a.max_residual for a in r1.results] == [b.max_residual for b in r2.results]
 
 
-def test_suite_jobs_matches_serial():
-    base = SuiteConfig(n_list=(2, 3), samples=4, seed=5, checks=("lax", "duality"))
-    par = SuiteConfig(n_list=(2, 3), samples=4, seed=5, checks=("lax", "duality"), jobs=4)
-    r1 = run_suite(base)
-    r2 = run_suite(par)
-    assert [a.name for a in r1.results] == [b.name for b in r2.results]
-    assert [a.max_residual for a in r1.results] == [b.max_residual for b in r2.results]
+@pytest.mark.parametrize("n", [3, 4])
+def test_poisson_check_equals_pairwise_brackets(n):
+    # one Jacobian of all Xi_k per sample gives bit for bit the brackets
+    # that poisson_bracket_fs computes pair by pair
+    c = Coupling.default(n)
+    rows = _check_poisson(c, 3, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    want = []
+    for _ in range(3):
+        u = random_point(c, rng, interior_bias=0.08)
+        for k in range(1, n):
+            for l in range(k + 1, n):
+                fa = lambda uu, kk=k: float(spectral_xi(global_lax(uu, c), c).xi[kk - 1])
+                fb = lambda uu, ll=l: float(spectral_xi(global_lax(uu, c), c).xi[ll - 1])
+                want.append(abs(poisson_bracket_fs(fa, fb, u, c)))
+    assert [r for r, _ in rows] == want
 
 
 def test_selector_restricts_checks():
