@@ -21,7 +21,7 @@ from .lax import global_lax
 from .projective import (
     e_param,
     load_point,
-    moment_J_full,
+    moment_J,
     point_to_json,
     random_point,
 )
@@ -88,7 +88,7 @@ def _parse_hamiltonian(text, side):
 def _point_summary(u, c):
     return {
         "point": point_to_json(u),
-        "J": [float(x) for x in moment_J_full(u, c)[: c.n - 1]],
+        "J": [float(x) for x in moment_J(u, c)],
         "XiK": [float(x) for x in action_variables(u, c)],
     }
 
@@ -195,7 +195,7 @@ def cmd_polytope(args):
         writer.writerow(header)
         for _ in range(args.samples):
             u = random_point(c, rng)
-            J = moment_J_full(u, c)[: c.n - 1]
+            J = moment_J(u, c)
             xiK = action_variables(u, c)
             writer.writerow([f"{x:.15g}" for x in J] + [f"{x:.15g}" for x in xiK])
     finally:

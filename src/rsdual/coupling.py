@@ -19,7 +19,11 @@ SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Coupling:
-    """Coupling data (n, y) plus numerical tolerances.
+    """Coupling data (n, y), validated once here.
+
+    The numerical tolerances live with the code that applies them:
+    sun.GAP_TOL (regular spectrum), projective.CHART_TOL (chart membership)
+    and verify.FD_STEP (finite-difference step).
 
     Attributes
     ----------
@@ -27,19 +31,10 @@ class Coupling:
         Number of particles / matrix size, n >= 2.
     y : float
         Coupling in radians, 0 < y < pi/n.
-    gap_tol : float
-        Eigenphase-gap threshold below which a unitary counts as non-regular.
-    chart_tol : float
-        Minimum |u_j| for a projective point to count as lying in chart j.
-    fd_step : float
-        Step used by all central finite-difference checks.
     """
 
     n: int
     y: float
-    gap_tol: float = 1e-8
-    chart_tol: float = 1e-10
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -50,9 +45,9 @@ class Coupling:
             )
 
     @classmethod
-    def default(cls, n, **kwargs):
+    def default(cls, n):
         """Coupling with the default rule y = pi/(2n)."""
-        return cls(n, math.pi / (2 * n), **kwargs)
+        return cls(n, math.pi / (2 * n))
 
     @property
     def chi0(self):

@@ -16,6 +16,7 @@ from .errors import NonRegular, TangencyViolation
 from .sun import (
     alcove_exponents,
     dagger,
+    grad_spectral,
     scalar_product,
     spectral_xi,
     traceless_antihermitian,
@@ -184,13 +185,7 @@ def hamiltonian_gradient(h, X, c):
     for 'dehn' the alcove logarithm, so that exp(s grad h(X)) = X^s.
     """
     if h.kind == "spectral":
-        s = spectral_xi(X, c)
-        if not s.regular:
-            raise NonRegular("spectral Hamiltonian undefined at degenerate spectrum")
-        d = np.zeros(c.n, dtype=complex)
-        d[h.index] = 1j
-        d[h.index - 1] = -1j
-        return dagger(s.g) @ (d[:, None] * s.g)
+        return grad_spectral(X, h.index, c)
     if h.kind == "re_trace":
         Xm = np.linalg.matrix_power(X, h.index)
         return traceless_antihermitian(-2.0 * h.index * Xm)

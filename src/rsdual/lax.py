@@ -257,7 +257,8 @@ def global_lax(u, c):
     if abs(nrm2 - c.chi0) > 1e-8:
         raise NormViolation(f"|u|^2 = {nrm2:.12g}, expected chi0 = {c.chi0:.12g}")
     u = u * math.sqrt(c.chi0 / nrm2)
-    lam = lambda_matrix(np.abs(u) ** 2 + c.y, c)
+    # |u|^2 = chi0 makes |u_k|^2 + y a point of the shifted alcove
+    lam = _lambda_matrix(np.abs(u) ** 2 + c.y, c)
     idx = _cyclic(c.n)
     K = np.conjugate(u)[:, None] * u[idx.prev] * lam
     K[idx.sup] = lam[idx.sup]

@@ -16,6 +16,7 @@ from .coupling import full_xi
 from .errors import ChartViolation, DomainViolation, ZeroVector
 
 TIE_TOL = 1e-12
+CHART_TOL = 1e-10  # smallest |u_j| for a point to lie in chart j
 
 
 def canonicalize(u, c):
@@ -127,7 +128,7 @@ def chart_index(u):
 def chart_gauge(u, j, c):
     """Representative with u_j real positive (chart gauge), j 1-based."""
     u = np.asarray(u, dtype=complex)
-    if abs(u[j - 1]) <= c.chart_tol:
+    if abs(u[j - 1]) <= CHART_TOL:
         raise ChartViolation(f"|u_{j}| = {abs(u[j - 1]):.3e} too small for chart {j}")
     return u * (np.conjugate(u[j - 1]) / abs(u[j - 1]))
 
@@ -165,7 +166,7 @@ def chart_transition(u, j, k, a, c):
     du[np.arange(c.n) != j - 1] = a
     du[j - 1] = -np.sum((np.conjugate(w) * a).real) / uj[j - 1].real
     uk = uj[k - 1]
-    if abs(uk) <= c.chart_tol:
+    if abs(uk) <= CHART_TOL:
         raise ChartViolation(f"point not in chart {k}")
     dalpha = (np.conjugate(uk) * du[k - 1]).imag / abs(uk) ** 2
     phase = np.conjugate(uk) / abs(uk)

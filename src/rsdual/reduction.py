@@ -9,7 +9,6 @@ and mapping-class words and reduced Hamiltonian flows act through the same
 lift / act / relabel pattern.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -30,9 +29,10 @@ from .projective import (
     chart_gauge,
     chart_index,
     involution,
+    moment_J,
     moment_J_full,
 )
-from .sun import alcove_delta, dagger, spectral_xi
+from .sun import alcove_delta, alcove_exponents, dagger, spectral_xi
 
 
 def smooth_chart_gauge(u, j, c):
@@ -52,13 +52,15 @@ def smooth_chart_gauge(u, j, c):
 
 def section_F(u, j, c):
     """Chart section F_j(u) = (G^{-1} K(u) G, G^{-1} delta(xi) G) of the
-    constraint surface, with G = G_y^j(u) and xi_i = |u_i|^2 + y."""
-    uj = chart_gauge(u, j, c)
-    G = smooth_chart_gauge(uj, j, c)
+    constraint surface, with G = G_y^j(u) and xi_i = |u_i|^2 + y.
+
+    smooth_chart_gauge puts u into the chart gauge and validates xi, once;
+    K(u) and delta(xi) depend only on the phase class of u.
+    """
+    G = smooth_chart_gauge(u, j, c)
     Gi = dagger(G)
-    K = global_lax(uj, c)
-    delta = alcove_delta(moment_J_full(uj, c), c)
-    return DoublePoint(Gi @ K @ G, Gi @ delta @ G)
+    delta = np.exp(1j * alcove_exponents(moment_J_full(u, c), c))
+    return DoublePoint(Gi @ global_lax(u, c) @ G, Gi @ (delta[:, None] * G))
 
 
 def section_best(u, c):
@@ -102,7 +104,7 @@ def f_beta_inv(p, c):
     s = spectral_xi(p.B, c)
     if not s.regular:
         raise NumericallyAmbiguous(
-            f"second factor has eigenphase gap {s.gap:.3e} < gap_tol"
+            f"second factor has eigenphase gap {s.gap:.3e} < GAP_TOL"
         )
     xi = check_shifted_alcove(s.xi, c, tol=1e-7)
     # clip onto the walls xi_k >= y; the largest xi_j (>= pi/n > y) gives up
@@ -133,28 +135,15 @@ def f_beta_inv(p, c):
     return canonicalize(u, c)
 
 
-@dataclass
-class ReducedPoint:
-    """A gauge orbit on the constraint surface with its canonical label."""
-
-    rep: DoublePoint
-    canonical_u: np.ndarray
-
-    @classmethod
-    def from_rep(cls, rep, c):
-        return cls(rep=rep, canonical_u=f_beta_inv(rep, c))
-
-
 def f_alpha(u, c):
     """Second toric identification alpha = nu o beta o Gamma.
 
-    The representative is nu applied to a section of Gamma(u); its first
-    factor has spectrum J-full(u) and its second the reversed spectrum of
-    K(u).
+    Returns the representative, nu applied to a section of Gamma(u); its
+    first factor has spectrum J-full(u) and its second the reversed spectrum
+    of K(u).
     """
     w = canonicalize(involution("Gamma", u), c)
-    rep = auto_apply("nu", section_best(w, c))
-    return ReducedPoint(rep=rep, canonical_u=f_beta_inv(rep, c))
+    return auto_apply("nu", section_best(w, c))
 
 
 def f_alpha_inv(p, c):
@@ -173,7 +162,7 @@ def duality(which, u, c):
     if which == "S":
         return f_alpha_inv(section_best(u, c), c)
     if which == "S_inv":
-        return f_alpha(u, c).canonical_u
+        return f_beta_inv(f_alpha(u, c), c)
     if which == "R":
         return canonicalize(involution("C", duality("S", u, c)), c)
     raise ValueError(f"unknown duality map {which!r}")
@@ -221,4 +210,4 @@ def reduced_trajectory(u, h, t_final, steps, c):
     for k in range(steps + 1):
         t = t_final * k / steps if steps else 0.0
         ut = f_beta_inv(flow(rep, h, t, c), c)
-        yield k, t, ut, moment_J_full(ut, c)[: c.n - 1], action_variables(ut, c)
+        yield k, t, ut, moment_J(ut, c), action_variables(ut, c)

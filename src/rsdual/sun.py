@@ -17,6 +17,7 @@ from .coupling import check_alcove
 from .errors import NonRegular
 
 PHASE_TOL = 1e-12
+GAP_TOL = 1e-8  # eigenphase gap below which a unitary counts as non-regular
 
 
 def dagger(m):
@@ -76,7 +77,7 @@ class SpectralData:
     """Result of the alcove spectral decomposition A = g^{-1} delta(xi) g.
 
     gap is the smallest cyclic eigenphase difference (2 * min xi); regular
-    means gap > gap_tol, in which case g is unique up to left torus factors
+    means gap > GAP_TOL, in which case g is unique up to left torus factors
     and fixed here by making the first sizeable entry of each eigenvector
     real positive.
     """
@@ -120,10 +121,10 @@ def spectral_xi(A, c):
     g = dagger(vecs * np.conjugate(lead / np.abs(lead)))
 
     gap = 2.0 * float(xi.min())
-    return SpectralData(xi=xi, g=g, regular=gap > c.gap_tol, gap=gap)
+    return SpectralData(xi=xi, g=g, regular=gap > GAP_TOL, gap=gap)
 
 
-def grad_spectral(A, j, c, decomp=None):
+def grad_spectral(A, j, c):
     """Gradient of the spectral function Xi_j at a regular point.
 
     grad Xi_j(A) = g^{-1} (i (E_{j+1,j+1} - E_{j,j})) g for j = 1..n-1,
@@ -131,24 +132,24 @@ def grad_spectral(A, j, c, decomp=None):
     """
     if not 1 <= j <= c.n - 1:
         raise ValueError(f"spectral index must be in 1..{c.n - 1}, got {j}")
-    s = decomp if decomp is not None else spectral_xi(A, c)
+    s = spectral_xi(A, c)
     if not s.regular:
-        raise NonRegular(f"eigenphase gap {s.gap:.3e} below gap_tol={c.gap_tol:.1e}")
+        raise NonRegular(f"eigenphase gap {s.gap:.3e} below GAP_TOL={GAP_TOL:.1e}")
     d = np.zeros(c.n, dtype=complex)
     d[j] = 1j
     d[j - 1] = -1j
     return dagger(s.g) @ (d[:, None] * s.g)
 
 
-def matrix_power(C, s, c, decomp=None):
+def matrix_power(C, s, c):
     """Real power C^s = g^{-1} exp(-2 i s sum_k Xi_k(C) lambda_k) g.
 
     One-parameter group in s on regular matrices: C^0 = 1, C^1 = C,
     C^{s+t} = C^s C^t.
     """
-    sp = decomp if decomp is not None else spectral_xi(C, c)
+    sp = spectral_xi(C, c)
     if not sp.regular:
-        raise NonRegular(f"eigenphase gap {sp.gap:.3e} below gap_tol={c.gap_tol:.1e}")
+        raise NonRegular(f"eigenphase gap {sp.gap:.3e} below GAP_TOL={GAP_TOL:.1e}")
     e = alcove_exponents(sp.xi, c)
     d = np.exp(1j * s * e)
     return dagger(sp.g) @ (d[:, None] * sp.g)

@@ -39,6 +39,7 @@ from .projective import (
     from_chart,
     fs_omega_eval,
     involution,
+    moment_J,
     moment_J_full,
     point_to_json,
     projective_distance,
@@ -64,8 +65,10 @@ from .sun import (
     spectral_xi,
 )
 
+FD_STEP = 1e-5  # step of every central finite-difference check
 
-def _chart_gradient(f, u, j, c, h):
+
+def _chart_gradient(f, u, j, c, h=FD_STEP):
     """Central-difference gradient of f (scalar- or vector-valued) in the real
     chart-j coordinates: row k is d/dq_k and row m + k is d/dp_k, where
     w_k = q_k + i p_k are the n-1 chart coordinates of u."""
@@ -88,7 +91,7 @@ def _bracket(ga, gb):
     return -0.5 * float(np.dot(ga[:m], gb[m:]) - np.dot(ga[m:], gb[:m]))
 
 
-def poisson_bracket_fs(fa, fb, u, c, j=None, step=None):
+def poisson_bracket_fs(fa, fb, u, c, j=None, step=FD_STEP):
     """Poisson bracket of two scalar functions of u in the chart Darboux
     structure, with central-difference gradients.
 
@@ -97,8 +100,7 @@ def poisson_bracket_fs(fa, fb, u, c, j=None, step=None):
     """
     if j is None:
         j = chart_index(u)
-    h = step if step is not None else c.fd_step
-    return _bracket(_chart_gradient(fa, u, j, c, h), _chart_gradient(fb, u, j, c, h))
+    return _bracket(_chart_gradient(fa, u, j, c, step), _chart_gradient(fb, u, j, c, step))
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +122,22 @@ def _check_constraint(c, samples, rng):
 
 
 def _check_pullback(c, samples, rng):
-    h = c.fd_step
     out = []
     for _ in range(samples):
         u = random_point(c, rng, interior_bias=0.08)
         j = chart_index(u)
-        w = to_chart(u, j, c)
-        p0 = section_F(from_chart(w, j, c), j, c)
+        p0 = section_F(u, j, c)
+
+        def lift(uu):
+            p = section_F(uu, j, c)
+            return np.stack((p.A, p.B))
+
+        # one chart Jacobian of F_j: rows d/dq_k, then d/dp_k, of (A, B)
+        jq, jp = np.split(_chart_gradient(lift, u, j, c), 2)
 
         def push(a):
-            pp = section_F(from_chart(w + h * a, j, c), j, c)
-            pm = section_F(from_chart(w - h * a, j, c), j, c)
-            raw = DoubleTangent((pp.A - pm.A) / (2 * h), (pp.B - pm.B) / (2 * h))
-            return raw.project(p0)
+            dA, dB = np.tensordot(a.real, jq, 1) + np.tensordot(a.imag, jp, 1)
+            return DoubleTangent(dA, dB).project(p0)
 
         for _ in range(5):
             a = rng.standard_normal(c.n - 1) + 1j * rng.standard_normal(c.n - 1)
@@ -173,8 +178,8 @@ def _check_duality_exchange(c, samples, rng):
     for _ in range(samples):
         u = random_point(c, rng)
         su = duality("S", u, c)
-        jj = moment_J_full(u, c)[: c.n - 1]
-        r1 = np.abs(moment_J_full(su, c)[: c.n - 1] - action_variables(u, c)).max()
+        jj = moment_J(u, c)
+        r1 = np.abs(moment_J(su, c) - action_variables(u, c)).max()
         r2 = np.abs(action_variables(su, c) - jj[::-1]).max()
         out.append((max(r1, r2), _pt(u)))
     return out
@@ -270,7 +275,7 @@ def _check_lax_hamiltonian(c, samples, rng):
 
 
 def _check_gradients(c, samples, rng):
-    h = c.fd_step
+    h = FD_STEP
     out = []
     kinds = [("spectral", j) for j in range(1, c.n)] + [
         ("re_trace", 1),
@@ -359,7 +364,7 @@ def _check_poisson(c, samples, rng):
     for _ in range(samples):
         u = random_point(c, rng, interior_bias=0.08)
         # one chart Jacobian of all Xi_k; row k - 1 is the gradient of Xi_k
-        grad = _chart_gradient(actions, u, chart_index(u), c, c.fd_step)
+        grad = _chart_gradient(actions, u, chart_index(u), c)
         jac = np.ascontiguousarray(grad.T)
         for k, l in pairs:
             out.append((abs(_bracket(jac[k - 1], jac[l - 1])), {"pair": [k, l], **_pt(u)}))
@@ -400,7 +405,7 @@ def _check_polytope_vertices(c, samples, rng):
             v[k] += c.chi0
         verts.append(v)
     for vert, u in zip(verts, near):
-        r1 = float(np.abs(moment_J_full(u, c)[: c.n - 1] - vert).max())
+        r1 = float(np.abs(moment_J(u, c) - vert).max())
         pre = duality("S_inv", u, c)
         r2 = float(np.abs(action_variables(pre, c) - vert).max())
         out.append((max(r1, r2), {"vertex": list(vert)}))
@@ -408,7 +413,7 @@ def _check_polytope_vertices(c, samples, rng):
 
 
 def _check_axiom_a2(c, samples, rng):
-    h = c.fd_step
+    h = FD_STEP
     out = []
     for _ in range(max(1, samples // 10)):
         p = random_double_point(c.n, rng)
@@ -469,8 +474,8 @@ def _check_omega_morphisms(c, samples, rng):
         val = omega_eval(p, v, w)
         for gen, sign in (("S", 1.0), ("T", 1.0), ("Ttilde", 1.0), ("nu", -1.0)):
             f = lambda q, g=gen: auto_apply(g, q)
-            fv = pushforward(f, p, v, c.fd_step)
-            fw = pushforward(f, p, w, c.fd_step)
+            fv = pushforward(f, p, v, FD_STEP)
+            fw = pushforward(f, p, w, FD_STEP)
             out.append((abs(omega_eval(f(p), fv, fw) - sign * val), {"gen": gen}))
     return out
 

@@ -33,6 +33,7 @@ from rsdual.sun import (
     scalar_product,
     spectral_xi,
 )
+from rsdual.verify import FD_STEP
 
 RNG = np.random.default_rng(424242)
 
@@ -91,7 +92,7 @@ def test_axiom_a2_against_moment_differential():
     # omega(zeta_M, v) = <mu^*(theta + bar theta)(v), zeta> / 2
     n = 3
     c = Coupling.default(n)
-    h = c.fd_step
+    h = FD_STEP
     p = rand_p(n)
     for _ in range(5):
         zeta = random_su_algebra(n, RNG)
@@ -162,7 +163,7 @@ def test_flow_preserves_spectrum_of_flowing_side():
 def test_trace_gradients_against_finite_differences():
     n = 3
     c = Coupling.default(n)
-    h = c.fd_step
+    h = FD_STEP
     X = random_special_unitary(n, RNG)
     for kind, m in (("re_trace", 1), ("re_trace", 2), ("im_trace", 1), ("im_trace", 3), ("dehn", 1), ("spectral", 2)):
         ham = InvariantHamiltonian(kind, m, "first")
@@ -317,8 +318,8 @@ def test_automorphisms_preserve_omega():
         v = rand_tangent(p, n)
         w = rand_tangent(p, n)
         val = omega_eval(p, v, w)
-        fv = pushforward(f, p, v, c.fd_step)
-        fw = pushforward(f, p, w, c.fd_step)
+        fv = pushforward(f, p, v, FD_STEP)
+        fw = pushforward(f, p, w, FD_STEP)
         assert abs(omega_eval(f(p), fv, fw) - val) < 1e-5, gen
 
 
@@ -330,8 +331,8 @@ def test_nu_reverses_omega():
     v = rand_tangent(p, n)
     w = rand_tangent(p, n)
     val = omega_eval(p, v, w)
-    fv = pushforward(f, p, v, c.fd_step)
-    fw = pushforward(f, p, w, c.fd_step)
+    fv = pushforward(f, p, v, FD_STEP)
+    fw = pushforward(f, p, w, FD_STEP)
     assert abs(omega_eval(f(p), fv, fw) + val) < 1e-5
 
 

@@ -29,6 +29,7 @@ from rsdual.projective import (
     to_chart,
     vertex_points,
 )
+from rsdual.verify import FD_STEP
 
 RNG = np.random.default_rng(777)
 
@@ -165,7 +166,7 @@ def test_fs_omega_darboux_through_e_param():
     from rsdual.coupling import random_shifted_alcove
 
     c = Coupling.default(3)
-    h = c.fd_step
+    h = FD_STEP
     for _ in range(10):
         xi = random_shifted_alcove(c, RNG, margin=0.05)
         theta = RNG.uniform(-2, 2, 2)
@@ -204,7 +205,7 @@ def test_fs_omega_chart_overlap_agreement():
 
 def test_chart_transition_matches_finite_differences():
     c = Coupling.default(3)
-    h = c.fd_step
+    h = FD_STEP
     u = rand_u(c, bias=0.1)
     j = chart_index(u)
     k = 1 if j != 1 else 2
@@ -242,7 +243,7 @@ def test_rot_action_hamiltonian_generator():
     # the flow of J_k with respect to the chart Darboux form is rotation of
     # slot k at unit rate: check omega(X, v) = dJ_k(v) by finite differences
     c = Coupling.default(3)
-    h = c.fd_step
+    h = FD_STEP
     u = rand_u(c, bias=0.1)
     j = chart_index(u)
     w = to_chart(u, j, c)
@@ -298,7 +299,7 @@ def test_moment_map_involution_identities():
 def test_involutions_symplectic_signs():
     # C and Gamma flip the form, sigma preserves it (pushforward by FD)
     c = Coupling.default(3)
-    h = c.fd_step
+    h = FD_STEP
     for which, sign in (("C", -1.0), ("Gamma", -1.0), ("sigma", 1.0)):
         u = rand_u(c, bias=0.1)
         j = chart_index(u)

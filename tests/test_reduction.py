@@ -19,6 +19,7 @@ from rsdual.double import (
 from rsdual.errors import ChartViolation, ConstraintViolation
 from rsdual.lax import global_lax, lambda_matrix, local_lax, reflection_g, v_vector
 from rsdual.projective import (
+    CHART_TOL,
     canonicalize,
     chart_index,
     e_param,
@@ -29,9 +30,9 @@ from rsdual.projective import (
     projective_distance,
     random_point,
     to_chart,
+    vertex_points,
 )
 from rsdual.reduction import (
-    ReducedPoint,
     action_variables,
     constraint_residual,
     duality,
@@ -47,6 +48,7 @@ from rsdual.reduction import (
     smooth_chart_gauge,
 )
 from rsdual.sun import alcove_delta, dagger, spectral_xi
+from rsdual.verify import FD_STEP
 
 RNG = np.random.default_rng(31415)
 
@@ -152,12 +154,28 @@ def test_section_charts_agree_on_overlaps():
 
 
 def test_section_representative_independent_of_input_phase():
-    c = Coupling.default(3)
-    u = rand_u(c, bias=0.05)
-    p1 = section_F(u, 2, c)
-    p2 = section_F(np.exp(1.3j) * u, 2, c)
-    assert np.linalg.norm(p1.A - p2.A) < 1e-12
-    assert np.linalg.norm(p1.B - p2.B) < 1e-12
+    # F_j(e^{i gamma} u) = F_j(u) in every chart that contains u: interior
+    # points, points with one |u_k|^2 next to a wall, and near-vertices
+    for n in (2, 3, 4, 8):
+        c = Coupling.default(n)
+        pts = [rand_u(c, bias=0.05) for _ in range(3)]
+        for wall in (1e-5, 1e-8, 1e-12):
+            z = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
+            k = int(RNG.integers(n))
+            z[k] = 0.0
+            z *= math.sqrt(c.chi0 - wall) / np.linalg.norm(z)
+            z[k] = math.sqrt(wall) * np.exp(1j * RNG.uniform(0, 2 * math.pi))
+            pts.append(z)
+        pts += vertex_points(c, eps=1e-4, rng=RNG)
+        for u in pts:
+            for j in range(1, n + 1):
+                if abs(u[j - 1]) <= CHART_TOL:
+                    continue
+                p1 = section_F(u, j, c)
+                for gamma in (1.3, -2.9, RNG.uniform(0, 2 * math.pi)):
+                    p2 = section_F(np.exp(1j * gamma) * u, j, c)
+                    assert np.linalg.norm(p1.A - p2.A) < 1e-12
+                    assert np.linalg.norm(p1.B - p2.B) < 1e-12
 
 
 def test_section_local_agrees_with_charts():
@@ -257,7 +275,7 @@ def test_f_beta_inv_matches_entry_loops(n):
         z[k] = 0.0
         for u in (canonicalize(z, c), rand_u(c)):
             for j in range(1, n + 1):
-                if abs(u[j - 1]) > c.chart_tol:
+                if abs(u[j - 1]) > CHART_TOL:
                     p = conjugate(section_F(u, j, c), stabilizer_element(n, rng))
                     assert np.abs(f_beta_inv(p, c) - ref_f_beta_inv(p, c)).max() < 1e-12
 
@@ -295,12 +313,12 @@ def test_f_alpha_toric_values():
         c = Coupling.default(n)
         for _ in range(10):
             u = rand_u(c)
-            rp = f_alpha(u, c)
-            assert constraint_residual(rp.rep, c) < 1e-10
-            assert np.abs(spectral_xi(rp.rep.A, c).xi - moment_J_full(u, c)).max() < 1e-9
+            rep = f_alpha(u, c)
+            assert constraint_residual(rep, c) < 1e-10
+            assert np.abs(spectral_xi(rep.A, c).xi - moment_J_full(u, c)).max() < 1e-9
             xiK = spectral_xi(global_lax(u, c), c).xi
             flip = np.concatenate([xiK[: n - 1][::-1], xiK[n - 1 :]])
-            assert np.abs(spectral_xi(rp.rep.B, c).xi - flip).max() < 1e-9
+            assert np.abs(spectral_xi(rep.B, c).xi - flip).max() < 1e-9
 
 
 def test_f_alpha_matches_local_formula():
@@ -320,7 +338,7 @@ def test_f_alpha_matches_local_formula():
         )
         assert constraint_residual(rep2, c) < 1e-9
         lhs = f_beta_inv(rep2, c)
-        rhs = f_beta_inv(f_alpha(u, c).rep, c)
+        rhs = f_beta_inv(f_alpha(u, c), c)
         assert projective_distance(lhs, rhs) < 1e-8
 
 
@@ -328,7 +346,7 @@ def test_f_alpha_inv_round_trip():
     n = 3
     c = Coupling.default(n)
     u = rand_u(c)
-    assert projective_distance(f_alpha_inv(f_alpha(u, c).rep, c), u) < 1e-9
+    assert projective_distance(f_alpha_inv(f_alpha(u, c), c), u) < 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -511,7 +529,7 @@ def test_symplectic_pullback_through_sections():
     # omega(dF v1, dF v2) = chi0 omega_FS(v1, v2), finite-difference pushforward
     for n in (2, 3):
         c = Coupling.default(n)
-        h = c.fd_step
+        h = FD_STEP
         for _ in range(8):
             u = rand_u(c, bias=0.08)
             j = chart_index(u)
@@ -536,7 +554,7 @@ def test_darboux_pullback_through_local_section():
     # pullback of omega by the interior parametrization is sum dtheta ^ dxi
     n = 3
     c = Coupling.default(n)
-    h = c.fd_step
+    h = FD_STEP
     xi = random_shifted_alcove(c, RNG, margin=0.08)
     theta = RNG.uniform(0, 2 * math.pi, n - 1)
     p0 = section_local(xi, theta, c)
@@ -581,7 +599,5 @@ def test_reduced_point_equality_semantics():
     c = Coupling.default(n)
     u = rand_u(c)
     p = section_best(u, c)
-    rp = ReducedPoint.from_rep(p, c)
     h = stabilizer_element(n, RNG)
-    rp2 = ReducedPoint.from_rep(conjugate(p, h), c)
-    assert projective_distance(rp.canonical_u, rp2.canonical_u) < 1e-9
+    assert projective_distance(f_beta_inv(p, c), f_beta_inv(conjugate(p, h), c)) < 1e-9

@@ -22,6 +22,7 @@ from rsdual.sun import (
     spectral_xi,
     traceless_antihermitian,
 )
+from rsdual.verify import FD_STEP
 
 RNG = np.random.default_rng(20260809)
 
@@ -164,7 +165,7 @@ def test_grad_spectral_equivariance():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_grad_spectral_finite_differences(n):
     c = Coupling.default(n)
-    h = c.fd_step
+    h = FD_STEP
     A = random_special_unitary(n, RNG)
     for j in range(1, n):
         grad = grad_spectral(A, j, c)

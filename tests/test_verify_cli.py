@@ -272,6 +272,18 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert "error" in err and "ZeroVector" in err
 
 
+@pytest.mark.parametrize("spec", ["position:3", "action:3", "position:0"])
+def test_cli_flow_rejects_spectral_index_out_of_range(tmp_path, capsys, spec):
+    # spectral Hamiltonians take j in 1..n-1; anything else is a typed
+    # ValueError in the JSON diagnostic, not a traceback
+    code = run_cli("flow", "--n", "3", "--hamiltonian", spec, "--t", "1",
+                   "--out", str(tmp_path / "traj.csv"))
+    assert code == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError"
+    assert "spectral index must be in 1..2" in diag["message"]
+
+
 def test_cli_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["flow", "--n", "3"])
