@@ -8,6 +8,7 @@ All angles are radians; --y additionally accepts the literal "pi/(2n)".
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -124,6 +125,9 @@ def cmd_flow(args):
     u = _point_from_args(args, c, rng_seed=args.seed)
     ham = _parse_hamiltonian(args.hamiltonian, args.side)
     rows = reduced_trajectory(u, ham, args.t, args.steps, c)
+    # step 0 runs before the sink opens, so a flow that fails at once
+    # leaves no --out file behind
+    first = next(rows)
     header = ["step", "t"]
     for k in range(1, c.n + 1):
         header += [f"re_u{k}", f"im_u{k}"]
@@ -134,7 +138,7 @@ def cmd_flow(args):
         writer = csv.writer(sink)
         writer.writerow(header)
         last = None
-        for k, t, ut, J, xiK in rows:
+        for k, t, ut, J, xiK in itertools.chain([first], rows):
             row = [k, f"{t:.15g}"]
             for z in ut:
                 row += [f"{z.real:.15g}", f"{z.imag:.15g}"]

@@ -14,10 +14,11 @@ import scipy.linalg
 
 from .errors import NonRegular, TangencyViolation
 from .sun import (
+    GAP_TOL,
     alcove_exponents,
     dagger,
-    grad_spectral,
     scalar_product,
+    spectral_index,
     spectral_xi,
     traceless_antihermitian,
 )
@@ -117,7 +118,7 @@ class InvariantHamiltonian:
     def value(self, p, c):
         X = p.A if self.side == "first" else p.B
         if self.kind == "spectral":
-            return float(spectral_xi(X, c).xi[self.index - 1])
+            return float(spectral_xi(X, c).xi[spectral_index(self.index, c) - 1])
         if self.kind == "re_trace":
             return float(np.trace(np.linalg.matrix_power(X, self.index)).real)
         if self.kind == "im_trace":
@@ -177,6 +178,34 @@ def omega_eval(p, v1, v2):
     return 0.5 * total
 
 
+def _gradient_eig(h, X, c):
+    """Eigendecomposition (V, lam) of grad h(X) = V diag(i lam) V^dagger.
+
+    For 'spectral' and 'dehn' V is the diagonalizer g(X)^dagger and lam the
+    +-1 pattern of Xi_index resp. the alcove exponents; for the trace kinds
+    it is the eigh of the Hermitian -i grad h(X).
+    """
+    if h.kind in ("re_trace", "im_trace"):
+        coeff = -2.0 * h.index if h.kind == "re_trace" else 2j * h.index
+        grad = traceless_antihermitian(coeff * np.linalg.matrix_power(X, h.index))
+        lam, V = np.linalg.eigh(-1j * grad)
+        return V, lam
+    if h.kind == "spectral":
+        spectral_index(h.index, c)
+    s = spectral_xi(X, c)
+    if not s.regular:
+        raise NonRegular(
+            f"{h.kind} gradient undefined: eigenphase gap {s.gap:.3e} "
+            f"below GAP_TOL={GAP_TOL:.1e}"
+        )
+    if h.kind == "dehn":
+        return dagger(s.g), alcove_exponents(s.xi, c)
+    lam = np.zeros(c.n)
+    lam[h.index] = 1.0
+    lam[h.index - 1] = -1.0
+    return dagger(s.g), lam
+
+
 def hamiltonian_gradient(h, X, c):
     """The derivative grad h defined by d/dt h(e^{t zeta} X)|_0 = <zeta, grad h>.
 
@@ -184,21 +213,26 @@ def hamiltonian_gradient(h, X, c):
     trace kinds the traceless anti-Hermitian part of -m X^m resp. i m X^m;
     for 'dehn' the alcove logarithm, so that exp(s grad h(X)) = X^s.
     """
-    if h.kind == "spectral":
-        return grad_spectral(X, h.index, c)
-    if h.kind == "re_trace":
-        Xm = np.linalg.matrix_power(X, h.index)
-        return traceless_antihermitian(-2.0 * h.index * Xm)
-    if h.kind == "im_trace":
-        Xm = np.linalg.matrix_power(X, h.index)
-        return traceless_antihermitian(2j * h.index * Xm)
-    if h.kind == "dehn":
-        s = spectral_xi(X, c)
-        if not s.regular:
-            raise NonRegular("Dehn Hamiltonian undefined at degenerate spectrum")
-        e = alcove_exponents(s.xi, c)
-        return dagger(s.g) @ ((1j * e)[:, None] * s.g)
-    raise ValueError(h.kind)
+    V, lam = _gradient_eig(h, X, c)
+    return V @ ((1j * lam)[:, None] * dagger(V))
+
+
+def flow_map(p, h, c):
+    """The exact flow t -> flow(p, h, t, c) from one decomposition of the
+    frozen factor's gradient: each time costs one diagonal scaling and one
+    matrix product, (moved factor) V diag(e^{+-i t lam}) V^dagger.
+    """
+    first = h.side == "first"
+    V, lam = _gradient_eig(h, p.A if first else p.B, c)
+    moved = (p.B if first else p.A) @ V
+    rate = (-1j if first else 1j) * lam
+    Vh = dagger(V)
+
+    def at(t):
+        m = (moved * np.exp(t * rate)) @ Vh
+        return DoublePoint(p.A.copy(), m) if first else DoublePoint(m, p.B.copy())
+
+    return at
 
 
 def flow(p, h, t, c):
@@ -208,11 +242,7 @@ def flow(p, h, t, c):
     side 'second': (A, B) -> (A exp(t grad h(B)), B);
     the moment map is conserved because grad h(X) commutes with X.
     """
-    if h.side == "first":
-        grad = hamiltonian_gradient(h, p.A, c)
-        return DoublePoint(p.A.copy(), p.B @ scipy.linalg.expm(-t * grad))
-    grad = hamiltonian_gradient(h, p.B, c)
-    return DoublePoint(p.A @ scipy.linalg.expm(t * grad), p.B.copy())
+    return flow_map(p, h, c)(t)
 
 
 def torus_action(p, side, theta, c):

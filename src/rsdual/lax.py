@@ -109,6 +109,12 @@ def lambda_matrix(xi, c):
 
 def _lambda_matrix(xi, c):
     """lambda_matrix on a xi the caller has already validated."""
+    return _lambda_parts(xi, c)[0]
+
+
+def _lambda_parts(xi, c):
+    """(Lambda^y(xi), w_plus) from one pass over the W-factor data, on a xi
+    the caller has already validated."""
     y = c.y
     idx = _cyclic(c.n)
     phi = _pair_angles(xi)
@@ -119,7 +125,7 @@ def _lambda_matrix(xi, c):
     siny = math.sin(y)
     lam = siny * np.exp(-1j * phi) * wp[:, None] * wm / den
     lam[idx.sup] = -siny * np.exp(1j * xi) * wp * wm[idx.sup[1]] / sr
-    return lam
+    return lam, wp
 
 
 def _theta_vector(theta, n):
@@ -258,7 +264,11 @@ def global_lax(u, c):
         raise NormViolation(f"|u|^2 = {nrm2:.12g}, expected chi0 = {c.chi0:.12g}")
     u = u * math.sqrt(c.chi0 / nrm2)
     # |u|^2 = chi0 makes |u_k|^2 + y a point of the shifted alcove
-    lam = _lambda_matrix(np.abs(u) ** 2 + c.y, c)
+    return _lax_from(u, _lambda_matrix(np.abs(u) ** 2 + c.y, c), c)
+
+
+def _lax_from(u, lam, c):
+    """K(u) assembled from u and lam = Lambda^y(|u|^2 + y)."""
     idx = _cyclic(c.n)
     K = np.conjugate(u)[:, None] * u[idx.prev] * lam
     K[idx.sup] = lam[idx.sup]

@@ -14,15 +14,16 @@ import math
 import numpy as np
 
 from .coupling import check_shifted_alcove
-from .double import DoublePoint, auto_apply, flow, moment
+from .double import DoublePoint, auto_apply, flow, flow_map, moment
 from .errors import ConstraintViolation, NumericallyAmbiguous
 from .lax import (
     _lambda_matrix,
+    _lambda_parts,
+    _lax_from,
     global_lax,
     local_lax,
     reflection_g,
     v_vector,
-    w_factors,
 )
 from .projective import (
     canonicalize,
@@ -35,6 +36,17 @@ from .projective import (
 from .sun import alcove_delta, alcove_exponents, dagger, spectral_xi
 
 
+def _chart_lift(u, j, c):
+    """(xi, K(u), G_y^j(u)) with xi = |u|^2 + y: u is put into the chart-j
+    gauge and xi validated once, and K and G share one pass over the
+    W-factor data."""
+    u = chart_gauge(u, j, c)
+    xi = check_shifted_alcove(moment_J_full(u, c), c)
+    lam, w_plus = _lambda_parts(xi, c)
+    x = np.conjugate(u) * math.sqrt(math.sin(c.y) / math.sin(c.n * c.y)) * w_plus
+    return xi, _lax_from(u, lam, c), reflection_g(x, j)
+
+
 def smooth_chart_gauge(u, j, c):
     """The unitary gauge G_y^j(u) that conjugates (K(u), delta(xi)) onto the
     constraint surface, written directly in chart-j coordinates.
@@ -44,23 +56,21 @@ def smooth_chart_gauge(u, j, c):
     from u and the strictly positive smooth factors v_k / r_k, so it extends
     to the whole chart |u_j| > 0.
     """
-    u = chart_gauge(u, j, c)
-    _, _, w_plus, _ = w_factors(moment_J_full(u, c), c)
-    x = np.conjugate(u) * math.sqrt(math.sin(c.y) / math.sin(c.n * c.y)) * w_plus
-    return reflection_g(x, j)
+    return _chart_lift(u, j, c)[2]
 
 
 def section_F(u, j, c):
     """Chart section F_j(u) = (G^{-1} K(u) G, G^{-1} delta(xi) G) of the
     constraint surface, with G = G_y^j(u) and xi_i = |u_i|^2 + y.
 
-    smooth_chart_gauge puts u into the chart gauge and validates xi, once;
-    K(u) and delta(xi) depend only on the phase class of u.
+    u is put into the chart gauge and xi validated once, and K(u) and G
+    share one pass over the W-factor data; K(u) and delta(xi) depend only
+    on the phase class of u.
     """
-    G = smooth_chart_gauge(u, j, c)
+    xi, K, G = _chart_lift(u, j, c)
     Gi = dagger(G)
-    delta = np.exp(1j * alcove_exponents(moment_J_full(u, c), c))
-    return DoublePoint(Gi @ global_lax(u, c) @ G, Gi @ (delta[:, None] * G))
+    delta = np.exp(1j * alcove_exponents(xi, c))
+    return DoublePoint(Gi @ K @ G, Gi @ (delta[:, None] * G))
 
 
 def section_best(u, c):
@@ -87,21 +97,20 @@ def constraint_residual(p, c):
     return float(np.linalg.norm(moment(p) @ dagger(c.mu0) - np.eye(c.n)))
 
 
-def f_beta_inv(p, c):
-    """Label of the gauge orbit of a constrained pair: the unique projective
-    point u with F_j(u) gauge-equivalent to (A, B).
-
-    Steps: read xi from the spectrum of B; diagonalize B; rotate the
-    diagonalizer by the torus element that matches the cyclic superdiagonal
-    of the conjugated A against the nowhere-zero Lambda factors; read the
-    chart coordinates off the remaining entries.  The pair must satisfy the
-    constraint to 1e-6, and the superdiagonal phases must close to 1e-5.
-    """
+def _check_constraint(p, c):
     res = constraint_residual(p, c)
     if res > 1e-6:
         raise ConstraintViolation(f"moment residual {res:.3e} exceeds 1e-6")
-    n = c.n
-    s = spectral_xi(p.B, c)
+
+
+def _orbit_frame(B, c):
+    """The part of f_beta_inv that reads only the second factor B.
+
+    Returns (g, xi, j, Lambda^y(xi)): the diagonalizer g of B = g^dagger
+    delta(xi) g, its alcove point xi clipped onto the walls xi_k >= y, the
+    chart index j = argmax xi (0-based) and the smooth cofactor matrix.
+    """
+    s = spectral_xi(B, c)
     if not s.regular:
         raise NumericallyAmbiguous(
             f"second factor has eigenphase gap {s.gap:.3e} < GAP_TOL"
@@ -112,9 +121,17 @@ def f_beta_inv(p, c):
     j = int(np.argmax(xi))
     clipped = np.maximum(xi, c.y)
     clipped[j] -= (clipped - xi).sum()
-    xi = clipped
-    lam = _lambda_matrix(xi, c)
-    K0 = s.g @ p.A @ dagger(s.g)
+    return s.g, clipped, j, _lambda_matrix(clipped, c)
+
+
+def _label(A, frame, c):
+    """The part of f_beta_inv that reads the first factor A, given the
+    _orbit_frame of the second: conjugate A by g, rotate by the torus
+    element that matches its cyclic superdiagonal against Lambda, and read
+    the chart coordinates off the remaining entries."""
+    g, xi, j, lam = frame
+    n = c.n
+    K0 = g @ A @ dagger(g)
 
     ratio = np.diagonal(K0, 1) / np.diagonal(lam, 1)
     if np.any(np.abs(ratio) < 1e-13):
@@ -133,6 +150,20 @@ def f_beta_inv(p, c):
     u = np.conjugate(K[:, col] / (rj * lam[:, col]))
     u[j] = rj
     return canonicalize(u, c)
+
+
+def f_beta_inv(p, c):
+    """Label of the gauge orbit of a constrained pair: the unique projective
+    point u with F_j(u) gauge-equivalent to (A, B).
+
+    Steps: read xi from the spectrum of B; diagonalize B; rotate the
+    diagonalizer by the torus element that matches the cyclic superdiagonal
+    of the conjugated A against the nowhere-zero Lambda factors; read the
+    chart coordinates off the remaining entries.  The pair must satisfy the
+    constraint to 1e-6, and the superdiagonal phases must close to 1e-5.
+    """
+    _check_constraint(p, c)
+    return _label(p.A, _orbit_frame(p.B, c), c)
 
 
 def f_alpha(u, c):
@@ -204,10 +235,23 @@ def reduced_trajectory(u, h, t_final, steps, c):
 
     The unreduced flow is exact for every t, so each sample is produced
     from the single initial lift with no accumulated integration error.
+    Once per trajectory: the lift, the decomposition of the frozen factor's
+    gradient (flow_map) and, for side 'second' flows, which leave B fixed,
+    the orbit frame of B.  Per step, lazily on each next(): the flowed pair
+    at t, its constraint check, the label (for side 'first' the whole
+    f_beta_inv, since B moves) and the action variables.
     """
-    u0 = canonicalize(u, c)
-    rep = section_best(u0, c)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    rep = section_best(canonicalize(u, c), c)
+    at = flow_map(rep, h, c)
+    frame = _orbit_frame(rep.B, c) if h.side == "second" else None
     for k in range(steps + 1):
         t = t_final * k / steps if steps else 0.0
-        ut = f_beta_inv(flow(rep, h, t, c), c)
+        q = at(t)
+        if frame is None:
+            ut = f_beta_inv(q, c)
+        else:
+            _check_constraint(q, c)
+            ut = _label(q.A, frame, c)
         yield k, t, ut, moment_J(ut, c), action_variables(ut, c)

@@ -124,14 +124,21 @@ def spectral_xi(A, c):
     return SpectralData(xi=xi, g=g, regular=gap > GAP_TOL, gap=gap)
 
 
+def spectral_index(j, c):
+    """Return j if it names a spectral function Xi_j (1..n-1), else raise
+    ValueError."""
+    if not 1 <= j <= c.n - 1:
+        raise ValueError(f"spectral index must be in 1..{c.n - 1}, got {j}")
+    return j
+
+
 def grad_spectral(A, j, c):
     """Gradient of the spectral function Xi_j at a regular point.
 
     grad Xi_j(A) = g^{-1} (i (E_{j+1,j+1} - E_{j,j})) g for j = 1..n-1,
     independent of the torus ambiguity in g.
     """
-    if not 1 <= j <= c.n - 1:
-        raise ValueError(f"spectral index must be in 1..{c.n - 1}, got {j}")
+    spectral_index(j, c)
     s = spectral_xi(A, c)
     if not s.regular:
         raise NonRegular(f"eigenphase gap {s.gap:.3e} below GAP_TOL={GAP_TOL:.1e}")

@@ -27,11 +27,14 @@ from rsdual.double import (
 )
 from rsdual.errors import NonRegular, TangencyViolation
 from rsdual.sun import (
+    alcove_exponents,
     dagger,
+    grad_spectral,
     random_special_unitary,
     random_su_algebra,
     scalar_product,
     spectral_xi,
+    traceless_antihermitian,
 )
 from rsdual.verify import FD_STEP
 
@@ -206,6 +209,64 @@ def test_dehn_flow_is_lax_multiplication():
     assert np.linalg.norm(q2.B - tt.B) < 1e-11
 
 
+def ref_hamiltonian_gradient(h, X, c):
+    """grad h(X) from its defining formulas: the conjugated spectral
+    generator, the traceless anti-Hermitian part of -m X^m resp. i m X^m,
+    and the conjugated alcove logarithm."""
+    if h.kind == "re_trace":
+        return traceless_antihermitian(-2.0 * h.index * np.linalg.matrix_power(X, h.index))
+    if h.kind == "im_trace":
+        return traceless_antihermitian(2j * h.index * np.linalg.matrix_power(X, h.index))
+    if h.kind == "spectral":
+        return grad_spectral(X, h.index, c)
+    s = spectral_xi(X, c)
+    return dagger(s.g) @ np.diag(1j * alcove_exponents(s.xi, c)) @ s.g
+
+
+def ref_flow(p, h, t, c):
+    """The flow through the matrix exponential of the gradient."""
+    if h.side == "first":
+        return DoublePoint(p.A, p.B @ expm(-t * ref_hamiltonian_gradient(h, p.A, c)))
+    return DoublePoint(p.A @ expm(t * ref_hamiltonian_gradient(h, p.B, c)), p.B)
+
+
+def _hamiltonians(n, side):
+    for j in range(1, n):
+        yield InvariantHamiltonian("spectral", j, side)
+    for m in (1, 2):
+        yield InvariantHamiltonian("re_trace", m, side)
+        yield InvariantHamiltonian("im_trace", m, side)
+    yield InvariantHamiltonian("dehn", 1, side)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_flow_matches_expm_reference(n):
+    c = Coupling.default(n)
+    p = rand_p(n)
+    for side in ("first", "second"):
+        for ham in _hamiltonians(n, side):
+            X = p.A if side == "first" else p.B
+            grad = hamiltonian_gradient(ham, X, c)
+            assert np.abs(grad - ref_hamiltonian_gradient(ham, X, c)).max() < 1e-12
+            for t in (0.0, 1.0, -3.0, 10.0):
+                q, want = flow(p, ham, t, c), ref_flow(p, ham, t, c)
+                assert np.abs(q.A - want.A).max() < 1e-12
+                assert np.abs(q.B - want.B).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_dehn_time_one_flow_is_the_factor(n):
+    # exp(grad h(X)) = X for the Dehn Hamiltonian, so from the identity the
+    # time-one flow reaches X (side 'second') and X^{-1} (side 'first')
+    c = Coupling.default(n)
+    X = random_special_unitary(n, RNG)
+    one = np.eye(n, dtype=complex)
+    q = flow(DoublePoint(one, X), InvariantHamiltonian("dehn", 1, "second"), 1.0, c)
+    assert np.abs(q.A - X).max() < 1e-13
+    q = flow(DoublePoint(X, one), InvariantHamiltonian("dehn", 1, "first"), 1.0, c)
+    assert np.abs(q.B - dagger(X)).max() < 1e-13
+
+
 def test_torus_action_group_law_and_triviality():
     n = 4
     c = Coupling.default(n)
@@ -361,3 +422,17 @@ def test_hamiltonian_value_reads_correct_side():
     h2 = InvariantHamiltonian("spectral", 1, "second")
     assert abs(h1.value(p, c) - spectral_xi(p.A, c).xi[0]) < 1e-14
     assert abs(h2.value(p, c) - spectral_xi(p.B, c).xi[0]) < 1e-14
+
+
+@pytest.mark.parametrize("index", [0, 3, 4])
+def test_spectral_value_rejects_index_outside_range(index):
+    # Xi_j exists for j = 1..n-1; the value raises as the gradient does
+    n = 3
+    c = Coupling.default(n)
+    p = rand_p(n)
+    for side in ("first", "second"):
+        ham = InvariantHamiltonian("spectral", index, side)
+        with pytest.raises(ValueError, match="spectral index must be in 1..2"):
+            ham.value(p, c)
+        with pytest.raises(ValueError, match="spectral index must be in 1..2"):
+            flow(p, ham, 0.5, c)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from rsdual.coupling import Coupling, random_shifted_alcove
 from rsdual.double import (
@@ -13,6 +14,7 @@ from rsdual.double import (
     InvariantHamiltonian,
     auto_apply,
     conjugate,
+    hamiltonian_gradient,
     omega_eval,
     rho_embedding,
 )
@@ -523,6 +525,40 @@ def test_reduced_trajectory_schema():
     assert k == 4 and abs(t - 2.0) < 1e-14
     assert J.shape == (n - 1,) and xiK.shape == (n - 1,)
     assert projective_distance(rows[0][2], u) < 1e-10
+
+
+def expm_flow(p, h, t, c):
+    """The unreduced flow through the matrix exponential of the gradient."""
+    if h.side == "first":
+        return DoublePoint(p.A, p.B @ expm(-t * hamiltonian_gradient(h, p.A, c)))
+    return DoublePoint(p.A @ expm(t * hamiltonian_gradient(h, p.B, c)), p.B)
+
+
+@pytest.mark.parametrize(
+    "kind,side",
+    [("re_trace", "first"), ("dehn", "first"), ("spectral", "second"), ("dehn", "second")],
+)
+def test_reduced_trajectory_matches_per_sample_flow(kind, side):
+    # the trajectory decomposes the gradient (and, on side 'second', B) once;
+    # every 100th sample is recomputed from scratch and through expm
+    n = 3
+    c = Coupling.default(n)
+    u = rand_u(c)
+    ham = InvariantHamiltonian(kind, 1, side)
+    rep = section_best(u, c)
+    for k, t, ut, J, xiK in reduced_trajectory(u, ham, 10.0, 1500, c):
+        if k % 100:
+            continue
+        assert np.abs(ut - reduced_flow(u, ham, t, c)).max() < 1e-12
+        assert np.abs(ut - f_beta_inv(expm_flow(rep, ham, t, c), c)).max() < 1e-12
+        assert np.abs(J - moment_J_full(ut, c)[: n - 1]).max() == 0.0
+        assert np.abs(xiK - action_variables(ut, c)).max() == 0.0
+
+
+def test_reduced_trajectory_rejects_negative_steps():
+    c = Coupling.default(3)
+    with pytest.raises(ValueError):
+        next(reduced_trajectory(rand_u(c), InvariantHamiltonian("dehn"), 1.0, -1, c))
 
 
 def test_symplectic_pullback_through_sections():

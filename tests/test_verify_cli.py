@@ -284,6 +284,15 @@ def test_cli_flow_rejects_spectral_index_out_of_range(tmp_path, capsys, spec):
     assert "spectral index must be in 1..2" in diag["message"]
 
 
+def test_cli_flow_failing_at_step_zero_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code = run_cli("flow", "--n", "3", "--hamiltonian", "position:3", "--t", "1",
+                   "--out", str(out))
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
+
+
 def test_cli_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["flow", "--n", "3"])
