@@ -23,7 +23,6 @@ from .sun import (
     traceless_antihermitian,
 )
 
-UNITARY_TOL = 1e-10
 TANGENT_TOL = 1e-9
 
 
@@ -33,15 +32,6 @@ class DoublePoint:
 
     A: np.ndarray
     B: np.ndarray
-
-    def validate(self, tol=UNITARY_TOL):
-        n = self.A.shape[0]
-        for m in (self.A, self.B):
-            if np.linalg.norm(dagger(m) @ m - np.eye(n)) > tol:
-                raise ValueError("component is not unitary within tolerance")
-            if abs(np.linalg.det(m) - 1.0) > tol:
-                raise ValueError("component is not special-unitary within tolerance")
-        return self
 
 
 @dataclass

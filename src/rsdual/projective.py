@@ -222,11 +222,6 @@ def involution(which, u):
     raise ValueError(f"unknown involution {which!r}")
 
 
-def index_reversal(x):
-    """sigma on R^{n-1}: component k goes to component n-k."""
-    return np.asarray(x)[::-1].copy()
-
-
 def random_point(c, rng, interior_bias=0.0):
     """Random canonical point; with interior_bias > 0, resample until
     min_k |u_k|^2 > interior_bias * chi0 / n."""

@@ -17,7 +17,6 @@ from rsdual.projective import (
     e_param_inv,
     from_chart,
     fs_omega_eval,
-    index_reversal,
     involution,
     moment_J,
     moment_J_full,
@@ -36,6 +35,11 @@ RNG = np.random.default_rng(777)
 
 def rand_u(c, bias=0.0):
     return random_point(c, RNG, interior_bias=bias)
+
+
+def index_reversal(x):
+    """sigma on R^{n-1}: component k goes to component n-k."""
+    return np.asarray(x)[::-1].copy()
 
 
 def test_canonicalize_axis_point():

@@ -94,7 +94,9 @@ def test_section_moment_residual_every_chart(n):
         for j in range(1, n + 1):
             p = section_F(u, j, c)
             assert constraint_residual(p, c) < 1e-10
-            p.validate(tol=1e-9)
+            for m in (p.A, p.B):
+                assert np.linalg.norm(m.conj().T @ m - np.eye(n)) <= 1e-9
+                assert abs(np.linalg.det(m) - 1.0) <= 1e-9
 
 
 def test_smooth_chart_gauge_is_unitary_everywhere():
@@ -492,6 +494,19 @@ def test_reduced_flows_2pi_periodic():
     for side in ("first", "second"):
         got = reduced_flow(u, InvariantHamiltonian("spectral", 1, side), 2 * math.pi, c)
         assert projective_distance(got, u) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_action_variables_take_any_phase(n):
+    # K(u) depends only on the phase class, so Xi o K is the same on every
+    # representative of the point
+    c = Coupling.default(n)
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        u = random_point(c, rng)
+        xiK = action_variables(u, c)
+        turned = np.exp(1j * rng.uniform(0, 2 * math.pi)) * u
+        assert np.abs(action_variables(turned, c) - xiK).max() < 1e-13
 
 
 def test_reduced_trace_flow_conserves_actions():

@@ -9,11 +9,71 @@ import pytest
 
 from rsdual.cli import main
 from rsdual.coupling import Coupling
-from rsdual.errors import ConfigError
-from rsdual.projective import point_from_json, projective_distance, random_point
+from rsdual.errors import ConfigError, ConstraintViolation
+from rsdual.projective import chart_index, point_from_json, projective_distance, random_point
 from rsdual.lax import global_lax
 from rsdual.sun import spectral_xi
-from rsdual.verify import CHECKS, SuiteConfig, _check_poisson, poisson_bracket_fs, run_suite
+from rsdual.verify import (
+    CHECKS,
+    FD_STEP,
+    SuiteConfig,
+    _bracket,
+    _chart_gradient,
+    _check_poisson,
+    run_suite,
+)
+
+
+def poisson_bracket_fs(fa, fb, u, c, j=None, step=FD_STEP):
+    """Poisson bracket of two scalar functions of u in the chart Darboux
+    structure, with central-difference gradients.
+
+    In real chart coordinates u_k = q_k + i p_k the scaled Fubini-Study
+    form is -2 sum dq ^ dp, so {f, g} = -(1/2) sum (f_q g_p - f_p g_q).
+    """
+    if j is None:
+        j = chart_index(u)
+    return _bracket(_chart_gradient(fa, u, j, c, step), _chart_gradient(fb, u, j, c, step))
+
+
+# rows per (n = 2, n = 3) cell of run_suite(n_list=(2, 3), samples=6): a
+# check's trial count is max(1, samples // per), or one whole-cell trial
+ROWS_AT_SIX = {
+    "constraint": (12, 18),
+    "pullback": (30, 30),
+    "intertwine": (12, 18),
+    "duality-squares": (6, 6),
+    "duality-exchange": (6, 6),
+    "mapclass-origin": (6, 6),
+    "dehn-decomposition": (6, 6),
+    "central-twist": (6, 6),
+    "lax-conjugation": (6, 6),
+    "lax-unitarity": (16, 18),
+    "lax-hamiltonian": (6, 6),
+    "gradients": (20, 24),
+    "normalization": (6, 6),
+    "mu-spectrum": (6, 6),
+    "global-lax": (6, 6),
+    "boundary-limit": (2, 3),
+    "poisson": (0, 6),
+    "conservation": (7, 7),
+    "polytope-image": (12, 12),
+    "polytope-vertices": (2, 3),
+    "axiom-a2": (3, 3),
+    "equivariance": (6, 6),
+    "flow-moment": (5, 5),
+    "omega-morphisms": (4, 4),
+    "section-consistency": (6, 6),
+}
+# rows at n = 2, samples=10, where samples // 5 and samples // 10 differ
+ROWS_AT_TEN = {
+    "gradients": 20,
+    "boundary-limit": 4,
+    "conservation": 7,
+    "axiom-a2": 3,
+    "flow-moment": 10,
+    "omega-morphisms": 4,
+}
 
 
 def test_default_suite_passes_quickly():
@@ -21,6 +81,12 @@ def test_default_suite_passes_quickly():
     assert rep.all_passed
     names = {r.name for r in rep.results}
     assert names == set(CHECKS)
+    rows = {}
+    for r in rep.results:
+        rows.setdefault(r.name, []).append(r.samples)
+    assert {name: tuple(v) for name, v in rows.items()} == ROWS_AT_SIX
+    rep = run_suite(SuiteConfig(n_list=(2,), samples=10, seed=3, checks=tuple(ROWS_AT_TEN)))
+    assert {r.name: r.samples for r in rep.results} == ROWS_AT_TEN
 
 
 def test_suite_determinism():
@@ -35,7 +101,8 @@ def test_poisson_check_equals_pairwise_brackets(n):
     # one Jacobian of all Xi_k per sample gives bit for bit the brackets
     # that poisson_bracket_fs computes pair by pair
     c = Coupling.default(n)
-    rows = _check_poisson(c, 3, np.random.default_rng(8))
+    trial_rng = np.random.default_rng(8)
+    rows = [row for _ in range(3) for row in _check_poisson(c, trial_rng)]
     rng = np.random.default_rng(8)
     want = []
     for _ in range(3):
@@ -77,6 +144,77 @@ def test_failure_payload_names_first_bad_sample():
     assert not res.passed
     assert res.failure is not None and "data" in res.failure
     assert res.failure["residual"] > 1e-30
+
+
+def _scripted_trial(events, started):
+    """A stand-in check: trial i of a cell yields events.get(i, (i + 1) * 1e-14)
+    as its one row, or raises it when it is an exception; started records the
+    n of every trial begun."""
+
+    def trial(c, rng):
+        i = started.count(c.n)
+        started.append(c.n)
+        event = events.get(i, (i + 1) * 1e-14)
+        if isinstance(event, Exception):
+            raise event
+        yield event, {"trial": i}
+
+    return trial
+
+
+FORCED = {"trial": 2, "error": "ConstraintViolation", "message": "forced failure in trial 2"}
+
+
+def _forced(started):
+    return (_scripted_trial({2: ConstraintViolation(FORCED["message"])}, started), 1e-12, 1)
+
+
+def test_throwing_trial_fails_its_cell_not_the_sweep(monkeypatch):
+    started = []
+    monkeypatch.setitem(CHECKS, "normalization", _forced(started))
+    cfg = SuiteConfig(n_list=(2, 3), samples=5, seed=1, checks=("normalization", "mu-spectrum"))
+    rep = run_suite(cfg)
+    assert [(r.name, r.n) for r in rep.results] == [
+        ("normalization", 2), ("normalization", 3), ("mu-spectrum", 2), ("mu-spectrum", 3),
+    ]
+    # the trials after the throwing one still run, and so do the other cells
+    assert started == [2] * 5 + [3] * 5
+    for cell in rep.results[:2]:
+        assert not cell.passed
+        assert cell.failure == FORCED
+        assert cell.samples == 4
+        assert cell.max_residual == 5 * 1e-14
+    assert all(cell.passed for cell in rep.results[2:])
+    assert not rep.all_passed
+
+
+@pytest.mark.parametrize(
+    "events, failure",
+    [
+        (
+            {1: 1.0, 2: np.linalg.LinAlgError("singular")},
+            {"sample_index": 1, "residual": 1.0, "data": {"trial": 1}},
+        ),
+        (
+            {1: np.linalg.LinAlgError("singular"), 3: 1.0},
+            {"trial": 1, "error": "LinAlgError", "message": "singular"},
+        ),
+        ({0: math.nan}, {"sample_index": 0, "residual": math.nan, "data": {"trial": 0}}),
+    ],
+)
+def test_cell_reports_its_first_failure_in_trial_order(monkeypatch, events, failure):
+    monkeypatch.setitem(CHECKS, "normalization", (_scripted_trial(events, []), 1e-12, 1))
+    (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=5, checks=("normalization",))).results
+    assert not cell.passed
+    assert json.dumps(cell.failure) == json.dumps(failure)
+
+
+def test_exception_outside_the_library_errors_propagates(monkeypatch):
+    # anything but a library error or ValueError is a bug, not a failed cell
+    trial = _scripted_trial({2: KeyError("bug")}, [])
+    monkeypatch.setitem(CHECKS, "normalization", (trial, 1e-12, 1))
+    with pytest.raises(KeyError):
+        run_suite(SuiteConfig(n_list=(3,), samples=5, checks=("normalization",)))
 
 
 def test_boundary_limit_steps_on_the_sphere():
@@ -154,6 +292,25 @@ def test_cli_verify_tol_override_fails(tmp_path):
     )
     assert code == 1
     assert json.loads(out.read_text())["all_passed"] is False
+
+
+def test_cli_verify_writes_report_when_a_trial_raises(tmp_path, monkeypatch):
+    monkeypatch.setitem(CHECKS, "normalization", _forced([]))
+    out = tmp_path / "r.json"
+    code = run_cli(
+        "verify", "--n", "3", "--samples", "5", "--checks", "normalization,mu-spectrum",
+        "--out", str(out),
+    )
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["all_passed"] is False
+    bad, good = report["checks"]
+    assert list(bad) == [
+        "name", "n", "y", "samples", "max_residual", "tolerance", "passed", "wall_time",
+        "failure",
+    ]
+    assert (bad["name"], bad["passed"], bad["failure"]) == ("normalization", False, FORCED)
+    assert good["name"] == "mu-spectrum" and good["passed"] and "failure" not in good
 
 
 def test_cli_map_point_duality_flow_round_trip(tmp_path):
