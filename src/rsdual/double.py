@@ -16,6 +16,7 @@ from .errors import NonRegular, TangencyViolation
 from .sun import (
     GAP_TOL,
     alcove_exponents,
+    alcove_point,
     dagger,
     scalar_product,
     spectral_index,
@@ -108,12 +109,13 @@ class InvariantHamiltonian:
     def value(self, p, c):
         X = p.A if self.side == "first" else p.B
         if self.kind == "spectral":
-            return float(spectral_xi(X, c).xi[spectral_index(self.index, c) - 1])
+            k = spectral_index(self.index, c)
+            return float(alcove_point(X, c)[k - 1])
         if self.kind == "re_trace":
             return float(np.trace(np.linalg.matrix_power(X, self.index)).real)
         if self.kind == "im_trace":
             return float(np.trace(np.linalg.matrix_power(X, self.index)).imag)
-        xi = spectral_xi(X, c).xi
+        xi = alcove_point(X, c)
         lam = np.sum(xi[: c.n - 1, None] * c.weights, axis=0)
         return float(np.sum(lam * lam))
 

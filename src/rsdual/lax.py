@@ -28,19 +28,19 @@ def sinratio(x):
     return out if out.ndim else float(out)
 
 
-_CyclicIndex = namedtuple("_CyclicIndex", "diag sup prev")
+_CyclicIndex = namedtuple("_CyclicIndex", "sup prev")
 
 
 @functools.lru_cache(maxsize=64)
 def _cyclic(n):
-    """Fancy indices for size n: the diagonal, the cyclic superdiagonal
-    (k, k+1 mod n) and the cyclic predecessor k-1 mod n."""
+    """Fancy indices for size n: the cyclic superdiagonal (k, k+1 mod n)
+    and the cyclic predecessor k-1 mod n."""
     k = np.arange(n)
     nxt = (k + 1) % n
     prv = (k - 1) % n
     for a in (k, nxt, prv):
         a.flags.writeable = False
-    return _CyclicIndex(diag=(k, k), sup=(k, nxt), prev=prv)
+    return _CyclicIndex(sup=(k, nxt), prev=prv)
 
 
 def _pair_angles(xi):
@@ -50,30 +50,32 @@ def _pair_angles(xi):
     return C[:, None] - C
 
 
-def _w_ratios(phi, y, idx):
-    """ratio[k, j] = sin(phi_kj + y) / sin(phi_kj) with a unit diagonal.
+def _w_ratios(phi, sin_shift):
+    """ratio[k, j] = sin(phi_kj + y) / sin(phi_kj) with a unit diagonal,
+    given sin_shift = sin(phi + y).
 
     W_k(y)^2 is the product of row k and W_k(-y)^2 that of column k, since
     sin(phi_kj - y) / sin(phi_kj) = ratio[j, k].
     """
     s = np.sin(phi)
-    s[idx.diag] = 1.0
-    ratio = np.sin(phi + y) / s
-    ratio[idx.diag] = 1.0
+    np.fill_diagonal(s, 1.0)
+    ratio = sin_shift / s
+    np.fill_diagonal(ratio, 1.0)
     return ratio
 
 
-def _w_factor_data(phi, sr, y):
+def _w_factor_data(phi, sin_shift, sr):
     """Smooth squared factors of W_k(+-y) with the zero r_v^2 split off.
 
-    phi is _pair_angles(xi) and sr = sinratio(xi - y).  Returns (wp2, wm2)
+    phi is _pair_angles(xi), sin_shift = sin(phi + y) and sr =
+    sinratio(xi - y).  Returns (wp2, wm2)
     with W_k(+y)^2 = (xi_k - y) * wp2_k and W_k(-y)^2 = (xi_{k-1} - y) *
     wm2_k, cyclic index k-1.  The ratio on the cyclic superdiagonal,
     sin(xi_k - y) / sin(xi_k) up to sign, is the one that vanishes at the
     wall xi_k = y; it enters W_k(+y) by row and W_{k+1}(-y) by column.
     """
     idx = _cyclic(len(sr))
-    ratio = _w_ratios(phi, y, idx)
+    ratio = _w_ratios(phi, sin_shift)
     ratio[idx.sup] = sr / np.sin(np.abs(phi[idx.sup]))
     wp2 = ratio.prod(axis=1)
     wm2 = ratio.prod(axis=0)
@@ -92,7 +94,8 @@ def w_factors(xi, c):
     """
     xi = check_shifted_alcove(xi, c)
     y = c.y
-    w_plus, w_minus = np.sqrt(_w_factor_data(_pair_angles(xi), sinratio(xi - y), y))
+    phi = _pair_angles(xi)
+    w_plus, w_minus = np.sqrt(_w_factor_data(phi, np.sin(phi + y), sinratio(xi - y)))
     r = np.sqrt(np.maximum(xi - y, 0.0))
     return r * w_plus, r[_cyclic(c.n).prev] * w_minus, w_plus, w_minus
 
@@ -119,8 +122,8 @@ def _lambda_parts(xi, c):
     idx = _cyclic(c.n)
     phi = _pair_angles(xi)
     sr = sinratio(xi - y)
-    wp, wm = np.sqrt(_w_factor_data(phi, sr, y))
     den = np.sin(phi + y)
+    wp, wm = np.sqrt(_w_factor_data(phi, den, sr))
     den[idx.sup] = 1.0
     siny = math.sin(y)
     lam = siny * np.exp(-1j * phi) * wp[:, None] * wm / den
@@ -146,16 +149,15 @@ def _local_lax_signed(xi, theta, n, y):
     W_k(y) W_l(-y) Theta_l, evaluated with delta_k / delta_l = e^{2i phi_kl}
     as sin y e^{-i phi_kl} W_k(y) W_l(-y) Theta_l / sin(phi_kl + y).
     """
-    idx = _cyclic(n)
     phi = _pair_angles(xi)
-    ratio = _w_ratios(phi, y, idx)
+    den = np.sin(phi + y)
+    ratio = _w_ratios(phi, den)
     w2p = ratio.prod(axis=1)
     w2m = ratio.prod(axis=0)
     if np.any(w2p < -1e-13) or np.any(w2m < -1e-13):
         raise DomainViolation("W^2 factors negative; xi outside the coupling domain")
     Wp = np.sqrt(np.maximum(w2p, 0.0))
     Wm = np.sqrt(np.maximum(w2m, 0.0))
-    den = np.sin(phi + y)
     # |e^{iy} delta_k / delta_l - e^{-iy}| = 2 |sin(phi_kl + y)|
     small = 2.0 * np.abs(den) < 1e-12
     if small.any():

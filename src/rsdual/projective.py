@@ -224,7 +224,13 @@ def involution(which, u):
 
 def random_point(c, rng, interior_bias=0.0):
     """Random canonical point; with interior_bias > 0, resample until
-    min_k |u_k|^2 > interior_bias * chi0 / n."""
+    min_k |u_k|^2 > interior_bias * chi0 / n.
+
+    interior_bias must be below 1: the smallest |u_k|^2 never exceeds the
+    mean chi0 / n, so no draw would ever be accepted (ValueError).
+    """
+    if not interior_bias < 1.0:
+        raise ValueError(f"interior_bias must be < 1, got {interior_bias}")
     while True:
         z = rng.standard_normal(c.n) + 1j * rng.standard_normal(c.n)
         u = canonicalize(z, c)

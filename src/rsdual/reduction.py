@@ -33,7 +33,7 @@ from .projective import (
     moment_J,
     moment_J_full,
 )
-from .sun import alcove_delta, alcove_exponents, dagger, spectral_xi
+from .sun import alcove_delta, alcove_exponents, alcove_point, dagger, spectral_xi
 
 
 def _chart_lift(u, j, c):
@@ -226,8 +226,13 @@ def reduced_flow(u, h, t, c):
 
 
 def action_variables(u, c):
-    """Action variables Xi_k(K(u)), k = 1..n-1."""
-    return spectral_xi(global_lax(canonicalize(u, c), c), c).xi[: c.n - 1]
+    """Action variables Xi_k(K(u)), k = 1..n-1.
+
+    Read from the eigenvalues of K(u) alone (sun.alcove_point): K(u) is
+    unitary, so its eigenphases are perfectly conditioned, and on the
+    shifted alcove xi >= y they are at least 2y apart.
+    """
+    return alcove_point(global_lax(canonicalize(u, c), c), c)[: c.n - 1]
 
 
 def reduced_trajectory(u, h, t_final, steps, c):

@@ -2,7 +2,8 @@
 
 A special-unitary A decomposes as A = g^{-1} delta(xi) g with a unique
 alcove point xi (the spectral functions Xi_j pick out its components) and a
-diagonalizer g fixed here by an explicit phase convention.  Real matrix
+diagonalizer g fixed here by an explicit phase convention; where only xi
+is needed, alcove_point reads it from the eigenvalues alone.  Real matrix
 powers, the spectral-function gradient and the invariant pairing of su(n)
 all live on top of this decomposition.
 """
@@ -91,18 +92,15 @@ class SpectralData:
         return alcove_delta(self.xi, c)
 
 
-def spectral_xi(A, c):
-    """Decompose a special-unitary matrix into alcove data.
+def _phases_to_alcove(phases, n):
+    """(xi, perm): the alcove point of a special-unitary matrix from its n
+    eigenphases, and the cyclic order perm of the eigenphases behind it.
 
-    Returns SpectralData(xi, g, regular, gap) with A = g^dagger delta(xi) g.
-    The cyclic ordering of the eigenphases is rolled so that the lifted
-    phase sum vanishes mod 2*pi*n, which singles out the unique alcove
-    representative matching the delta parametrization.
+    The cyclic ordering is rolled so that the lifted phase sum vanishes mod
+    2*pi*n, which singles out the unique alcove representative matching the
+    delta parametrization; xi_k is half the k-th gap of the lifted phases.
+    This is the one implementation of the phase convention.
     """
-    A = np.asarray(A, dtype=complex)
-    n = c.n
-    T, Z = scipy.linalg.schur(A, output="complex")
-    phases = np.angle(np.diagonal(T))
     order = np.argsort(phases, kind="stable")
     psi = phases[order]
     # det A = 1 forces sum(psi) = 2 pi M; the shift below makes M = 0 mod n.
@@ -114,6 +112,31 @@ def spectral_xi(A, c):
     xi = np.empty(n)
     xi[:-1] = 0.5 * np.diff(lifted)
     xi[-1] = math.pi - xi[:-1].sum()
+    return xi, perm
+
+
+def alcove_point(A, c):
+    """The alcove point xi of a special-unitary matrix, Xi_k(A) = xi_k.
+
+    Read from the eigenvalues alone (no Schur vectors), under the phase
+    convention of spectral_xi, whose .xi it equals to rounding.  A unitary
+    matrix has eigenvalue condition number 1, so xi is as accurate as the
+    eigenvalues; use spectral_xi where the diagonalizer g is needed too.
+    """
+    return _phases_to_alcove(np.angle(np.linalg.eigvals(A)), c.n)[0]
+
+
+def spectral_xi(A, c):
+    """Decompose a special-unitary matrix into alcove data.
+
+    Returns SpectralData(xi, g, regular, gap) with A = g^dagger delta(xi) g,
+    xi read off the Schur diagonal by the convention of _phases_to_alcove
+    and g from the Schur vectors in the same order.
+    """
+    A = np.asarray(A, dtype=complex)
+    n = c.n
+    T, Z = scipy.linalg.schur(A, output="complex")
+    xi, perm = _phases_to_alcove(np.angle(np.diagonal(T)), n)
 
     vecs = Z[:, perm]
     # the first entry of each column with modulus above PHASE_TOL goes real positive

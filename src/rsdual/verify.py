@@ -60,11 +60,11 @@ from .reduction import (
 )
 from .sun import (
     alcove_delta,
+    alcove_point,
     dagger,
     random_special_unitary,
     random_su_algebra,
     scalar_product,
-    spectral_xi,
 )
 
 FD_STEP = 1e-5  # step of every central finite-difference check
@@ -133,13 +133,13 @@ def _check_pullback(c, rng):
 
 def _check_intertwine(c, rng):
     u = random_point(c, rng, interior_bias=0.02)
-    xiK = spectral_xi(global_lax(u, c), c).xi
+    xiK = alcove_point(global_lax(u, c), c)
     jj = moment_J_full(u, c)
     for j in range(1, c.n + 1):
         p = section_F(u, j, c)
         r = max(
-            np.abs(spectral_xi(p.A, c).xi - xiK).max(),
-            np.abs(spectral_xi(p.B, c).xi - jj).max(),
+            np.abs(alcove_point(p.A, c) - xiK).max(),
+            np.abs(alcove_point(p.B, c) - jj).max(),
         )
         yield r, {"chart": j, **_pt(u)}
 
@@ -296,7 +296,7 @@ def _check_poisson(c, rng):
         return
 
     def actions(uu):
-        return spectral_xi(global_lax(uu, c), c).xi[: c.n - 1]
+        return alcove_point(global_lax(uu, c), c)[: c.n - 1]
 
     u = random_point(c, rng, interior_bias=0.08)
     # one chart Jacobian of all Xi_k; row k - 1 is the gradient of Xi_k
@@ -317,7 +317,7 @@ def _check_conservation(c, rng):
 
 def _check_polytope_image(c, rng):
     u = random_point(c, rng)
-    for vec in (moment_J_full(u, c), spectral_xi(global_lax(u, c), c).xi):
+    for vec in (moment_J_full(u, c), alcove_point(global_lax(u, c), c)):
         r = max(float((c.y - vec).max()), abs(float(vec.sum()) - math.pi))
         yield max(r, 0.0), _pt(u)
 

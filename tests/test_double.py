@@ -427,12 +427,14 @@ def test_hamiltonian_value_reads_correct_side():
 @pytest.mark.parametrize("index", [0, 3, 4])
 def test_spectral_value_rejects_index_outside_range(index):
     # Xi_j exists for j = 1..n-1; the value raises as the gradient does
+    # before the factor is decomposed: a NaN pair raises the index error too
     n = 3
     c = Coupling.default(n)
-    p = rand_p(n)
-    for side in ("first", "second"):
-        ham = InvariantHamiltonian("spectral", index, side)
-        with pytest.raises(ValueError, match="spectral index must be in 1..2"):
-            ham.value(p, c)
-        with pytest.raises(ValueError, match="spectral index must be in 1..2"):
-            flow(p, ham, 0.5, c)
+    nan = np.full((n, n), np.nan, dtype=complex)
+    for p in (rand_p(n), DoublePoint(nan, nan)):
+        for side in ("first", "second"):
+            ham = InvariantHamiltonian("spectral", index, side)
+            with pytest.raises(ValueError, match="spectral index must be in 1..2"):
+                ham.value(p, c)
+            with pytest.raises(ValueError, match="spectral index must be in 1..2"):
+                flow(p, ham, 0.5, c)

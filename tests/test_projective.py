@@ -350,3 +350,15 @@ def test_chart_transition_round_trip():
             ta = chart_transition(u, j, k, a, c)
             taa = chart_transition(from_chart(there, k, c), k, j, ta, c)
             assert np.linalg.norm(taa - a) < 1e-10
+
+
+def test_random_point_interior_bias_bound():
+    # min_k |u_k|^2 <= chi0 / n always, so a bias of 1 or more (or NaN)
+    # could never accept a draw; below 1 the bound holds on every point
+    c = Coupling.default(2)
+    for bias in (1.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match="interior_bias must be < 1"):
+            random_point(c, RNG, interior_bias=bias)
+    for _ in range(5):
+        u = random_point(c, RNG, interior_bias=0.9)
+        assert np.min(np.abs(u) ** 2) > 0.9 * c.chi0 / c.n

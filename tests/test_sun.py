@@ -9,10 +9,13 @@ from scipy.linalg import expm
 
 from rsdual.coupling import Coupling, check_alcove, random_shifted_alcove
 from rsdual.errors import AlcoveViolation, NonRegular
+from rsdual.lax import global_lax
+from rsdual.projective import canonicalize, vertex_points
 from rsdual.sun import (
     PHASE_TOL,
     alcove_delta,
     alcove_exponents,
+    alcove_point,
     dagger,
     grad_spectral,
     matrix_power,
@@ -139,6 +142,92 @@ def test_spectral_round_trip_property(n, seed):
     xi = random_alcove(n, rng, margin=0.05)
     s = spectral_xi(alcove_delta(xi, c), c)
     assert np.allclose(s.xi, xi, atol=1e-11)
+
+
+# alcove_point reads xi from the eigenvalues alone; it must agree with the
+# Schur-based spectral_xi to rounding (a tolerance, since zgeev and zgees
+# need not round alike on every LAPACK build)
+XI_TOL = 1e-13
+
+
+def assert_alcove_point_matches(A, c):
+    assert np.max(np.abs(alcove_point(A, c) - spectral_xi(A, c).xi)) <= XI_TOL
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_alcove_point_matches_spectral_xi(n):
+    c = Coupling.default(n)
+    for _ in range(50):
+        assert_alcove_point_matches(random_special_unitary(n, RNG), c)
+
+
+def near_wall_u(c, rng, wall):
+    """A canonical point with |u_k|^2 = wall for one random slot k."""
+    u = rng.standard_normal(c.n) + 1j * rng.standard_normal(c.n)
+    k = int(rng.integers(c.n))
+    u[k] = 0.0
+    u *= math.sqrt(c.chi0 - wall) / np.linalg.norm(u)
+    u[k] = math.sqrt(wall)
+    return canonicalize(u, c)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 8))
+@pytest.mark.parametrize("y_scale", ("small", "mid", "top"))
+def test_alcove_point_matches_on_global_lax(n, y_scale):
+    # K(u) at the polytope vertices, next to them, next to a wall and inside,
+    # at both ends of the coupling range 0 < y < pi/n
+    y = {"small": 1e-6, "mid": math.pi / (2 * n), "top": math.pi / n * (1 - 1e-3)}[y_scale]
+    c = Coupling(n, y)
+    pts = vertex_points(c) + vertex_points(c, eps=1e-4, rng=RNG)
+    pts += [near_wall_u(c, RNG, w) for w in (1e-12, 1e-8, 1e-5) for _ in range(3)]
+    for _ in range(5):
+        pts.append(canonicalize(RNG.standard_normal(n) + 1j * RNG.standard_normal(n), c))
+    for u in pts:
+        assert_alcove_point_matches(global_lax(u, c), c)
+
+
+def test_alcove_point_degenerate_and_minus_one():
+    c2 = Coupling.default(2)
+    assert np.allclose(alcove_point(np.eye(2), c2), [0.0, math.pi], atol=1e-15)
+    assert np.allclose(alcove_point(-np.eye(2), c2), [math.pi, 0.0], atol=1e-15)
+    for A in (np.eye(2), -np.eye(2)):
+        assert_alcove_point_matches(A, c2)
+    # a diagonal special-unitary matrix (delta(xi) up to the order of its
+    # entries) with the eigenvalue -1 exactly: its phase is +pi, and -pi in
+    # the complex conjugate; also a unitary conjugate of it
+    c3 = Coupling.default(3)
+    d = np.diag([-1.0, np.exp(0.3j), -np.exp(-0.3j)])
+    g = random_special_unitary(3, RNG)
+    for A in (d, np.conjugate(d), g @ d @ dagger(g)):
+        assert_alcove_point_matches(A, c3)
+        delta = np.diagonal(alcove_delta(alcove_point(A, c3), c3))
+        want = np.linalg.eigvals(A)
+        assert np.max(np.min(np.abs(delta[:, None] - want), axis=0)) < 1e-14
+
+
+@st.composite
+def coupled_points(draw):
+    """(c, u) over n, the whole coupling range and points whose coordinates
+    are zero or tiny on purpose, so that xi hits walls and vertices."""
+    n = draw(st.integers(2, 8))
+    t = draw(st.sampled_from((1e-6, 1e-3, 0.5, 1 - 1e-3)) | st.floats(1e-3, 0.999))
+    c = Coupling(n, t * math.pi / n)
+    re = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    im = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    scales = st.sampled_from((0.0, 1e-13, 1e-9, 1e-6, 1e-3, 1.0))
+    u = (np.array(re) + 1j * np.array(im)) * np.array(
+        draw(st.lists(scales, min_size=n, max_size=n))
+    )
+    if np.linalg.norm(u) < 1e-300:
+        u[draw(st.integers(0, n - 1))] = 1.0
+    return c, canonicalize(u, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coupled_points())
+def test_alcove_point_matches_on_global_lax_property(point):
+    c, u = point
+    assert_alcove_point_matches(global_lax(u, c), c)
 
 
 def test_grad_spectral_at_delta_point():
