@@ -49,7 +49,7 @@ def _coupling(args):
 
 
 def _matrix_json(m):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    return [point_to_json(row) for row in np.asarray(m)]
 
 
 def _emit(payload, out):
@@ -101,18 +101,11 @@ def cmd_verify(args):
     else:
         ys = [float(x) for x in args.y.split(",")]
         y_rule = ys if len(ys) > 1 else ys[0]
-    tolerances = {}
-    for item in args.tol or []:
-        key, _, val = item.partition("=")
-        if not val:
-            raise ValueError(f"--tol expects name=value, got {item!r}")
-        tolerances[key] = float(val)
     cfg = SuiteConfig(
         n_list=n_list,
         y_rule=y_rule,
         samples=args.samples,
         seed=args.seed,
-        tolerances=tolerances,
         checks=tuple(args.checks.split(",")) if args.checks else (),
     )
     report = run_suite(cfg)
@@ -238,7 +231,6 @@ def build_parser():
     pv.add_argument("--samples", type=int, default=50)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--checks", default="", help="comma list of check selectors")
-    pv.add_argument("--tol", action="append", help="override tolerance, name=value")
     pv.add_argument("--out", default="", help="write report JSON here (default stdout)")
     pv.set_defaults(func=cmd_verify)
 

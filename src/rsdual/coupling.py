@@ -2,8 +2,8 @@
 
 Everything downstream is parametrized by the pair (n, y): the number of
 particles and the coupling, restricted to 0 < y < pi/n.  The derived data
-(the minimal-orbit diagonal matrix mu0, the symplectic scale chi0 and the
-fundamental weights of su(n)) are computed here once and reused everywhere.
+(the minimal-orbit diagonal matrix mu0 and the symplectic scale chi0) are
+computed here once and reused everywhere.
 """
 
 from dataclasses import dataclass
@@ -60,23 +60,6 @@ class Coupling:
         phases = np.full(self.n, 2.0 * self.y)
         phases[-1] = 2.0 * (1 - self.n) * self.y
         return np.diag(np.exp(1j * phases))
-
-    @cached_property
-    def weights(self):
-        """Fundamental weights lambda_k of su(n) as an (n-1, n) array of diagonals.
-
-        lambda_k = sum_{j<=k} E_jj - (k/n) * 1_n, traceless.
-        """
-        n = self.n
-        lam = np.zeros((n - 1, n))
-        for k in range(1, n):
-            lam[k - 1, :k] = 1.0
-            lam[k - 1] -= k / n
-        return lam
-
-    def weight_matrix(self, k):
-        """lambda_k as a diagonal n x n matrix (k is 1-based)."""
-        return np.diag(self.weights[k - 1])
 
 
 def check_alcove(xi, tol=SUM_TOL):

@@ -115,9 +115,9 @@ class InvariantHamiltonian:
             return float(np.trace(np.linalg.matrix_power(X, self.index)).real)
         if self.kind == "im_trace":
             return float(np.trace(np.linalg.matrix_power(X, self.index)).imag)
-        xi = alcove_point(X, c)
-        lam = np.sum(xi[: c.n - 1, None] * c.weights, axis=0)
-        return float(np.sum(lam * lam))
+        # |sum_k xi_k lambda_k|^2, and the exponents are -2 sum_k xi_k lambda_k
+        e = alcove_exponents(alcove_point(X, c), c)
+        return 0.25 * float(np.dot(e, e))
 
 
 def moment(p):

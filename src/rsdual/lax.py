@@ -107,12 +107,7 @@ def lambda_matrix(xi, c):
     Lambda_{kl}; on it the r factors cancel against the vanishing
     denominator and Lambda equals the Lax entry itself.
     """
-    return _lambda_matrix(check_shifted_alcove(xi, c), c)
-
-
-def _lambda_matrix(xi, c):
-    """lambda_matrix on a xi the caller has already validated."""
-    return _lambda_parts(xi, c)[0]
+    return _lambda_parts(check_shifted_alcove(xi, c), c)[0]
 
 
 def _lambda_parts(xi, c):
@@ -142,15 +137,25 @@ def _theta_vector(theta, n):
     return theta.astype(complex)
 
 
-def _local_lax_signed(xi, theta, n, y):
-    """L(delta(xi), Theta) for coupling argument y of either sign (interior only).
+def local_lax(xi, theta, c):
+    """Local Lax matrix L(delta(xi), Theta), special-unitary on the interior.
 
-    L_kl = (e^{iy} - e^{-iy}) / (e^{iy} delta_k / delta_l - e^{-iy})
-    W_k(y) W_l(-y) Theta_l, evaluated with delta_k / delta_l = e^{2i phi_kl}
-    as sin y e^{-i phi_kl} W_k(y) W_l(-y) Theta_l / sin(phi_kl + y).
+    theta is the diagonal of an element of the maximal torus (vector or
+    diagonal matrix).  L_kl = (e^{iy} - e^{-iy}) / (e^{iy} delta_k / delta_l
+    - e^{-iy}) W_k(y) W_l(-y) Theta_l, evaluated with delta_k / delta_l =
+    e^{2i phi_kl} as sin y e^{-i phi_kl} W_k(y) W_l(-y) Theta_l / sin(phi_kl + y).
+    The reversed-coupling matrix of the second toric identification is
+    L(delta, Theta; -y) = L(delta, 1)^dagger Theta.
     """
+    xi = check_shifted_alcove(xi, c)
+    theta = _theta_vector(theta, c.n)
+    # W comes from the same sin(phi + y) as the denominator, not from Lambda
+    # (r_k r_{l-1} Lambda_kl) or w_factors: built from those, L loses
+    # unitarity next to a wall at small y (y = 1e-6, xi_k - y = 1e-11:
+    # |L^dagger L - 1| is 2e-9 and 6e-5, against 4e-10 here and the 1e-9
+    # lax-unitarity tolerance)
     phi = _pair_angles(xi)
-    den = np.sin(phi + y)
+    den = np.sin(phi + c.y)
     ratio = _w_ratios(phi, den)
     w2p = ratio.prod(axis=1)
     w2m = ratio.prod(axis=0)
@@ -165,19 +170,7 @@ def _local_lax_signed(xi, theta, n, y):
         raise SingularDenominator(
             f"Lax denominator vanishes at entry ({k + 1}, {l + 1})"
         )
-    return math.sin(y) * np.exp(-1j * phi) / den * Wp[:, None] * Wm * theta
-
-
-def local_lax(xi, theta, c, y=None):
-    """Local Lax matrix L(delta(xi), Theta), special-unitary on the interior.
-
-    theta is the diagonal of an element of the maximal torus (vector or
-    diagonal matrix).  Pass y=-c.y for the reversed-coupling variant used by
-    the second toric identification.
-    """
-    xi = check_shifted_alcove(xi, c)
-    theta = _theta_vector(theta, c.n)
-    return _local_lax_signed(xi, theta, c.n, c.y if y is None else y)
+    return math.sin(c.y) * np.exp(-1j * phi) / den * Wp[:, None] * Wm * theta
 
 
 def local_hamiltonian(xi, p_angles, c):
@@ -197,15 +190,13 @@ def local_hamiltonian(xi, p_angles, c):
     return float(np.dot(np.cos(p), Wp * Wm))
 
 
-def v_vector(xi, c, sign=1):
-    """Unit vector v(xi, +-y) and its squared components z.
+def v_vector(xi, c):
+    """Unit vector v(xi, y) and its squared components z.
 
-    v_k = sqrt(sin y / sin n y) * W_k(delta(xi), sign*y); z_k = v_k^2 sums
-    to one on the whole thick-walled alcove.
+    v_k = sqrt(sin y / sin n y) * W_k(delta(xi), y); z_k = v_k^2 sums to one
+    on the whole thick-walled alcove.
     """
-    Wp, Wm, _, _ = w_factors(xi, c)
-    coeff = math.sqrt(math.sin(c.y) / math.sin(c.n * c.y))
-    v = coeff * (Wp if sign > 0 else Wm)
+    v = math.sqrt(math.sin(c.y) / math.sin(c.n * c.y)) * w_factors(xi, c)[0]
     return v, v * v
 
 
@@ -243,16 +234,6 @@ def reflection_g(x, j=None):
     return g
 
 
-def reflection_g_chart(xi, j, c):
-    """Chart gauge g_y^j(xi) = T^j g(T^j v(xi, y)), real orthogonal.
-
-    Its last column is v(xi, y) for every chart index j, so all charts
-    conjugate mu_{v} to mu0 and differ by stabilizer factors only.
-    """
-    v, _ = v_vector(xi, c)
-    return reflection_g(v, j)
-
-
 def global_lax(u, c):
     """Global Lax matrix K(u) on the projective phase space.
 
@@ -266,7 +247,7 @@ def global_lax(u, c):
         raise NormViolation(f"|u|^2 = {nrm2:.12g}, expected chi0 = {c.chi0:.12g}")
     u = u * math.sqrt(c.chi0 / nrm2)
     # |u|^2 = chi0 makes |u_k|^2 + y a point of the shifted alcove
-    return _lax_from(u, _lambda_matrix(np.abs(u) ** 2 + c.y, c), c)
+    return _lax_from(u, _lambda_parts(np.abs(u) ** 2 + c.y, c)[0], c)
 
 
 def _lax_from(u, lam, c):

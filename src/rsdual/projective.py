@@ -24,8 +24,16 @@ def canonicalize(u, c):
     coordinate (smallest index on ties within 1e-12) real non-negative."""
     u = np.asarray(u, dtype=complex)
     nrm = np.linalg.norm(u)
-    if nrm < 1e-300:
-        raise ZeroVector("cannot canonicalize the zero vector")
+    if not 1e-150 < nrm < 1e150:
+        # the squares inside the norm have left the normal range (numpy warns
+        # when they overflow): divide by the largest modulus first, real and
+        # imaginary parts apart, since a complex division by a subnormal
+        # overflows
+        top = np.abs(u).max()
+        if top == 0.0:
+            raise ZeroVector("cannot canonicalize the zero vector")
+        u = u.real / top + 1j * (u.imag / top)
+        nrm = np.linalg.norm(u)
     u = u * (math.sqrt(c.chi0) / nrm)
     mags = np.abs(u)
     jstar = int(np.argmax(mags >= mags.max() - TIE_TOL))
@@ -67,9 +75,8 @@ def load_point(path, c):
                 break
         else:
             raise ValueError(f"{path}: no point data found in JSON object")
-    raw = np.array([complex(re, im) for re, im in data])
-    u = canonicalize(raw, c)
-    if np.max(np.abs(u - raw)) > 1e-9 * math.sqrt(c.chi0):
+    u = point_from_json(data, c)
+    if np.max(np.abs(np.subtract(point_to_json(u), data))) > 1e-9 * math.sqrt(c.chi0):
         warnings.warn(f"point in {path} was not canonical; canonicalized on ingest")
     return u
 

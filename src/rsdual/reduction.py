@@ -17,7 +17,6 @@ from .coupling import check_shifted_alcove
 from .double import DoublePoint, auto_apply, flow, flow_map, moment
 from .errors import ConstraintViolation, NumericallyAmbiguous
 from .lax import (
-    _lambda_matrix,
     _lambda_parts,
     _lax_from,
     global_lax,
@@ -121,7 +120,7 @@ def _orbit_frame(B, c):
     j = int(np.argmax(xi))
     clipped = np.maximum(xi, c.y)
     clipped[j] -= (clipped - xi).sum()
-    return s.g, clipped, j, _lambda_matrix(clipped, c)
+    return s.g, clipped, j, _lambda_parts(clipped, c)[0]
 
 
 def _label(A, frame, c):

@@ -49,6 +49,23 @@ def rand_tangent(p, n):
     return geodesic_tangent(p, random_su_algebra(n, RNG), random_su_algebra(n, RNG))
 
 
+def ref_weights(n):
+    """Fundamental weights lambda_k = sum_{j<=k} E_jj - (k/n) 1_n of su(n),
+    k = 1..n-1, as the rows of an (n-1, n) array of diagonals."""
+    lam = np.zeros((n - 1, n))
+    for k in range(1, n):
+        lam[k - 1, :k] = 1.0
+        lam[k - 1] -= k / n
+    return lam
+
+
+def ref_dehn_value(xi):
+    """|sum_k xi_k lambda_k|^2 from the explicit weights."""
+    n = len(xi)
+    lam = np.sum(xi[: n - 1, None] * ref_weights(n), axis=0)
+    return float(np.sum(lam * lam))
+
+
 def test_moment_with_identity_and_commuting():
     n = 3
     A = random_special_unitary(n, RNG)
@@ -180,8 +197,7 @@ def test_trace_gradients_against_finite_differences():
             xi = spectral_xi(M, c).xi
             if kind == "spectral":
                 return xi[m - 1]
-            lam = np.sum(xi[: n - 1, None] * c.weights, axis=0)
-            return float(np.sum(lam * lam))
+            return ref_dehn_value(xi)
 
         for _ in range(20):
             zeta = random_su_algebra(n, RNG)
@@ -422,6 +438,16 @@ def test_hamiltonian_value_reads_correct_side():
     h2 = InvariantHamiltonian("spectral", 1, "second")
     assert abs(h1.value(p, c) - spectral_xi(p.A, c).xi[0]) < 1e-14
     assert abs(h2.value(p, c) - spectral_xi(p.B, c).xi[0]) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dehn_value_matches_weight_formula(n):
+    c = Coupling.default(n)
+    for _ in range(10):
+        p = rand_p(n)
+        for side, X in (("first", p.A), ("second", p.B)):
+            value = InvariantHamiltonian("dehn", 1, side).value(p, c)
+            assert abs(value - ref_dehn_value(spectral_xi(X, c).xi)) <= 1e-13
 
 
 @pytest.mark.parametrize("index", [0, 3, 4])

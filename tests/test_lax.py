@@ -19,7 +19,6 @@ from rsdual.lax import (
     local_lax,
     mu_of_v,
     reflection_g,
-    reflection_g_chart,
     sinratio,
     v_vector,
     w_factors,
@@ -150,7 +149,7 @@ def test_reflection_g_chart_all_charts_conjugate_mu():
         v, _ = v_vector(xi, c)
         mu_v = mu_of_v(v, c)
         for j in range(1, n + 1):
-            g = reflection_g_chart(xi, j, c)
+            g = reflection_g(v, j)
             assert np.allclose(g[:, -1], v, atol=1e-13)
             assert np.linalg.norm(dagger(g) @ mu_v @ g - c.mu0) < 1e-12
 
@@ -174,8 +173,8 @@ def test_reflection_g_chart_matches_displayed_n3_matrices():
             [-v[2] * v[0] / d2, 1 - v[2] ** 2 / d2, v[2]],
         ]
     )
-    assert np.allclose(reflection_g_chart(xi, 1, c), g1, atol=1e-12)
-    assert np.allclose(reflection_g_chart(xi, 2, c), g2, atol=1e-12)
+    assert np.allclose(reflection_g(v, 1), g1, atol=1e-12)
+    assert np.allclose(reflection_g(v, 2), g2, atol=1e-12)
 
 
 def test_local_lax_hand_value_n2():

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from rsdual.coupling import Coupling
 from rsdual.errors import ChartViolation, DomainViolation, ZeroVector
+from rsdual.lax import global_lax
+from rsdual.sun import dagger
 from rsdual.projective import (
     canonicalize,
     chart_gauge,
@@ -62,6 +64,19 @@ def test_canonicalize_phase_invariance_and_idempotence():
 def test_canonicalize_zero_vector():
     with pytest.raises(ZeroVector):
         canonicalize(np.zeros(3), Coupling.default(3))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 5e-324, 1e300])
+def test_canonicalize_tiny_and_huge_inputs(scale):
+    # |z * scale|^2 is subnormal, zero or infinite in floating point; at
+    # 5e-324 the entries of z * scale are exact multiples of that subnormal
+    c = Coupling.default(3)
+    z = np.array([2.0, 1j, -1.0 + 1j])
+    with np.errstate(over="ignore"):  # numpy's warning of the 1e600 square
+        u = canonicalize(z * scale, c)
+    assert np.max(np.abs(u - canonicalize(z, c))) < 1e-14
+    K = global_lax(u, c)
+    assert np.linalg.norm(dagger(K) @ K - np.eye(3)) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -19,7 +19,7 @@ from rsdual.double import (
     rho_embedding,
 )
 from rsdual.errors import ChartViolation, ConstraintViolation
-from rsdual.lax import global_lax, lambda_matrix, local_lax, reflection_g, v_vector
+from rsdual.lax import global_lax, lambda_matrix, local_lax, reflection_g, v_vector, w_factors
 from rsdual.projective import (
     CHART_TOL,
     canonicalize,
@@ -117,7 +117,6 @@ def test_smooth_chart_gauge_is_unitary_everywhere():
 def test_smooth_chart_gauge_interior_formula():
     # on the dense part G_y^j(u) = Delta(tau)^{-1} g_y^j(xi) Delta_j(tau)
     from rsdual.double import delta_embedding
-    from rsdual.lax import reflection_g_chart
 
     for n in (2, 3, 4):
         c = Coupling.default(n)
@@ -126,11 +125,10 @@ def test_smooth_chart_gauge_interior_formula():
             theta = RNG.uniform(0, 2 * math.pi, n - 1)
             u = e_param(xi, theta, c)
             delta_n = delta_embedding(theta, n)
+            v, _ = v_vector(xi, c)
             for j in range(1, n + 1):
                 expected = (
-                    dagger(delta_n)
-                    @ reflection_g_chart(xi, j, c)
-                    @ delta_embedding(theta, n, j)
+                    dagger(delta_n) @ reflection_g(v, j) @ delta_embedding(theta, n, j)
                 )
                 assert np.linalg.norm(smooth_chart_gauge(u, j, c) - expected) < 1e-12
 
@@ -334,8 +332,10 @@ def test_f_alpha_matches_local_formula():
         theta = RNG.uniform(0, 2 * math.pi, n - 1)
         u = e_param(xi, theta, c)
         rho = np.diagonal(rho_embedding(theta, n))
-        L_neg = local_lax(xi, rho, c, y=-c.y)
-        v_neg, _ = v_vector(xi, c, sign=-1)
+        # L(delta, rho; -y) = L(delta, 1)^dagger rho and v(xi, -y) has the
+        # components sqrt(sin y / sin ny) W_k(delta, -y)
+        L_neg = dagger(local_lax(xi, np.ones(n), c)) * rho
+        v_neg = math.sqrt(math.sin(c.y) / math.sin(n * c.y)) * w_factors(xi, c)[1]
         g_neg = reflection_g(v_neg).astype(complex)
         rep2 = DoublePoint(
             dagger(g_neg) @ alcove_delta(xi, c) @ g_neg, dagger(g_neg) @ L_neg @ g_neg

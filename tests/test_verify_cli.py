@@ -129,17 +129,16 @@ def test_y_rule_variants():
         math.pi / 8,
     ]
     assert [c.y for c in SuiteConfig(n_list=(3,), y_rule=0.3).couplings()] == [0.3]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):  # Coupling validates 0 < y < pi/n
         SuiteConfig(n_list=(3,), y_rule=2.0).couplings()
     with pytest.raises(ConfigError):
         SuiteConfig(n_list=(2, 3), y_rule=[0.1]).couplings()
 
 
-def test_failure_payload_names_first_bad_sample():
-    cfg = SuiteConfig(
-        n_list=(3,), samples=4, checks=("global-lax",), tolerances={"global-lax": 1e-30}
-    )
-    rep = run_suite(cfg)
+def test_failure_payload_names_first_bad_sample(monkeypatch):
+    trial, _, per = CHECKS["global-lax"]
+    monkeypatch.setitem(CHECKS, "global-lax", (trial, 1e-30, per))
+    rep = run_suite(SuiteConfig(n_list=(3,), samples=4, checks=("global-lax",)))
     (res,) = rep.results
     assert not res.passed
     assert res.failure is not None and "data" in res.failure
@@ -284,16 +283,6 @@ def test_cli_verify_exits_zero(tmp_path, capsys):
     assert all(ch["passed"] for ch in report["checks"])
 
 
-def test_cli_verify_tol_override_fails(tmp_path):
-    out = tmp_path / "report.json"
-    code = run_cli(
-        "verify", "--n", "2", "--samples", "2", "--checks", "global-lax",
-        "--tol", "global-lax=1e-30", "--out", str(out),
-    )
-    assert code == 1
-    assert json.loads(out.read_text())["all_passed"] is False
-
-
 def test_cli_verify_writes_report_when_a_trial_raises(tmp_path, monkeypatch):
     monkeypatch.setitem(CHECKS, "normalization", _forced([]))
     out = tmp_path / "r.json"
@@ -418,6 +407,12 @@ def test_cli_polytope_csv(tmp_path):
         for vec in (J, X):
             assert min(vec) >= c.y - 1e-9
             assert sum(vec) <= math.pi - c.y + 1e-9
+
+
+def test_cli_verify_rejects_y_outside_domain(capsys):
+    assert run_cli("verify", "--n", "3", "--y", "2.0", "--samples", "1") == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and "0 < y < pi/n" in diag["message"]
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
