@@ -10,7 +10,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 
 import numpy as np
@@ -36,16 +35,17 @@ from .reduction import (
 from .verify import SuiteConfig, run_suite
 
 
-def _parse_y(text, n):
+def _parse_y(text):
+    """None for the literal pi/(2n), the default coupling of each n; else
+    the float."""
     text = text.strip().replace(" ", "")
-    if text == "pi/(2n)":
-        return math.pi / (2 * n)
-    return float(text)
+    return None if text == "pi/(2n)" else float(text)
 
 
 def _coupling(args):
     n = int(args.n)
-    return Coupling(n, _parse_y(args.y, n))
+    y = _parse_y(args.y)
+    return Coupling.default(n) if y is None else Coupling(n, y)
 
 
 def _matrix_json(m):
@@ -96,14 +96,10 @@ def _point_summary(u, c):
 
 def cmd_verify(args):
     n_list = tuple(int(x) for x in args.n.split(","))
-    if isinstance(args.y, str) and args.y.replace(" ", "") == "pi/(2n)":
-        y_rule = "pi/(2n)"
-    else:
-        ys = [float(x) for x in args.y.split(",")]
-        y_rule = ys if len(ys) > 1 else ys[0]
+    ys = [_parse_y(x) for x in args.y.split(",")]
     cfg = SuiteConfig(
         n_list=n_list,
-        y_rule=y_rule,
+        y_rule=ys if len(ys) > 1 else ys[0],
         samples=args.samples,
         seed=args.seed,
         checks=tuple(args.checks.split(",")) if args.checks else (),
@@ -183,6 +179,8 @@ def cmd_mapclass(args):
 
 
 def cmd_polytope(args):
+    if args.samples < 0:
+        raise ValueError(f"samples must be >= 0, got {args.samples}")
     c = _coupling(args)
     rng = np.random.default_rng(args.seed)
     header = [f"J{k}" for k in range(1, c.n)] + [f"XiK{k}" for k in range(1, c.n)]

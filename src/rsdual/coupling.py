@@ -22,7 +22,7 @@ class Coupling:
     """Coupling data (n, y), validated once here.
 
     The numerical tolerances live with the code that applies them:
-    sun.GAP_TOL (regular spectrum), projective.CHART_TOL (chart membership)
+    sun.spectral_xi (regular spectrum), projective.CHART_TOL (chart membership)
     and verify.FD_STEP (finite-difference step).
 
     Attributes

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonRegular, TangencyViolation
+from .errors import TangencyViolation
 from .sun import (
-    GAP_TOL,
     alcove_exponents,
     alcove_point,
     dagger,
@@ -184,18 +183,13 @@ def _gradient_eig(h, X, c):
         return V, lam
     if h.kind == "spectral":
         spectral_index(h.index, c)
-    s = spectral_xi(X, c)
-    if not s.regular:
-        raise NonRegular(
-            f"{h.kind} gradient undefined: eigenphase gap {s.gap:.3e} "
-            f"below GAP_TOL={GAP_TOL:.1e}"
-        )
+    xi, g = spectral_xi(X, c)
     if h.kind == "dehn":
-        return dagger(s.g), alcove_exponents(s.xi, c)
+        return dagger(g), alcove_exponents(xi, c)
     lam = np.zeros(c.n)
     lam[h.index] = 1.0
     lam[h.index - 1] = -1.0
-    return dagger(s.g), lam
+    return dagger(g), lam
 
 
 def hamiltonian_gradient(h, X, c):
@@ -245,15 +239,11 @@ def torus_action(p, side, theta, c):
     """
     rho = rho_embedding(theta, c.n)
     if side == "a":
-        s = spectral_xi(p.A, c)
-        if not s.regular:
-            raise NonRegular("torus action undefined at degenerate first factor")
-        return DoublePoint(p.A.copy(), p.B @ dagger(s.g) @ rho @ s.g)
+        g = spectral_xi(p.A, c)[1]
+        return DoublePoint(p.A.copy(), p.B @ dagger(g) @ rho @ g)
     if side == "b":
-        s = spectral_xi(p.B, c)
-        if not s.regular:
-            raise NonRegular("torus action undefined at degenerate second factor")
-        return DoublePoint(p.A @ dagger(s.g) @ np.conjugate(rho) @ s.g, p.B.copy())
+        g = spectral_xi(p.B, c)[1]
+        return DoublePoint(p.A @ dagger(g) @ np.conjugate(rho) @ g, p.B.copy())
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 

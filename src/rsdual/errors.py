@@ -45,9 +45,5 @@ class ConstraintViolation(RSDualError):
     """Point does not solve the group-commutator moment constraint."""
 
 
-class NumericallyAmbiguous(RSDualError):
-    """Spectral data too degenerate for a well-defined reconstruction."""
-
-
 class ConfigError(RSDualError):
     """Invalid verification-suite configuration."""

@@ -56,8 +56,17 @@ def point_to_json(u):
 
 
 def point_from_json(data, c):
-    u = np.array([complex(re, im) for re, im in data])
-    return canonicalize(u, c)
+    """The canonical point of a JSON list of n [re, im] pairs of finite
+    numbers; anything else raises ValueError naming what is wrong."""
+    try:
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"point has ragged or non-numeric pairs: {data}") from None
+    if pairs.shape != (c.n, 2):
+        raise ValueError(f"point must be {c.n} [re, im] pairs, got shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"point has non-finite entries: {data}")
+    return canonicalize(pairs[:, 0] + 1j * pairs[:, 1], c)
 
 
 def load_point(path, c):

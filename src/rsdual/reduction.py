@@ -15,7 +15,7 @@ import numpy as np
 
 from .coupling import check_shifted_alcove
 from .double import DoublePoint, auto_apply, flow, flow_map, moment
-from .errors import ConstraintViolation, NumericallyAmbiguous
+from .errors import ConstraintViolation
 from .lax import (
     _lambda_parts,
     _lax_from,
@@ -109,18 +109,14 @@ def _orbit_frame(B, c):
     delta(xi) g, its alcove point xi clipped onto the walls xi_k >= y, the
     chart index j = argmax xi (0-based) and the smooth cofactor matrix.
     """
-    s = spectral_xi(B, c)
-    if not s.regular:
-        raise NumericallyAmbiguous(
-            f"second factor has eigenphase gap {s.gap:.3e} < GAP_TOL"
-        )
-    xi = check_shifted_alcove(s.xi, c, tol=1e-7)
+    xi, g = spectral_xi(B, c)
+    xi = check_shifted_alcove(xi, c, tol=1e-7)
     # clip onto the walls xi_k >= y; the largest xi_j (>= pi/n > y) gives up
     # the excess, so sum(xi) stays pi and xi_j still selects the chart
     j = int(np.argmax(xi))
     clipped = np.maximum(xi, c.y)
     clipped[j] -= (clipped - xi).sum()
-    return s.g, clipped, j, _lambda_parts(clipped, c)[0]
+    return g, clipped, j, _lambda_parts(clipped, c)[0]
 
 
 def _label(A, frame, c):

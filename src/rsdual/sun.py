@@ -1,14 +1,14 @@
 """SU(n) spectral machinery built on the Weyl alcove.
 
 A special-unitary A decomposes as A = g^{-1} delta(xi) g with a unique
-alcove point xi (the spectral functions Xi_j pick out its components) and a
-diagonalizer g fixed here by an explicit phase convention; where only xi
-is needed, alcove_point reads it from the eigenvalues alone.  Real matrix
-powers, the spectral-function gradient and the invariant pairing of su(n)
-all live on top of this decomposition.
+alcove point xi (the spectral functions Xi_j pick out its components) and,
+where the spectrum is regular, a diagonalizer g fixed here by an explicit
+phase convention.  spectral_xi returns (xi, g) and is the one place that
+checks regularity; where only xi is needed, alcove_point reads it from the
+eigenvalues alone.  The gradients and flows built on (xi, g) live in
+double.py; the invariant pairing of su(n) lives here.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -73,25 +73,6 @@ def alcove_delta(xi, c):
     return np.diag(np.exp(1j * alcove_exponents(xi, c)))
 
 
-@dataclass
-class SpectralData:
-    """Result of the alcove spectral decomposition A = g^{-1} delta(xi) g.
-
-    gap is the smallest cyclic eigenphase difference (2 * min xi); regular
-    means gap > GAP_TOL, in which case g is unique up to left torus factors
-    and fixed here by making the first sizeable entry of each eigenvector
-    real positive.
-    """
-
-    xi: np.ndarray
-    g: np.ndarray
-    regular: bool
-    gap: float
-
-    def delta(self, c):
-        return alcove_delta(self.xi, c)
-
-
 def _phases_to_alcove(phases, n):
     """(xi, perm): the alcove point of a special-unitary matrix from its n
     eigenphases, and the cyclic order perm of the eigenphases behind it.
@@ -119,7 +100,7 @@ def alcove_point(A, c):
     """The alcove point xi of a special-unitary matrix, Xi_k(A) = xi_k.
 
     Read from the eigenvalues alone (no Schur vectors), under the phase
-    convention of spectral_xi, whose .xi it equals to rounding.  A unitary
+    convention of spectral_xi, whose xi it equals to rounding.  A unitary
     matrix has eigenvalue condition number 1, so xi is as accurate as the
     eigenvalues; use spectral_xi where the diagonalizer g is needed too.
     """
@@ -127,24 +108,27 @@ def alcove_point(A, c):
 
 
 def spectral_xi(A, c):
-    """Decompose a special-unitary matrix into alcove data.
+    """The decomposition (xi, g) of a regular special-unitary matrix,
+    A = g^dagger delta(xi) g.
 
-    Returns SpectralData(xi, g, regular, gap) with A = g^dagger delta(xi) g,
-    xi read off the Schur diagonal by the convention of _phases_to_alcove
-    and g from the Schur vectors in the same order.
+    xi is read off the Schur diagonal by the convention of _phases_to_alcove
+    and g from the Schur vectors in the same order, the first entry of each
+    eigenvector with modulus above PHASE_TOL made real positive.  Raises
+    NonRegular when the eigenphase gap 2 min xi is at most GAP_TOL; above
+    it g is unique up to left torus factors.
     """
     A = np.asarray(A, dtype=complex)
     n = c.n
     T, Z = scipy.linalg.schur(A, output="complex")
     xi, perm = _phases_to_alcove(np.angle(np.diagonal(T)), n)
+    gap = 2.0 * float(xi.min())
+    if not gap > GAP_TOL:
+        raise NonRegular(f"eigenphase gap {gap:.3e} is at most GAP_TOL={GAP_TOL:.1e}")
 
     vecs = Z[:, perm]
-    # the first entry of each column with modulus above PHASE_TOL goes real positive
     lead = vecs[np.argmax(np.abs(vecs) > PHASE_TOL, axis=0), np.arange(n)]
     g = dagger(vecs * np.conjugate(lead / np.abs(lead)))
-
-    gap = 2.0 * float(xi.min())
-    return SpectralData(xi=xi, g=g, regular=gap > GAP_TOL, gap=gap)
+    return xi, g
 
 
 def spectral_index(j, c):
@@ -153,33 +137,3 @@ def spectral_index(j, c):
     if not 1 <= j <= c.n - 1:
         raise ValueError(f"spectral index must be in 1..{c.n - 1}, got {j}")
     return j
-
-
-def grad_spectral(A, j, c):
-    """Gradient of the spectral function Xi_j at a regular point.
-
-    grad Xi_j(A) = g^{-1} (i (E_{j+1,j+1} - E_{j,j})) g for j = 1..n-1,
-    independent of the torus ambiguity in g.
-    """
-    spectral_index(j, c)
-    s = spectral_xi(A, c)
-    if not s.regular:
-        raise NonRegular(f"eigenphase gap {s.gap:.3e} below GAP_TOL={GAP_TOL:.1e}")
-    d = np.zeros(c.n, dtype=complex)
-    d[j] = 1j
-    d[j - 1] = -1j
-    return dagger(s.g) @ (d[:, None] * s.g)
-
-
-def matrix_power(C, s, c):
-    """Real power C^s = g^{-1} exp(-2 i s sum_k Xi_k(C) lambda_k) g.
-
-    One-parameter group in s on regular matrices: C^0 = 1, C^1 = C,
-    C^{s+t} = C^s C^t.
-    """
-    sp = spectral_xi(C, c)
-    if not sp.regular:
-        raise NonRegular(f"eigenphase gap {sp.gap:.3e} below GAP_TOL={GAP_TOL:.1e}")
-    e = alcove_exponents(sp.xi, c)
-    d = np.exp(1j * s * e)
-    return dagger(sp.g) @ (d[:, None] * sp.g)

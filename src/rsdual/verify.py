@@ -432,27 +432,34 @@ CHECKS = {
 
 @dataclass
 class SuiteConfig:
-    """Configuration of a verification sweep."""
+    """Configuration of a verification sweep.
+
+    y_rule is None (the default coupling y = pi/(2n) of every n), one y for
+    every n, or a list with one entry per n, each a y or None.  samples = 0
+    still runs the floor of one trial per cell (see CHECKS); a negative
+    count raises ValueError.
+    """
 
     n_list: tuple = (2, 3)
-    y_rule: object = "pi/(2n)"
+    y_rule: object = None
     samples: int = 50
     seed: int = 0
     checks: tuple = ()
 
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError(f"samples must be >= 0, got {self.samples}")
+
     def couplings(self):
-        ns = list(self.n_list)
-        if isinstance(self.y_rule, str):
-            if self.y_rule.replace(" ", "") != "pi/(2n)":
-                raise ConfigError(f"unknown y rule {self.y_rule!r}")
-            ys = [math.pi / (2 * n) for n in ns]
-        elif np.isscalar(self.y_rule):
-            ys = [float(self.y_rule)] * len(ns)
-        else:
-            ys = [float(y) for y in self.y_rule]
-            if len(ys) != len(ns):
-                raise ConfigError("y list must match n list")
-        return [Coupling(n, y) for n, y in zip(ns, ys)]
+        ys = self.y_rule
+        if ys is None or np.isscalar(ys):
+            ys = [ys] * len(self.n_list)
+        elif len(ys) != len(self.n_list):
+            raise ConfigError("y list must match n list")
+        return [
+            Coupling.default(n) if y is None else Coupling(n, float(y))
+            for n, y in zip(self.n_list, ys)
+        ]
 
     def selected_checks(self):
         if not self.checks:

@@ -26,10 +26,11 @@ from rsdual.double import (
     vertical_tangent,
 )
 from rsdual.errors import NonRegular, TangencyViolation
+from rsdual.reduction import _orbit_frame
 from rsdual.sun import (
     alcove_exponents,
+    alcove_delta,
     dagger,
-    grad_spectral,
     random_special_unitary,
     random_su_algebra,
     scalar_product,
@@ -175,9 +176,9 @@ def test_flow_preserves_spectrum_of_flowing_side():
     n = 3
     c = Coupling.default(n)
     p = rand_p(n)
-    xiA = spectral_xi(p.A, c).xi
+    xiA = spectral_xi(p.A, c)[0]
     q = flow(p, InvariantHamiltonian("spectral", 1, "first"), 0.9, c)
-    assert np.allclose(spectral_xi(q.A, c).xi, xiA, atol=1e-12)
+    assert np.allclose(spectral_xi(q.A, c)[0], xiA, atol=1e-12)
 
 
 def test_trace_gradients_against_finite_differences():
@@ -194,7 +195,7 @@ def test_trace_gradients_against_finite_differences():
                 return np.trace(np.linalg.matrix_power(M, m)).real
             if kind == "im_trace":
                 return np.trace(np.linalg.matrix_power(M, m)).imag
-            xi = spectral_xi(M, c).xi
+            xi = spectral_xi(M, c)[0]
             if kind == "spectral":
                 return xi[m - 1]
             return ref_dehn_value(xi)
@@ -207,15 +208,15 @@ def test_trace_gradients_against_finite_differences():
 
 def test_dehn_flow_is_lax_multiplication():
     # side 'second' at time s multiplies A by B^s; at s = 1 this is T
-    from rsdual.sun import matrix_power
-
     n = 3
     c = Coupling.default(n)
     p = rand_p(n)
     ham = InvariantHamiltonian("dehn", 1, "second")
     s = 0.6
     q = flow(p, ham, s, c)
-    assert np.linalg.norm(q.A - p.A @ matrix_power(p.B, s, c)) < 1e-11
+    one = np.eye(n, dtype=complex)
+    power = flow(DoublePoint(one, p.B), ham, s, c).A
+    assert np.linalg.norm(q.A - p.A @ power) < 1e-11
     q1 = flow(p, ham, 1.0, c)
     t = auto_apply("T", p)
     assert np.linalg.norm(q1.A - t.A) < 1e-11
@@ -233,10 +234,12 @@ def ref_hamiltonian_gradient(h, X, c):
         return traceless_antihermitian(-2.0 * h.index * np.linalg.matrix_power(X, h.index))
     if h.kind == "im_trace":
         return traceless_antihermitian(2j * h.index * np.linalg.matrix_power(X, h.index))
+    xi, g = spectral_xi(X, c)
     if h.kind == "spectral":
-        return grad_spectral(X, h.index, c)
-    s = spectral_xi(X, c)
-    return dagger(s.g) @ np.diag(1j * alcove_exponents(s.xi, c)) @ s.g
+        e = np.zeros(c.n)
+        e[h.index], e[h.index - 1] = 1.0, -1.0
+        return dagger(g) @ np.diag(1j * e) @ g
+    return dagger(g) @ np.diag(1j * alcove_exponents(xi, c)) @ g
 
 
 def ref_flow(p, h, t, c):
@@ -305,9 +308,9 @@ def test_torus_action_fixes_own_spectrum():
     p = rand_p(n)
     th = RNG.uniform(0, 2 * math.pi, n - 1)
     qa = torus_action(p, "a", th, c)
-    assert np.allclose(spectral_xi(qa.A, c).xi, spectral_xi(p.A, c).xi, atol=1e-12)
+    assert np.allclose(spectral_xi(qa.A, c)[0], spectral_xi(p.A, c)[0], atol=1e-12)
     qb = torus_action(p, "b", th, c)
-    assert np.allclose(spectral_xi(qb.B, c).xi, spectral_xi(p.B, c).xi, atol=1e-12)
+    assert np.allclose(spectral_xi(qb.B, c)[0], spectral_xi(p.B, c)[0], atol=1e-12)
 
 
 def test_torus_action_matches_spectral_flow():
@@ -421,6 +424,35 @@ def test_spectral_flow_rejects_degenerate():
         flow(p, InvariantHamiltonian("spectral", 1, "first"), 0.5, c)
 
 
+def _degenerate_factors(n):
+    """The identity and a delta point with two equal eigenphases (xi_n = 0)."""
+    xi = np.full(n, math.pi / (n - 1))
+    xi[-1] = 0.0
+    return np.eye(n, dtype=complex), alcove_delta(xi, Coupling.default(n))
+
+
+# every consumer of the decomposition (xi, g) of one factor X
+DECOMPOSITION_CONSUMERS = {
+    "gradient-spectral": lambda X, c: hamiltonian_gradient(InvariantHamiltonian("spectral", 1), X, c),
+    "gradient-dehn": lambda X, c: hamiltonian_gradient(InvariantHamiltonian("dehn", 1), X, c),
+    "flow": lambda X, c: flow(DoublePoint(X, X), InvariantHamiltonian("dehn", 1, "second"), 0.5, c),
+    "torus-a": lambda X, c: torus_action(DoublePoint(X, X), "a", np.full(c.n - 1, 0.3), c),
+    "torus-b": lambda X, c: torus_action(DoublePoint(X, X), "b", np.full(c.n - 1, 0.3), c),
+    "orbit-frame": lambda X, c: _orbit_frame(X, c),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("consumer", list(DECOMPOSITION_CONSUMERS))
+def test_every_decomposition_consumer_rejects_degenerate(consumer, n):
+    # the regularity rule lives in spectral_xi alone; each consumer of
+    # (xi, g) raises its NonRegular on a degenerate factor
+    c = Coupling.default(n)
+    for X in _degenerate_factors(n):
+        with pytest.raises(NonRegular):
+            DECOMPOSITION_CONSUMERS[consumer](X, c)
+
+
 def test_invariant_hamiltonian_validation():
     with pytest.raises(ValueError):
         InvariantHamiltonian("bogus", 1, "first")
@@ -436,8 +468,8 @@ def test_hamiltonian_value_reads_correct_side():
     p = rand_p(n)
     h1 = InvariantHamiltonian("spectral", 1, "first")
     h2 = InvariantHamiltonian("spectral", 1, "second")
-    assert abs(h1.value(p, c) - spectral_xi(p.A, c).xi[0]) < 1e-14
-    assert abs(h2.value(p, c) - spectral_xi(p.B, c).xi[0]) < 1e-14
+    assert abs(h1.value(p, c) - spectral_xi(p.A, c)[0][0]) < 1e-14
+    assert abs(h2.value(p, c) - spectral_xi(p.B, c)[0][0]) < 1e-14
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -447,7 +479,7 @@ def test_dehn_value_matches_weight_formula(n):
         p = rand_p(n)
         for side, X in (("first", p.A), ("second", p.B)):
             value = InvariantHamiltonian("dehn", 1, side).value(p, c)
-            assert abs(value - ref_dehn_value(spectral_xi(X, c).xi)) <= 1e-13
+            assert abs(value - ref_dehn_value(spectral_xi(X, c)[0])) <= 1e-13
 
 
 @pytest.mark.parametrize("index", [0, 3, 4])

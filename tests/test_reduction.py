@@ -139,11 +139,11 @@ def test_section_intertwines_toric_maps():
         c = Coupling.default(n)
         for _ in range(10):
             u = rand_u(c, bias=0.03)
-            xiK = spectral_xi(global_lax(u, c), c).xi
+            xiK = spectral_xi(global_lax(u, c), c)[0]
             for j in range(1, n + 1):
                 p = section_F(u, j, c)
-                assert np.abs(spectral_xi(p.B, c).xi - moment_J_full(u, c)).max() < 1e-9
-                assert np.abs(spectral_xi(p.A, c).xi - xiK).max() < 1e-9
+                assert np.abs(spectral_xi(p.B, c)[0] - moment_J_full(u, c)).max() < 1e-9
+                assert np.abs(spectral_xi(p.A, c)[0] - xiK).max() < 1e-9
 
 
 def test_section_charts_agree_on_overlaps():
@@ -249,17 +249,17 @@ def test_f_beta_inv_accepts_xi_just_below_a_wall(delta):
 def ref_f_beta_inv(p, c):
     """f_beta_inv with its torus phases and chart read-off as entry loops."""
     n = c.n
-    s = spectral_xi(p.B, c)
-    lam = lambda_matrix(np.maximum(s.xi, c.y), c)
-    K0 = s.g @ p.A @ dagger(s.g)
+    xi, g = spectral_xi(p.B, c)
+    lam = lambda_matrix(np.maximum(xi, c.y), c)
+    K0 = g @ p.A @ dagger(g)
     zeta = np.ones(n, dtype=complex)
     for k in range(1, n):
         ratio = K0[k - 1, k] / lam[k - 1, k]
         zeta[k] = zeta[k - 1] * ratio / abs(ratio)
     K = zeta[:, None] * K0 * np.conjugate(zeta)[None, :]
-    j = int(np.argmax(s.xi))
+    j = int(np.argmax(xi))
     col = (j + 1) % n
-    rj = math.sqrt(s.xi[j] - c.y)
+    rj = math.sqrt(xi[j] - c.y)
     u = np.empty(n, dtype=complex)
     u[j] = rj
     for k in range(n):
@@ -306,7 +306,7 @@ def test_f_beta_inv_moment_map_identity():
     c = Coupling.default(n)
     u = rand_u(c)
     p = section_best(u, c)
-    assert np.abs(moment_J_full(f_beta_inv(p, c), c) - spectral_xi(p.B, c).xi).max() < 1e-9
+    assert np.abs(moment_J_full(f_beta_inv(p, c), c) - spectral_xi(p.B, c)[0]).max() < 1e-9
 
 
 def test_f_alpha_toric_values():
@@ -317,10 +317,10 @@ def test_f_alpha_toric_values():
             u = rand_u(c)
             rep = f_alpha(u, c)
             assert constraint_residual(rep, c) < 1e-10
-            assert np.abs(spectral_xi(rep.A, c).xi - moment_J_full(u, c)).max() < 1e-9
-            xiK = spectral_xi(global_lax(u, c), c).xi
+            assert np.abs(spectral_xi(rep.A, c)[0] - moment_J_full(u, c)).max() < 1e-9
+            xiK = spectral_xi(global_lax(u, c), c)[0]
             flip = np.concatenate([xiK[: n - 1][::-1], xiK[n - 1 :]])
-            assert np.abs(spectral_xi(rep.B, c).xi - flip).max() < 1e-9
+            assert np.abs(spectral_xi(rep.B, c)[0] - flip).max() < 1e-9
 
 
 def test_f_alpha_matches_local_formula():

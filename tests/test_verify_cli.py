@@ -109,8 +109,8 @@ def test_poisson_check_equals_pairwise_brackets(n):
         u = random_point(c, rng, interior_bias=0.08)
         for k in range(1, n):
             for l in range(k + 1, n):
-                fa = lambda uu, kk=k: float(spectral_xi(global_lax(uu, c), c).xi[kk - 1])
-                fb = lambda uu, ll=l: float(spectral_xi(global_lax(uu, c), c).xi[ll - 1])
+                fa = lambda uu, kk=k: float(spectral_xi(global_lax(uu, c), c)[0][kk - 1])
+                fb = lambda uu, ll=l: float(spectral_xi(global_lax(uu, c), c)[0][ll - 1])
                 want.append(abs(poisson_bracket_fs(fa, fb, u, c)))
     assert [r for r, _ in rows] == want
 
@@ -124,11 +124,20 @@ def test_selector_restricts_checks():
 
 
 def test_y_rule_variants():
+    # None, the default, is Coupling.default per n, also as a list entry;
+    # the literal pi/(2n) is the CLI's to parse, not a rule
+    assert SuiteConfig().y_rule is None
     assert [c.y for c in SuiteConfig(n_list=(2, 4)).couplings()] == [
         math.pi / 4,
         math.pi / 8,
     ]
     assert [c.y for c in SuiteConfig(n_list=(3,), y_rule=0.3).couplings()] == [0.3]
+    assert [c.y for c in SuiteConfig(n_list=(2, 3), y_rule=[0.3, None]).couplings()] == [
+        0.3,
+        math.pi / 6,
+    ]
+    with pytest.raises(ValueError):
+        SuiteConfig(n_list=(3,), y_rule="pi/(2n)").couplings()
     with pytest.raises(ValueError):  # Coupling validates 0 < y < pi/n
         SuiteConfig(n_list=(3,), y_rule=2.0).couplings()
     with pytest.raises(ConfigError):
@@ -443,6 +452,40 @@ def test_cli_flow_failing_at_step_zero_writes_no_file(tmp_path, capsys):
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[[1.0, 0.0], [0.0, 1.0]]", "got shape (2, 2)"),
+        ("[[1.0, 0.0], [NaN, 1.0], [0.0, 1.0]]", "non-finite"),
+        ("[[1.0, 0.0], [1.0], [0.0, 1.0]]", "ragged"),
+    ],
+)
+def test_cli_rejects_malformed_point(tmp_path, capsys, recwarn, text, problem):
+    # a point of the wrong length, with a NaN or with a ragged pair is a
+    # ValueError naming the problem, raised before any numerics run
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli("duality", "--n", "3", "--point", str(bad)) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and problem in diag["message"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_rejects_negative_samples(tmp_path, capsys):
+    # samples = 0 keeps its one-trial meaning; below it nothing is certified
+    # or written
+    with pytest.raises(ValueError):
+        SuiteConfig(samples=-1)
+    code = run_cli("verify", "--n", "2", "--samples", "-3", "--checks", "lax-unitarity,constraint")
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    out = tmp_path / "poly.csv"
+    assert run_cli("polytope", "--n", "3", "--samples", "-2", "--out", str(out)) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
+    assert run_cli("verify", "--n", "2", "--samples", "0", "--checks", "constraint") == 0
 
 
 def test_cli_usage_error_exit_two():
