@@ -68,20 +68,22 @@ def _point_from_args(args, c, rng_seed=0):
 
 
 def _parse_hamiltonian(text, side):
-    name, _, idx = text.partition(":")
+    name, colon, idx = text.partition(":")
     index = int(idx) if idx else 1
     name = name.strip().lower()
+    if name in ("position", "action") and side:
+        raise ValueError(f"{name}:j fixes its own side; drop --side {side}")
     if name == "position":
         return InvariantHamiltonian("spectral", index, "second")
     if name == "action":
         return InvariantHamiltonian("spectral", index, "first")
-    if name == "spectral":
-        return InvariantHamiltonian("spectral", index, side or "first")
     if name == "retrace":
         return InvariantHamiltonian("re_trace", index, side or "first")
     if name == "imtrace":
         return InvariantHamiltonian("im_trace", index, side or "first")
     if name == "dehn":
+        if colon:
+            raise ValueError(f"dehn takes no index, got {text!r}")
         return InvariantHamiltonian("dehn", 1, side or "second")
     raise ValueError(f"unknown hamiltonian {text!r}")
 

@@ -100,19 +100,11 @@ def w_factors(xi, c):
     return r * w_plus, r[_cyclic(c.n).prev] * w_minus, w_plus, w_minus
 
 
-def lambda_matrix(xi, c):
-    """Smooth cofactor matrix Lambda^y(xi), nowhere zero on the polytope.
-
-    Off the cyclic superdiagonal, L(delta(xi), 1)_{kl} = r_k r_{l-1}
-    Lambda_{kl}; on it the r factors cancel against the vanishing
-    denominator and Lambda equals the Lax entry itself.
-    """
-    return _lambda_parts(check_shifted_alcove(xi, c), c)[0]
-
-
 def _lambda_parts(xi, c):
     """(Lambda^y(xi), w_plus) from one pass over the W-factor data, on a xi
-    the caller has already validated."""
+    the caller has already validated.  Lambda is the smooth cofactor matrix,
+    nowhere zero on the polytope: L(delta(xi), 1)_{kl} = r_k r_{l-1}
+    Lambda_{kl} off the cyclic superdiagonal, and Lambda = L on it."""
     y = c.y
     idx = _cyclic(c.n)
     phi = _pair_angles(xi)
@@ -128,8 +120,6 @@ def _lambda_parts(xi, c):
 
 def _theta_vector(theta, n):
     theta = np.asarray(theta)
-    if theta.ndim == 2:
-        theta = np.diagonal(theta)
     if theta.shape != (n,):
         raise ValueError(f"Theta must be a diagonal of length {n}")
     if np.any(np.abs(np.abs(theta) - 1.0) > 1e-9):
@@ -140,8 +130,7 @@ def _theta_vector(theta, n):
 def local_lax(xi, theta, c):
     """Local Lax matrix L(delta(xi), Theta), special-unitary on the interior.
 
-    theta is the diagonal of an element of the maximal torus (vector or
-    diagonal matrix).  L_kl = (e^{iy} - e^{-iy}) / (e^{iy} delta_k / delta_l
+    theta is the diagonal of an element of the maximal torus.  L_kl = (e^{iy} - e^{-iy}) / (e^{iy} delta_k / delta_l
     - e^{-iy}) W_k(y) W_l(-y) Theta_l, evaluated with delta_k / delta_l =
     e^{2i phi_kl} as sin y e^{-i phi_kl} W_k(y) W_l(-y) Theta_l / sin(phi_kl + y).
     The reversed-coupling matrix of the second toric identification is
@@ -193,10 +182,10 @@ def local_hamiltonian(xi, p_angles, c):
 def v_vector(xi, c):
     """Unit vector v(xi, y) and its squared components z.
 
-    v_k = sqrt(sin y / sin n y) * W_k(delta(xi), y); z_k = v_k^2 sums to one
-    on the whole thick-walled alcove.
+    v_k = sqrt(sin y / sin n y) * W_k(delta(xi), y), the scale being
+    c.v_scale; z_k = v_k^2 sums to one on the whole thick-walled alcove.
     """
-    v = math.sqrt(math.sin(c.y) / math.sin(c.n * c.y)) * w_factors(xi, c)[0]
+    v = c.v_scale * w_factors(xi, c)[0]
     return v, v * v
 
 

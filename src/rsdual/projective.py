@@ -101,27 +101,15 @@ def e_param(xi, theta, c):
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (c.n - 1,):
         raise ValueError(f"need {c.n - 1} torus angles")
+    for name, value in (("xi", xi), ("theta", theta)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has non-finite entries: {value}")
     if np.any(xi < c.y - 1e-12) or abs(xi.sum() - math.pi) > 1e-9:
         raise DomainViolation(f"xi outside the moment polytope: {xi}")
     r = np.sqrt(np.maximum(xi - c.y, 0.0))
     u = r.astype(complex)
     u[: c.n - 1] *= np.exp(1j * theta)
     return canonicalize(u, c)
-
-
-def e_param_inv(u, c):
-    """Invert the Darboux parametrization on the dense open part.
-
-    Requires every coordinate nonzero; returns (full xi, theta) with the
-    gauge u_n > 0.
-    """
-    u = np.asarray(u, dtype=complex)
-    if np.any(np.abs(u) < 1e-12):
-        raise ChartViolation("some coordinate vanishes; point outside CP(n-1)_0")
-    u = u * (np.conjugate(u[-1]) / abs(u[-1]))
-    xi = np.abs(u) ** 2 + c.y
-    theta = np.angle(u[:-1])
-    return xi, theta
 
 
 def moment_J(u, c):
@@ -166,28 +154,6 @@ def from_chart(w, j, c):
     u[np.arange(c.n) != j - 1] = w
     u[j - 1] = math.sqrt(c.chi0 - rest)
     return u
-
-
-def chart_transition(u, j, k, a, c):
-    """Exact differential of the chart-j to chart-k coordinate change at u.
-
-    a is a chart-j tangent (length n-1); the result is the corresponding
-    chart-k tangent.  The transition composes the sphere completion of the
-    j-th coordinate with the phase gauge that makes u_k real positive.
-    """
-    uj = chart_gauge(u, j, c)
-    w = np.delete(uj, j - 1)
-    a = np.asarray(a, dtype=complex)
-    du = np.empty(c.n, dtype=complex)
-    du[np.arange(c.n) != j - 1] = a
-    du[j - 1] = -np.sum((np.conjugate(w) * a).real) / uj[j - 1].real
-    uk = uj[k - 1]
-    if abs(uk) <= CHART_TOL:
-        raise ChartViolation(f"point not in chart {k}")
-    dalpha = (np.conjugate(uk) * du[k - 1]).imag / abs(uk) ** 2
-    phase = np.conjugate(uk) / abs(uk)
-    dup = phase * (du - 1j * uj * dalpha)
-    return np.delete(dup, k - 1)
 
 
 def fs_omega_eval(u, v1, v2, c, j=None):

@@ -16,14 +16,7 @@ import numpy as np
 from .coupling import check_shifted_alcove
 from .double import DoublePoint, auto_apply, flow, flow_map, moment
 from .errors import ConstraintViolation
-from .lax import (
-    _lambda_parts,
-    _lax_from,
-    global_lax,
-    local_lax,
-    reflection_g,
-    v_vector,
-)
+from .lax import _lambda_parts, _lax_from, global_lax, reflection_g
 from .projective import (
     canonicalize,
     chart_gauge,
@@ -32,30 +25,21 @@ from .projective import (
     moment_J,
     moment_J_full,
 )
-from .sun import alcove_delta, alcove_exponents, alcove_point, dagger, spectral_xi
+from .sun import alcove_exponents, alcove_point, dagger, spectral_xi
 
 
 def _chart_lift(u, j, c):
     """(xi, K(u), G_y^j(u)) with xi = |u|^2 + y: u is put into the chart-j
     gauge and xi validated once, and K and G share one pass over the
-    W-factor data."""
+    W-factor data.  The unitary gauge G_y^j(u), Delta(tau)^{-1} g_y^j(xi)
+    Delta_j(tau) on the dense part, is the chart reflection of the unit
+    vector conj(u_k) v_k / r_k; the smooth factors v_k / r_k > 0 extend it
+    to the whole chart |u_j| > 0."""
     u = chart_gauge(u, j, c)
     xi = check_shifted_alcove(moment_J_full(u, c), c)
     lam, w_plus = _lambda_parts(xi, c)
-    x = np.conjugate(u) * math.sqrt(math.sin(c.y) / math.sin(c.n * c.y)) * w_plus
+    x = np.conjugate(u) * c.v_scale * w_plus
     return xi, _lax_from(u, lam, c), reflection_g(x, j)
-
-
-def smooth_chart_gauge(u, j, c):
-    """The unitary gauge G_y^j(u) that conjugates (K(u), delta(xi)) onto the
-    constraint surface, written directly in chart-j coordinates.
-
-    On the dense part it equals Delta(tau)^{-1} g_y^j(xi) Delta_j(tau).  It
-    is the chart reflection of the unit vector conj(u_k) v_k / r_k, built
-    from u and the strictly positive smooth factors v_k / r_k, so it extends
-    to the whole chart |u_j| > 0.
-    """
-    return _chart_lift(u, j, c)[2]
 
 
 def section_F(u, j, c):
@@ -74,21 +58,6 @@ def section_F(u, j, c):
 
 def section_best(u, c):
     return section_F(u, chart_index(u), c)
-
-
-def section_local(xi, theta, c):
-    """Interior section built from the local Lax matrix:
-    (g_y^{-1} L(delta, rho(tau)^{-1}) g_y, g_y^{-1} delta g_y)."""
-    from .double import rho_embedding
-
-    xi = check_shifted_alcove(xi, c, strict=True)
-    v, _ = v_vector(xi, c)
-    g = reflection_g(v).astype(complex)
-    rho_inv = np.conjugate(np.diagonal(rho_embedding(np.asarray(theta, float), c.n)))
-    L = local_lax(xi, rho_inv, c)
-    delta = alcove_delta(xi, c)
-    gi = dagger(g)
-    return DoublePoint(gi @ L @ g, gi @ delta @ g)
 
 
 def constraint_residual(p, c):
@@ -243,6 +212,8 @@ def reduced_trajectory(u, h, t_final, steps, c):
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     rep = section_best(canonicalize(u, c), c)
     at = flow_map(rep, h, c)
     frame = _orbit_frame(rep.B, c) if h.side == "second" else None

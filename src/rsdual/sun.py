@@ -45,10 +45,10 @@ def random_special_unitary(n, rng):
     return q * det ** (-1.0 / n)
 
 
-def random_su_algebra(n, rng, scale=1.0):
+def random_su_algebra(n, rng):
     """Random element of su(n)."""
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * traceless_antihermitian(z)
+    return traceless_antihermitian(z)
 
 
 def alcove_exponents(xi, c):

@@ -9,7 +9,6 @@ across cells, so any cell can be run on its own.
 """
 
 from dataclasses import asdict, dataclass
-import json
 import math
 import time
 
@@ -449,6 +448,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples < 0:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
+        twice = sorted({n for n in self.n_list if self.n_list.count(n) > 1})
+        if twice:
+            raise ValueError(f"n_list repeats n = {twice}; each n runs once")
 
     def couplings(self):
         ys = self.y_rule
@@ -507,9 +509,6 @@ class SuiteReport:
             "all_passed": self.all_passed,
             "checks": [r.to_json() for r in self.results],
         }
-
-    def dumps(self, indent=2):
-        return json.dumps(self.to_json(), indent=indent)
 
 
 def _run_cell(name, c, cfg):

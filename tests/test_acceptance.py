@@ -6,6 +6,7 @@ criterion.  Every criterion is evaluated through the verification engine
 directly.
 """
 
+import json
 import math
 
 import numpy as np
@@ -64,7 +65,7 @@ def _run(criterion, desc, checks, n_list, samples, seed=SEED):
         f"criterion {criterion:>2} {status}  {desc}: "
         f"max residual {worst:.3e} (tol {tol:.1e}, n in {list(n_list)})"
     )
-    assert report.all_passed, f"criterion {criterion} failed: {report.dumps()}"
+    assert report.all_passed, f"criterion {criterion} failed: {json.dumps(report.to_json())}"
     return report
 
 
@@ -165,3 +166,27 @@ def test_criterion_14_polytope_image():
          (2, 3, 4, 5), 125)
     _run(14, "both toric maps approach every polytope vertex", ("polytope-vertices",),
          (2, 3, 4, 5), 10)
+
+
+# Checks still open at the upper coupling edge: pullback's finite-difference
+# step is not small against the chart scale sqrt(chi0), and normalization,
+# mu-spectrum and lax-conjugation draw xi directly, so the gap xi - y ~ chi0/n
+# carries a relative error of ulp(pi/n)/(chi0/n) before the library sees it.
+UPPER_EDGE_OPEN = {"pullback", "normalization", "mu-spectrum", "lax-conjugation"}
+
+
+def test_upper_coupling_edge():
+    # every other check holds as y -> pi/n at its pinned tolerance
+    n_list = (2, 3, 4)
+    rows = {
+        "pi/n (1 - 1e-3)": [math.pi / n * (1 - 1e-3) for n in n_list],
+        "pi/n - 1e-6": [math.pi / n - 1e-6 for n in n_list],
+        "pi/n (1 - 1e-9)": [math.pi / n * (1 - 1e-9) for n in n_list],
+    }
+    for label, ys in rows.items():
+        report = run_suite(SuiteConfig(n_list=n_list, y_rule=ys, samples=20, seed=SEED))
+        bad = [r.to_json() for r in report.results
+               if not r.passed and r.name not in UPPER_EDGE_OPEN]
+        print(f"upper edge y = {label}: {len(bad)} failing cells outside "
+              f"{sorted(UPPER_EDGE_OPEN)}")
+        assert not bad, json.dumps(bad)

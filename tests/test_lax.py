@@ -13,8 +13,8 @@ from rsdual.errors import (
     SingularDenominator,
 )
 from rsdual.lax import (
+    _lambda_parts,
     global_lax,
-    lambda_matrix,
     local_hamiltonian,
     local_lax,
     mu_of_v,
@@ -247,7 +247,7 @@ def test_lambda_matrix_nowhere_zero_including_vertices():
             vertex[k] += c.chi0
             samples.append(vertex)
         for xi in samples:
-            lam = lambda_matrix(xi, c)
+            lam = _lambda_parts(xi, c)[0]
             assert np.all(np.abs(lam) > 1e-12), (n, xi)
 
 
@@ -255,7 +255,7 @@ def test_lambda_matrix_reassembles_local_lax():
     for n in (2, 3, 4):
         c = Coupling.default(n)
         xi = random_shifted_alcove(c, RNG, margin=0.02)
-        lam = lambda_matrix(xi, c)
+        lam = _lambda_parts(xi, c)[0]
         r = np.sqrt(xi - c.y)
         L = local_lax(xi, np.ones(n), c)
         for k in range(n):

@@ -11,12 +11,11 @@ from rsdual.errors import ChartViolation, DomainViolation, ZeroVector
 from rsdual.lax import global_lax
 from rsdual.sun import dagger
 from rsdual.projective import (
+    CHART_TOL,
     canonicalize,
     chart_gauge,
     chart_index,
-    chart_transition,
     e_param,
-    e_param_inv,
     from_chart,
     fs_omega_eval,
     involution,
@@ -37,6 +36,41 @@ RNG = np.random.default_rng(777)
 
 def rand_u(c, bias=0.0):
     return random_point(c, RNG, interior_bias=bias)
+
+
+def e_param_inv(u, c):
+    """Invert the Darboux parametrization on the dense open part.
+
+    Requires every coordinate nonzero; returns (full xi, theta) with the
+    gauge u_n > 0.
+    """
+    u = np.asarray(u, dtype=complex)
+    if np.any(np.abs(u) < 1e-12):
+        raise ChartViolation("some coordinate vanishes; point outside CP(n-1)_0")
+    u = u * (np.conjugate(u[-1]) / abs(u[-1]))
+    return np.abs(u) ** 2 + c.y, np.angle(u[:-1])
+
+
+def chart_transition(u, j, k, a, c):
+    """Exact differential of the chart-j to chart-k coordinate change at u.
+
+    a is a chart-j tangent (length n-1); the result is the corresponding
+    chart-k tangent.  The transition composes the sphere completion of the
+    j-th coordinate with the phase gauge that makes u_k real positive.
+    """
+    uj = chart_gauge(u, j, c)
+    w = np.delete(uj, j - 1)
+    a = np.asarray(a, dtype=complex)
+    du = np.empty(c.n, dtype=complex)
+    du[np.arange(c.n) != j - 1] = a
+    du[j - 1] = -np.sum((np.conjugate(w) * a).real) / uj[j - 1].real
+    uk = uj[k - 1]
+    if abs(uk) <= CHART_TOL:
+        raise ChartViolation(f"point not in chart {k}")
+    dalpha = (np.conjugate(uk) * du[k - 1]).imag / abs(uk) ** 2
+    phase = np.conjugate(uk) / abs(uk)
+    dup = phase * (du - 1j * uj * dalpha)
+    return np.delete(dup, k - 1)
 
 
 def index_reversal(x):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from rsdual.coupling import Coupling, random_shifted_alcove
+from rsdual.coupling import Coupling, check_shifted_alcove, random_shifted_alcove
 from rsdual.double import (
     DoublePoint,
     DoubleTangent,
@@ -19,7 +19,7 @@ from rsdual.double import (
     rho_embedding,
 )
 from rsdual.errors import ChartViolation, ConstraintViolation
-from rsdual.lax import global_lax, lambda_matrix, local_lax, reflection_g, v_vector, w_factors
+from rsdual.lax import _lambda_parts, global_lax, local_lax, reflection_g, v_vector, w_factors
 from rsdual.projective import (
     CHART_TOL,
     canonicalize,
@@ -35,6 +35,7 @@ from rsdual.projective import (
     vertex_points,
 )
 from rsdual.reduction import (
+    _chart_lift,
     action_variables,
     constraint_residual,
     duality,
@@ -46,8 +47,6 @@ from rsdual.reduction import (
     reduced_trajectory,
     section_F,
     section_best,
-    section_local,
-    smooth_chart_gauge,
 )
 from rsdual.sun import alcove_delta, dagger, spectral_xi
 from rsdual.verify import FD_STEP
@@ -73,6 +72,28 @@ def test_duality_exchange_property(n, seed):
 
 def rand_u(c, bias=0.0):
     return random_point(c, RNG, interior_bias=bias)
+
+
+def delta_embedding(theta, n, j=None):
+    """Diagonal embeddings Delta(tau) = diag(tau_1, ..., tau_{n-1}, 1) and
+    their chart variants Delta_j with slots j and n swapped."""
+    d = np.append(np.exp(1j * np.asarray(theta, dtype=float)), 1.0)
+    if j is not None and j != n:
+        d[[j - 1, n - 1]] = d[[n - 1, j - 1]]
+    return np.diag(d)
+
+
+def section_local(xi, theta, c):
+    """Interior section built from the local Lax matrix:
+    (g_y^{-1} L(delta, rho(tau)^{-1}) g_y, g_y^{-1} delta g_y)."""
+    xi = check_shifted_alcove(xi, c)
+    v, _ = v_vector(xi, c)
+    g = reflection_g(v).astype(complex)
+    rho_inv = np.conjugate(np.diagonal(rho_embedding(np.asarray(theta, float), c.n)))
+    L = local_lax(xi, rho_inv, c)
+    delta = alcove_delta(xi, c)
+    gi = dagger(g)
+    return DoublePoint(gi @ L @ g, gi @ delta @ g)
 
 
 def stabilizer_element(n, rng):
@@ -110,14 +131,12 @@ def test_smooth_chart_gauge_is_unitary_everywhere():
             pts.append(canonicalize(z, c))
         for u in pts:
             j = chart_index(u)
-            G = smooth_chart_gauge(u, j, c)
+            G = _chart_lift(u, j, c)[2]
             assert np.linalg.norm(dagger(G) @ G - np.eye(n)) < 1e-10
 
 
 def test_smooth_chart_gauge_interior_formula():
     # on the dense part G_y^j(u) = Delta(tau)^{-1} g_y^j(xi) Delta_j(tau)
-    from rsdual.double import delta_embedding
-
     for n in (2, 3, 4):
         c = Coupling.default(n)
         for _ in range(10):
@@ -130,7 +149,7 @@ def test_smooth_chart_gauge_interior_formula():
                 expected = (
                     dagger(delta_n) @ reflection_g(v, j) @ delta_embedding(theta, n, j)
                 )
-                assert np.linalg.norm(smooth_chart_gauge(u, j, c) - expected) < 1e-12
+                assert np.linalg.norm(_chart_lift(u, j, c)[2] - expected) < 1e-12
 
 
 def test_section_intertwines_toric_maps():
@@ -234,7 +253,7 @@ def test_f_beta_inv_accepts_xi_just_below_a_wall(delta):
         z[0] = 0.0
         u = canonicalize(z, c)
         j = chart_index(u)
-        G = smooth_chart_gauge(u, j, c)
+        G = _chart_lift(u, j, c)[2]
         xi = moment_J_full(u, c)
         xi[0] -= delta
         xi[1] += delta
@@ -250,7 +269,7 @@ def ref_f_beta_inv(p, c):
     """f_beta_inv with its torus phases and chart read-off as entry loops."""
     n = c.n
     xi, g = spectral_xi(p.B, c)
-    lam = lambda_matrix(np.maximum(xi, c.y), c)
+    lam = _lambda_parts(np.maximum(xi, c.y), c)[0]
     K0 = g @ p.A @ dagger(g)
     zeta = np.ones(n, dtype=complex)
     for k in range(1, n):

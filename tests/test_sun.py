@@ -380,6 +380,18 @@ def test_shifted_alcove_sampler():
         assert np.all(xi >= c.y - 1e-12)
 
 
+def test_shifted_alcove_sampler_margin_feasible_for_every_n():
+    # the margin is capped at 1/(2n): uncapped, 0.02 of chi0 from each of
+    # the 64 walls would exceed chi0 and draw xi below y
+    for n in (25, 64):
+        c = Coupling.default(n)
+        for _ in range(20):
+            xi = random_shifted_alcove(c, RNG, margin=0.02)
+            check_alcove(xi, tol=1e-9)
+            assert np.min(xi - c.y) > 0.0
+            assert np.min(xi - c.y) >= 0.99 * min(0.02, 0.5 / n) * c.chi0
+
+
 def test_coupling_invariants():
     c = Coupling(3, 0.3)
     mu0 = c.mu0

@@ -498,3 +498,63 @@ def test_cli_y_literal():
     code = run_cli("verify", "--n", "2", "--y", "pi/(2n)", "--samples", "2",
                    "--checks", "normalization")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("map-point", "--n", "3", "--xi", "nan,1.1", "--tau", "0.5,1.2"), "xi"),
+        (("map-point", "--n", "3", "--xi", "0.9,1.1", "--tau", "nan,1.2"), "theta"),
+        (("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "nan"), "t_final"),
+        (("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "inf"), "t_final"),
+    ],
+    ids=["xi-nan", "tau-nan", "t-nan", "t-inf"],
+)
+def test_cli_rejects_non_finite_numbers(capsys, recwarn, argv, name):
+    # a NaN or infinite xi, tau or t is a ValueError naming the argument,
+    # raised before any numerics run
+    assert run_cli(*argv) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and diag["message"].startswith(f"{name} ")
+    assert "finite" in diag["message"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_suite_rejects_duplicate_n(capsys):
+    # a repeated n would run the same cells twice under one rng key
+    with pytest.raises(ValueError, match=r"repeats n = \[3\]"):
+        SuiteConfig(n_list=(2, 3, 4, 3))
+    assert run_cli("verify", "--n", "2,2", "--samples", "1") == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and "[2]" in diag["message"]
+
+
+@pytest.mark.parametrize(
+    "spec, side, problem",
+    [
+        ("position:1", "first", "fixes its own side"),
+        ("action:1", "second", "fixes its own side"),
+        ("dehn:5", None, "takes no index"),
+    ],
+    ids=["position-side", "action-side", "dehn-index"],
+)
+def test_cli_flow_rejects_ignored_input(tmp_path, capsys, spec, side, problem):
+    # each Hamiltonian has one spelling: --side is not silently dropped for
+    # position/action, nor an index for dehn
+    out = tmp_path / "traj.csv"
+    argv = ["flow", "--n", "3", "--hamiltonian", spec, "--t", "1", "--out", str(out)]
+    if side:
+        argv += ["--side", side]
+    assert run_cli(*argv) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and problem in diag["message"]
+    assert not out.exists()
+
+
+def test_lax_cells_pass_at_large_n():
+    # the interior sampler keeps its margin feasible at n = 64
+    report = run_suite(SuiteConfig(n_list=(64,), samples=4, seed=7, checks=("lax-",)))
+    assert [r.name for r in report.results] == [
+        "lax-conjugation", "lax-unitarity", "lax-hamiltonian"
+    ]
+    assert report.all_passed, json.dumps(report.to_json())
