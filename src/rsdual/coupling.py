@@ -56,10 +56,11 @@ class Coupling:
 
     @property
     def v_scale(self):
-        """sqrt(sin y / sin n y), the scale of the unit vector v(xi, y), read
-        as sin(chi0): that sees the rounded pi of chi0 and |u|^2 = chi0, where
-        sin(n y) would be off by 1.2e-16 / chi0 at the upper edge."""
-        return math.sqrt(math.sin(self.y) / math.sin(self.chi0))
+        """sqrt(sin y / sin n y), the scale of the unit vector v(xi, y).
+        sin n y = sin chi0 is taken of whichever argument is at most pi/2,
+        where it is accurate: sin(n y) sees the true pi and is off by
+        1.2e-16 / chi0 as y -> pi/n, sin(chi0) by 1.2e-16 / (n y) as y -> 0."""
+        return math.sqrt(math.sin(self.y) / math.sin(min(self.n * self.y, self.chi0)))
 
     @cached_property
     def mu0(self):

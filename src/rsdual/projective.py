@@ -101,7 +101,7 @@ def e_param(xi, theta, c):
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (c.n - 1,):
         raise ValueError(f"need {c.n - 1} torus angles")
-    for name, value in (("xi", xi), ("theta", theta)):
+    for name, value in (("xi", xi), ("theta (--tau)", theta)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} has non-finite entries: {value}")
     if np.any(xi < c.y - 1e-12) or abs(xi.sum() - math.pi) > 1e-9:

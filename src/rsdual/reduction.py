@@ -213,7 +213,7 @@ def reduced_trajectory(u, h, t_final, steps, c):
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not math.isfinite(t_final):
-        raise ValueError(f"t_final must be finite, got {t_final}")
+        raise ValueError(f"t_final (--t) must be finite, got {t_final}")
     rep = section_best(canonicalize(u, c), c)
     at = flow_map(rep, h, c)
     frame = _orbit_frame(rep.B, c) if h.side == "second" else None

@@ -13,8 +13,8 @@ import numpy as np
 
 from rsdual.coupling import Coupling
 from rsdual.lax import local_hamiltonian, local_lax
-from rsdual.projective import projective_distance, random_point
-from rsdual.reduction import duality
+from rsdual.projective import chart_index, projective_distance, random_point
+from rsdual.reduction import _chart_lift, duality
 from rsdual.verify import CHECKS, SuiteConfig, run_suite
 
 SEED = 20260809
@@ -190,3 +190,16 @@ def test_upper_coupling_edge():
         print(f"upper edge y = {label}: {len(bad)} failing cells outside "
               f"{sorted(UPPER_EDGE_OPEN)}")
         assert not bad, json.dumps(bad)
+
+
+def test_lower_coupling_edge_chart_lift():
+    # the v(xi, y) scale stays accurate as y -> 0: the chart gauge is unitary
+    # and its reflection vector has unit norm (no NormViolation)
+    rng = np.random.default_rng(SEED)
+    for y in (1e-6, 1e-8):
+        for n in (2, 3, 4):
+            c = Coupling(n, y)
+            for _ in range(20):
+                u = random_point(c, rng)
+                G = _chart_lift(u, chart_index(u), c)[2]
+                assert np.linalg.norm(G.conj().T @ G - np.eye(n)) < 1e-12

@@ -48,7 +48,9 @@ def e_param_inv(u, c):
     if np.any(np.abs(u) < 1e-12):
         raise ChartViolation("some coordinate vanishes; point outside CP(n-1)_0")
     u = u * (np.conjugate(u[-1]) / abs(u[-1]))
-    return np.abs(u) ** 2 + c.y, np.angle(u[:-1])
+    xi = np.abs(u) ** 2 + c.y
+    theta = np.angle(u[:-1])
+    return xi, theta
 
 
 def chart_transition(u, j, k, a, c):

@@ -77,7 +77,10 @@ def rand_u(c, bias=0.0):
 def delta_embedding(theta, n, j=None):
     """Diagonal embeddings Delta(tau) = diag(tau_1, ..., tau_{n-1}, 1) and
     their chart variants Delta_j with slots j and n swapped."""
-    d = np.append(np.exp(1j * np.asarray(theta, dtype=float)), 1.0)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (n - 1,):
+        raise ValueError(f"need {n - 1} angles")
+    d = np.append(np.exp(1j * theta), 1.0)
     if j is not None and j != n:
         d[[j - 1, n - 1]] = d[[n - 1, j - 1]]
     return np.diag(d)

@@ -504,9 +504,9 @@ def test_cli_y_literal():
     "argv, name",
     [
         (("map-point", "--n", "3", "--xi", "nan,1.1", "--tau", "0.5,1.2"), "xi"),
-        (("map-point", "--n", "3", "--xi", "0.9,1.1", "--tau", "nan,1.2"), "theta"),
-        (("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "nan"), "t_final"),
-        (("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "inf"), "t_final"),
+        (("map-point", "--n", "3", "--xi", "0.9,1.1", "--tau", "nan,1.2"), "theta (--tau)"),
+        (("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "nan"), "t_final (--t)"),
+        (("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "inf"), "t_final (--t)"),
     ],
     ids=["xi-nan", "tau-nan", "t-nan", "t-inf"],
 )
@@ -549,12 +549,3 @@ def test_cli_flow_rejects_ignored_input(tmp_path, capsys, spec, side, problem):
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "ValueError" and problem in diag["message"]
     assert not out.exists()
-
-
-def test_lax_cells_pass_at_large_n():
-    # the interior sampler keeps its margin feasible at n = 64
-    report = run_suite(SuiteConfig(n_list=(64,), samples=4, seed=7, checks=("lax-",)))
-    assert [r.name for r in report.results] == [
-        "lax-conjugation", "lax-unitarity", "lax-hamiltonian"
-    ]
-    assert report.all_passed, json.dumps(report.to_json())
