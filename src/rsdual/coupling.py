@@ -1,9 +1,9 @@
 """Problem parameters and alcove domains.
 
-Everything downstream is parametrized by the pair (n, y): the number of
+The reduced space is parametrized by the pair (n, y): the number of
 particles and the coupling, restricted to 0 < y < pi/n.  The derived data
 (the minimal-orbit diagonal matrix mu0 and the symplectic scale chi0) are
-computed here once and reused everywhere.
+computed here once; a function takes a Coupling only where it reads them.
 """
 
 from dataclasses import dataclass
@@ -21,14 +21,14 @@ SUM_TOL = 1e-12
 class Coupling:
     """Coupling data (n, y), validated once here.
 
-    The numerical tolerances live with the code that applies them:
-    sun.spectral_xi (regular spectrum), projective.CHART_TOL (chart membership)
-    and verify.FD_STEP (finite-difference step).
+    Only code that reads y, chi0, mu0 or v_scale takes one; the SU(n) and
+    double layers (sun, double) read n from the shape of their input, and
+    the numerical tolerances live with the code that applies them.
 
     Attributes
     ----------
     n : int
-        Number of particles / matrix size, n >= 2.
+        Number of particles / matrix size, an int >= 2 (3.0 is stored as 3).
     y : float
         Coupling in radians, 0 < y < pi/n.
     """
@@ -37,8 +37,9 @@ class Coupling:
     y: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
+        if not float(self.n).is_integer() or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         if not 0.0 < self.y < math.pi / self.n:
             raise ValueError(
                 f"coupling must satisfy 0 < y < pi/n, got y={self.y} for n={self.n}"

@@ -4,7 +4,9 @@ Carries the invariant 2-form, the group-valued moment map mu(A,B) =
 A B A^{-1} B^{-1}, the explicit flows of invariant Hamiltonians (which move
 only one factor and are exact for all times), the two commuting torus
 actions, and the mapping-class automorphisms S, T, Ttilde together with the
-central twist Q and the conjugating involution nu.
+central twist Q and the conjugating involution nu.  As in the paper, the
+double carries no coupling: nothing here takes a Coupling, and n is the
+size of the matrices.
 """
 
 from dataclasses import dataclass
@@ -41,11 +43,10 @@ class DoubleTangent:
     dA: np.ndarray
     dB: np.ndarray
 
-    def check(self, p, tol=TANGENT_TOL):
-        n = p.A.shape[0]
+    def check(self, p):
         for m, dm in ((p.A, self.dA), (p.B, self.dB)):
             x = dagger(m) @ dm
-            if np.linalg.norm(x + dagger(x)) > tol or abs(np.trace(x)) > tol:
+            if max(np.linalg.norm(x + dagger(x)), abs(np.trace(x))) > TANGENT_TOL:
                 raise TangencyViolation("tangent not in su(n) at the base point")
         return self
 
@@ -93,17 +94,17 @@ class InvariantHamiltonian:
         if self.kind in ("re_trace", "im_trace") and self.index < 1:
             raise ValueError("trace power must be >= 1")
 
-    def value(self, p, c):
+    def value(self, p):
         X = p.A if self.side == "first" else p.B
         if self.kind == "spectral":
-            k = spectral_index(self.index, c)
-            return float(alcove_point(X, c)[k - 1])
+            k = spectral_index(self.index, X.shape[-1])
+            return float(alcove_point(X)[k - 1])
         if self.kind == "re_trace":
             return float(np.trace(np.linalg.matrix_power(X, self.index)).real)
         if self.kind == "im_trace":
             return float(np.trace(np.linalg.matrix_power(X, self.index)).imag)
         # |sum_k xi_k lambda_k|^2, and the exponents are -2 sum_k xi_k lambda_k
-        e = alcove_exponents(alcove_point(X, c), c)
+        e = alcove_exponents(alcove_point(X))
         return 0.25 * float(np.dot(e, e))
 
 
@@ -157,7 +158,7 @@ def omega_eval(p, v1, v2):
     return 0.5 * total
 
 
-def _gradient_eig(h, X, c):
+def _gradient_eig(h, X):
     """Eigendecomposition (V, lam) of grad h(X) = V diag(i lam) V^dagger.
 
     For 'spectral' and 'dehn' V is the diagonalizer g(X)^dagger and lam the
@@ -170,34 +171,34 @@ def _gradient_eig(h, X, c):
         lam, V = np.linalg.eigh(-1j * grad)
         return V, lam
     if h.kind == "spectral":
-        spectral_index(h.index, c)
-    xi, g = spectral_xi(X, c)
+        spectral_index(h.index, X.shape[-1])
+    xi, g = spectral_xi(X)
     if h.kind == "dehn":
-        return dagger(g), alcove_exponents(xi, c)
-    lam = np.zeros(c.n)
+        return dagger(g), alcove_exponents(xi)
+    lam = np.zeros(X.shape[-1])
     lam[h.index] = 1.0
     lam[h.index - 1] = -1.0
     return dagger(g), lam
 
 
-def hamiltonian_gradient(h, X, c):
+def hamiltonian_gradient(h, X):
     """The derivative grad h defined by d/dt h(e^{t zeta} X)|_0 = <zeta, grad h>.
 
     For spectral kinds this is the explicit conjugated su(n) generator; for
     trace kinds the traceless anti-Hermitian part of -m X^m resp. i m X^m;
     for 'dehn' the alcove logarithm, so that exp(s grad h(X)) = X^s.
     """
-    V, lam = _gradient_eig(h, X, c)
+    V, lam = _gradient_eig(h, X)
     return V @ ((1j * lam)[:, None] * dagger(V))
 
 
-def flow_map(p, h, c):
-    """The exact flow t -> flow(p, h, t, c) from one decomposition of the
+def flow_map(p, h):
+    """The exact flow t -> flow(p, h, t) from one decomposition of the
     frozen factor's gradient: each time costs one diagonal scaling and one
     matrix product, (moved factor) V diag(e^{+-i t lam}) V^dagger.
     """
     first = h.side == "first"
-    V, lam = _gradient_eig(h, p.A if first else p.B, c)
+    V, lam = _gradient_eig(h, p.A if first else p.B)
     moved = (p.B if first else p.A) @ V
     rate = (-1j if first else 1j) * lam
     Vh = dagger(V)
@@ -209,28 +210,28 @@ def flow_map(p, h, c):
     return at
 
 
-def flow(p, h, t, c):
+def flow(p, h, t):
     """Exact flow of an invariant Hamiltonian.
 
     side 'first':  (A, B) -> (A, B exp(-t grad h(A))),
     side 'second': (A, B) -> (A exp(t grad h(B)), B);
     the moment map is conserved because grad h(X) commutes with X.
     """
-    return flow_map(p, h, c)(t)
+    return flow_map(p, h)(t)
 
 
-def torus_action(p, side, theta, c):
+def torus_action(p, side, theta):
     """The commuting torus actions generated by the spectral Hamiltonians.
 
     side 'a': (A, B) -> (A, B g(A)^{-1} rho(tau) g(A));
     side 'b': (A, B) -> (A g(B)^{-1} rho(tau)^{-1} g(B), B).
     """
-    rho = rho_embedding(theta, c.n)
+    rho = rho_embedding(theta, p.A.shape[-1])
     if side == "a":
-        g = spectral_xi(p.A, c)[1]
+        g = spectral_xi(p.A)[1]
         return DoublePoint(p.A.copy(), p.B @ dagger(g) @ rho @ g)
     if side == "b":
-        g = spectral_xi(p.B, c)[1]
+        g = spectral_xi(p.B)[1]
         return DoublePoint(p.A @ dagger(g) @ np.conjugate(rho) @ g, p.B.copy())
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 

@@ -43,7 +43,3 @@ class TangencyViolation(RSDualError):
 
 class ConstraintViolation(RSDualError):
     """Point does not solve the group-commutator moment constraint."""
-
-
-class ConfigError(RSDualError):
-    """Invalid verification-suite configuration."""

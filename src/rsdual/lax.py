@@ -236,12 +236,12 @@ def global_lax(u, c):
         raise NormViolation(f"|u|^2 = {nrm2:.12g}, expected chi0 = {c.chi0:.12g}")
     u = u * math.sqrt(c.chi0 / nrm2)
     # |u|^2 = chi0 makes |u_k|^2 + y a point of the shifted alcove
-    return _lax_from(u, _lambda_parts(np.abs(u) ** 2 + c.y, c)[0], c)
+    return _lax_from(u, _lambda_parts(np.abs(u) ** 2 + c.y, c)[0])
 
 
-def _lax_from(u, lam, c):
+def _lax_from(u, lam):
     """K(u) assembled from u and lam = Lambda^y(|u|^2 + y)."""
-    idx = _cyclic(c.n)
+    idx = _cyclic(u.shape[-1])
     K = np.conjugate(u)[:, None] * u[idx.prev] * lam
     K[idx.sup] = lam[idx.sup]
     return K

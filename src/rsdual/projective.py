@@ -129,7 +129,7 @@ def chart_index(u):
     return int(np.argmax(np.abs(u))) + 1
 
 
-def chart_gauge(u, j, c):
+def chart_gauge(u, j):
     """Representative with u_j real positive (chart gauge), j 1-based."""
     u = np.asarray(u, dtype=complex)
     if abs(u[j - 1]) <= CHART_TOL:
@@ -137,10 +137,10 @@ def chart_gauge(u, j, c):
     return u * (np.conjugate(u[j - 1]) / abs(u[j - 1]))
 
 
-def to_chart(u, j, c):
+def to_chart(u, j):
     """Inhomogeneous chart coordinates: the n-1 entries k != j in the
     u_j > 0 gauge."""
-    w = chart_gauge(u, j, c)
+    w = chart_gauge(u, j)
     return np.delete(w, j - 1)
 
 
@@ -156,7 +156,7 @@ def from_chart(w, j, c):
     return u
 
 
-def fs_omega_eval(u, v1, v2, c, j=None):
+def fs_omega_eval(u, v1, v2, j=None):
     """Scaled Fubini-Study form chi0*omega_FS on chart tangents.
 
     Tangents are chart-j coordinate vectors (length n-1); the chart with the
@@ -166,11 +166,11 @@ def fs_omega_eval(u, v1, v2, c, j=None):
     """
     if j is None:
         j = chart_index(u)
-    chart_gauge(u, j, c)  # validates chart membership
+    m = chart_gauge(u, j).shape[-1] - 1  # n - 1; raises off chart j
     a = np.asarray(v1, dtype=complex)
     b = np.asarray(v2, dtype=complex)
-    if a.shape != (c.n - 1,) or b.shape != (c.n - 1,):
-        raise ChartViolation(f"tangents must be chart vectors of length {c.n - 1}")
+    if a.shape != (m,) or b.shape != (m,):
+        raise ChartViolation(f"tangents must be chart vectors of length {m}")
     return 2.0 * float(np.sum((a * np.conjugate(b)).imag))
 
 

@@ -35,11 +35,11 @@ def _chart_lift(u, j, c):
     Delta_j(tau) on the dense part, is the chart reflection of the unit
     vector conj(u_k) v_k / r_k; the smooth factors v_k / r_k > 0 extend it
     to the whole chart |u_j| > 0."""
-    u = chart_gauge(u, j, c)
+    u = chart_gauge(u, j)
     xi = check_shifted_alcove(moment_J_full(u, c), c)
     lam, w_plus = _lambda_parts(xi, c)
     x = np.conjugate(u) * c.v_scale * w_plus
-    return xi, _lax_from(u, lam, c), reflection_g(x, j)
+    return xi, _lax_from(u, lam), reflection_g(x, j)
 
 
 def section_F(u, j, c):
@@ -52,7 +52,7 @@ def section_F(u, j, c):
     """
     xi, K, G = _chart_lift(u, j, c)
     Gi = dagger(G)
-    delta = np.exp(1j * alcove_exponents(xi, c))
+    delta = np.exp(1j * alcove_exponents(xi))
     return DoublePoint(Gi @ K @ G, Gi @ (delta[:, None] * G))
 
 
@@ -78,7 +78,7 @@ def _orbit_frame(B, c):
     delta(xi) g, its alcove point xi clipped onto the walls xi_k >= y, the
     chart index j = argmax xi (0-based) and the smooth cofactor matrix.
     """
-    xi, g = spectral_xi(B, c)
+    xi, g = spectral_xi(B)
     xi = check_shifted_alcove(xi, c, tol=1e-7)
     # clip onto the walls xi_k >= y; the largest xi_j (>= pi/n > y) gives up
     # the excess, so sum(xi) stays pi and xi_j still selects the chart
@@ -186,7 +186,7 @@ def reduced_flow(u, h, t, c):
     exact unreduced flow, project back to the canonical label."""
     u = canonicalize(u, c)
     rep = section_best(u, c)
-    return f_beta_inv(flow(rep, h, t, c), c)
+    return f_beta_inv(flow(rep, h, t), c)
 
 
 def action_variables(u, c):
@@ -196,7 +196,7 @@ def action_variables(u, c):
     unitary, so its eigenphases are perfectly conditioned, and on the
     shifted alcove xi >= y they are at least 2y apart.
     """
-    return alcove_point(global_lax(canonicalize(u, c), c), c)[: c.n - 1]
+    return alcove_point(global_lax(canonicalize(u, c), c))[: c.n - 1]
 
 
 def reduced_trajectory(u, h, t_final, steps, c):
@@ -215,7 +215,7 @@ def reduced_trajectory(u, h, t_final, steps, c):
     if not math.isfinite(t_final):
         raise ValueError(f"t_final (--t) must be finite, got {t_final}")
     rep = section_best(canonicalize(u, c), c)
-    at = flow_map(rep, h, c)
+    at = flow_map(rep, h)
     frame = _orbit_frame(rep.B, c) if h.side == "second" else None
     for k in range(steps + 1):
         t = t_final * k / steps if steps else 0.0

@@ -5,8 +5,9 @@ alcove point xi (the spectral functions Xi_j pick out its components) and,
 where the spectrum is regular, a diagonalizer g fixed here by an explicit
 phase convention.  spectral_xi returns (xi, g) and is the one place that
 checks regularity; where only xi is needed, alcove_point reads it from the
-eigenvalues alone.  The gradients and flows built on (xi, g) live in
-double.py; the invariant pairing of su(n) lives here.
+eigenvalues alone.  Nothing here takes a Coupling: n is the size of the
+input, A.shape[-1] or xi.shape[-1].  The gradients and flows built on
+(xi, g) live in double.py; the invariant pairing of su(n) lives here.
 """
 
 import math
@@ -51,26 +52,26 @@ def random_su_algebra(n, rng):
     return traceless_antihermitian(z)
 
 
-def alcove_exponents(xi, c):
+def alcove_exponents(xi):
     """Diagonal of -2 sum_k xi_k lambda_k, the exponent vector of delta(xi).
 
     These are the specific real logarithms used for real matrix powers; they
     agree with the eigenphases of delta(xi) modulo 2 pi.
     """
     xi = np.asarray(xi, dtype=float)
-    n = c.n
+    n = xi.shape[-1]
     base = (2.0 / n) * np.dot(np.arange(1, n), xi[: n - 1])
     tails = 2.0 * (np.concatenate([np.cumsum(xi[: n - 1][::-1])[::-1], [0.0]]))
     return base - tails
 
 
-def alcove_delta(xi, c):
+def alcove_delta(xi):
     """Diagonal special-unitary delta(xi) = exp(-2i sum_k xi_k lambda_k).
 
     Injective on the alcove; raises AlcoveViolation off it.
     """
     xi = check_alcove(xi)
-    return np.diag(np.exp(1j * alcove_exponents(xi, c)))
+    return np.diag(np.exp(1j * alcove_exponents(xi)))
 
 
 def _phases_to_alcove(phases, n):
@@ -96,7 +97,7 @@ def _phases_to_alcove(phases, n):
     return xi, perm
 
 
-def alcove_point(A, c):
+def alcove_point(A):
     """The alcove point xi of a special-unitary matrix, Xi_k(A) = xi_k.
 
     Read from the eigenvalues alone (no Schur vectors), under the phase
@@ -104,10 +105,10 @@ def alcove_point(A, c):
     matrix has eigenvalue condition number 1, so xi is as accurate as the
     eigenvalues; use spectral_xi where the diagonalizer g is needed too.
     """
-    return _phases_to_alcove(np.angle(np.linalg.eigvals(A)), c.n)[0]
+    return _phases_to_alcove(np.angle(np.linalg.eigvals(A)), np.shape(A)[-1])[0]
 
 
-def spectral_xi(A, c):
+def spectral_xi(A):
     """The decomposition (xi, g) of a regular special-unitary matrix,
     A = g^dagger delta(xi) g.
 
@@ -118,7 +119,7 @@ def spectral_xi(A, c):
     it g is unique up to left torus factors.
     """
     A = np.asarray(A, dtype=complex)
-    n = c.n
+    n = A.shape[-1]
     T, Z = scipy.linalg.schur(A, output="complex")
     xi, perm = _phases_to_alcove(np.angle(np.diagonal(T)), n)
     gap = 2.0 * float(xi.min())
@@ -131,9 +132,9 @@ def spectral_xi(A, c):
     return xi, g
 
 
-def spectral_index(j, c):
+def spectral_index(j, n):
     """Return j if it names a spectral function Xi_j (1..n-1), else raise
     ValueError."""
-    if not 1 <= j <= c.n - 1:
-        raise ValueError(f"spectral index must be in 1..{c.n - 1}, got {j}")
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"spectral index must be in 1..{n - 1}, got {j}")
     return j

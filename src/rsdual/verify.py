@@ -32,7 +32,7 @@ from .double import (
     random_double_point,
     vertical_tangent,
 )
-from .errors import ConfigError, RSDualError
+from .errors import RSDualError
 from .lax import global_lax, local_hamiltonian, local_lax, mu_of_v, v_vector
 from .projective import (
     canonicalize,
@@ -73,7 +73,7 @@ def _chart_gradient(f, u, j, c, h=FD_STEP):
     """Central-difference gradient of f (scalar- or vector-valued) in the real
     chart-j coordinates: row k is d/dq_k and row m + k is d/dp_k, where
     w_k = q_k + i p_k are the n-1 chart coordinates of u."""
-    w0 = to_chart(u, j, c)
+    w0 = to_chart(u, j)
     m = len(w0)
     rows = []
     for part in (1.0, 1j):
@@ -127,18 +127,18 @@ def _check_pullback(c, rng):
     for _ in range(5):
         a = rng.standard_normal(c.n - 1) + 1j * rng.standard_normal(c.n - 1)
         b = rng.standard_normal(c.n - 1) + 1j * rng.standard_normal(c.n - 1)
-        yield abs(omega_eval(p0, push(a), push(b)) - fs_omega_eval(u, a, b, c, j=j)), _pt(u)
+        yield abs(omega_eval(p0, push(a), push(b)) - fs_omega_eval(u, a, b, j=j)), _pt(u)
 
 
 def _check_intertwine(c, rng):
     u = random_point(c, rng, interior_bias=0.02)
-    xiK = alcove_point(global_lax(u, c), c)
+    xiK = alcove_point(global_lax(u, c))
     jj = moment_J_full(u, c)
     for j in range(1, c.n + 1):
         p = section_F(u, j, c)
         r = max(
-            np.abs(alcove_point(p.A, c) - xiK).max(),
-            np.abs(alcove_point(p.B, c) - jj).max(),
+            np.abs(alcove_point(p.A) - xiK).max(),
+            np.abs(alcove_point(p.B) - jj).max(),
         )
         yield r, {"chart": j, **_pt(u)}
 
@@ -198,7 +198,7 @@ def _random_torus_diag(c, rng):
 def _check_lax_conjugation(c, rng):
     xi = _random_interior_xi(c, rng)
     L = local_lax(xi, _random_torus_diag(c, rng), c)
-    d = alcove_delta(xi, c)
+    d = alcove_delta(xi)
     v, _ = v_vector(xi, c)
     yield np.linalg.norm(L @ d @ dagger(L) - mu_of_v(v, c) @ d), {"xi": list(xi)}
 
@@ -240,10 +240,10 @@ def _check_gradients(c, rng):
     X = random_special_unitary(c.n, rng)
     for kind, idx in kinds:
         ham = InvariantHamiltonian(kind, idx, "first")
-        grad = hamiltonian_gradient(ham, X, c)
+        grad = hamiltonian_gradient(ham, X)
 
         def val(M):
-            return ham.value(DoublePoint(M, M), c)
+            return ham.value(DoublePoint(M, M))
 
         for _ in range(4):
             zeta = random_su_algebra(c.n, rng)
@@ -262,7 +262,7 @@ def _check_normalization(c, rng):
 def _check_mu_spectrum(c, rng):
     xi = random_shifted_alcove(c, rng)
     v, _ = v_vector(xi, c)
-    d = alcove_delta(xi, c)
+    d = alcove_delta(xi)
     e1 = np.sort(np.angle(np.linalg.eigvals(mu_of_v(v, c) @ d)))
     e2 = np.sort(np.angle(np.diagonal(d)))
     yield float(np.abs(e1 - e2).max()), {"xi": list(xi)}
@@ -295,7 +295,7 @@ def _check_poisson(c, rng):
         return
 
     def actions(uu):
-        return alcove_point(global_lax(uu, c), c)[: c.n - 1]
+        return alcove_point(global_lax(uu, c))[: c.n - 1]
 
     u = random_point(c, rng, interior_bias=0.08)
     # one chart Jacobian of all Xi_k; row k - 1 is the gradient of Xi_k
@@ -316,7 +316,7 @@ def _check_conservation(c, rng):
 
 def _check_polytope_image(c, rng):
     u = random_point(c, rng)
-    for vec in (moment_J_full(u, c), alcove_point(global_lax(u, c), c)):
+    for vec in (moment_J_full(u, c), alcove_point(global_lax(u, c))):
         r = max(float((c.y - vec).max()), abs(float(vec.sum()) - math.pi))
         yield max(r, 0.0), _pt(u)
 
@@ -375,7 +375,7 @@ def _check_flow_moment(c, rng):
     mu = moment(p)
     t = rng.uniform(-5, 5)
     for ham in hams:
-        yield np.linalg.norm(moment(flow(p, ham, t, c)) - mu), {"kind": ham.kind}
+        yield np.linalg.norm(moment(flow(p, ham, t)) - mu), {"kind": ham.kind}
 
 
 def _check_omega_morphisms(c, rng):
@@ -435,8 +435,8 @@ class SuiteConfig:
 
     y_rule is None (the default coupling y = pi/(2n) of every n), one y for
     every n, or a list with one entry per n, each a y or None.  samples = 0
-    still runs the floor of one trial per cell (see CHECKS); a negative
-    count raises ValueError.
+    runs one trial per cell (see CHECKS).  A check selector is a stripped,
+    non-empty substring of check names; a bad config raises ValueError.
     """
 
     n_list: tuple = (2, 3)
@@ -451,28 +451,29 @@ class SuiteConfig:
         twice = sorted({n for n in self.n_list if self.n_list.count(n) > 1})
         if twice:
             raise ValueError(f"n_list repeats n = {twice}; each n runs once")
+        ys = self.y_rule
+        if not (ys is None or np.isscalar(ys)) and len(ys) != len(self.n_list):
+            raise ValueError(f"y list has {len(ys)} entries, n_list {len(self.n_list)}")
+        self.couplings()  # every (n, y) must make a Coupling
+        self.checks = tuple(term.strip() for term in self.checks)
+        for term in self.checks:
+            if not term:
+                raise ValueError(f"empty check selector in {','.join(self.checks)!r}")
+            if not any(term in name for name in CHECKS):
+                raise ValueError(f"no check matches selector {term!r}")
 
     def couplings(self):
         ys = self.y_rule
         if ys is None or np.isscalar(ys):
             ys = [ys] * len(self.n_list)
-        elif len(ys) != len(self.n_list):
-            raise ConfigError("y list must match n list")
         return [
             Coupling.default(n) if y is None else Coupling(n, float(y))
             for n, y in zip(self.n_list, ys)
         ]
 
     def selected_checks(self):
-        if not self.checks:
-            return list(CHECKS)
-        names = []
-        for term in self.checks:
-            hits = [name for name in CHECKS if term in name]
-            if not hits:
-                raise ConfigError(f"no check matches selector {term!r}")
-            names.extend(h for h in hits if h not in names)
-        return names
+        hits = (name for term in self.checks for name in CHECKS if term in name)
+        return list(dict.fromkeys(hits)) if self.checks else list(CHECKS)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """The quasi-Hamiltonian double: form, moment map, flows, automorphisms."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from rsdual import double, lax, projective, sun
 from rsdual.coupling import Coupling
 from rsdual.double import (
     DoublePoint,
@@ -136,11 +138,10 @@ def test_axiom_a2_against_moment_differential():
 )
 def test_flow_conserves_moment_and_t0(kind, side):
     n = 3
-    c = Coupling.default(n)
     p = rand_p(n)
     ham = InvariantHamiltonian(kind, 1, side)
-    assert np.linalg.norm(flow(p, ham, 0.0, c).A - p.A) < 1e-14
-    q = flow(p, ham, 1.7, c)
+    assert np.linalg.norm(flow(p, ham, 0.0).A - p.A) < 1e-14
+    q = flow(p, ham, 1.7)
     assert np.linalg.norm(moment(q) - moment(p)) < 1e-10
     if side == "first":
         assert np.linalg.norm(q.A - p.A) < 1e-14
@@ -150,52 +151,48 @@ def test_flow_conserves_moment_and_t0(kind, side):
 
 def test_spectral_flow_2pi_periodic():
     n = 4
-    c = Coupling.default(n)
     p = rand_p(n)
     for j in (1, 2, 3):
         ham = InvariantHamiltonian("spectral", j, "first")
-        q = flow(p, ham, 2 * math.pi, c)
+        q = flow(p, ham, 2 * math.pi)
         assert np.linalg.norm(q.A - p.A) < 1e-12
         assert np.linalg.norm(q.B - p.B) < 1e-10
 
 
 def test_alpha_flows_commute():
     n = 3
-    c = Coupling.default(n)
     p = rand_p(n)
     s, t = RNG.uniform(0, 3, 2)
     h1 = InvariantHamiltonian("spectral", 1, "first")
     h2 = InvariantHamiltonian("spectral", 2, "first")
-    q1 = flow(flow(p, h1, s, c), h2, t, c)
-    q2 = flow(flow(p, h2, t, c), h1, s, c)
+    q1 = flow(flow(p, h1, s), h2, t)
+    q2 = flow(flow(p, h2, t), h1, s)
     assert np.linalg.norm(q1.A - q2.A) < 1e-12
     assert np.linalg.norm(q1.B - q2.B) < 1e-11
 
 
 def test_flow_preserves_spectrum_of_flowing_side():
     n = 3
-    c = Coupling.default(n)
     p = rand_p(n)
-    xiA = spectral_xi(p.A, c)[0]
-    q = flow(p, InvariantHamiltonian("spectral", 1, "first"), 0.9, c)
-    assert np.allclose(spectral_xi(q.A, c)[0], xiA, atol=1e-12)
+    xiA = spectral_xi(p.A)[0]
+    q = flow(p, InvariantHamiltonian("spectral", 1, "first"), 0.9)
+    assert np.allclose(spectral_xi(q.A)[0], xiA, atol=1e-12)
 
 
 def test_trace_gradients_against_finite_differences():
     n = 3
-    c = Coupling.default(n)
     h = FD_STEP
     X = random_special_unitary(n, RNG)
     for kind, m in (("re_trace", 1), ("re_trace", 2), ("im_trace", 1), ("im_trace", 3), ("dehn", 1), ("spectral", 2)):
         ham = InvariantHamiltonian(kind, m, "first")
-        grad = hamiltonian_gradient(ham, X, c)
+        grad = hamiltonian_gradient(ham, X)
 
         def val(M):
             if kind == "re_trace":
                 return np.trace(np.linalg.matrix_power(M, m)).real
             if kind == "im_trace":
                 return np.trace(np.linalg.matrix_power(M, m)).imag
-            xi = spectral_xi(M, c)[0]
+            xi = spectral_xi(M)[0]
             if kind == "spectral":
                 return xi[m - 1]
             return ref_dehn_value(xi)
@@ -209,24 +206,23 @@ def test_trace_gradients_against_finite_differences():
 def test_dehn_flow_is_lax_multiplication():
     # side 'second' at time s multiplies A by B^s; at s = 1 this is T
     n = 3
-    c = Coupling.default(n)
     p = rand_p(n)
     ham = InvariantHamiltonian("dehn", 1, "second")
     s = 0.6
-    q = flow(p, ham, s, c)
+    q = flow(p, ham, s)
     one = np.eye(n, dtype=complex)
-    power = flow(DoublePoint(one, p.B), ham, s, c).A
+    power = flow(DoublePoint(one, p.B), ham, s).A
     assert np.linalg.norm(q.A - p.A @ power) < 1e-11
-    q1 = flow(p, ham, 1.0, c)
+    q1 = flow(p, ham, 1.0)
     t = auto_apply("T", p)
     assert np.linalg.norm(q1.A - t.A) < 1e-11
     ham_t = InvariantHamiltonian("dehn", 1, "first")
-    q2 = flow(p, ham_t, 1.0, c)
+    q2 = flow(p, ham_t, 1.0)
     tt = auto_apply("Ttilde", p)
     assert np.linalg.norm(q2.B - tt.B) < 1e-11
 
 
-def ref_hamiltonian_gradient(h, X, c):
+def ref_hamiltonian_gradient(h, X):
     """grad h(X) from its defining formulas: the conjugated spectral
     generator, the traceless anti-Hermitian part of -m X^m resp. i m X^m,
     and the conjugated alcove logarithm."""
@@ -234,19 +230,19 @@ def ref_hamiltonian_gradient(h, X, c):
         return traceless_antihermitian(-2.0 * h.index * np.linalg.matrix_power(X, h.index))
     if h.kind == "im_trace":
         return traceless_antihermitian(2j * h.index * np.linalg.matrix_power(X, h.index))
-    xi, g = spectral_xi(X, c)
+    xi, g = spectral_xi(X)
     if h.kind == "spectral":
-        e = np.zeros(c.n)
+        e = np.zeros(X.shape[-1])
         e[h.index], e[h.index - 1] = 1.0, -1.0
         return dagger(g) @ np.diag(1j * e) @ g
-    return dagger(g) @ np.diag(1j * alcove_exponents(xi, c)) @ g
+    return dagger(g) @ np.diag(1j * alcove_exponents(xi)) @ g
 
 
-def ref_flow(p, h, t, c):
+def ref_flow(p, h, t):
     """The flow through the matrix exponential of the gradient."""
     if h.side == "first":
-        return DoublePoint(p.A, p.B @ expm(-t * ref_hamiltonian_gradient(h, p.A, c)))
-    return DoublePoint(p.A @ expm(t * ref_hamiltonian_gradient(h, p.B, c)), p.B)
+        return DoublePoint(p.A, p.B @ expm(-t * ref_hamiltonian_gradient(h, p.A)))
+    return DoublePoint(p.A @ expm(t * ref_hamiltonian_gradient(h, p.B)), p.B)
 
 
 def _hamiltonians(n, side):
@@ -260,15 +256,14 @@ def _hamiltonians(n, side):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_flow_matches_expm_reference(n):
-    c = Coupling.default(n)
     p = rand_p(n)
     for side in ("first", "second"):
         for ham in _hamiltonians(n, side):
             X = p.A if side == "first" else p.B
-            grad = hamiltonian_gradient(ham, X, c)
-            assert np.abs(grad - ref_hamiltonian_gradient(ham, X, c)).max() < 1e-12
+            grad = hamiltonian_gradient(ham, X)
+            assert np.abs(grad - ref_hamiltonian_gradient(ham, X)).max() < 1e-12
             for t in (0.0, 1.0, -3.0, 10.0):
-                q, want = flow(p, ham, t, c), ref_flow(p, ham, t, c)
+                q, want = flow(p, ham, t), ref_flow(p, ham, t)
                 assert np.abs(q.A - want.A).max() < 1e-12
                 assert np.abs(q.B - want.B).max() < 1e-12
 
@@ -277,52 +272,48 @@ def test_flow_matches_expm_reference(n):
 def test_dehn_time_one_flow_is_the_factor(n):
     # exp(grad h(X)) = X for the Dehn Hamiltonian, so from the identity the
     # time-one flow reaches X (side 'second') and X^{-1} (side 'first')
-    c = Coupling.default(n)
     X = random_special_unitary(n, RNG)
     one = np.eye(n, dtype=complex)
-    q = flow(DoublePoint(one, X), InvariantHamiltonian("dehn", 1, "second"), 1.0, c)
+    q = flow(DoublePoint(one, X), InvariantHamiltonian("dehn", 1, "second"), 1.0)
     assert np.abs(q.A - X).max() < 1e-13
-    q = flow(DoublePoint(X, one), InvariantHamiltonian("dehn", 1, "first"), 1.0, c)
+    q = flow(DoublePoint(X, one), InvariantHamiltonian("dehn", 1, "first"), 1.0)
     assert np.abs(q.B - dagger(X)).max() < 1e-13
 
 
 def test_torus_action_group_law_and_triviality():
     n = 4
-    c = Coupling.default(n)
     p = rand_p(n)
     zero = np.zeros(n - 1)
-    q = torus_action(p, "a", zero, c)
+    q = torus_action(p, "a", zero)
     assert np.linalg.norm(q.B - p.B) < 1e-13
     th1 = RNG.uniform(0, 2 * math.pi, n - 1)
     th2 = RNG.uniform(0, 2 * math.pi, n - 1)
     for side in ("a", "b"):
-        q1 = torus_action(torus_action(p, side, th1, c), side, th2, c)
-        q2 = torus_action(p, side, th1 + th2, c)
+        q1 = torus_action(torus_action(p, side, th1), side, th2)
+        q2 = torus_action(p, side, th1 + th2)
         assert np.linalg.norm(q1.A - q2.A) < 1e-10
         assert np.linalg.norm(q1.B - q2.B) < 1e-10
 
 
 def test_torus_action_fixes_own_spectrum():
     n = 3
-    c = Coupling.default(n)
     p = rand_p(n)
     th = RNG.uniform(0, 2 * math.pi, n - 1)
-    qa = torus_action(p, "a", th, c)
-    assert np.allclose(spectral_xi(qa.A, c)[0], spectral_xi(p.A, c)[0], atol=1e-12)
-    qb = torus_action(p, "b", th, c)
-    assert np.allclose(spectral_xi(qb.B, c)[0], spectral_xi(p.B, c)[0], atol=1e-12)
+    qa = torus_action(p, "a", th)
+    assert np.allclose(spectral_xi(qa.A)[0], spectral_xi(p.A)[0], atol=1e-12)
+    qb = torus_action(p, "b", th)
+    assert np.allclose(spectral_xi(qb.B)[0], spectral_xi(p.B)[0], atol=1e-12)
 
 
 def test_torus_action_matches_spectral_flow():
     # the alpha_j flow at time t is the side-a action with angle t in slot j
     n = 3
-    c = Coupling.default(n)
     p = rand_p(n)
     t = 1.234
-    q_flow = flow(p, InvariantHamiltonian("spectral", 2, "first"), t, c)
+    q_flow = flow(p, InvariantHamiltonian("spectral", 2, "first"), t)
     th = np.zeros(n - 1)
     th[1] = t
-    q_act = torus_action(p, "a", th, c)
+    q_act = torus_action(p, "a", th)
     assert np.linalg.norm(q_flow.B - q_act.B) < 1e-11
 
 
@@ -418,26 +409,25 @@ def test_nu_reverses_omega():
 
 def test_spectral_flow_rejects_degenerate():
     n = 3
-    c = Coupling.default(n)
     p = DoublePoint(np.eye(n, dtype=complex), random_special_unitary(n, RNG))
     with pytest.raises(NonRegular):
-        flow(p, InvariantHamiltonian("spectral", 1, "first"), 0.5, c)
+        flow(p, InvariantHamiltonian("spectral", 1, "first"), 0.5)
 
 
 def _degenerate_factors(n):
     """The identity and a delta point with two equal eigenphases (xi_n = 0)."""
     xi = np.full(n, math.pi / (n - 1))
     xi[-1] = 0.0
-    return np.eye(n, dtype=complex), alcove_delta(xi, Coupling.default(n))
+    return np.eye(n, dtype=complex), alcove_delta(xi)
 
 
 # every consumer of the decomposition (xi, g) of one factor X
 DECOMPOSITION_CONSUMERS = {
-    "gradient-spectral": lambda X, c: hamiltonian_gradient(InvariantHamiltonian("spectral", 1), X, c),
-    "gradient-dehn": lambda X, c: hamiltonian_gradient(InvariantHamiltonian("dehn", 1), X, c),
-    "flow": lambda X, c: flow(DoublePoint(X, X), InvariantHamiltonian("dehn", 1, "second"), 0.5, c),
-    "torus-a": lambda X, c: torus_action(DoublePoint(X, X), "a", np.full(c.n - 1, 0.3), c),
-    "torus-b": lambda X, c: torus_action(DoublePoint(X, X), "b", np.full(c.n - 1, 0.3), c),
+    "gradient-spectral": lambda X, c: hamiltonian_gradient(InvariantHamiltonian("spectral", 1), X),
+    "gradient-dehn": lambda X, c: hamiltonian_gradient(InvariantHamiltonian("dehn", 1), X),
+    "flow": lambda X, c: flow(DoublePoint(X, X), InvariantHamiltonian("dehn", 1, "second"), 0.5),
+    "torus-a": lambda X, c: torus_action(DoublePoint(X, X), "a", np.full(c.n - 1, 0.3)),
+    "torus-b": lambda X, c: torus_action(DoublePoint(X, X), "b", np.full(c.n - 1, 0.3)),
     "orbit-frame": lambda X, c: _orbit_frame(X, c),
 }
 
@@ -464,22 +454,20 @@ def test_invariant_hamiltonian_validation():
 
 def test_hamiltonian_value_reads_correct_side():
     n = 3
-    c = Coupling.default(n)
     p = rand_p(n)
     h1 = InvariantHamiltonian("spectral", 1, "first")
     h2 = InvariantHamiltonian("spectral", 1, "second")
-    assert abs(h1.value(p, c) - spectral_xi(p.A, c)[0][0]) < 1e-14
-    assert abs(h2.value(p, c) - spectral_xi(p.B, c)[0][0]) < 1e-14
+    assert abs(h1.value(p) - spectral_xi(p.A)[0][0]) < 1e-14
+    assert abs(h2.value(p) - spectral_xi(p.B)[0][0]) < 1e-14
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_dehn_value_matches_weight_formula(n):
-    c = Coupling.default(n)
     for _ in range(10):
         p = rand_p(n)
         for side, X in (("first", p.A), ("second", p.B)):
-            value = InvariantHamiltonian("dehn", 1, side).value(p, c)
-            assert abs(value - ref_dehn_value(spectral_xi(X, c)[0])) <= 1e-13
+            value = InvariantHamiltonian("dehn", 1, side).value(p)
+            assert abs(value - ref_dehn_value(spectral_xi(X)[0])) <= 1e-13
 
 
 @pytest.mark.parametrize("index", [0, 3, 4])
@@ -487,12 +475,34 @@ def test_spectral_value_rejects_index_outside_range(index):
     # Xi_j exists for j = 1..n-1; the value raises as the gradient does
     # before the factor is decomposed: a NaN pair raises the index error too
     n = 3
-    c = Coupling.default(n)
     nan = np.full((n, n), np.nan, dtype=complex)
     for p in (rand_p(n), DoublePoint(nan, nan)):
         for side in ("first", "second"):
             ham = InvariantHamiltonian("spectral", index, side)
             with pytest.raises(ValueError, match="spectral index must be in 1..2"):
-                ham.value(p, c)
+                ham.value(p)
             with pytest.raises(ValueError, match="spectral index must be in 1..2"):
-                flow(p, ham, 0.5, c)
+                flow(p, ham, 0.5)
+
+
+def _public_functions(module):
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", member
+
+
+def test_sun_and_double_take_no_coupling():
+    # n is the size of the matrix or vector a function acts on; a Coupling
+    # is taken only where y, chi0, mu0 or v_scale is read
+    found = dict(_public_functions(sun)) | dict(_public_functions(double))
+    assert {"alcove_delta", "spectral_xi", "flow", "InvariantHamiltonian.value"} <= set(found)
+    found.update(chart_gauge=projective.chart_gauge, to_chart=projective.to_chart,
+                 fs_omega_eval=projective.fs_omega_eval, _lax_from=lax._lax_from)
+    takes_c = [name for name, f in found.items() if "c" in inspect.signature(f).parameters]
+    assert takes_c == []

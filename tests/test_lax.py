@@ -121,7 +121,7 @@ def test_spectra_of_mu_v_delta_match():
         c = Coupling.default(n)
         xi = random_shifted_alcove(c, RNG)
         v, _ = v_vector(xi, c)
-        d = alcove_delta(xi, c)
+        d = alcove_delta(xi)
         e1 = np.sort(np.angle(np.linalg.eigvals(mu_of_v(v, c) @ d)))
         e2 = np.sort(np.angle(np.diagonal(d)))
         assert np.allclose(e1, e2, atol=1e-10)
@@ -204,7 +204,7 @@ def test_local_lax_conjugation_identity():
             xi = random_shifted_alcove(c, RNG, margin=0.02)
             phases = RNG.uniform(0, 2 * math.pi, n)
             L = local_lax(xi, np.exp(1j * phases), c)
-            d = alcove_delta(xi, c)
+            d = alcove_delta(xi)
             v, _ = v_vector(xi, c)
             lhs = L @ d @ dagger(L)
             rhs = mu_of_v(v, c) @ d
@@ -345,7 +345,7 @@ def test_global_lax_spectrum_in_shifted_alcove():
         c = Coupling.default(n)
         for _ in range(30):
             u = canonicalize(RNG.standard_normal(n) + 1j * RNG.standard_normal(n), c)
-            xi = spectral_xi(global_lax(u, c), c)[0]
+            xi = spectral_xi(global_lax(u, c))[0]
             assert np.all(xi >= c.y - 1e-9)
             assert np.all(xi <= math.pi - (n - 1) * c.y + 1e-9)
 
@@ -362,7 +362,7 @@ def test_kid_symmetry_identities():
         for _ in range(15):
             u = canonicalize(RNG.standard_normal(n) + 1j * RNG.standard_normal(n), c)
             K = global_lax(u, c)
-            d = alcove_delta(moment_J_full(u, c), c)
+            d = alcove_delta(moment_J_full(u, c))
             KC = global_lax(canonicalize(involution("C", u), c), c)
             KG = global_lax(canonicalize(involution("Gamma", u), c), c)
             KS = global_lax(canonicalize(involution("sigma", u), c), c)
@@ -380,11 +380,11 @@ def test_kid_identities_on_spectra():
         c = Coupling.default(n)
         for _ in range(10):
             u = canonicalize(RNG.standard_normal(n) + 1j * RNG.standard_normal(n), c)
-            xi = spectral_xi(global_lax(u, c), c)[0]
+            xi = spectral_xi(global_lax(u, c))[0]
             flip = np.concatenate([xi[: n - 1][::-1], xi[n - 1 :]])
             for which, expect in (("C", flip), ("Gamma", xi), ("sigma", flip)):
                 w = canonicalize(involution(which, u), c)
-                got = spectral_xi(global_lax(w, c), c)[0]
+                got = spectral_xi(global_lax(w, c))[0]
                 assert np.abs(got - expect).max() < 1e-10
 
 
@@ -395,8 +395,8 @@ def test_delta_of_moment_map_identities():
         c = Coupling.default(n)
         eta0 = antidiag(n)
         u = canonicalize(RNG.standard_normal(n) + 1j * RNG.standard_normal(n), c)
-        d = alcove_delta(moment_J_full(u, c), c)
-        dC = alcove_delta(moment_J_full(involution("C", u), c), c)
-        dG = alcove_delta(moment_J_full(involution("Gamma", u), c), c)
+        d = alcove_delta(moment_J_full(u, c))
+        dC = alcove_delta(moment_J_full(involution("C", u), c))
+        dG = alcove_delta(moment_J_full(involution("Gamma", u), c))
         assert np.linalg.norm(dC - d) < 1e-12
         assert np.linalg.norm(dG - eta0 @ dagger(d) @ eta0) < 1e-10

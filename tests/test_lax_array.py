@@ -142,7 +142,7 @@ def ref_local_lax(xi, theta, c, y):
             Wm[k] *= math.sin(a + (-y if j < k else y)) / sa
     Wp = np.sqrt(np.maximum(Wp, 0.0))
     Wm = np.sqrt(np.maximum(Wm, 0.0))
-    d = np.exp(1j * alcove_exponents(xi, c))
+    d = np.exp(1j * alcove_exponents(xi))
     num = np.exp(1j * y) - np.exp(-1j * y)
     L = np.empty((n, n), dtype=complex)
     for k in range(n):
@@ -171,7 +171,7 @@ def ref_smooth_chart_gauge(u, j, c):
     """G_y^j(u) entry by entry from conj(u_a) u_b and the smooth factors
     v_k / r_k, with the last chart j = n written out separately."""
     n = c.n
-    u = chart_gauge(u, j, c)
+    u = chart_gauge(u, j)
     _, _, w_plus, _ = w_factors(moment_J_full(u, c), c)
     wh = math.sqrt(math.sin(c.y) / math.sin(c.n * c.y)) * w_plus
     jj = j - 1

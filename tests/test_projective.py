@@ -60,7 +60,7 @@ def chart_transition(u, j, k, a, c):
     chart-k tangent.  The transition composes the sphere completion of the
     j-th coordinate with the phase gauge that makes u_k real positive.
     """
-    uj = chart_gauge(u, j, c)
+    uj = chart_gauge(u, j)
     w = np.delete(uj, j - 1)
     a = np.asarray(a, dtype=complex)
     du = np.empty(c.n, dtype=complex)
@@ -189,10 +189,10 @@ def test_chart_roundtrip_and_gauge():
     for _ in range(30):
         u = rand_u(c, bias=0.05)
         j = chart_index(u)
-        w = to_chart(u, j, c)
+        w = to_chart(u, j)
         u2 = from_chart(w, j, c)
         assert projective_distance(u, u2) < 1e-12
-        g = chart_gauge(u, j, c)
+        g = chart_gauge(u, j)
         assert g[j - 1].imag == pytest.approx(0.0, abs=1e-14)
         assert g[j - 1].real > 0
 
@@ -202,7 +202,7 @@ def test_chart_errors():
     u = np.zeros(3, dtype=complex)
     u[2] = math.sqrt(c.chi0)
     with pytest.raises(ChartViolation):
-        to_chart(u, 1, c)
+        to_chart(u, 1)
     with pytest.raises(ChartViolation):
         from_chart(np.array([2.0 + 0j, 2.0]), 1, c)
 
@@ -212,8 +212,8 @@ def test_fs_omega_antisymmetry_and_values():
     u = rand_u(c, bias=0.05)
     a = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
     b = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
-    assert fs_omega_eval(u, a, a, c) == pytest.approx(0.0, abs=1e-14)
-    assert fs_omega_eval(u, a, b, c) == pytest.approx(-fs_omega_eval(u, b, a, c), abs=1e-14)
+    assert fs_omega_eval(u, a, a) == pytest.approx(0.0, abs=1e-14)
+    assert fs_omega_eval(u, a, b) == pytest.approx(-fs_omega_eval(u, b, a), abs=1e-14)
 
 
 def test_fs_omega_darboux_through_e_param():
@@ -228,7 +228,7 @@ def test_fs_omega_darboux_through_e_param():
         j = chart_index(e_param(xi, theta, c))
 
         def chart_coords(dxi, dtheta, s):
-            return to_chart(e_param(xi[:2] + s * dxi, theta + s * dtheta, c), j, c)
+            return to_chart(e_param(xi[:2] + s * dxi, theta + s * dtheta, c), j)
 
         rng_dirs = []
         for _ in range(2):
@@ -238,7 +238,7 @@ def test_fs_omega_darboux_through_e_param():
             rng_dirs.append((dxi, dth, tang))
         (dxi1, dth1, t1), (dxi2, dth2, t2) = rng_dirs
         expected = float(np.dot(dth1, dxi2) - np.dot(dth2, dxi1))
-        got = fs_omega_eval(e_param(xi, theta, c), t1, t2, c, j=j)
+        got = fs_omega_eval(e_param(xi, theta, c), t1, t2, j=j)
         assert abs(got - expected) < 1e-5
 
 
@@ -253,8 +253,8 @@ def test_fs_omega_chart_overlap_agreement():
         b = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
         ta = chart_transition(u, j, k, a, c)
         tb = chart_transition(u, j, k, b, c)
-        v1 = fs_omega_eval(u, a, b, c, j=j)
-        v2 = fs_omega_eval(u, ta, tb, c, j=k)
+        v1 = fs_omega_eval(u, a, b, j=j)
+        v2 = fs_omega_eval(u, ta, tb, j=k)
         assert abs(v1 - v2) < 1e-9
 
 
@@ -264,11 +264,11 @@ def test_chart_transition_matches_finite_differences():
     u = rand_u(c, bias=0.1)
     j = chart_index(u)
     k = 1 if j != 1 else 2
-    wj = to_chart(u, j, c)
+    wj = to_chart(u, j)
     a = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
 
     def transit(w):
-        return to_chart(from_chart(w, j, c), k, c)
+        return to_chart(from_chart(w, j, c), k)
 
     fd = (transit(wj + h * a) - transit(wj - h * a)) / (2 * h)
     assert np.linalg.norm(chart_transition(u, j, k, a, c) - fd) < 1e-7
@@ -301,7 +301,7 @@ def test_rot_action_hamiltonian_generator():
     h = FD_STEP
     u = rand_u(c, bias=0.1)
     j = chart_index(u)
-    w = to_chart(u, j, c)
+    w = to_chart(u, j)
     slots = [s for s in range(1, 4) if s != j]
     for k_slot, pos in zip(slots, range(2)):
         X = np.zeros(2, dtype=complex)
@@ -313,7 +313,7 @@ def test_rot_action_hamiltonian_generator():
                 return moment_J_full(from_chart(wvec, j, c), c)[k_slot - 1]
 
             dJ = (Jk(w + h * v) - Jk(w - h * v)) / (2 * h)
-            assert abs(fs_omega_eval(u, X, v, c, j=j) - dJ) < 1e-6
+            assert abs(fs_omega_eval(u, X, v, j=j) - dJ) < 1e-6
 
 
 def test_involutions_square_to_identity():
@@ -358,19 +358,19 @@ def test_involutions_symplectic_signs():
     for which, sign in (("C", -1.0), ("Gamma", -1.0), ("sigma", 1.0)):
         u = rand_u(c, bias=0.1)
         j = chart_index(u)
-        w = to_chart(u, j, c)
+        w = to_chart(u, j)
         img = canonicalize(involution(which, from_chart(w, j, c)), c)
         k = chart_index(img)
 
         def mapped(wvec):
-            return to_chart(involution(which, from_chart(wvec, j, c)), k, c)
+            return to_chart(involution(which, from_chart(wvec, j, c)), k)
 
         a = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
         b = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
         ta = (mapped(w + h * a) - mapped(w - h * a)) / (2 * h)
         tb = (mapped(w + h * b) - mapped(w - h * b)) / (2 * h)
-        lhs = fs_omega_eval(img, ta, tb, c, j=k)
-        rhs = sign * fs_omega_eval(u, a, b, c, j=j)
+        lhs = fs_omega_eval(img, ta, tb, j=k)
+        rhs = sign * fs_omega_eval(u, a, b, j=j)
         assert abs(lhs - rhs) < 1e-5
 
 
@@ -393,9 +393,9 @@ def test_chart_transition_round_trip():
     u = rand_u(c, bias=0.1)
     for j in (1, 2):
         for k in (3, 4):
-            w = to_chart(u, j, c)
-            there = to_chart(from_chart(w, j, c), k, c)
-            back = to_chart(from_chart(there, k, c), j, c)
+            w = to_chart(u, j)
+            there = to_chart(from_chart(w, j, c), k)
+            back = to_chart(from_chart(there, k, c), j)
             assert np.linalg.norm(back - w) < 1e-12
             a = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
             ta = chart_transition(u, j, k, a, c)

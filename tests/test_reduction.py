@@ -94,7 +94,7 @@ def section_local(xi, theta, c):
     g = reflection_g(v).astype(complex)
     rho_inv = np.conjugate(np.diagonal(rho_embedding(np.asarray(theta, float), c.n)))
     L = local_lax(xi, rho_inv, c)
-    delta = alcove_delta(xi, c)
+    delta = alcove_delta(xi)
     gi = dagger(g)
     return DoublePoint(gi @ L @ g, gi @ delta @ g)
 
@@ -161,11 +161,11 @@ def test_section_intertwines_toric_maps():
         c = Coupling.default(n)
         for _ in range(10):
             u = rand_u(c, bias=0.03)
-            xiK = spectral_xi(global_lax(u, c), c)[0]
+            xiK = spectral_xi(global_lax(u, c))[0]
             for j in range(1, n + 1):
                 p = section_F(u, j, c)
-                assert np.abs(spectral_xi(p.B, c)[0] - moment_J_full(u, c)).max() < 1e-9
-                assert np.abs(spectral_xi(p.A, c)[0] - xiK).max() < 1e-9
+                assert np.abs(spectral_xi(p.B)[0] - moment_J_full(u, c)).max() < 1e-9
+                assert np.abs(spectral_xi(p.A)[0] - xiK).max() < 1e-9
 
 
 def test_section_charts_agree_on_overlaps():
@@ -260,7 +260,7 @@ def test_f_beta_inv_accepts_xi_just_below_a_wall(delta):
         xi = moment_J_full(u, c)
         xi[0] -= delta
         xi[1] += delta
-        p = DoublePoint(section_F(u, j, c).A, dagger(G) @ alcove_delta(xi, c) @ G)
+        p = DoublePoint(section_F(u, j, c).A, dagger(G) @ alcove_delta(xi) @ G)
         assert constraint_residual(p, c) < 1e-6
         # |u_k| = sqrt(xi_k - y) moves by at most delta / (2 |u_k|) in the
         # two slots that take up the clipped delta
@@ -271,7 +271,7 @@ def test_f_beta_inv_accepts_xi_just_below_a_wall(delta):
 def ref_f_beta_inv(p, c):
     """f_beta_inv with its torus phases and chart read-off as entry loops."""
     n = c.n
-    xi, g = spectral_xi(p.B, c)
+    xi, g = spectral_xi(p.B)
     lam = _lambda_parts(np.maximum(xi, c.y), c)[0]
     K0 = g @ p.A @ dagger(g)
     zeta = np.ones(n, dtype=complex)
@@ -328,7 +328,7 @@ def test_f_beta_inv_moment_map_identity():
     c = Coupling.default(n)
     u = rand_u(c)
     p = section_best(u, c)
-    assert np.abs(moment_J_full(f_beta_inv(p, c), c) - spectral_xi(p.B, c)[0]).max() < 1e-9
+    assert np.abs(moment_J_full(f_beta_inv(p, c), c) - spectral_xi(p.B)[0]).max() < 1e-9
 
 
 def test_f_alpha_toric_values():
@@ -339,10 +339,10 @@ def test_f_alpha_toric_values():
             u = rand_u(c)
             rep = f_alpha(u, c)
             assert constraint_residual(rep, c) < 1e-10
-            assert np.abs(spectral_xi(rep.A, c)[0] - moment_J_full(u, c)).max() < 1e-9
-            xiK = spectral_xi(global_lax(u, c), c)[0]
+            assert np.abs(spectral_xi(rep.A)[0] - moment_J_full(u, c)).max() < 1e-9
+            xiK = spectral_xi(global_lax(u, c))[0]
             flip = np.concatenate([xiK[: n - 1][::-1], xiK[n - 1 :]])
-            assert np.abs(spectral_xi(rep.B, c)[0] - flip).max() < 1e-9
+            assert np.abs(spectral_xi(rep.B)[0] - flip).max() < 1e-9
 
 
 def test_f_alpha_matches_local_formula():
@@ -360,7 +360,7 @@ def test_f_alpha_matches_local_formula():
         v_neg = math.sqrt(math.sin(c.y) / math.sin(n * c.y)) * w_factors(xi, c)[1]
         g_neg = reflection_g(v_neg).astype(complex)
         rep2 = DoublePoint(
-            dagger(g_neg) @ alcove_delta(xi, c) @ g_neg, dagger(g_neg) @ L_neg @ g_neg
+            dagger(g_neg) @ alcove_delta(xi) @ g_neg, dagger(g_neg) @ L_neg @ g_neg
         )
         assert constraint_residual(rep2, c) < 1e-9
         lhs = f_beta_inv(rep2, c)
@@ -442,14 +442,14 @@ def test_flip_identities_for_trace_hamiltonians():
         c = Coupling.default(n)
         u = rand_u(c)
         su = duality("S", u, c)
-        d = alcove_delta(moment_J_full(u, c), c)
+        d = alcove_delta(moment_J_full(u, c))
         Ksu = global_lax(su, c)
         for m in (1, 2):
             lhs = np.trace(np.linalg.matrix_power(Ksu, m)).real
             rhs = np.trace(np.linalg.matrix_power(dagger(d), m)).real
             assert abs(lhs - rhs) < 1e-8
         # and the other direction: (h o delta o J) o S = h o K
-        dsu = alcove_delta(moment_J_full(su, c), c)
+        dsu = alcove_delta(moment_J_full(su, c))
         K = global_lax(u, c)
         for m in (1, 2):
             assert abs(np.trace(np.linalg.matrix_power(dsu, m)) - np.trace(np.linalg.matrix_power(K, m))) < 1e-8
@@ -564,11 +564,11 @@ def test_reduced_trajectory_schema():
     assert projective_distance(rows[0][2], u) < 1e-10
 
 
-def expm_flow(p, h, t, c):
+def expm_flow(p, h, t):
     """The unreduced flow through the matrix exponential of the gradient."""
     if h.side == "first":
-        return DoublePoint(p.A, p.B @ expm(-t * hamiltonian_gradient(h, p.A, c)))
-    return DoublePoint(p.A @ expm(t * hamiltonian_gradient(h, p.B, c)), p.B)
+        return DoublePoint(p.A, p.B @ expm(-t * hamiltonian_gradient(h, p.A)))
+    return DoublePoint(p.A @ expm(t * hamiltonian_gradient(h, p.B)), p.B)
 
 
 @pytest.mark.parametrize(
@@ -587,7 +587,7 @@ def test_reduced_trajectory_matches_per_sample_flow(kind, side):
         if k % 100:
             continue
         assert np.abs(ut - reduced_flow(u, ham, t, c)).max() < 1e-12
-        assert np.abs(ut - f_beta_inv(expm_flow(rep, ham, t, c), c)).max() < 1e-12
+        assert np.abs(ut - f_beta_inv(expm_flow(rep, ham, t), c)).max() < 1e-12
         assert np.abs(J - moment_J_full(ut, c)[: n - 1]).max() == 0.0
         assert np.abs(xiK - action_variables(ut, c)).max() == 0.0
 
@@ -606,7 +606,7 @@ def test_symplectic_pullback_through_sections():
         for _ in range(8):
             u = rand_u(c, bias=0.08)
             j = chart_index(u)
-            w = to_chart(u, j, c)
+            w = to_chart(u, j)
             p0 = section_F(from_chart(w, j, c), j, c)
 
             def push(a):
@@ -619,7 +619,7 @@ def test_symplectic_pullback_through_sections():
                 a = RNG.standard_normal(n - 1) + 1j * RNG.standard_normal(n - 1)
                 b = RNG.standard_normal(n - 1) + 1j * RNG.standard_normal(n - 1)
                 lhs = omega_eval(p0, push(a), push(b))
-                rhs = fs_omega_eval(u, a, b, c, j=j)
+                rhs = fs_omega_eval(u, a, b, j=j)
                 assert abs(lhs - rhs) < 1e-5
 
 

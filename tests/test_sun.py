@@ -36,95 +36,86 @@ def random_alcove(n, rng, margin=0.02):
     return margin * math.pi / n + (1 - margin) * math.pi * w
 
 
-def xi_gradient(A, j, c):
+def xi_gradient(A, j):
     """grad Xi_j(A) through the one gradient implementation."""
-    return hamiltonian_gradient(InvariantHamiltonian("spectral", j), A, c)
+    return hamiltonian_gradient(InvariantHamiltonian("spectral", j), A)
 
 
-def real_power(C, s, c):
+def real_power(C, s):
     """C^s as the time-s Dehn flow of C from the identity, exp(s grad h(C))."""
-    one = np.eye(c.n, dtype=complex)
-    return flow(DoublePoint(one, C), InvariantHamiltonian("dehn", 1, "second"), s, c).A
+    one = np.eye(C.shape[-1], dtype=complex)
+    return flow(DoublePoint(one, C), InvariantHamiltonian("dehn", 1, "second"), s).A
 
 
 def test_alcove_delta_n2_hand_value():
-    c = Coupling(2, math.pi / 6)
-    d = alcove_delta([math.pi / 2, math.pi / 2], c)
+    d = alcove_delta([math.pi / 2, math.pi / 2])
     assert np.allclose(d, np.diag([-1j, 1j]), atol=1e-14)
 
 
 def test_alcove_delta_n3_equal_gaps():
-    c = Coupling.default(3)
     xi = np.full(3, math.pi / 3)
-    d = alcove_delta(xi, c)
+    d = alcove_delta(xi)
     w = np.exp(-2j * math.pi / 3)
     assert np.allclose(d, np.diag([w, 1.0, np.conjugate(w)]), atol=1e-14)
-    got, _ = spectral_xi(d, c)
+    got, _ = spectral_xi(d)
     assert np.allclose(np.diff(sorted(np.angle(np.diag(d)))), 2 * math.pi / 3)
     assert np.allclose(got, xi, atol=1e-12)
 
 
 def test_alcove_delta_rejects_bad_points():
-    c = Coupling.default(3)
     with pytest.raises(AlcoveViolation):
-        alcove_delta([1.0, 1.0, 1.0], c)
+        alcove_delta([1.0, 1.0, 1.0])
     with pytest.raises(AlcoveViolation):
-        alcove_delta([-0.2, 0.2, math.pi], c)
+        alcove_delta([-0.2, 0.2, math.pi])
 
 
 def test_alcove_delta_special_unitary():
-    c = Coupling.default(4)
     for _ in range(20):
         xi = random_alcove(4, RNG)
-        d = alcove_delta(xi, c)
+        d = alcove_delta(xi)
         assert abs(np.linalg.det(d) - 1) < 1e-12
         assert np.allclose(d @ dagger(d), np.eye(4), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_spectral_round_trip(n):
-    c = Coupling.default(n)
     for _ in range(25):
         xi = random_alcove(n, RNG)
-        got, _ = spectral_xi(alcove_delta(xi, c), c)
+        got, _ = spectral_xi(alcove_delta(xi))
         assert np.allclose(got, xi, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_spectral_reconstructs_matrix(n):
-    c = Coupling.default(n)
     for _ in range(25):
         A = random_special_unitary(n, RNG)
-        xi, g = spectral_xi(A, c)
-        rebuilt = dagger(g) @ alcove_delta(xi, c) @ g
+        xi, g = spectral_xi(A)
+        rebuilt = dagger(g) @ alcove_delta(xi) @ g
         assert np.linalg.norm(rebuilt - A) < 1e-10
         assert abs(xi.sum() - math.pi) < 1e-12
         assert np.all(xi >= -1e-12)
 
 
 def test_spectral_identity_matrix():
-    c = Coupling.default(3)
     with pytest.raises(NonRegular):
-        spectral_xi(np.eye(3), c)
-    assert np.allclose(alcove_point(np.eye(3), c), [0.0, 0.0, math.pi], atol=1e-12)
+        spectral_xi(np.eye(3))
+    assert np.allclose(alcove_point(np.eye(3)), [0.0, 0.0, math.pi], atol=1e-12)
 
 
 def test_spectral_conjugation_invariance():
-    c = Coupling.default(3)
     A = random_special_unitary(3, RNG)
-    xi = spectral_xi(A, c)[0]
+    xi = spectral_xi(A)[0]
     for _ in range(100):
         g = random_special_unitary(3, RNG)
-        assert np.allclose(spectral_xi(g @ A @ dagger(g), c)[0], xi, atol=1e-10)
+        assert np.allclose(spectral_xi(g @ A @ dagger(g))[0], xi, atol=1e-10)
 
 
 def test_spectral_insensitive_to_torus_redefinition():
     # downstream quantities built from g must not see left torus factors;
     # the spectral gradient is the canary
-    c = Coupling.default(3)
     A = random_special_unitary(3, RNG)
-    g = spectral_xi(A, c)[1]
-    grad = xi_gradient(A, 1, c)
+    g = spectral_xi(A)[1]
+    grad = xi_gradient(A, 1)
     zeta = np.exp(1j * RNG.uniform(0, 2 * math.pi, 3))
     g2 = zeta[:, None] * g
     d = np.zeros(3, dtype=complex)
@@ -136,12 +127,11 @@ def test_spectral_insensitive_to_torus_redefinition():
 def test_spectral_phase_convention(n):
     # each eigenvector (row of g) has its first entry of modulus above
     # PHASE_TOL real positive; permuted delta points put exact zeros first
-    c = Coupling.default(n)
     perm = np.eye(n)[RNG.permutation(n)]
     mats = [random_special_unitary(n, RNG) for _ in range(5)]
-    mats += [perm @ alcove_delta(random_alcove(n, RNG), c) @ perm.T]
+    mats += [perm @ alcove_delta(random_alcove(n, RNG)) @ perm.T]
     for A in mats:
-        for row in spectral_xi(A, c)[1]:
+        for row in spectral_xi(A)[1]:
             lead = np.conjugate(row[np.argmax(np.abs(row) > PHASE_TOL)])
             assert lead.real > 0.0 and abs(lead.imag) < 1e-15
 
@@ -150,9 +140,8 @@ def test_spectral_phase_convention(n):
 @settings(max_examples=40, deadline=None)
 def test_spectral_round_trip_property(n, seed):
     rng = np.random.default_rng(seed)
-    c = Coupling.default(n)
     xi = random_alcove(n, rng, margin=0.05)
-    got, _ = spectral_xi(alcove_delta(xi, c), c)
+    got, _ = spectral_xi(alcove_delta(xi))
     assert np.allclose(got, xi, atol=1e-11)
 
 
@@ -164,19 +153,18 @@ def test_spectral_round_trip_property(n, seed):
 XI_TOL = 1e-13
 
 
-def schur_xi(A, c):
-    return _phases_to_alcove(np.angle(np.diagonal(schur(A, output="complex")[0])), c.n)[0]
+def schur_xi(A):
+    return _phases_to_alcove(np.angle(np.diagonal(schur(A, output="complex")[0])), A.shape[-1])[0]
 
 
-def assert_alcove_point_matches(A, c):
-    assert np.max(np.abs(alcove_point(A, c) - schur_xi(A, c))) <= XI_TOL
+def assert_alcove_point_matches(A):
+    assert np.max(np.abs(alcove_point(A) - schur_xi(A))) <= XI_TOL
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_alcove_point_matches_spectral_xi(n):
-    c = Coupling.default(n)
     for _ in range(50):
-        assert_alcove_point_matches(random_special_unitary(n, RNG), c)
+        assert_alcove_point_matches(random_special_unitary(n, RNG))
 
 
 def near_wall_u(c, rng, wall):
@@ -201,24 +189,22 @@ def test_alcove_point_matches_on_global_lax(n, y_scale):
     for _ in range(5):
         pts.append(canonicalize(RNG.standard_normal(n) + 1j * RNG.standard_normal(n), c))
     for u in pts:
-        assert_alcove_point_matches(global_lax(u, c), c)
+        assert_alcove_point_matches(global_lax(u, c))
 
 
 def test_alcove_point_degenerate_and_minus_one():
-    c2 = Coupling.default(2)
-    assert np.allclose(alcove_point(np.eye(2), c2), [0.0, math.pi], atol=1e-15)
-    assert np.allclose(alcove_point(-np.eye(2), c2), [math.pi, 0.0], atol=1e-15)
+    assert np.allclose(alcove_point(np.eye(2)), [0.0, math.pi], atol=1e-15)
+    assert np.allclose(alcove_point(-np.eye(2)), [math.pi, 0.0], atol=1e-15)
     for A in (np.eye(2), -np.eye(2)):
-        assert_alcove_point_matches(A, c2)
+        assert_alcove_point_matches(A)
     # a diagonal special-unitary matrix (delta(xi) up to the order of its
     # entries) with the eigenvalue -1 exactly: its phase is +pi, and -pi in
     # the complex conjugate; also a unitary conjugate of it
-    c3 = Coupling.default(3)
     d = np.diag([-1.0, np.exp(0.3j), -np.exp(-0.3j)])
     g = random_special_unitary(3, RNG)
     for A in (d, np.conjugate(d), g @ d @ dagger(g)):
-        assert_alcove_point_matches(A, c3)
-        delta = np.diagonal(alcove_delta(alcove_point(A, c3), c3))
+        assert_alcove_point_matches(A)
+        delta = np.diagonal(alcove_delta(alcove_point(A)))
         want = np.linalg.eigvals(A)
         assert np.max(np.min(np.abs(delta[:, None] - want), axis=0)) < 1e-14
 
@@ -245,73 +231,66 @@ def coupled_points(draw):
 @given(coupled_points())
 def test_alcove_point_matches_on_global_lax_property(point):
     c, u = point
-    assert_alcove_point_matches(global_lax(u, c), c)
+    assert_alcove_point_matches(global_lax(u, c))
 
 
 def test_grad_spectral_at_delta_point():
-    c = Coupling.default(4)
     xi = random_alcove(4, RNG)
-    d = alcove_delta(xi, c)
+    d = alcove_delta(xi)
     for j in range(1, 4):
         e = np.zeros((4, 4), dtype=complex)
         e[j, j] = 1j
         e[j - 1, j - 1] = -1j
-        assert np.allclose(xi_gradient(d, j, c), e, atol=1e-12)
+        assert np.allclose(xi_gradient(d, j), e, atol=1e-12)
 
 
 def test_grad_spectral_equivariance():
-    c = Coupling.default(3)
     A = random_special_unitary(3, RNG)
     g = random_special_unitary(3, RNG)
     for j in (1, 2):
-        lhs = xi_gradient(g @ A @ dagger(g), j, c)
-        rhs = g @ xi_gradient(A, j, c) @ dagger(g)
+        lhs = xi_gradient(g @ A @ dagger(g), j)
+        rhs = g @ xi_gradient(A, j) @ dagger(g)
         assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_grad_spectral_finite_differences(n):
-    c = Coupling.default(n)
     h = FD_STEP
     A = random_special_unitary(n, RNG)
     for j in range(1, n):
-        grad = xi_gradient(A, j, c)
+        grad = xi_gradient(A, j)
         for _ in range(20):
             zeta = random_su_algebra(n, RNG)
             fd = (
-                spectral_xi(expm(h * zeta) @ A, c)[0][j - 1]
-                - spectral_xi(expm(-h * zeta) @ A, c)[0][j - 1]
+                spectral_xi(expm(h * zeta) @ A)[0][j - 1]
+                - spectral_xi(expm(-h * zeta) @ A)[0][j - 1]
             ) / (2 * h)
             assert abs(fd - scalar_product(zeta, grad)) < 1e-6
 
 
 def test_grad_spectral_rejects_degenerate():
-    c = Coupling.default(3)
     with pytest.raises(NonRegular):
-        xi_gradient(np.eye(3), 1, c)
+        xi_gradient(np.eye(3), 1)
 
 
 def test_matrix_power_identity_and_one():
-    c = Coupling.default(3)
     C = random_special_unitary(3, RNG)
-    assert np.allclose(real_power(C, 1.0, c), C, atol=1e-11)
-    assert np.allclose(real_power(C, 0.0, c), np.eye(3), atol=1e-12)
+    assert np.allclose(real_power(C, 1.0), C, atol=1e-11)
+    assert np.allclose(real_power(C, 0.0), np.eye(3), atol=1e-12)
 
 
 def test_matrix_power_half_hand_value():
-    c = Coupling(2, math.pi / 6)
-    d = alcove_delta([math.pi / 2, math.pi / 2], c)
-    half = real_power(d, 0.5, c)
+    d = alcove_delta([math.pi / 2, math.pi / 2])
+    half = real_power(d, 0.5)
     assert np.allclose(half, np.diag(np.exp([-1j * math.pi / 4, 1j * math.pi / 4])), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_matrix_power_semigroup(n):
-    c = Coupling.default(n)
     for _ in range(10):
         C = random_special_unitary(n, RNG)
         s = RNG.uniform(0, 1)
-        lhs = real_power(C, s, c) @ real_power(C, 1.0 - s, c)
+        lhs = real_power(C, s) @ real_power(C, 1.0 - s)
         assert np.linalg.norm(lhs - C) < 1e-10
 
 
@@ -334,28 +313,25 @@ def test_scalar_product_values_and_symmetry():
 
 def test_spectrum_of_conjugated_matrix_reverses():
     # Xi_k(conj A) = Xi_{n-k}(A) and Xi_n unchanged
-    c = Coupling.default(4)
     for _ in range(20):
         A = random_special_unitary(4, RNG)
-        xi = spectral_xi(A, c)[0]
-        xic = spectral_xi(np.conjugate(A), c)[0]
+        xi = spectral_xi(A)[0]
+        xic = spectral_xi(np.conjugate(A))[0]
         assert np.allclose(xic[:3], xi[:3][::-1], atol=1e-11)
         assert abs(xic[3] - xi[3]) < 1e-11
 
 
 def test_xi_n_closes_the_sum():
-    c = Coupling.default(4)
     for _ in range(50):
         A = random_special_unitary(4, RNG)
-        xi = spectral_xi(A, c)[0]
+        xi = spectral_xi(A)[0]
         assert abs(xi[-1] - (math.pi - xi[:-1].sum())) < 1e-12
 
 
 def test_exponents_match_delta_phases():
-    c = Coupling.default(5)
     xi = random_alcove(5, RNG)
-    e = alcove_exponents(xi, c)
-    assert np.allclose(np.exp(1j * e), np.diag(alcove_delta(xi, c)), atol=1e-13)
+    e = alcove_exponents(xi)
+    assert np.allclose(np.exp(1j * e), np.diag(alcove_delta(xi)), atol=1e-13)
 
 
 def test_traceless_antihermitian_projection():

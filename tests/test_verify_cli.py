@@ -3,13 +3,14 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rsdual.cli import main
 from rsdual.coupling import Coupling
-from rsdual.errors import ConfigError, ConstraintViolation
+from rsdual.errors import ConstraintViolation
 from rsdual.projective import chart_index, point_from_json, projective_distance, random_point
 from rsdual.lax import global_lax
 from rsdual.sun import spectral_xi
@@ -109,8 +110,8 @@ def test_poisson_check_equals_pairwise_brackets(n):
         u = random_point(c, rng, interior_bias=0.08)
         for k in range(1, n):
             for l in range(k + 1, n):
-                fa = lambda uu, kk=k: float(spectral_xi(global_lax(uu, c), c)[0][kk - 1])
-                fb = lambda uu, ll=l: float(spectral_xi(global_lax(uu, c), c)[0][ll - 1])
+                fa = lambda uu, kk=k: float(spectral_xi(global_lax(uu, c))[0][kk - 1])
+                fb = lambda uu, ll=l: float(spectral_xi(global_lax(uu, c))[0][ll - 1])
                 want.append(abs(poisson_bracket_fs(fa, fb, u, c)))
     assert [r for r, _ in rows] == want
 
@@ -119,7 +120,7 @@ def test_selector_restricts_checks():
     cfg = SuiteConfig(n_list=(2,), samples=3, checks=("duality",))
     rep = run_suite(cfg)
     assert {r.name for r in rep.results} == {"duality-squares", "duality-exchange"}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         SuiteConfig(checks=("no-such-check",)).selected_checks()
 
 
@@ -140,7 +141,7 @@ def test_y_rule_variants():
         SuiteConfig(n_list=(3,), y_rule="pi/(2n)").couplings()
     with pytest.raises(ValueError):  # Coupling validates 0 < y < pi/n
         SuiteConfig(n_list=(3,), y_rule=2.0).couplings()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         SuiteConfig(n_list=(2, 3), y_rule=[0.1]).couplings()
 
 
@@ -549,3 +550,50 @@ def test_cli_flow_rejects_ignored_input(tmp_path, capsys, spec, side, problem):
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "ValueError" and problem in diag["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("selector", ["duality,", ",duality", "duality,,pullback", " "])
+def test_cli_rejects_empty_check_selector(capsys, selector):
+    # an empty term is a substring of every check name and would select all
+    assert run_cli("verify", "--n", "2", "--samples", "1", "--checks", selector) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and "empty check selector" in diag["message"]
+
+
+def test_cli_check_selectors_are_stripped(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ("verify", "--n", "2", "--samples", "1", "--checks", " duality, pullback ")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    names = [cell["name"] for cell in json.loads(out.read_text())["checks"]]
+    assert names == ["duality-squares", "duality-exchange", "pullback"]
+
+
+def test_coupling_stores_integral_n_as_int():
+    c = Coupling(3.0, 0.3)
+    assert c.n == 3 and type(c.n) is int
+    for bad in (3.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Coupling(bad, 0.3)
+    report = run_suite(SuiteConfig(n_list=(3.0,), samples=1, checks=("constraint",)))
+    assert report.all_passed and [cell.n for cell in report.results] == [3]
+
+
+@pytest.mark.parametrize("kwargs", [{"n_list": (1,)}, {"n_list": (2, 3.5)}, {"y_rule": 2.0}])
+def test_suite_config_rejects_bad_coupling_when_built(kwargs):
+    with pytest.raises(ValueError):
+        SuiteConfig(**kwargs)
+
+
+def test_cli_flow_final_point_chains_into_point(tmp_path):
+    # --final-point writes the last trajectory point as a --point input
+    traj, end, img = tmp_path / "traj.csv", tmp_path / "end.json", tmp_path / "img.json"
+    assert run_cli("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "1", "--steps", "5",
+                   "--out", str(traj), "--final-point", str(end)) == 0
+    last = list(csv.DictReader(traj.open()))[-1]
+    u = np.array([complex(float(last[f"re_u{k}"]), float(last[f"im_u{k}"])) for k in (1, 2, 3)])
+    point = np.array(json.loads(end.read_text())) @ [1, 1j]
+    assert np.abs(point - u).max() <= 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("duality", "--n", "3", "--point", str(end), "--out", str(img)) == 0
+    assert np.abs(np.array(json.loads(img.read_text())["point"]) @ [1, 1j] - point).max() <= 1e-14
