@@ -282,7 +282,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RSDualError, ValueError) as exc:
+    except (RSDualError, ValueError, OSError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diag), file=sys.stderr)
         return 1

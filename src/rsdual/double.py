@@ -6,19 +6,20 @@ only one factor and are exact for all times), the two commuting torus
 actions, and the mapping-class automorphisms S, T, Ttilde together with the
 central twist Q and the conjugating involution nu.  As in the paper, the
 double carries no coupling: nothing here takes a Coupling, and n is the
-size of the matrices.
+size of the matrices.  Nor does it differentiate numerically: the
+finite-difference pushforward the checks take lives in verify.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import TangencyViolation
 from .sun import (
     alcove_exponents,
     alcove_point,
     dagger,
+    random_special_unitary,
     scalar_product,
     spectral_index,
     spectral_xi,
@@ -268,8 +269,6 @@ def apply_word(word, p):
 
 
 def random_double_point(n, rng):
-    from .sun import random_special_unitary
-
     return DoublePoint(
         random_special_unitary(n, rng), random_special_unitary(n, rng)
     )
@@ -278,26 +277,3 @@ def random_double_point(n, rng):
 def geodesic_tangent(p, X, Y):
     """Tangent of the curve (A e^{sX}, B e^{sY}) at s = 0, for X, Y in su(n)."""
     return DoubleTangent(p.A @ X, p.B @ Y)
-
-
-def pushforward(f, p, v, step):
-    """Central finite-difference pushforward of tangent v through the map f.
-
-    The curve is the geodesic chart (A e^{s X}, B e^{s Y}) with X = A^{-1}dA,
-    Y = B^{-1}dB; the result is projected back onto the tangent space at
-    f(p) to remove the O(step^2) normal component.
-    """
-    X = dagger(p.A) @ v.dA
-    Y = dagger(p.B) @ v.dB
-
-    def at(s):
-        return DoublePoint(
-            p.A @ scipy.linalg.expm(s * X), p.B @ scipy.linalg.expm(s * Y)
-        )
-
-    plus = f(at(step))
-    minus = f(at(-step))
-    raw = DoubleTangent(
-        (plus.A - minus.A) / (2.0 * step), (plus.B - minus.B) / (2.0 * step)
-    )
-    return raw.project(f(p))

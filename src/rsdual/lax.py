@@ -198,10 +198,10 @@ def mu_of_v(v, c):
     return np.exp(2j * c.y) * np.eye(c.n) + coeff * np.outer(v, np.conjugate(v))
 
 
-def reflection_g(x, j=None):
+def reflection_g(x, j):
     """The chart gauge built from a unit vector x: its last column is x.
 
-    With w = x + e_j (chart j, 1-based, default n) this is the reflection
+    With w = x + e_j (chart j, 1-based) this is the reflection
     1 - w w^dagger / w_j with columns j and n swapped and column n negated.
     For real x and j = n it is the real orthogonal
     g_{jn} = -g_{nj} = x_j, g_{nn} = x_n, g_{jl} = delta_{jl} - x_j x_l / (1 + x_n);
@@ -209,7 +209,6 @@ def reflection_g(x, j=None):
     """
     x = np.asarray(x)
     n = len(x)
-    j = n if j is None else j
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
         raise NormViolation(f"|x| = {np.linalg.norm(x):.12g}, expected 1")
     d = 1.0 + x[j - 1].real

@@ -156,16 +156,13 @@ def from_chart(w, j, c):
     return u
 
 
-def fs_omega_eval(u, v1, v2, j=None):
+def fs_omega_eval(u, v1, v2, j):
     """Scaled Fubini-Study form chi0*omega_FS on chart tangents.
 
-    Tangents are chart-j coordinate vectors (length n-1); the chart with the
-    largest |u_j| is used when j is None.  In these coordinates the form is
-    the Darboux form i sum d conj(w) wedge d w, i.e.
-    omega(a, b) = 2 sum Im(a_k conj(b_k)).
+    Tangents are chart-j coordinate vectors (length n-1).  In these
+    coordinates the form is the Darboux form i sum d conj(w) wedge d w,
+    i.e. omega(a, b) = 2 sum Im(a_k conj(b_k)).
     """
-    if j is None:
-        j = chart_index(u)
     m = chart_gauge(u, j).shape[-1] - 1  # n - 1; raises off chart j
     a = np.asarray(v1, dtype=complex)
     b = np.asarray(v2, dtype=complex)

@@ -28,7 +28,6 @@ from .double import (
     hamiltonian_gradient,
     moment,
     omega_eval,
-    pushforward,
     random_double_point,
     vertical_tangent,
 )
@@ -69,21 +68,38 @@ from .sun import (
 FD_STEP = 1e-5  # step of every central finite-difference check
 
 
-def _chart_gradient(f, u, j, c, h=FD_STEP):
+def _central(f, curve):
+    """d/ds f(curve(s)) at s = 0 by the central difference of step FD_STEP:
+    the one numerical derivative the checks take."""
+    return (f(curve(FD_STEP)) - f(curve(-FD_STEP))) / (2.0 * FD_STEP)
+
+
+def _chart_gradient(f, u, j, c):
     """Central-difference gradient of f (scalar- or vector-valued) in the real
     chart-j coordinates: row k is d/dq_k and row m + k is d/dp_k, where
-    w_k = q_k + i p_k are the n-1 chart coordinates of u."""
+    w_k = q_k + i p_k are the m = n-1 chart coordinates of u."""
     w0 = to_chart(u, j)
-    m = len(w0)
-    rows = []
-    for part in (1.0, 1j):
-        for k in range(m):
-            dw = np.zeros(m, dtype=complex)
-            dw[k] = part * h
-            rows.append(
-                (f(from_chart(w0 + dw, j, c)) - f(from_chart(w0 - dw, j, c))) / (2.0 * h)
-            )
-    return np.array(rows)
+    axes = np.concatenate((np.eye(len(w0)), 1j * np.eye(len(w0))))
+    return np.array([_central(f, lambda s: from_chart(w0 + s * e, j, c)) for e in axes])
+
+
+def _stack(p):
+    return np.stack((p.A, p.B))
+
+
+def _geodesic(p, X, Y):
+    """The curve s -> (A e^{sX}, B e^{sY}) through p, for X, Y in su(n)."""
+    return lambda s: DoublePoint(p.A @ scipy.linalg.expm(s * X), p.B @ scipy.linalg.expm(s * Y))
+
+
+def _push(f, p, v):
+    """Pushforward of the tangent v at p through the map f of the double:
+    the central difference along the geodesic with X = A^{-1}dA and
+    Y = B^{-1}dB, projected onto the tangent space at f(p) to remove its
+    O(FD_STEP^2) normal component."""
+    curve = _geodesic(p, dagger(p.A) @ v.dA, dagger(p.B) @ v.dB)
+    dA, dB = _central(lambda q: _stack(f(q)), curve)
+    return DoubleTangent(dA, dB).project(f(p))
 
 
 def _bracket(ga, gb):
@@ -113,12 +129,8 @@ def _check_pullback(c, rng):
     j = chart_index(u)
     p0 = section_F(u, j, c)
 
-    def lift(uu):
-        p = section_F(uu, j, c)
-        return np.stack((p.A, p.B))
-
     # one chart Jacobian of F_j: rows d/dq_k, then d/dp_k, of (A, B)
-    jq, jp = np.split(_chart_gradient(lift, u, j, c), 2)
+    jq, jp = np.split(_chart_gradient(lambda uu: _stack(section_F(uu, j, c)), u, j, c), 2)
 
     def push(a):
         dA, dB = np.tensordot(a.real, jq, 1) + np.tensordot(a.imag, jp, 1)
@@ -230,7 +242,6 @@ def _check_lax_hamiltonian(c, rng):
 
 
 def _check_gradients(c, rng):
-    h = FD_STEP
     kinds = [("spectral", j) for j in range(1, c.n)] + [
         ("re_trace", 1),
         ("re_trace", 2),
@@ -247,9 +258,7 @@ def _check_gradients(c, rng):
 
         for _ in range(4):
             zeta = random_su_algebra(c.n, rng)
-            fd = (
-                val(scipy.linalg.expm(h * zeta) @ X) - val(scipy.linalg.expm(-h * zeta) @ X)
-            ) / (2 * h)
+            fd = _central(val, lambda s: scipy.linalg.expm(s * zeta) @ X)
             yield abs(fd - scalar_product(zeta, grad)), {"kind": kind}
 
 
@@ -337,20 +346,13 @@ def _check_polytope_vertices(c, rng, _samples):
 
 
 def _check_axiom_a2(c, rng):
-    h = FD_STEP
     p = random_double_point(c.n, rng)
     for _ in range(3):
         zeta = random_su_algebra(c.n, rng)
         X = random_su_algebra(c.n, rng)
         Y = random_su_algebra(c.n, rng)
         v = geodesic_tangent(p, X, Y)
-
-        def mu_at(s):
-            return moment(
-                DoublePoint(p.A @ scipy.linalg.expm(s * X), p.B @ scipy.linalg.expm(s * Y))
-            )
-
-        dmu = (mu_at(h) - mu_at(-h)) / (2 * h)
+        dmu = _central(moment, _geodesic(p, X, Y))
         mu_inv = dagger(moment(p))
         rhs = 0.5 * scalar_product(mu_inv @ dmu + dmu @ mu_inv, zeta)
         lhs = omega_eval(p, vertical_tangent(p, zeta), v)
@@ -385,9 +387,7 @@ def _check_omega_morphisms(c, rng):
     val = omega_eval(p, v, w)
     for gen, sign in (("S", 1.0), ("T", 1.0), ("Ttilde", 1.0), ("nu", -1.0)):
         f = lambda q, g=gen: auto_apply(g, q)
-        fv = pushforward(f, p, v, FD_STEP)
-        fw = pushforward(f, p, w, FD_STEP)
-        yield abs(omega_eval(f(p), fv, fw) - sign * val), {"gen": gen}
+        yield abs(omega_eval(f(p), _push(f, p, v), _push(f, p, w)) - sign * val), {"gen": gen}
 
 
 def _check_section_consistency(c, rng):
@@ -446,6 +446,8 @@ class SuiteConfig:
     checks: tuple = ()
 
     def __post_init__(self):
+        if not self.n_list:
+            raise ValueError("n_list is empty; a sweep needs at least one n")
         if self.samples < 0:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
         twice = sorted({n for n in self.n_list if self.n_list.count(n) > 1})

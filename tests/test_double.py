@@ -21,7 +21,6 @@ from rsdual.double import (
     hamiltonian_gradient,
     moment,
     omega_eval,
-    pushforward,
     random_double_point,
     rho_embedding,
     torus_action,
@@ -39,7 +38,7 @@ from rsdual.sun import (
     spectral_xi,
     traceless_antihermitian,
 )
-from rsdual.verify import FD_STEP
+from rsdual.verify import FD_STEP, _central, _geodesic, _push
 
 RNG = np.random.default_rng(424242)
 
@@ -389,8 +388,8 @@ def test_automorphisms_preserve_omega():
         v = rand_tangent(p, n)
         w = rand_tangent(p, n)
         val = omega_eval(p, v, w)
-        fv = pushforward(f, p, v, FD_STEP)
-        fw = pushforward(f, p, w, FD_STEP)
+        fv = _push(f, p, v)
+        fw = _push(f, p, w)
         assert abs(omega_eval(f(p), fv, fw) - val) < 1e-5, gen
 
 
@@ -402,9 +401,35 @@ def test_nu_reverses_omega():
     v = rand_tangent(p, n)
     w = rand_tangent(p, n)
     val = omega_eval(p, v, w)
-    fv = pushforward(f, p, v, FD_STEP)
-    fw = pushforward(f, p, w, FD_STEP)
+    fv = _push(f, p, v)
+    fw = _push(f, p, w)
     assert abs(omega_eval(f(p), fv, fw) + val) < 1e-5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_push_and_moment_difference_are_the_tangent_maps(n):
+    # the central differences against product-rule tangents along the
+    # geodesic (A e^{sX}, B e^{sY}), so they are checked as derivatives and
+    # not only through the 2-form they preserve
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        p = random_double_point(n, rng)
+        A, B, Ai, Bi = p.A, p.B, dagger(p.A), dagger(p.B)
+        X, Y = random_su_algebra(n, rng), random_su_algebra(n, rng)
+        dA, dB = A @ X, B @ Y
+        exact = {
+            "S": (-Bi @ dB @ Bi, dB @ A @ Bi + B @ dA @ Bi - B @ A @ Bi @ dB @ Bi),
+            "T": (dA @ B + A @ dB, dB),
+            "Ttilde": (dA, dB @ Ai - B @ Ai @ dA @ Ai),
+            "nu": (np.conjugate(dB), np.conjugate(dA)),
+        }
+        v = geodesic_tangent(p, X, Y)
+        for gen, (eA, eB) in exact.items():
+            got = _push(lambda q: auto_apply(gen, q), p, v)
+            assert max(np.linalg.norm(got.dA - eA), np.linalg.norm(got.dB - eB)) < 1e-7, gen
+        dmu = dA @ B @ Ai @ Bi + A @ dB @ Ai @ Bi + A @ B @ dagger(dA) @ Bi
+        dmu += A @ B @ Ai @ dagger(dB)
+        assert np.linalg.norm(_central(moment, _geodesic(p, X, Y)) - dmu) < 1e-7
 
 
 def test_spectral_flow_rejects_degenerate():

@@ -111,7 +111,7 @@ def test_mu_of_v_conjugated_by_reflection():
         c = Coupling.default(n)
         xi = random_shifted_alcove(c, RNG, margin=0.05)
         v, _ = v_vector(xi, c)
-        g = reflection_g(v)
+        g = reflection_g(v, len(v))
         assert np.linalg.norm(dagger(g) @ mu_of_v(v, c) @ g - c.mu0) < 1e-12
 
 
@@ -128,18 +128,18 @@ def test_spectra_of_mu_v_delta_match():
 
 
 def test_reflection_g_identity_and_orthogonality():
-    assert np.allclose(reflection_g(np.array([0.0, 0.0, 1.0])), np.eye(3), atol=1e-15)
+    assert np.allclose(reflection_g(np.array([0.0, 0.0, 1.0]), 3), np.eye(3), atol=1e-15)
     for n in (2, 3, 5):
         v = RNG.standard_normal(n)
         v /= np.linalg.norm(v)
         if v[-1] < -0.9:
             v = -v
-        g = reflection_g(v)
+        g = reflection_g(v, len(v))
         assert np.linalg.norm(g.T @ g - np.eye(n)) < 1e-12
         assert np.allclose(g[:, -1], v, atol=1e-14)
         assert abs(np.linalg.det(g) - 1.0) < 1e-10  # connected to g(e_n) = 1
     with pytest.raises(PoleAtMinusOne):
-        reflection_g(np.array([0.0, 0.0, -1.0]))
+        reflection_g(np.array([0.0, 0.0, -1.0]), 3)
 
 
 def test_reflection_g_chart_all_charts_conjugate_mu():

@@ -212,8 +212,9 @@ def test_fs_omega_antisymmetry_and_values():
     u = rand_u(c, bias=0.05)
     a = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
     b = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
-    assert fs_omega_eval(u, a, a) == pytest.approx(0.0, abs=1e-14)
-    assert fs_omega_eval(u, a, b) == pytest.approx(-fs_omega_eval(u, b, a), abs=1e-14)
+    j = chart_index(u)
+    assert fs_omega_eval(u, a, a, j) == pytest.approx(0.0, abs=1e-14)
+    assert fs_omega_eval(u, a, b, j) == pytest.approx(-fs_omega_eval(u, b, a, j), abs=1e-14)
 
 
 def test_fs_omega_darboux_through_e_param():

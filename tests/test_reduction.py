@@ -91,7 +91,7 @@ def section_local(xi, theta, c):
     (g_y^{-1} L(delta, rho(tau)^{-1}) g_y, g_y^{-1} delta g_y)."""
     xi = check_shifted_alcove(xi, c)
     v, _ = v_vector(xi, c)
-    g = reflection_g(v).astype(complex)
+    g = reflection_g(v, len(v)).astype(complex)
     rho_inv = np.conjugate(np.diagonal(rho_embedding(np.asarray(theta, float), c.n)))
     L = local_lax(xi, rho_inv, c)
     delta = alcove_delta(xi)
@@ -358,7 +358,7 @@ def test_f_alpha_matches_local_formula():
         # components sqrt(sin y / sin ny) W_k(delta, -y)
         L_neg = dagger(local_lax(xi, np.ones(n), c)) * rho
         v_neg = math.sqrt(math.sin(c.y) / math.sin(n * c.y)) * w_factors(xi, c)[1]
-        g_neg = reflection_g(v_neg).astype(complex)
+        g_neg = reflection_g(v_neg, len(v_neg)).astype(complex)
         rep2 = DoublePoint(
             dagger(g_neg) @ alcove_delta(xi) @ g_neg, dagger(g_neg) @ L_neg @ g_neg
         )

@@ -14,9 +14,9 @@ from rsdual.errors import ConstraintViolation
 from rsdual.projective import chart_index, point_from_json, projective_distance, random_point
 from rsdual.lax import global_lax
 from rsdual.sun import spectral_xi
+from rsdual import verify
 from rsdual.verify import (
     CHECKS,
-    FD_STEP,
     SuiteConfig,
     _bracket,
     _chart_gradient,
@@ -25,7 +25,7 @@ from rsdual.verify import (
 )
 
 
-def poisson_bracket_fs(fa, fb, u, c, j=None, step=FD_STEP):
+def poisson_bracket_fs(fa, fb, u, c, j=None):
     """Poisson bracket of two scalar functions of u in the chart Darboux
     structure, with central-difference gradients.
 
@@ -34,7 +34,7 @@ def poisson_bracket_fs(fa, fb, u, c, j=None, step=FD_STEP):
     """
     if j is None:
         j = chart_index(u)
-    return _bracket(_chart_gradient(fa, u, j, c, step), _chart_gradient(fb, u, j, c, step))
+    return _bracket(_chart_gradient(fa, u, j, c), _chart_gradient(fb, u, j, c))
 
 
 # rows per (n = 2, n = 3) cell of run_suite(n_list=(2, 3), samples=6): a
@@ -239,20 +239,21 @@ def test_boundary_limit_steps_on_the_sphere():
     assert cell.max_residual < 3e-8 * 1.01
 
 
-def test_fd_residual_monotone_in_step():
+def test_fd_residual_monotone_in_step(monkeypatch):
     # first-order checks: central-difference residual shrinks with the step
     c = Coupling.default(3)
     rng = np.random.default_rng(0)
     u = random_point(c, rng, interior_bias=0.1)
     res = {}
     for step in (1e-4, 1e-5):
+        monkeypatch.setattr(verify, "FD_STEP", step)
         worst = 0.0
         for k, l in ((1, 2),):
             from rsdual.reduction import action_variables
 
             fa = lambda uu: float(action_variables(uu, c)[k - 1])
             fb = lambda uu: float(action_variables(uu, c)[l - 1])
-            worst = max(worst, abs(poisson_bracket_fs(fa, fb, u, c, step=step)))
+            worst = max(worst, abs(poisson_bracket_fs(fa, fb, u, c)))
         res[step] = worst
     assert res[1e-5] <= res[1e-4] + 1e-12
 
@@ -489,6 +490,20 @@ def test_cli_rejects_negative_samples(tmp_path, capsys):
     assert run_cli("verify", "--n", "2", "--samples", "0", "--checks", "constraint") == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("duality", "--n", "3", "--point", "{tmp}/missing.json"),
+        ("polytope", "--n", "3", "--samples", "2", "--out", "{tmp}/missing/x.csv"),
+    ],
+    ids=["missing-point", "out-in-missing-dir"],
+)
+def test_cli_reports_file_errors_as_json(tmp_path, capsys, argv):
+    # a file that cannot be opened gets the one-line JSON error, not a traceback
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
 def test_cli_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["flow", "--n", "3"])
@@ -578,7 +593,9 @@ def test_coupling_stores_integral_n_as_int():
     assert report.all_passed and [cell.n for cell in report.results] == [3]
 
 
-@pytest.mark.parametrize("kwargs", [{"n_list": (1,)}, {"n_list": (2, 3.5)}, {"y_rule": 2.0}])
+@pytest.mark.parametrize(
+    "kwargs", [{"n_list": (1,)}, {"n_list": (2, 3.5)}, {"y_rule": 2.0}, {"n_list": ()}]
+)
 def test_suite_config_rejects_bad_coupling_when_built(kwargs):
     with pytest.raises(ValueError):
         SuiteConfig(**kwargs)
