@@ -7,9 +7,10 @@ All angles are radians; --y additionally accepts the literal "pi/(2n)".
 """
 
 import argparse
+import contextlib
 import csv
-import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -52,13 +53,27 @@ def _matrix_json(m):
     return [point_to_json(row) for row in np.asarray(m)]
 
 
-def _emit(payload, out):
-    text = json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+@contextlib.contextmanager
+def _output(path):
+    """Sink of a command output: stdout without a path; else path.part,
+    opened at once and moved onto path when the command succeeds, removed
+    when it fails, so that a failed run leaves any earlier file as it was."""
+    if not path:
+        yield sys.stdout
+        return
+    part = path + ".part"
+    fh = open(part, "w", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(part)
+        raise
+    os.replace(part, path)
+
+
+def _emit(payload, sink):
+    sink.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _point_from_args(args, c, rng_seed=0):
@@ -96,7 +111,7 @@ def _point_summary(u, c):
     }
 
 
-def cmd_verify(args):
+def cmd_verify(args, sink):
     n_list = tuple(int(x) for x in args.n.split(","))
     ys = [_parse_y(x) for x in args.y.split(",")]
     cfg = SuiteConfig(
@@ -107,46 +122,36 @@ def cmd_verify(args):
         checks=tuple(args.checks.split(",")) if args.checks else (),
     )
     report = run_suite(cfg)
-    _emit(report.to_json(), args.out)
+    _emit(report.to_json(), sink)
     return 0 if report.all_passed else 1
 
 
-def cmd_flow(args):
-    c = _coupling(args)
-    u = _point_from_args(args, c, rng_seed=args.seed)
-    ham = _parse_hamiltonian(args.hamiltonian, args.side)
-    rows = reduced_trajectory(u, ham, args.t, args.steps, c)
-    # step 0 runs before the sink opens, so a flow that fails at once
-    # leaves no --out file behind
-    first = next(rows)
-    header = ["step", "t"]
-    for k in range(1, c.n + 1):
-        header += [f"re_u{k}", f"im_u{k}"]
-    header += [f"J{k}" for k in range(1, c.n)]
-    header += [f"XiK{k}" for k in range(1, c.n)]
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+def cmd_flow(args, sink):
+    paths = (args.out, args.final_point)
+    if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise ValueError("--final-point must name another file than --out")
+    final = _output(args.final_point) if args.final_point else contextlib.nullcontext()
+    with final as final_sink:
+        c = _coupling(args)
+        u = _point_from_args(args, c, rng_seed=args.seed)
+        ham = _parse_hamiltonian(args.hamiltonian, args.side)
+        header = ["step", "t", *(f"{p}_u{k}" for k in range(1, c.n + 1) for p in ("re", "im"))]
+        header += [f"{name}{k}" for name in ("J", "XiK") for k in range(1, c.n)]
         writer = csv.writer(sink)
         writer.writerow(header)
-        last = None
-        for k, t, ut, J, xiK in itertools.chain([first], rows):
+        for k, t, ut, J, xiK in reduced_trajectory(u, ham, args.t, args.steps, c):
             row = [k, f"{t:.15g}"]
             for z in ut:
                 row += [f"{z.real:.15g}", f"{z.imag:.15g}"]
             row += [f"{x:.15g}" for x in J]
             row += [f"{x:.15g}" for x in xiK]
             writer.writerow(row)
-            last = ut
-    finally:
-        if args.out:
-            sink.close()
-    if args.final_point:
-        with open(args.final_point, "w") as fh:
-            json.dump(point_to_json(last), fh)
+        if final_sink:
+            json.dump(point_to_json(ut), final_sink)
     return 0
 
 
-def cmd_duality(args):
+def cmd_duality(args, sink):
     c = _coupling(args)
     u = _point_from_args(args, c, rng_seed=args.seed)
     image = duality(args.which, u, c)
@@ -159,11 +164,11 @@ def cmd_duality(args):
     }
     payload["point"] = payload["before"]["point"]
     payload["image"] = payload["after"]["point"]
-    _emit(payload, args.out)
+    _emit(payload, sink)
     return 0
 
 
-def cmd_mapclass(args):
+def cmd_mapclass(args, sink):
     c = _coupling(args)
     u = _point_from_args(args, c, rng_seed=args.seed)
     word = args.word.split()
@@ -176,32 +181,27 @@ def cmd_mapclass(args):
         "image": point_to_json(image),
         "after": _point_summary(image, c),
     }
-    _emit(payload, args.out)
+    _emit(payload, sink)
     return 0
 
 
-def cmd_polytope(args):
+def cmd_polytope(args, sink):
     if args.samples < 0:
         raise ValueError(f"samples must be >= 0, got {args.samples}")
     c = _coupling(args)
     rng = np.random.default_rng(args.seed)
     header = [f"J{k}" for k in range(1, c.n)] + [f"XiK{k}" for k in range(1, c.n)]
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(sink)
-        writer.writerow(header)
-        for _ in range(args.samples):
-            u = random_point(c, rng)
-            J = moment_J(u, c)
-            xiK = action_variables(u, c)
-            writer.writerow([f"{x:.15g}" for x in J] + [f"{x:.15g}" for x in xiK])
-    finally:
-        if args.out:
-            sink.close()
+    writer = csv.writer(sink)
+    writer.writerow(header)
+    for _ in range(args.samples):
+        u = random_point(c, rng)
+        J = moment_J(u, c)
+        xiK = action_variables(u, c)
+        writer.writerow([f"{x:.15g}" for x in J] + [f"{x:.15g}" for x in xiK])
     return 0
 
 
-def cmd_map_point(args):
+def cmd_map_point(args, sink):
     c = _coupling(args)
     xi = np.array([float(x) for x in args.xi.split(",")])
     theta = np.array([float(x) for x in args.tau.split(",")])
@@ -214,7 +214,7 @@ def cmd_map_point(args):
         "K": _matrix_json(global_lax(u, c)),
         "F": {"A": _matrix_json(p.A), "B": _matrix_json(p.B)},
     }
-    _emit(payload, args.out)
+    _emit(payload, sink)
     return 0
 
 
@@ -281,7 +281,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _output(args.out) as sink:
+            return args.func(args, sink)
     except (RSDualError, ValueError, OSError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diag), file=sys.stderr)

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import AlcoveViolation, DomainViolation
 
+# default tol of check_alcove and check_shifted_alcove: with it they bound
+# the entries by 1e-12, the sum by 1e-9 and the wall by 1e-10
 SUM_TOL = 1e-12
 
 
@@ -72,7 +74,8 @@ class Coupling:
 
 
 def check_alcove(xi, tol=SUM_TOL):
-    """Raise AlcoveViolation unless xi_j >= 0 and sum xi_j = pi."""
+    """Raise AlcoveViolation unless xi_j >= -tol and sum xi_j is within
+    max(tol, 1e-9) of pi."""
     xi = np.asarray(xi, dtype=float)
     if abs(xi.sum() - math.pi) > max(tol, 1e-9):
         raise AlcoveViolation(f"sum(xi) = {xi.sum():.15g} differs from pi")
@@ -82,7 +85,8 @@ def check_alcove(xi, tol=SUM_TOL):
 
 
 def check_shifted_alcove(xi, c, tol=SUM_TOL):
-    """Raise DomainViolation unless xi lies in the thick-walled alcove xi_j >= y."""
+    """Raise DomainViolation unless xi lies in the thick-walled alcove:
+    check_alcove at tol, then xi_j >= y - max(tol, 1e-10)."""
     xi = check_alcove(xi, tol=tol)
     if np.min(xi) - c.y < -max(tol, 1e-10):
         raise DomainViolation(f"xi_j < y for some j: {xi}, y={c.y}")

@@ -4,9 +4,10 @@ The constraint surface mu(A,B) = mu0 is covered by explicit chart sections
 F_j of the projection to the reduced space P; labelling each gauge orbit by
 the projective point recovered from the Lax-matrix entries makes the
 identification beta-map a computable bijection.  The second identification
-is alpha = nu o beta o Gamma, the self-duality map is their composition,
-and mapping-class words and reduced Hamiltonian flows act through the same
-lift / act / relabel pattern.
+is alpha = nu o beta o Gamma, the self-duality map is their composition.
+Every map on P (S and its inverse, mapping-class words, reduced Hamiltonian
+flows) is f_beta_inv(act(_lift(u))): a point is canonicalized where it is
+lifted and where it is labelled, and nowhere in between.
 """
 
 import math
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from .coupling import check_shifted_alcove
-from .double import DoublePoint, auto_apply, flow, flow_map, moment
+from .double import DoublePoint, apply_word, auto_apply, flow, flow_map, moment
 from .errors import ConstraintViolation
 from .lax import _lambda_parts, _lax_from, global_lax, reflection_g
 from .projective import (
@@ -56,7 +57,9 @@ def section_F(u, j, c):
     return DoublePoint(Gi @ K @ G, Gi @ (delta[:, None] * G))
 
 
-def section_best(u, c):
+def _lift(u, c):
+    """Canonicalize u and lift it through the section of its own chart."""
+    u = canonicalize(u, c)
     return section_F(u, chart_index(u), c)
 
 
@@ -65,17 +68,12 @@ def constraint_residual(p, c):
     return float(np.linalg.norm(moment(p) @ dagger(c.mu0) - np.eye(c.n)))
 
 
-def _check_constraint(p, c):
-    res = constraint_residual(p, c)
-    if res > 1e-6:
-        raise ConstraintViolation(f"moment residual {res:.3e} exceeds 1e-6")
-
-
 def _orbit_frame(B, c):
     """The part of f_beta_inv that reads only the second factor B.
 
     Returns (g, xi, j, Lambda^y(xi)): the diagonalizer g of B = g^dagger
-    delta(xi) g, its alcove point xi clipped onto the walls xi_k >= y, the
+    delta(xi) g, its alcove point xi (checked to 1e-7 in the sum, the
+    entries and the wall alike) clipped onto the walls xi_k >= y, the
     chart index j = argmax xi (0-based) and the smooth cofactor matrix.
     """
     xi, g = spectral_xi(B)
@@ -116,7 +114,7 @@ def _label(A, frame, c):
     return canonicalize(u, c)
 
 
-def f_beta_inv(p, c):
+def f_beta_inv(p, c, frame=None):
     """Label of the gauge orbit of a constrained pair: the unique projective
     point u with F_j(u) gauge-equivalent to (A, B).
 
@@ -125,9 +123,12 @@ def f_beta_inv(p, c):
     of the conjugated A against the nowhere-zero Lambda factors; read the
     chart coordinates off the remaining entries.  The pair must satisfy the
     constraint to 1e-6, and the superdiagonal phases must close to 1e-5.
+    A caller that holds B fixed passes its _orbit_frame once as frame.
     """
-    _check_constraint(p, c)
-    return _label(p.A, _orbit_frame(p.B, c), c)
+    res = constraint_residual(p, c)
+    if res > 1e-6:
+        raise ConstraintViolation(f"moment residual {res:.3e} exceeds 1e-6")
+    return _label(p.A, frame or _orbit_frame(p.B, c), c)
 
 
 def f_alpha(u, c):
@@ -137,8 +138,7 @@ def f_alpha(u, c):
     first factor has spectrum J-full(u) and its second the reversed spectrum
     of K(u).
     """
-    w = canonicalize(involution("Gamma", u), c)
-    return auto_apply("nu", section_best(w, c))
+    return auto_apply("nu", _lift(involution("Gamma", u), c))
 
 
 def f_alpha_inv(p, c):
@@ -153,13 +153,13 @@ def duality(which, u, c):
     its inverse, and 'R' = C o S the anti-symplectic involutive version
     that plainly exchanges positions and actions.
     """
-    u = canonicalize(u, c)
     if which == "S":
-        return f_alpha_inv(section_best(u, c), c)
+        return f_alpha_inv(_lift(u, c), c)
     if which == "S_inv":
         return f_beta_inv(f_alpha(u, c), c)
     if which == "R":
-        return canonicalize(involution("C", duality("S", u, c)), c)
+        # C maps the canonical image of S to a canonical point
+        return involution("C", duality("S", u, c))
     raise ValueError(f"unknown duality map {which!r}")
 
 
@@ -170,23 +170,16 @@ def mapclass_on_P(word, u, c):
     ('S', 'T', 'Ttilde'; leftmost first) and relabels the resulting orbit.
     The central twist Q drops out on the quotient.
     """
-    u = canonicalize(u, c)
-    if not word:
-        return u
-    rep = section_best(u, c)
     for gen in word:
         if gen not in ("S", "T", "Ttilde"):
             raise ValueError(f"unknown mapping-class generator {gen!r}")
-        rep = auto_apply(gen, rep)
-    return f_beta_inv(rep, c)
+    return f_beta_inv(apply_word(word, _lift(u, c)), c)
 
 
 def reduced_flow(u, h, t, c):
     """Reduced Hamiltonian flow: lift through a chart section, apply the
     exact unreduced flow, project back to the canonical label."""
-    u = canonicalize(u, c)
-    rep = section_best(u, c)
-    return f_beta_inv(flow(rep, h, t), c)
+    return f_beta_inv(flow(_lift(u, c), h, t), c)
 
 
 def action_variables(u, c):
@@ -207,22 +200,18 @@ def reduced_trajectory(u, h, t_final, steps, c):
     Once per trajectory: the lift, the decomposition of the frozen factor's
     gradient (flow_map) and, for side 'second' flows, which leave B fixed,
     the orbit frame of B.  Per step, lazily on each next(): the flowed pair
-    at t, its constraint check, the label (for side 'first' the whole
-    f_beta_inv, since B moves) and the action variables.
+    at t, its f_beta_inv (with the orbit frame of B for side 'second', and
+    the whole map for side 'first', since B moves) and the action variables
+    of the label, which is canonical already.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not math.isfinite(t_final):
         raise ValueError(f"t_final (--t) must be finite, got {t_final}")
-    rep = section_best(canonicalize(u, c), c)
+    rep = _lift(u, c)
     at = flow_map(rep, h)
     frame = _orbit_frame(rep.B, c) if h.side == "second" else None
     for k in range(steps + 1):
         t = t_final * k / steps if steps else 0.0
-        q = at(t)
-        if frame is None:
-            ut = f_beta_inv(q, c)
-        else:
-            _check_constraint(q, c)
-            ut = _label(q.A, frame, c)
-        yield k, t, ut, moment_J(ut, c), action_variables(ut, c)
+        ut = f_beta_inv(at(t), c, frame)
+        yield k, t, ut, moment_J(ut, c), alcove_point(global_lax(ut, c))[: c.n - 1]

@@ -175,6 +175,15 @@ def test_criterion_14_polytope_image():
 UPPER_EDGE_OPEN = {"pullback", "normalization", "mu-spectrum", "lax-conjugation"}
 
 
+def test_large_n_cell():
+    # the domain is every n >= 2: all checks hold at n = 16 as well
+    report = run_suite(SuiteConfig(n_list=(16,), samples=4, seed=SEED))
+    worst = max(r.max_residual / r.tolerance for r in report.results)
+    print(f"n = 16: {len(report.results)} checks, worst residual/tolerance {worst:.3f}")
+    assert len(report.results) == len(CHECKS)
+    assert report.all_passed, json.dumps(report.to_json())
+
+
 def test_upper_coupling_edge():
     # every other check holds as y -> pi/n at its pinned tolerance
     n_list = (2, 3, 4)

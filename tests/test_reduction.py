@@ -34,6 +34,7 @@ from rsdual.projective import (
     to_chart,
     vertex_points,
 )
+from rsdual import reduction
 from rsdual.reduction import (
     _chart_lift,
     action_variables,
@@ -46,9 +47,8 @@ from rsdual.reduction import (
     reduced_flow,
     reduced_trajectory,
     section_F,
-    section_best,
 )
-from rsdual.sun import alcove_delta, dagger, spectral_xi
+from rsdual.sun import alcove_delta, alcove_point, dagger, spectral_xi
 from rsdual.verify import FD_STEP
 
 RNG = np.random.default_rng(31415)
@@ -308,7 +308,7 @@ def test_f_beta_inv_gauge_invariance():
     n = 3
     c = Coupling.default(n)
     u = rand_u(c, bias=0.05)
-    p = section_best(u, c)
+    p = section_F(u, chart_index(u), c)
     for _ in range(20):
         h = stabilizer_element(n, RNG)
         assert projective_distance(f_beta_inv(conjugate(p, h), c), u) < 1e-9
@@ -327,7 +327,7 @@ def test_f_beta_inv_moment_map_identity():
     n = 4
     c = Coupling.default(n)
     u = rand_u(c)
-    p = section_best(u, c)
+    p = section_F(u, chart_index(u), c)
     assert np.abs(moment_J_full(f_beta_inv(p, c), c) - spectral_xi(p.B)[0]).max() < 1e-9
 
 
@@ -582,14 +582,33 @@ def test_reduced_trajectory_matches_per_sample_flow(kind, side):
     c = Coupling.default(n)
     u = rand_u(c)
     ham = InvariantHamiltonian(kind, 1, side)
-    rep = section_best(u, c)
+    rep = section_F(u, chart_index(u), c)
     for k, t, ut, J, xiK in reduced_trajectory(u, ham, 10.0, 1500, c):
         if k % 100:
             continue
         assert np.abs(ut - reduced_flow(u, ham, t, c)).max() < 1e-12
         assert np.abs(ut - f_beta_inv(expm_flow(rep, ham, t), c)).max() < 1e-12
         assert np.abs(J - moment_J_full(ut, c)[: n - 1]).max() == 0.0
-        assert np.abs(xiK - action_variables(ut, c)).max() == 0.0
+        assert np.abs(xiK - alcove_point(global_lax(ut, c))[: n - 1]).max() == 0.0
+
+
+@pytest.mark.parametrize("kind,side", [("re_trace", "first"), ("dehn", "second")])
+def test_reduced_trajectory_canonicalizes_once_per_step(monkeypatch, kind, side):
+    # the label of a step is canonical already: its action variables are
+    # read from it directly, with no second canonicalize
+    calls = []
+
+    def counted(u, c):
+        calls.append(1)
+        return canonicalize(u, c)
+
+    c = Coupling.default(3)
+    rows = reduced_trajectory(rand_u(c), InvariantHamiltonian(kind, 1, side), 1.0, 10, c)
+    monkeypatch.setattr(reduction, "canonicalize", counted)
+    next(rows)
+    calls.clear()
+    assert sum(1 for _ in rows) == 10
+    assert len(calls) == 10
 
 
 def test_reduced_trajectory_rejects_negative_steps():
@@ -651,7 +670,7 @@ def test_twist_descends_to_identity_on_quotient():
     n = 3
     c = Coupling.default(n)
     u = rand_u(c)
-    p = section_best(u, c)
+    p = section_F(u, chart_index(u), c)
     q = auto_apply("Q", p)
     assert projective_distance(f_beta_inv(q, c), u) < 1e-9
 
@@ -662,7 +681,7 @@ def test_mapclass_words_insensitive_to_central_twists():
     c = Coupling.default(n)
     u = rand_u(c)
     w1 = mapclass_on_P(["S", "S", "S", "S", "T"], u, c)
-    rep = auto_apply("T", auto_apply("Q", section_best(u, c)))
+    rep = auto_apply("T", auto_apply("Q", section_F(u, chart_index(u), c)))
     w2 = f_beta_inv(rep, c)
     assert projective_distance(w1, w2) < 1e-9
 
@@ -671,6 +690,6 @@ def test_reduced_point_equality_semantics():
     n = 3
     c = Coupling.default(n)
     u = rand_u(c)
-    p = section_best(u, c)
+    p = section_F(u, chart_index(u), c)
     h = stabilizer_element(n, RNG)
     assert projective_distance(f_beta_inv(p, c), f_beta_inv(conjugate(p, h), c)) < 1e-9

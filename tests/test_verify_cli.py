@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rsdual import cli
 from rsdual.cli import main
 from rsdual.coupling import Coupling
 from rsdual.errors import ConstraintViolation
@@ -614,3 +615,46 @@ def test_cli_flow_final_point_chains_into_point(tmp_path):
         warnings.simplefilter("error")
         assert run_cli("duality", "--n", "3", "--point", str(end), "--out", str(img)) == 0
     assert np.abs(np.array(json.loads(img.read_text())["point"]) @ [1, 1j] - point).max() <= 1e-14
+
+
+def test_cli_verify_opens_out_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # a report path in a missing directory fails at once, not after the sweep
+    def sweep(cfg):
+        raise AssertionError("run_suite ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", sweep)
+    code = run_cli("verify", "--n", "2", "--samples", "1",
+                   "--out", str(tmp_path / "nodir" / "r.json"))
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
+def test_cli_flow_bad_final_point_leaves_no_out(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = run_cli("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "1", "--steps", "5",
+                   "--out", str(out), "--final-point", str(tmp_path / "nodir" / "e.json"))
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_failing_flow_keeps_an_existing_out_file(tmp_path, capsys):
+    # the new file replaces the old one only when the whole command succeeds
+    out = tmp_path / "t.csv"
+    out.write_bytes(b"step,t\r\n0,0\r\n")
+    code = run_cli("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "1", "--steps", "5",
+                   "--out", str(out), "--final-point", str(tmp_path / "nodir" / "e.json"))
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+    assert out.read_bytes() == b"step,t\r\n0,0\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_cli_flow_rejects_final_point_at_the_out_path(tmp_path, capsys, monkeypatch):
+    # the two outputs of one run would overwrite each other
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("flow", "--n", "3", "--hamiltonian", "dehn", "--t", "1", "--steps", "2",
+                   "--out", "same.txt", "--final-point", "./same.txt")
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert list(tmp_path.iterdir()) == []
