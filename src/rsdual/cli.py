@@ -135,11 +135,12 @@ def cmd_flow(args, sink):
         c = _coupling(args)
         u = _point_from_args(args, c, rng_seed=args.seed)
         ham = _parse_hamiltonian(args.hamiltonian, args.side)
+        samples = reduced_trajectory(u, ham, args.t, args.steps, c)
         header = ["step", "t", *(f"{p}_u{k}" for k in range(1, c.n + 1) for p in ("re", "im"))]
         header += [f"{name}{k}" for name in ("J", "XiK") for k in range(1, c.n)]
         writer = csv.writer(sink)
         writer.writerow(header)
-        for k, t, ut, J, xiK in reduced_trajectory(u, ham, args.t, args.steps, c):
+        for k, t, ut, J, xiK in samples:
             row = [k, f"{t:.15g}"]
             for z in ut:
                 row += [f"{z.real:.15g}", f"{z.imag:.15g}"]

@@ -79,7 +79,7 @@ def check_alcove(xi, tol=SUM_TOL):
     xi = np.asarray(xi, dtype=float)
     if abs(xi.sum() - math.pi) > max(tol, 1e-9):
         raise AlcoveViolation(f"sum(xi) = {xi.sum():.15g} differs from pi")
-    if np.any(xi < -tol):
+    if not xi.min() >= -tol:
         raise AlcoveViolation(f"negative alcove coordinate in {xi}")
     return xi
 
@@ -88,7 +88,7 @@ def check_shifted_alcove(xi, c, tol=SUM_TOL):
     """Raise DomainViolation unless xi lies in the thick-walled alcove:
     check_alcove at tol, then xi_j >= y - max(tol, 1e-10)."""
     xi = check_alcove(xi, tol=tol)
-    if np.min(xi) - c.y < -max(tol, 1e-10):
+    if xi.min() - c.y < -max(tol, 1e-10):
         raise DomainViolation(f"xi_j < y for some j: {xi}, y={c.y}")
     return xi
 

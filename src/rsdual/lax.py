@@ -28,25 +28,28 @@ def sinratio(x):
     return out if out.ndim else float(out)
 
 
-_CyclicIndex = namedtuple("_CyclicIndex", "sup prev")
+_CyclicIndex = namedtuple("_CyclicIndex", "sup next prev")
 
 
 @functools.lru_cache(maxsize=64)
 def _cyclic(n):
-    """Fancy indices for size n: the cyclic superdiagonal (k, k+1 mod n)
-    and the cyclic predecessor k-1 mod n."""
+    """Index arrays for size n: the flat (take/put) indices of the cyclic
+    superdiagonal (k, k+1 mod n) of an n x n array, and the cyclic
+    successor k+1 and predecessor k-1 mod n."""
     k = np.arange(n)
     nxt = (k + 1) % n
     prv = (k - 1) % n
-    for a in (k, nxt, prv):
+    sup = k * n + nxt
+    for a in (sup, nxt, prv):
         a.flags.writeable = False
-    return _CyclicIndex(sup=(k, nxt), prev=prv)
+    return _CyclicIndex(sup=sup, next=nxt, prev=prv)
 
 
 def _pair_angles(xi):
     """phi[k, l] = x_k - x_l = C_k - C_l, with C_k = xi_0 + ... + xi_{k-1}
     the alcove prefix sums (well defined modulo pi)."""
-    C = np.concatenate(([0.0], np.cumsum(xi[:-1])))
+    C = np.zeros(len(xi))
+    xi[:-1].cumsum(out=C[1:])
     return C[:, None] - C
 
 
@@ -57,10 +60,11 @@ def _w_ratios(phi, sin_shift):
     W_k(y)^2 is the product of row k and W_k(-y)^2 that of column k, since
     sin(phi_kj - y) / sin(phi_kj) = ratio[j, k].
     """
-    s = np.sin(phi)
-    np.fill_diagonal(s, 1.0)
-    ratio = sin_shift / s
-    np.fill_diagonal(ratio, 1.0)
+    diag = slice(None, None, len(phi) + 1)
+    ratio = np.sin(phi)
+    ratio.flat[diag] = 1.0
+    np.divide(sin_shift, ratio, out=ratio)
+    ratio.flat[diag] = 1.0
     return ratio
 
 
@@ -76,10 +80,10 @@ def _w_factor_data(phi, sin_shift, sr):
     """
     idx = _cyclic(len(sr))
     ratio = _w_ratios(phi, sin_shift)
-    ratio[idx.sup] = sr / np.sin(np.abs(phi[idx.sup]))
+    ratio.put(idx.sup, sr / np.sin(np.abs(phi.take(idx.sup))))
     wp2 = ratio.prod(axis=1)
     wm2 = ratio.prod(axis=0)
-    if np.any(wp2 <= 0.0) or np.any(wm2 <= 0.0):
+    if not (wp2.min() > 0.0 and wm2.min() > 0.0):
         raise DomainViolation("smooth Lax factors not positive; xi outside domain")
     return wp2, wm2
 
@@ -111,10 +115,16 @@ def _lambda_parts(xi, c):
     sr = sinratio(xi - y)
     den = np.sin(phi + y)
     wp, wm = np.sqrt(_w_factor_data(phi, den, sr))
-    den[idx.sup] = 1.0
+    den.put(idx.sup, 1.0)
     siny = math.sin(y)
-    lam = siny * np.exp(-1j * phi) * wp[:, None] * wm / den
-    lam[idx.sup] = -siny * np.exp(1j * xi) * wp * wm[idx.sup[1]] / sr
+    # siny e^{-i phi} wp_k wm_l / den in place, in the left-to-right order
+    # of that product, so with the bits of its one-expression form
+    lam = np.exp(-1j * phi)
+    np.multiply(siny, lam, out=lam)
+    lam *= wp[:, None]
+    lam *= wm
+    lam /= den
+    lam.put(idx.sup, -siny * np.exp(1j * xi) * wp * wm[idx.next] / sr)
     return lam, wp
 
 
@@ -242,5 +252,5 @@ def _lax_from(u, lam):
     """K(u) assembled from u and lam = Lambda^y(|u|^2 + y)."""
     idx = _cyclic(u.shape[-1])
     K = np.conjugate(u)[:, None] * u[idx.prev] * lam
-    K[idx.sup] = lam[idx.sup]
+    K.put(idx.sup, lam.take(idx.sup))
     return K

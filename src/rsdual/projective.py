@@ -23,23 +23,33 @@ def canonicalize(u, c):
     """Canonical representative: |u|^2 = chi0 and the largest-modulus
     coordinate (smallest index on ties within 1e-12) real non-negative."""
     u = np.asarray(u, dtype=complex)
-    nrm = np.linalg.norm(u)
+    top = abs(u).max()
+    # below 1e150 no square overflows and the norm decides; from there on
+    # the norm is at least 1e150, and the rescaling below runs anyway
+    nrm = _norm(u) if top < 1e150 else math.inf
     if not 1e-150 < nrm < 1e150:
-        # the squares inside the norm have left the normal range (numpy warns
-        # when they overflow): divide by the largest modulus first, real and
-        # imaginary parts apart, since a complex division by a subnormal
-        # overflows
-        top = np.abs(u).max()
+        # the squares inside the norm have left the normal range: divide by
+        # the largest modulus first, real and imaginary parts apart, since a
+        # complex division by a subnormal overflows
         if top == 0.0:
             raise ZeroVector("cannot canonicalize the zero vector")
         u = u.real / top + 1j * (u.imag / top)
-        nrm = np.linalg.norm(u)
+        nrm = _norm(u)
     u = u * (math.sqrt(c.chi0) / nrm)
-    mags = np.abs(u)
-    jstar = int(np.argmax(mags >= mags.max() - TIE_TOL))
+    mags = abs(u)
+    jstar = int((mags >= mags.max() - TIE_TOL).argmax())
     if mags[jstar] > 0:
-        u = u * (np.conjugate(u[jstar]) / mags[jstar])
+        u = u * (u[jstar].conjugate() / mags[jstar])
     return u
+
+
+def _norm(x):
+    """np.linalg.norm(x) of a complex array (the 2-norm of a vector, the
+    Frobenius norm of a matrix): the same sums of squares of the real and
+    imaginary parts in memory order, without the call's dispatch."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def projective_distance(u, v):

@@ -15,10 +15,11 @@ import math
 import numpy as np
 
 from .coupling import check_shifted_alcove
-from .double import DoublePoint, apply_word, auto_apply, flow, flow_map, moment
+from .double import DoublePoint, apply_word, auto_apply, flow, flow_map
 from .errors import ConstraintViolation
 from .lax import _lambda_parts, _lax_from, global_lax, reflection_g
 from .projective import (
+    _norm,
     canonicalize,
     chart_gauge,
     chart_index,
@@ -26,7 +27,7 @@ from .projective import (
     moment_J,
     moment_J_full,
 )
-from .sun import alcove_exponents, alcove_point, dagger, spectral_xi
+from .sun import alcove_exponents, alcove_point, dagger, spectral_index, spectral_xi
 
 
 def _chart_lift(u, j, c):
@@ -64,8 +65,11 @@ def _lift(u, c):
 
 
 def constraint_residual(p, c):
-    """Frobenius distance of mu(A,B) mu0^{-1} from the identity."""
-    return float(np.linalg.norm(moment(p) @ dagger(c.mu0) - np.eye(c.n)))
+    """Frobenius distance of mu(A,B) mu0^{-1} from the identity, evaluated
+    as |AB - mu0 BA|_F: right multiplication by the unitary BA mu0^{-1}
+    preserves the norm, and mu0 is diagonal."""
+    A, B = p.A, p.B
+    return _norm(A @ B - c.mu0.diagonal()[:, None] * (B @ A))
 
 
 def _orbit_frame(B, c):
@@ -80,7 +84,7 @@ def _orbit_frame(B, c):
     xi = check_shifted_alcove(xi, c, tol=1e-7)
     # clip onto the walls xi_k >= y; the largest xi_j (>= pi/n > y) gives up
     # the excess, so sum(xi) stays pi and xi_j still selects the chart
-    j = int(np.argmax(xi))
+    j = int(xi.argmax())
     clipped = np.maximum(xi, c.y)
     clipped[j] -= (clipped - xi).sum()
     return g, clipped, j, _lambda_parts(clipped, c)[0]
@@ -93,13 +97,16 @@ def _label(A, frame, c):
     the chart coordinates off the remaining entries."""
     g, xi, j, lam = frame
     n = c.n
-    K0 = g @ A @ dagger(g)
+    K = g @ A @ g.conj().T
 
-    ratio = np.diagonal(K0, 1) / np.diagonal(lam, 1)
-    if np.any(np.abs(ratio) < 1e-13):
+    ratio = K.diagonal(1) / lam.diagonal(1)
+    mag = abs(ratio)
+    if not mag.min() >= 1e-13:
         raise ConstraintViolation("vanishing superdiagonal in conjugated factor")
-    zeta = np.concatenate(([1.0], np.cumprod(ratio / np.abs(ratio))))
-    K = zeta[:, None] * K0 * np.conjugate(zeta)[None, :]
+    zeta = np.ones(n, dtype=complex)
+    (ratio / mag).cumprod(out=zeta[1:])
+    np.multiply(zeta[:, None], K, out=K)
+    K *= zeta.conj()
 
     closure = K[n - 1, 0] / lam[n - 1, 0]
     if abs(closure / abs(closure) - 1.0) > 1e-5:
@@ -109,7 +116,7 @@ def _label(A, frame, c):
 
     col = (j + 1) % n
     rj = math.sqrt(xi[j] - c.y)
-    u = np.conjugate(K[:, col] / (rj * lam[:, col]))
+    u = (K[:, col] / (rj * lam[:, col])).conj()
     u[j] = rj
     return canonicalize(u, c)
 
@@ -193,21 +200,29 @@ def action_variables(u, c):
 
 
 def reduced_trajectory(u, h, t_final, steps, c):
-    """Sampled reduced flow; yields (step, t, u_t, J(u_t), Xi(K(u_t))).
+    """Sampled reduced flow; an iterator of (step, t, u_t, J(u_t), Xi(K(u_t))).
 
-    The unreduced flow is exact for every t, so each sample is produced
-    from the single initial lift with no accumulated integration error.
-    Once per trajectory: the lift, the decomposition of the frozen factor's
-    gradient (flow_map) and, for side 'second' flows, which leave B fixed,
-    the orbit frame of B.  Per step, lazily on each next(): the flowed pair
-    at t, its f_beta_inv (with the orbit frame of B for side 'second', and
-    the whole map for side 'first', since B moves) and the action variables
-    of the label, which is canonical already.
+    steps, t_final and a spectral Hamiltonian's index are checked when it
+    is called.  The unreduced flow is exact for every t, so each sample is
+    produced from the single initial lift with no accumulated integration
+    error.  At the first next(), once per trajectory: the lift, the
+    decomposition of the frozen factor's gradient (flow_map) and, for side
+    'second' flows, which leave B fixed, the orbit frame of B.  Per step,
+    lazily on each next(): the flowed pair at t, its f_beta_inv (with the
+    orbit frame of B for side 'second', and the whole map for side 'first',
+    since B moves) and the action variables of the label, which is
+    canonical already.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not math.isfinite(t_final):
         raise ValueError(f"t_final (--t) must be finite, got {t_final}")
+    if h.kind == "spectral":
+        spectral_index(h.index, c.n)
+    return _trajectory(u, h, t_final, steps, c)
+
+
+def _trajectory(u, h, t_final, steps, c):
     rep = _lift(u, c)
     at = flow_map(rep, h)
     frame = _orbit_frame(rep.B, c) if h.side == "second" else None

@@ -10,10 +10,12 @@ input, A.shape[-1] or xi.shape[-1].  The gradients and flows built on
 (xi, g) live in double.py; the invariant pairing of su(n) lives here.
 """
 
+import functools
 import math
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import zgees
 
 from .coupling import check_alcove
 from .errors import NonRegular
@@ -33,8 +35,9 @@ def traceless_antihermitian(m):
 
 
 def scalar_product(eta, zeta):
-    """Invariant pairing <eta, zeta> = -tr(eta zeta)/2 on su(n)."""
-    return float(-0.5 * np.trace(eta @ zeta).real)
+    """Invariant pairing <eta, zeta> = -tr(eta zeta)/2 on su(n), summed
+    entrywise as tr(eta zeta) = sum_kl eta_kl zeta_lk without the product."""
+    return -0.5 * float(np.sum(eta * zeta.T).real)
 
 
 def random_special_unitary(n, rng):
@@ -83,16 +86,18 @@ def _phases_to_alcove(phases, n):
     delta parametrization; xi_k is half the k-th gap of the lifted phases.
     This is the one implementation of the phase convention.
     """
-    order = np.argsort(phases, kind="stable")
+    order = phases.argsort(kind="stable")
     psi = phases[order]
     # det A = 1 forces sum(psi) = 2 pi M; the shift below makes M = 0 mod n.
-    m0 = int(np.round(psi.sum() / (2.0 * math.pi)))
+    m0 = round(float(psi.sum()) / (2.0 * math.pi))
     shift = (-m0) % n
-    perm = np.concatenate([order[shift:], order[:shift]])
-    lifted = np.concatenate([psi[shift:], psi[:shift] + 2.0 * math.pi])
+    roll = np.arange(shift, shift + n)
+    perm = order.take(roll, mode="wrap")
+    lifted = psi.take(roll, mode="wrap")
+    lifted[n - shift :] += 2.0 * math.pi
 
     xi = np.empty(n)
-    xi[:-1] = 0.5 * np.diff(lifted)
+    xi[:-1] = 0.5 * (lifted[1:] - lifted[:-1])
     xi[-1] = math.pi - xi[:-1].sum()
     return xi, perm
 
@@ -108,6 +113,35 @@ def alcove_point(A):
     return _phases_to_alcove(np.angle(np.linalg.eigvals(A)), np.shape(A)[-1])[0]
 
 
+def _no_sort(w):
+    """zgees's eigenvalue-select callback, never called with sort_t = 0."""
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _gees_lwork(n):
+    """Optimal LAPACK zgees workspace size for n x n, from one query; it
+    depends on n alone."""
+    work = zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
+    return int(work[0].real)
+
+
+def _schur(A):
+    """Complex Schur form A = Z T Z^dagger of a square complex array by one
+    LAPACK zgees call, the call scipy.linalg.schur(A, output="complex")
+    makes after its argument checks and workspace query, so T and Z are
+    the same bits.  A non-square or non-finite A raises ValueError and a
+    failed QR iteration LinAlgError, as there."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("expected square matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    T, _, _, Z, _, info = zgees(_no_sort, A, lwork=_gees_lwork(A.shape[-1]))
+    if info != 0:
+        raise LinAlgError(f"Schur form not found (zgees info={info})")
+    return T, Z
+
+
 def spectral_xi(A):
     """The decomposition (xi, g) of a regular special-unitary matrix,
     A = g^dagger delta(xi) g.
@@ -120,15 +154,15 @@ def spectral_xi(A):
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
-    T, Z = scipy.linalg.schur(A, output="complex")
-    xi, perm = _phases_to_alcove(np.angle(np.diagonal(T)), n)
+    T, Z = _schur(A)
+    xi, perm = _phases_to_alcove(np.angle(T.diagonal()), n)
     gap = 2.0 * float(xi.min())
     if not gap > GAP_TOL:
         raise NonRegular(f"eigenphase gap {gap:.3e} is at most GAP_TOL={GAP_TOL:.1e}")
 
     vecs = Z[:, perm]
-    lead = vecs[np.argmax(np.abs(vecs) > PHASE_TOL, axis=0), np.arange(n)]
-    g = dagger(vecs * np.conjugate(lead / np.abs(lead)))
+    lead = vecs[(abs(vecs) > PHASE_TOL).argmax(axis=0), np.arange(n)]
+    g = (vecs * (lead / abs(lead)).conj()).conj().T
     return xi, g
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from rsdual.coupling import Coupling, check_shifted_alcove
-from rsdual.errors import DomainViolation, SingularDenominator
+from rsdual.errors import AlcoveViolation, DomainViolation, SingularDenominator
 from rsdual.lax import (
     _lambda_parts,
     global_lax,
@@ -254,6 +254,39 @@ def test_w_lambda_and_global_lax_match_reference(n):
         _assert_lax_core_matches(u, c)
 
 
+def ref_lambda_expression(xi, c):
+    """Lambda as one expression per step, with a temporary per product."""
+    n, y = c.n, c.y
+    k = np.arange(n)
+    sup = (k, (k + 1) % n)
+    C = np.concatenate(([0.0], np.cumsum(xi[:-1])))
+    phi = C[:, None] - C
+    den = np.sin(phi + y)
+    sr = np.sinc((xi - y) / np.pi)
+    s = np.sin(phi)
+    np.fill_diagonal(s, 1.0)
+    ratio = den / s
+    np.fill_diagonal(ratio, 1.0)
+    ratio[sup] = sr / np.sin(np.abs(phi[sup]))
+    wp, wm = np.sqrt(ratio.prod(axis=1)), np.sqrt(ratio.prod(axis=0))
+    den[sup] = 1.0
+    siny = math.sin(y)
+    lam = siny * np.exp(-1j * phi) * wp[:, None] * wm / den
+    lam[sup] = -siny * np.exp(1j * xi) * wp * wm[sup[1]] / sr
+    return lam, wp
+
+
+@pytest.mark.parametrize("n", NS)
+def test_lambda_is_the_expression_bit_for_bit(n):
+    # products in place, in the same order, give the same bits
+    c = Coupling.default(n)
+    rng = np.random.default_rng([73, n])
+    for u in _points(c, rng) + vertex_points(c, eps=1e-4, rng=rng):
+        xi = moment_J_full(u, c)
+        for got, want in zip(_lambda_parts(xi, c), ref_lambda_expression(xi, c)):
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", NS)
 def test_smooth_chart_gauge_matches_reference(n):
     c = Coupling.default(n)
@@ -403,3 +436,13 @@ def test_domain_violation_off_the_shifted_alcove(n):
         local_lax(xi, np.ones(n), c)
     with pytest.raises(DomainViolation):
         local_hamiltonian(xi, np.zeros(n), c)
+
+
+def test_nan_fails_the_alcove_and_positivity_guards():
+    # min-based guards fail on NaN, where np.any(x < bound) passed it on
+    c = Coupling.default(3)
+    xi = np.array([math.nan, 1.0, 1.0])
+    with pytest.raises(AlcoveViolation, match="negative alcove coordinate"):
+        check_shifted_alcove(xi, c)
+    with pytest.raises(DomainViolation, match="not positive"):
+        _lambda_parts(xi, c)

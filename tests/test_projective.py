@@ -1,6 +1,7 @@
 """Projective phase-space model: representatives, charts, form, actions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,17 +103,50 @@ def test_canonicalize_zero_vector():
         canonicalize(np.zeros(3), Coupling.default(3))
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e-300, 5e-324, 1e300])
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300, 5e-324, 1e200, 1e300])
 def test_canonicalize_tiny_and_huge_inputs(scale):
     # |z * scale|^2 is subnormal, zero or infinite in floating point; at
-    # 5e-324 the entries of z * scale are exact multiples of that subnormal
+    # 5e-324 the entries of z * scale are exact multiples of that subnormal.
+    # The guard that rescales them raises no warning.
     c = Coupling.default(3)
     z = np.array([2.0, 1j, -1.0 + 1j])
-    with np.errstate(over="ignore"):  # numpy's warning of the 1e600 square
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         u = canonicalize(z * scale, c)
     assert np.max(np.abs(u - canonicalize(z, c))) < 1e-14
     K = global_lax(u, c)
     assert np.linalg.norm(dagger(K) @ K - np.eye(3)) < 1e-12
+
+
+def ref_canonicalize(u, c):
+    """canonicalize through np.linalg.norm, np.abs and np.argmax."""
+    u = np.asarray(u, dtype=complex)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(u)
+    if not 1e-150 < nrm < 1e150:
+        top = np.abs(u).max()
+        u = u.real / top + 1j * (u.imag / top)
+        nrm = np.linalg.norm(u)
+    u = u * (math.sqrt(c.chi0) / nrm)
+    mags = np.abs(u)
+    jstar = int(np.argmax(mags >= mags.max() - 1e-12))
+    if mags[jstar] > 0:
+        u = u * (np.conjugate(u[jstar]) / mags[jstar])
+    return u
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_canonicalize_matches_reference_bit_for_bit(n):
+    # random points at every scale the guard sees, and ties for the
+    # largest modulus
+    rng = np.random.default_rng([17, n])
+    c = Coupling.default(n)
+    for scale in (1.0, 1e-160, 1e-200, 1e200, 1e300):
+        for _ in range(20):
+            z = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            assert canonicalize(z, c).tobytes() == ref_canonicalize(z, c).tobytes()
+        tie = scale * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        assert canonicalize(tie, c).tobytes() == ref_canonicalize(tie, c).tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -15,7 +15,9 @@ from rsdual.double import (
     auto_apply,
     conjugate,
     hamiltonian_gradient,
+    moment,
     omega_eval,
+    random_double_point,
     rho_embedding,
 )
 from rsdual.errors import ChartViolation, ConstraintViolation
@@ -108,6 +110,27 @@ def stabilizer_element(n, rng):
     h[: n - 1, : n - 1] = block
     h[n - 1, n - 1] = np.exp(1j * rng.uniform(0, 2 * math.pi))
     return h
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_constraint_residual_matches_mu_mu0_inverse_formula(n):
+    # |AB - mu0 BA|_F is |mu mu0^{-1} - 1|_F, since right multiplication by
+    # the unitary BA mu0^{-1} keeps the Frobenius norm.  Random pairs agree
+    # to 1e-15 relative; on constrained pairs both are rounding noise of
+    # size ~6e-15 (the four-product formula's own error), so they agree to
+    # 1e-14
+    c = Coupling.default(n)
+
+    def old_residual(p):
+        return np.linalg.norm(moment(p) @ dagger(c.mu0) - np.eye(n))
+
+    for _ in range(50):
+        u = rand_u(c)
+        p = section_F(u, chart_index(u), c)
+        assert abs(constraint_residual(p, c) - old_residual(p)) <= 1e-14
+        p = random_double_point(n, RNG)
+        old = old_residual(p)
+        assert abs(constraint_residual(p, c) - old) <= 1e-15 * old
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -613,8 +636,29 @@ def test_reduced_trajectory_canonicalizes_once_per_step(monkeypatch, kind, side)
 
 def test_reduced_trajectory_rejects_negative_steps():
     c = Coupling.default(3)
-    with pytest.raises(ValueError):
-        next(reduced_trajectory(rand_u(c), InvariantHamiltonian("dehn"), 1.0, -1, c))
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        reduced_trajectory(rand_u(c), InvariantHamiltonian("dehn"), 1.0, -1, c)
+
+
+@pytest.mark.parametrize(
+    "ham, t_final, message",
+    [
+        (InvariantHamiltonian("dehn"), math.nan, "t_final"),
+        (InvariantHamiltonian("dehn"), -math.inf, "t_final"),
+        (InvariantHamiltonian("spectral", 5, "first"), 1.0, "spectral index"),
+        (InvariantHamiltonian("spectral", 0, "second"), 1.0, "spectral index"),
+    ],
+)
+def test_reduced_trajectory_rejects_bad_arguments_when_called(monkeypatch, ham, t_final, message):
+    # the arguments are checked at the call, before any next(); the lift
+    # waits for the first next() even when they are valid
+    c = Coupling.default(3)
+    lifted = []
+    monkeypatch.setattr(reduction, "_lift", lambda u, c: lifted.append(u))
+    with pytest.raises(ValueError, match=message):
+        reduced_trajectory(rand_u(c), ham, t_final, 10, c)
+    reduced_trajectory(rand_u(c), InvariantHamiltonian("spectral", 2), 1.0, 10, c)
+    assert lifted == []
 
 
 def test_symplectic_pullback_through_sections():

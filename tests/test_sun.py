@@ -16,6 +16,7 @@ from rsdual.projective import canonicalize, vertex_points
 from rsdual.sun import (
     PHASE_TOL,
     _phases_to_alcove,
+    _schur,
     alcove_delta,
     alcove_exponents,
     alcove_point,
@@ -134,6 +135,60 @@ def test_spectral_phase_convention(n):
         for row in spectral_xi(A)[1]:
             lead = np.conjugate(row[np.argmax(np.abs(row) > PHASE_TOL)])
             assert lead.real > 0.0 and abs(lead.imag) < 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+def test_schur_is_scipy_schur_bit_for_bit(n):
+    # one zgees call with the per-n workspace size is the call
+    # scipy.linalg.schur makes after its checks and workspace query
+    for _ in range(20):
+        A = random_special_unitary(n, RNG)
+        T, Z = _schur(A)
+        T0, Z0 = schur(A, output="complex")
+        assert T.tobytes() == T0.tobytes() and Z.tobytes() == Z0.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_spectral_xi_rejects_non_finite_input(bad):
+    A = random_special_unitary(3, RNG)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectral_xi(A)
+
+
+def test_spectral_xi_rejects_non_square_input():
+    with pytest.raises(ValueError, match="square"):
+        spectral_xi(random_special_unitary(3, RNG)[:2])
+
+
+def ref_phases_to_alcove(phases, n):
+    """The phase convention through np.argsort, np.round, np.concatenate and
+    np.diff."""
+    order = np.argsort(phases, kind="stable")
+    psi = phases[order]
+    shift = (-int(np.round(psi.sum() / (2.0 * math.pi)))) % n
+    perm = np.concatenate([order[shift:], order[:shift]])
+    lifted = np.concatenate([psi[shift:], psi[:shift] + 2.0 * math.pi])
+    xi = np.empty(n)
+    xi[:-1] = 0.5 * np.diff(lifted)
+    xi[-1] = math.pi - xi[:-1].sum()
+    return xi, perm
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_phases_to_alcove_matches_reference_bit_for_bit(n):
+    # random SU(n), and the center elements e^{2 pi i k/n}, whose equal
+    # phases tie in the sort and reach shifts that random points miss
+    mats = [random_special_unitary(n, RNG) for _ in range(40)]
+    mats += [np.exp(2j * math.pi * k / n) * np.eye(n) for k in range(n)]
+    shifts = set()
+    for A in mats:
+        phases = np.angle(np.linalg.eigvals(A))
+        xi, perm = _phases_to_alcove(phases, n)
+        xi0, perm0 = ref_phases_to_alcove(phases, n)
+        assert xi.tobytes() == xi0.tobytes() and (perm == perm0).all()
+        shifts.add(round(np.sort(phases).sum() / (2.0 * math.pi)) % n)
+    assert len(shifts) > 1
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
@@ -292,6 +347,16 @@ def test_matrix_power_semigroup(n):
         s = RNG.uniform(0, 1)
         lhs = real_power(C, s) @ real_power(C, 1.0 - s)
         assert np.linalg.norm(lhs - C) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_scalar_product_is_the_trace_pairing(n):
+    # the entrywise sum equals -tr(eta zeta)/2 of the whole product
+    for _ in range(10):
+        eta = random_su_algebra(n, RNG)
+        zeta = random_su_algebra(n, RNG)
+        ref = -0.5 * np.trace(eta @ zeta).real
+        assert abs(scalar_product(eta, zeta) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 def test_scalar_product_values_and_symmetry():

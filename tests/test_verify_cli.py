@@ -537,6 +537,23 @@ def test_cli_rejects_non_finite_numbers(capsys, recwarn, argv, name):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--hamiltonian", "dehn", "--t", "nan"), "t_final (--t)"),
+        (("--hamiltonian", "action:5", "--t", "1"), "spectral index"),
+        (("--hamiltonian", "dehn", "--t", "1", "--steps", "-2"), "steps"),
+    ],
+    ids=["t-nan", "index", "steps"],
+)
+def test_cli_flow_bad_arguments_print_no_csv(capsys, argv, message):
+    # the trajectory checks its arguments before the CSV header is written
+    assert run_cli("flow", "--n", "3", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["message"].startswith(message)
+
+
 def test_suite_rejects_duplicate_n(capsys):
     # a repeated n would run the same cells twice under one rng key
     with pytest.raises(ValueError, match=r"repeats n = \[3\]"):
