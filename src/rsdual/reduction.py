@@ -130,7 +130,7 @@ def f_beta_inv(p, c, frame=None):
     of the conjugated A against the nowhere-zero Lambda factors; read the
     chart coordinates off the remaining entries.  The pair must satisfy the
     constraint to 1e-6, and the superdiagonal phases must close to 1e-5.
-    A caller that holds B fixed passes its _orbit_frame once as frame.
+    A caller that already holds the _orbit_frame of B passes it as frame.
     """
     res = constraint_residual(p, c)
     if res > 1e-6:
@@ -208,10 +208,12 @@ def reduced_trajectory(u, h, t_final, steps, c):
     error.  At the first next(), once per trajectory: the lift, the
     decomposition of the frozen factor's gradient (flow_map) and, for side
     'second' flows, which leave B fixed, the orbit frame of B.  Per step,
-    lazily on each next(): the flowed pair at t, its f_beta_inv (with the
-    orbit frame of B for side 'second', and the whole map for side 'first',
-    since B moves) and the action variables of the label, which is
-    canonical already.
+    lazily on each next(): the flowed pair at t, the orbit frame of its B
+    (the fixed one on side 'second', a new one on side 'first', since B
+    moves), its f_beta_inv through that frame, and the action variables of
+    the label.  K(u_t) is built from the frame's Lambda, so a step builds
+    Lambda at most once: the frame's xi is read from the spectrum of B_t,
+    and |u_t|^2 + y equals it to the accuracy of the label.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -225,8 +227,10 @@ def reduced_trajectory(u, h, t_final, steps, c):
 def _trajectory(u, h, t_final, steps, c):
     rep = _lift(u, c)
     at = flow_map(rep, h)
-    frame = _orbit_frame(rep.B, c) if h.side == "second" else None
+    fixed = _orbit_frame(rep.B, c) if h.side == "second" else None
     for k in range(steps + 1):
         t = t_final * k / steps if steps else 0.0
-        ut = f_beta_inv(at(t), c, frame)
-        yield k, t, ut, moment_J(ut, c), alcove_point(global_lax(ut, c))[: c.n - 1]
+        pt = at(t)
+        frame = fixed or _orbit_frame(pt.B, c)
+        ut = f_beta_inv(pt, c, frame)
+        yield k, t, ut, moment_J(ut, c), alcove_point(_lax_from(ut, frame[3]))[: c.n - 1]

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import zgees
+from scipy.linalg.lapack import zgees, zgeev
 
 from .coupling import check_alcove
 from .errors import NonRegular
@@ -109,8 +109,18 @@ def alcove_point(A):
     convention of spectral_xi, whose xi it equals to rounding.  A unitary
     matrix has eigenvalue condition number 1, so xi is as accurate as the
     eigenvalues; use spectral_xi where the diagonalizer g is needed too.
+
+    The eigenvalues come from one LAPACK zgeev call with no eigenvectors,
+    the routine np.linalg.eigvals calls for a complex matrix after its
+    checks and workspace query; the bits agree (tested up to n = 32).  A
+    non-finite A raises LinAlgError, as there.
     """
-    return _phases_to_alcove(np.angle(np.linalg.eigvals(A)), np.shape(A)[-1])[0]
+    if not np.isfinite(A).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    w, _, _, info = zgeev(A, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise LinAlgError(f"eigenvalues not found (zgeev info={info})")
+    return _phases_to_alcove(np.angle(w), len(w))[0]
 
 
 def _no_sort(w):

@@ -446,3 +446,15 @@ def test_nan_fails_the_alcove_and_positivity_guards():
         check_shifted_alcove(xi, c)
     with pytest.raises(DomainViolation, match="not positive"):
         _lambda_parts(xi, c)
+
+
+@pytest.mark.parametrize(
+    "xi", ([2.8, 0.9, math.pi - 3.7], [0.9, 2.8, math.pi - 3.7]), ids=("w_plus", "w_minus")
+)
+def test_positivity_guard_on_one_factor_alone(xi):
+    # off the shifted alcove, past check_shifted_alcove: the first xi makes
+    # only a product W_k(+y)^2 / r_k^2 negative, the second (its mirror
+    # image) only a W_k(-y)^2 / r_(k-1)^2; either one alone must raise
+    c = Coupling.default(3)
+    with pytest.raises(DomainViolation, match="not positive"):
+        _lambda_parts(np.array(xi), c)

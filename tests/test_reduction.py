@@ -14,6 +14,7 @@ from rsdual.double import (
     InvariantHamiltonian,
     auto_apply,
     conjugate,
+    flow_map,
     hamiltonian_gradient,
     moment,
     omega_eval,
@@ -21,7 +22,15 @@ from rsdual.double import (
     rho_embedding,
 )
 from rsdual.errors import ChartViolation, ConstraintViolation
-from rsdual.lax import _lambda_parts, global_lax, local_lax, reflection_g, v_vector, w_factors
+from rsdual.lax import (
+    _lambda_parts,
+    _lax_from,
+    global_lax,
+    local_lax,
+    reflection_g,
+    v_vector,
+    w_factors,
+)
 from rsdual.projective import (
     CHART_TOL,
     canonicalize,
@@ -36,7 +45,7 @@ from rsdual.projective import (
     to_chart,
     vertex_points,
 )
-from rsdual import reduction
+from rsdual import lax, reduction
 from rsdual.reduction import (
     _chart_lift,
     action_variables,
@@ -54,6 +63,7 @@ from rsdual.sun import alcove_delta, alcove_point, dagger, spectral_xi
 from rsdual.verify import FD_STEP
 
 RNG = np.random.default_rng(31415)
+EPS = np.finfo(float).eps
 
 
 @given(
@@ -594,25 +604,58 @@ def expm_flow(p, h, t):
     return DoublePoint(p.A @ expm(t * hamiltonian_gradient(h, p.B)), p.B)
 
 
+def trajectory_starts(n, y_scale):
+    """Coupling and start points of a trajectory test: one random point at
+    y = pi/(2n), or the n near-vertex points at y = 1e-3 pi/n."""
+    if y_scale == "mid":
+        c = Coupling.default(n)
+        return c, [rand_u(c)]
+    c = Coupling(n, 1e-3 * math.pi / n)
+    return c, vertex_points(c, eps=1e-4, rng=np.random.default_rng(n))
+
+
 @pytest.mark.parametrize(
-    "kind,side",
-    [("re_trace", "first"), ("dehn", "first"), ("spectral", "second"), ("dehn", "second")],
+    "n,y_scale,kind,side",
+    [
+        pytest.param(3, "mid", "re_trace", "first", id="re_trace-first"),
+        pytest.param(3, "mid", "dehn", "first", id="dehn-first"),
+        pytest.param(3, "mid", "spectral", "second", id="spectral-second"),
+        pytest.param(3, "mid", "dehn", "second", id="dehn-second"),
+        pytest.param(3, "small", "re_trace", "first", id="small-y-n3"),
+        pytest.param(4, "small", "re_trace", "first", id="small-y-n4"),
+    ],
 )
-def test_reduced_trajectory_matches_per_sample_flow(kind, side):
+def test_reduced_trajectory_matches_per_sample_flow(n, y_scale, kind, side):
     # the trajectory decomposes the gradient (and, on side 'second', B) once;
-    # every 100th sample is recomputed from scratch and through expm
-    n = 3
-    c = Coupling.default(n)
-    u = rand_u(c)
+    # every 100th sample is recomputed from scratch and through expm.  Next
+    # to a vertex at small y the label divides entries of K by r_j, so the
+    # expm path, which rounds differently, and K(u_t) rebuilt at
+    # |u_t|^2 + y agree only to ~1e-8 there (7.3e-9 and 5.8e-9 at n = 4)
+    c, starts = trajectory_starts(n, y_scale)
+    tol = 1e-12 if y_scale == "mid" else 1e-7
     ham = InvariantHamiltonian(kind, 1, side)
-    rep = section_F(u, chart_index(u), c)
-    for k, t, ut, J, xiK in reduced_trajectory(u, ham, 10.0, 1500, c):
-        if k % 100:
-            continue
-        assert np.abs(ut - reduced_flow(u, ham, t, c)).max() < 1e-12
-        assert np.abs(ut - f_beta_inv(expm_flow(rep, ham, t), c)).max() < 1e-12
-        assert np.abs(J - moment_J_full(ut, c)[: n - 1]).max() == 0.0
-        assert np.abs(xiK - alcove_point(global_lax(ut, c))[: n - 1]).max() == 0.0
+    for u in starts:
+        rep = reduction._lift(u, c)
+        at = flow_map(rep, ham)
+        for k, t, ut, J, xiK in reduced_trajectory(u, ham, 10.0, 1500, c):
+            if k % 100:
+                continue
+            assert np.abs(ut - reduced_flow(u, ham, t, c)).max() < 1e-12
+            assert np.abs(ut - f_beta_inv(expm_flow(rep, ham, t), c)).max() < tol
+            assert np.abs(J - moment_J_full(ut, c)[: n - 1]).max() == 0.0
+            # K(u_t) is built from the Lambda of the orbit frame that labels u_t
+            K = _lax_from(ut, reduction._orbit_frame(at(t).B, c)[3])
+            assert xiK.tobytes() == alcove_point(K)[: n - 1].tobytes()
+            # K0, built afresh at |u_t|^2 + y, is unitary to rounding, so by
+            # Bauer-Fike each eigenvalue of K = K0 + dK lies within |dK|_2 of
+            # its own of K0's (they are >= 2 sin y apart), its phase within
+            # asin |dK|_2, and so does every half-gap Xi_k; 4 n eps covers
+            # the rounding of the two eigenvalue solves
+            K0 = global_lax(ut, c)
+            dK = np.linalg.norm(K - K0, 2)
+            assert dK < tol
+            bound = math.asin(dK) + 4 * n * EPS
+            assert np.abs(xiK - alcove_point(K0)[: n - 1]).max() <= bound
 
 
 @pytest.mark.parametrize("kind,side", [("re_trace", "first"), ("dehn", "second")])
@@ -632,6 +675,26 @@ def test_reduced_trajectory_canonicalizes_once_per_step(monkeypatch, kind, side)
     calls.clear()
     assert sum(1 for _ in rows) == 10
     assert len(calls) == 10
+
+
+@pytest.mark.parametrize("kind,side,per_step", [("re_trace", "first", 1), ("dehn", "second", 0)])
+def test_reduced_trajectory_builds_lambda_once_per_step(monkeypatch, kind, side, per_step):
+    # K(u_t) is built from the Lambda of the orbit frame that labels u_t: a
+    # side-'first' step builds one frame, a side-'second' step reuses B's
+    calls = []
+
+    def counted(xi, c):
+        calls.append(1)
+        return _lambda_parts(xi, c)
+
+    c = Coupling.default(3)
+    rows = reduced_trajectory(rand_u(c), InvariantHamiltonian(kind, 1, side), 1.0, 10, c)
+    monkeypatch.setattr(lax, "_lambda_parts", counted)
+    monkeypatch.setattr(reduction, "_lambda_parts", counted)
+    next(rows)
+    calls.clear()
+    assert sum(1 for _ in rows) == 10
+    assert len(calls) == 10 * per_step
 
 
 def test_reduced_trajectory_rejects_negative_steps():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm, schur
+from scipy.linalg import LinAlgError, expm, schur
 
 from rsdual.coupling import Coupling, check_alcove, random_shifted_alcove
 from rsdual.double import DoublePoint, InvariantHamiltonian, flow, hamiltonian_gradient
@@ -220,6 +220,26 @@ def assert_alcove_point_matches(A):
 def test_alcove_point_matches_spectral_xi(n):
     for _ in range(50):
         assert_alcove_point_matches(random_special_unitary(n, RNG))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+def test_alcove_point_is_eigvals_bit_for_bit(n):
+    # one zgeev call with no eigenvectors is the LAPACK routine
+    # np.linalg.eigvals calls for a complex matrix
+    c = Coupling.default(n)
+    mats = [random_special_unitary(n, RNG) for _ in range(20)]
+    mats += [global_lax(u, c) for u in vertex_points(c, eps=1e-4, rng=RNG)[:5]]
+    for A in mats:
+        want = _phases_to_alcove(np.angle(np.linalg.eigvals(A)), n)[0]
+        assert alcove_point(A).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_alcove_point_rejects_non_finite_input(bad):
+    A = random_special_unitary(3, RNG)
+    A[1, 2] = bad
+    with pytest.raises(LinAlgError, match="infs or NaNs"):
+        alcove_point(A)
 
 
 def near_wall_u(c, rng, wall):
