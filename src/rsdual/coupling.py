@@ -75,11 +75,11 @@ class Coupling:
 
 def check_alcove(xi, tol=SUM_TOL):
     """Raise AlcoveViolation unless xi_j >= -tol and sum xi_j is within
-    max(tol, 1e-9) of pi."""
+    max(tol, 1e-9) of pi, for xi and for every row of a stack (..., n)."""
     xi = np.asarray(xi, dtype=float)
-    if abs(xi.sum() - math.pi) > max(tol, 1e-9):
-        raise AlcoveViolation(f"sum(xi) = {xi.sum():.15g} differs from pi")
-    if not xi.min() >= -tol:
+    if np.count_nonzero(abs(np.add.reduce(xi, -1) - math.pi) > max(tol, 1e-9)):
+        raise AlcoveViolation(f"sum(xi) = {np.add.reduce(xi, -1)} differs from pi")
+    if not np.minimum.reduce(xi, None) >= -tol:
         raise AlcoveViolation(f"negative alcove coordinate in {xi}")
     return xi
 
@@ -88,7 +88,7 @@ def check_shifted_alcove(xi, c, tol=SUM_TOL):
     """Raise DomainViolation unless xi lies in the thick-walled alcove:
     check_alcove at tol, then xi_j >= y - max(tol, 1e-10)."""
     xi = check_alcove(xi, tol=tol)
-    if xi.min() - c.y < -max(tol, 1e-10):
+    if np.minimum.reduce(xi, None) - c.y < -max(tol, 1e-10):
         raise DomainViolation(f"xi_j < y for some j: {xi}, y={c.y}")
     return xi
 

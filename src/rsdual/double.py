@@ -7,7 +7,8 @@ actions, and the mapping-class automorphisms S, T, Ttilde together with the
 central twist Q and the conjugating involution nu.  As in the paper, the
 double carries no coupling: nothing here takes a Coupling, and n is the
 size of the matrices.  Nor does it differentiate numerically: the
-finite-difference pushforward the checks take lives in verify.
+finite-difference pushforward the checks take lives in verify.  The 2-form
+and the tangent check and projection take stacks of tangents (..., n, n).
 """
 
 from dataclasses import dataclass
@@ -47,7 +48,8 @@ class DoubleTangent:
     def check(self, p):
         for m, dm in ((p.A, self.dA), (p.B, self.dB)):
             x = dagger(m) @ dm
-            if max(np.linalg.norm(x + dagger(x)), abs(np.trace(x))) > TANGENT_TOL:
+            off = np.maximum(np.linalg.norm(x + dagger(x), axis=(-2, -1)), abs(x.trace(0, -2, -1)))
+            if np.count_nonzero(off > TANGENT_TOL):
                 raise TangencyViolation("tangent not in su(n) at the base point")
         return self
 

@@ -6,6 +6,7 @@ r_k = sqrt(xi_k - y) and W_k(-y) in r_{k-1}; splitting those roots off
 leaves strictly positive smooth factors w_k^{+-}.  The matrix Lambda of
 smooth entry cofactors assembled from them never vanishes, which is what
 lets the Lax matrix extend to the whole projective phase space as K(u).
+Lambda, K(u) and the chart gauge take stacks (..., n), each row with the one-point bits.
 """
 
 from collections import namedtuple
@@ -23,34 +24,41 @@ from .errors import (
 )
 
 def sinratio(x):
-    """sin(x)/x, smooth through x = 0 (numpy's normalized sinc at x/pi)."""
-    out = np.sinc(np.asarray(x, dtype=float) / np.pi)
+    """sin(x)/x, smooth through x = 0: np.sinc(x / pi) step by step, without its overhead."""
+    t = np.pi * (np.asarray(x, dtype=float) / np.pi)
+    t = np.where(t, t, 2.220446049250313e-16)  # np.finfo(float).eps, as in np.sinc
+    out = np.sin(t) / t
     return out if out.ndim else float(out)
 
 
-_CyclicIndex = namedtuple("_CyclicIndex", "sup next prev")
+_CyclicIndex = namedtuple("_CyclicIndex", "sup diag rows col0 next prev")
 
 
-@functools.lru_cache(maxsize=64)
-def _cyclic(n):
-    """Index arrays for size n: the flat (take/put) indices of the cyclic
-    superdiagonal (k, k+1 mod n) of an n x n array, and the cyclic
-    successor k+1 and predecessor k-1 mod n."""
+@functools.lru_cache(maxsize=128)
+def _cyclic(shape):
+    """Flat (take/put) indices, for points (..., n) and their n x n matrices,
+    of each superdiagonal (k, k+1 mod n), diagonal, (k, 0) entries (shaped
+    (n, ...)) and first point entry; and k+1, k-1 mod n (the latter (1, n))."""
+    n = shape[-1]
     k = np.arange(n)
     nxt = (k + 1) % n
-    prv = (k - 1) % n
-    sup = k * n + nxt
-    for a in (sup, nxt, prv):
+    prv = (k - 1)[None, :] % n
+    rows = np.arange(0, math.prod(shape), n).reshape(shape[:-1])
+    start = rows.reshape(-1, 1) * n
+    sup = (start + k * n + nxt).ravel()
+    diag = (start + k * (n + 1)).ravel()
+    col0 = (start.T + n * k[:, None]).reshape((n,) + shape[:-1])
+    for a in (sup, diag, rows, col0, nxt, prv):
         a.flags.writeable = False
-    return _CyclicIndex(sup=sup, next=nxt, prev=prv)
+    return _CyclicIndex(sup=sup, diag=diag, rows=rows, col0=col0, next=nxt, prev=prv)
 
 
 def _pair_angles(xi):
     """phi[k, l] = x_k - x_l = C_k - C_l, with C_k = xi_0 + ... + xi_{k-1}
     the alcove prefix sums (well defined modulo pi)."""
-    C = np.zeros(len(xi))
-    xi[:-1].cumsum(out=C[1:])
-    return C[:, None] - C
+    C = np.zeros(xi.shape)
+    np.add.accumulate(xi[..., :-1], -1, out=C[..., 1:])
+    return C[..., None] - C[..., None, :]
 
 
 def _w_ratios(phi, sin_shift):
@@ -60,11 +68,11 @@ def _w_ratios(phi, sin_shift):
     W_k(y)^2 is the product of row k and W_k(-y)^2 that of column k, since
     sin(phi_kj - y) / sin(phi_kj) = ratio[j, k].
     """
-    diag = slice(None, None, len(phi) + 1)
+    diag = _cyclic(phi.shape[:-1]).diag
     ratio = np.sin(phi)
-    ratio.flat[diag] = 1.0
+    ratio.put(diag, 1.0)
     np.divide(sin_shift, ratio, out=ratio)
-    ratio.flat[diag] = 1.0
+    ratio.put(diag, 1.0)
     return ratio
 
 
@@ -72,20 +80,21 @@ def _w_factor_data(phi, sin_shift, sr):
     """Smooth squared factors of W_k(+-y) with the zero r_v^2 split off.
 
     phi is _pair_angles(xi), sin_shift = sin(phi + y) and sr =
-    sinratio(xi - y).  Returns (wp2, wm2)
+    sinratio(xi - y).  Returns the stack (wp2, wm2)
     with W_k(+y)^2 = (xi_k - y) * wp2_k and W_k(-y)^2 = (xi_{k-1} - y) *
     wm2_k, cyclic index k-1.  The ratio on the cyclic superdiagonal,
     sin(xi_k - y) / sin(xi_k) up to sign, is the one that vanishes at the
     wall xi_k = y; it enters W_k(+y) by row and W_{k+1}(-y) by column.
     """
-    idx = _cyclic(len(sr))
+    sup = _cyclic(sr.shape).sup
     ratio = _w_ratios(phi, sin_shift)
-    ratio.put(idx.sup, sr / np.sin(np.abs(phi.take(idx.sup))))
-    wp2 = ratio.prod(axis=1)
-    wm2 = ratio.prod(axis=0)
-    if not (wp2.min() > 0.0 and wm2.min() > 0.0):
+    ratio.put(sup, sr.ravel() / np.sin(np.abs(phi.take(sup))))
+    w2 = np.empty((2,) + sr.shape)
+    np.multiply.reduce(ratio, -1, out=w2[0])
+    np.multiply.reduce(ratio, -2, out=w2[1])
+    if not np.minimum.reduce(w2, None) > 0.0:
         raise DomainViolation("smooth Lax factors not positive; xi outside domain")
-    return wp2, wm2
+    return w2
 
 
 def w_factors(xi, c):
@@ -101,7 +110,7 @@ def w_factors(xi, c):
     phi = _pair_angles(xi)
     w_plus, w_minus = np.sqrt(_w_factor_data(phi, np.sin(phi + y), sinratio(xi - y)))
     r = np.sqrt(np.maximum(xi - y, 0.0))
-    return r * w_plus, r[_cyclic(c.n).prev] * w_minus, w_plus, w_minus
+    return r * w_plus, r[_cyclic(xi.shape).prev[0]] * w_minus, w_plus, w_minus
 
 
 def _lambda_parts(xi, c):
@@ -110,7 +119,7 @@ def _lambda_parts(xi, c):
     nowhere zero on the polytope: L(delta(xi), 1)_{kl} = r_k r_{l-1}
     Lambda_{kl} off the cyclic superdiagonal, and Lambda = L on it."""
     y = c.y
-    idx = _cyclic(c.n)
+    idx = _cyclic(xi.shape)
     phi = _pair_angles(xi)
     sr = sinratio(xi - y)
     den = np.sin(phi + y)
@@ -121,10 +130,10 @@ def _lambda_parts(xi, c):
     # of that product, so with the bits of its one-expression form
     lam = np.exp(-1j * phi)
     np.multiply(siny, lam, out=lam)
-    lam *= wp[:, None]
-    lam *= wm
+    lam *= wp[..., None]
+    lam *= wm[..., None, :]
     lam /= den
-    lam.put(idx.sup, -siny * np.exp(1j * xi) * wp * wm[idx.next] / sr)
+    lam.put(idx.sup, -siny * np.exp(1j * xi) * wp * wm.take(idx.next, axis=-1) / sr)
     return lam, wp
 
 
@@ -215,20 +224,24 @@ def reflection_g(x, j):
     1 - w w^dagger / w_j with columns j and n swapped and column n negated.
     For real x and j = n it is the real orthogonal
     g_{jn} = -g_{nj} = x_j, g_{nn} = x_n, g_{jl} = delta_{jl} - x_j x_l / (1 + x_n);
-    for complex x it is unitary.  Requires x_j real with x_j != -1.
-    """
+    for complex x it is unitary.  Requires x_j real with x_j != -1; a stack
+    x (..., n) takes j as an int or as one chart per row."""
     x = np.asarray(x)
-    n = len(x)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise NormViolation(f"|x| = {np.linalg.norm(x):.12g}, expected 1")
-    d = 1.0 + x[j - 1].real
-    if d < 1e-12:
-        raise PoleAtMinusOne(f"reflection undefined at x_{j} = -1")
+    n = x.shape[-1]
+    if np.count_nonzero(abs(np.sqrt(np.vecdot(x, x).real) - 1.0) > 1e-9):
+        raise NormViolation(f"|x| != 1 for x = {x}")
+    at = _cyclic(x.shape).rows + (j - 1)  # flat index of every x_j
+    d = 1.0 + x.take(at).real
+    if np.count_nonzero(d < 1e-12):
+        raise PoleAtMinusOne(f"reflection undefined at x_j = -1 (chart {j})")
     w = x.astype(np.result_type(x, float))
-    w[j - 1] = d
-    g = np.eye(n) - np.outer(w, np.conjugate(w)) / d
-    g[:, j - 1] *= -1.0
-    g[:, [j - 1, n - 1]] = g[:, [n - 1, j - 1]]
+    w.put(at, d)
+    g = np.eye(n) - w[..., :, None] * np.conjugate(w)[..., None, :] / d[..., None, None]
+    col0 = _cyclic(x.shape).col0
+    colj, coln = col0 + (j - 1), col0 + (n - 1)
+    col = g.take(colj)
+    g.put(colj, g.take(coln))
+    g.put(coln, np.multiply(col, -1.0, out=col))
     return g
 
 
@@ -240,17 +253,19 @@ def global_lax(u, c):
     special-unitary and depends only on the phase class of u.
     """
     u = np.asarray(u, dtype=complex)
-    nrm2 = float(np.vdot(u, u).real)
-    if abs(nrm2 - c.chi0) > 1e-8:
-        raise NormViolation(f"|u|^2 = {nrm2:.12g}, expected chi0 = {c.chi0:.12g}")
-    u = u * math.sqrt(c.chi0 / nrm2)
+    nrm2 = np.vecdot(u, u).real
+    if np.count_nonzero(abs(nrm2 - c.chi0) > 1e-8):
+        raise NormViolation(f"|u|^2 = {nrm2}, expected chi0 = {c.chi0:.12g}")
+    u = u * np.sqrt(c.chi0 / nrm2)[..., None]
     # |u|^2 = chi0 makes |u_k|^2 + y a point of the shifted alcove
     return _lax_from(u, _lambda_parts(np.abs(u) ** 2 + c.y, c)[0])
 
 
 def _lax_from(u, lam):
     """K(u) assembled from u and lam = Lambda^y(|u|^2 + y)."""
-    idx = _cyclic(u.shape[-1])
-    K = np.conjugate(u)[:, None] * u[idx.prev] * lam
-    K.put(idx.sup, lam.take(idx.sup))
+    idx = _cyclic(u.shape)
+    # 1 on the superdiagonal before the product with lam: K = lam there
+    K = np.conjugate(u)[..., :, None] * u.take(idx.prev, axis=-1)
+    K.put(idx.sup, 1.0)
+    K *= lam
     return K

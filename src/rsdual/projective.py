@@ -4,6 +4,7 @@ Points are phase classes of complex n-vectors with |u|^2 = chi0.  The module
 fixes a canonical representative, provides the Darboux parametrization by
 (xi, tau), the toric moment map, chart-wise evaluation of the scaled
 Fubini-Study form, the rotational torus action and the discrete involutions.
+The chart maps and the form also take stacks of points (..., n), row by row.
 """
 
 import json
@@ -14,6 +15,7 @@ import numpy as np
 
 from .coupling import full_xi
 from .errors import ChartViolation, DomainViolation, ZeroVector
+from .lax import _cyclic
 
 TIE_TOL = 1e-12
 CHART_TOL = 1e-10  # smallest |u_j| for a point to lie in chart j
@@ -23,7 +25,7 @@ def canonicalize(u, c):
     """Canonical representative: |u|^2 = chi0 and the largest-modulus
     coordinate (smallest index on ties within 1e-12) real non-negative."""
     u = np.asarray(u, dtype=complex)
-    top = abs(u).max()
+    top = np.maximum.reduce(abs(u))
     # below 1e150 no square overflows and the norm decides; from there on
     # the norm is at least 1e150, and the rescaling below runs anyway
     nrm = _norm(u) if top < 1e150 else math.inf
@@ -37,19 +39,18 @@ def canonicalize(u, c):
         nrm = _norm(u)
     u = u * (math.sqrt(c.chi0) / nrm)
     mags = abs(u)
-    jstar = int((mags >= mags.max() - TIE_TOL).argmax())
+    jstar = int((mags >= np.maximum.reduce(mags) - TIE_TOL).argmax())
     if mags[jstar] > 0:
         u = u * (u[jstar].conjugate() / mags[jstar])
     return u
 
 
 def _norm(x):
-    """np.linalg.norm(x) of a complex array (the 2-norm of a vector, the
-    Frobenius norm of a matrix): the same sums of squares of the real and
-    imaginary parts in memory order, without the call's dispatch."""
-    x = x.ravel(order="K")
+    """np.linalg.norm of a complex vector, or of each row of a stack
+    (..., m): the same sums of squares of the real and imaginary parts,
+    without the call's dispatch."""
     re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def projective_distance(u, v):
@@ -140,11 +141,13 @@ def chart_index(u):
 
 
 def chart_gauge(u, j):
-    """Representative with u_j real positive (chart gauge), j 1-based."""
+    """Representative with u_j real positive (chart gauge), j 1-based, for all or per row."""
     u = np.asarray(u, dtype=complex)
-    if abs(u[j - 1]) <= CHART_TOL:
-        raise ChartViolation(f"|u_{j}| = {abs(u[j - 1]):.3e} too small for chart {j}")
-    return u * (np.conjugate(u[j - 1]) / abs(u[j - 1]))
+    uj = u.take(_cyclic(u.shape).rows + (j - 1))
+    mod = np.hypot(uj.real, uj.imag)  # the scalar abs's bits; np.abs of an array differs
+    if np.count_nonzero(mod <= CHART_TOL):
+        raise ChartViolation(f"|u_j| = {np.min(mod):.3e} too small for chart {j}")
+    return u * (np.conjugate(uj) / mod)[..., None]
 
 
 def to_chart(u, j):
@@ -157,12 +160,12 @@ def to_chart(u, j):
 def from_chart(w, j, c):
     """Rebuild the representative from chart-j coordinates."""
     w = np.asarray(w, dtype=complex)
-    rest = float(np.sum(np.abs(w) ** 2))
-    if rest >= c.chi0:
-        raise ChartViolation(f"chart coordinates have |w|^2 = {rest:.12g} >= chi0")
-    u = np.empty(c.n, dtype=complex)
-    u[np.arange(c.n) != j - 1] = w
-    u[j - 1] = math.sqrt(c.chi0 - rest)
+    rest = np.add.reduce(np.abs(w) ** 2, -1)
+    if np.count_nonzero(rest >= c.chi0):
+        raise ChartViolation(f"chart coordinates have |w|^2 = {np.max(rest):.12g} >= chi0")
+    u = np.empty(w.shape[:-1] + (c.n,), dtype=complex)
+    u[..., np.arange(c.n) != j - 1] = w
+    u[..., j - 1] = np.sqrt(c.chi0 - rest)
     return u
 
 
@@ -176,9 +179,9 @@ def fs_omega_eval(u, v1, v2, j):
     m = chart_gauge(u, j).shape[-1] - 1  # n - 1; raises off chart j
     a = np.asarray(v1, dtype=complex)
     b = np.asarray(v2, dtype=complex)
-    if a.shape != (m,) or b.shape != (m,):
+    if a.shape[-1:] != (m,) or b.shape[-1:] != (m,):
         raise ChartViolation(f"tangents must be chart vectors of length {m}")
-    return 2.0 * float(np.sum((a * np.conjugate(b)).imag))
+    return 2.0 * np.add.reduce((a * np.conjugate(b)).imag, -1)
 
 
 def rot_action(theta, u):
@@ -230,7 +233,9 @@ def random_point(c, rng, interior_bias=0.0):
 
 
 def vertex_points(c, eps=0.0, rng=None):
-    """Near-vertex points of the moment polytope: u concentrated on one axis."""
+    """Near-vertex points of the moment polytope: u on one axis, plus eps noise from rng."""
+    if eps > 0.0 and rng is None:
+        raise ValueError("vertex_points needs an rng to perturb by eps > 0")
     pts = []
     for k in range(c.n):
         u = np.zeros(c.n, dtype=complex)

@@ -7,7 +7,8 @@ identification beta-map a computable bijection.  The second identification
 is alpha = nu o beta o Gamma, the self-duality map is their composition.
 Every map on P (S and its inverse, mapping-class words, reduced Hamiltonian
 flows) is f_beta_inv(act(_lift(u))): a point is canonicalized where it is
-lifted and where it is labelled, and nowhere in between.
+lifted and where it is labelled, and nowhere in between.  section_F and
+constraint_residual take stacks (..., n), with one chart for all or per row.
 """
 
 import math
@@ -55,7 +56,7 @@ def section_F(u, j, c):
     xi, K, G = _chart_lift(u, j, c)
     Gi = dagger(G)
     delta = np.exp(1j * alcove_exponents(xi))
-    return DoublePoint(Gi @ K @ G, Gi @ (delta[:, None] * G))
+    return DoublePoint(Gi @ K @ G, Gi @ (delta[..., None] * G))
 
 
 def _lift(u, c):
@@ -68,8 +69,8 @@ def constraint_residual(p, c):
     """Frobenius distance of mu(A,B) mu0^{-1} from the identity, evaluated
     as |AB - mu0 BA|_F: right multiplication by the unitary BA mu0^{-1}
     preserves the norm, and mu0 is diagonal."""
-    A, B = p.A, p.B
-    return _norm(A @ B - c.mu0.diagonal()[:, None] * (B @ A))
+    M = p.A @ p.B - c.mu0.diagonal()[:, None] * (p.B @ p.A)
+    return _norm(M.reshape(M.shape[:-2] + (-1,)))
 
 
 def _orbit_frame(B, c):
@@ -86,7 +87,7 @@ def _orbit_frame(B, c):
     # the excess, so sum(xi) stays pi and xi_j still selects the chart
     j = int(xi.argmax())
     clipped = np.maximum(xi, c.y)
-    clipped[j] -= (clipped - xi).sum()
+    clipped[j] -= np.add.reduce(clipped - xi)
     return g, clipped, j, _lambda_parts(clipped, c)[0]
 
 
@@ -101,10 +102,10 @@ def _label(A, frame, c):
 
     ratio = K.diagonal(1) / lam.diagonal(1)
     mag = abs(ratio)
-    if not mag.min() >= 1e-13:
+    if not np.minimum.reduce(mag) >= 1e-13:
         raise ConstraintViolation("vanishing superdiagonal in conjugated factor")
     zeta = np.ones(n, dtype=complex)
-    (ratio / mag).cumprod(out=zeta[1:])
+    np.multiply.accumulate(ratio / mag, out=zeta[1:])
     np.multiply(zeta[:, None], K, out=K)
     K *= zeta.conj()
 

@@ -8,6 +8,7 @@ checks regularity; where only xi is needed, alcove_point reads it from the
 eigenvalues alone.  Nothing here takes a Coupling: n is the size of the
 input, A.shape[-1] or xi.shape[-1].  The gradients and flows built on
 (xi, g) live in double.py; the invariant pairing of su(n) lives here.
+alcove_exponents, alcove_point, the pairing and the su(n) projection take stacks.
 """
 
 import functools
@@ -31,13 +32,13 @@ def dagger(m):
 def traceless_antihermitian(m):
     """Project a matrix onto su(n) (anti-Hermitian, traceless)."""
     a = 0.5 * (m - dagger(m))
-    return a - (np.trace(a) / m.shape[-1]) * np.eye(m.shape[-1])
+    return a - (a.trace(0, -2, -1)[..., None, None] / m.shape[-1]) * np.eye(m.shape[-1])
 
 
 def scalar_product(eta, zeta):
     """Invariant pairing <eta, zeta> = -tr(eta zeta)/2 on su(n), summed
     entrywise as tr(eta zeta) = sum_kl eta_kl zeta_lk without the product."""
-    return -0.5 * float(np.sum(eta * zeta.T).real)
+    return -0.5 * np.add.reduce(eta * np.swapaxes(zeta, -1, -2), (-2, -1)).real
 
 
 def random_special_unitary(n, rng):
@@ -63,9 +64,10 @@ def alcove_exponents(xi):
     """
     xi = np.asarray(xi, dtype=float)
     n = xi.shape[-1]
-    base = (2.0 / n) * np.dot(np.arange(1, n), xi[: n - 1])
-    tails = 2.0 * (np.concatenate([np.cumsum(xi[: n - 1][::-1])[::-1], [0.0]]))
-    return base - tails
+    base = (2.0 / n) * np.vecdot(xi[..., : n - 1], np.arange(1.0, n))
+    tails = np.zeros(xi.shape)
+    np.add.accumulate(xi[..., n - 2 :: -1], -1, out=tails[..., -2::-1])
+    return base[..., None] - 2.0 * tails
 
 
 def alcove_delta(xi):
@@ -77,28 +79,30 @@ def alcove_delta(xi):
     return np.diag(np.exp(1j * alcove_exponents(xi)))
 
 
-def _phases_to_alcove(phases, n):
+def _phases_to_alcove(phases, xi):
     """(xi, perm): the alcove point of a special-unitary matrix from its n
-    eigenphases, and the cyclic order perm of the eigenphases behind it.
+    eigenphases, written into xi, and the eigenphases' cyclic order perm.
 
     The cyclic ordering is rolled so that the lifted phase sum vanishes mod
     2*pi*n, which singles out the unique alcove representative matching the
     delta parametrization; xi_k is half the k-th gap of the lifted phases.
     This is the one implementation of the phase convention.
     """
+    n = len(xi)
     order = phases.argsort(kind="stable")
     psi = phases[order]
     # det A = 1 forces sum(psi) = 2 pi M; the shift below makes M = 0 mod n.
-    m0 = round(float(psi.sum()) / (2.0 * math.pi))
+    m0 = round(float(np.add.reduce(psi)) / (2.0 * math.pi))
     shift = (-m0) % n
     roll = np.arange(shift, shift + n)
     perm = order.take(roll, mode="wrap")
     lifted = psi.take(roll, mode="wrap")
     lifted[n - shift :] += 2.0 * math.pi
 
-    xi = np.empty(n)
-    xi[:-1] = 0.5 * (lifted[1:] - lifted[:-1])
-    xi[-1] = math.pi - xi[:-1].sum()
+    gaps = xi[:-1]
+    np.subtract(lifted[1:], lifted[:-1], out=gaps)
+    gaps *= 0.5
+    xi[-1] = math.pi - np.add.reduce(gaps)
     return xi, perm
 
 
@@ -110,17 +114,21 @@ def alcove_point(A):
     matrix has eigenvalue condition number 1, so xi is as accurate as the
     eigenvalues; use spectral_xi where the diagonalizer g is needed too.
 
-    The eigenvalues come from one LAPACK zgeev call with no eigenvectors,
-    the routine np.linalg.eigvals calls for a complex matrix after its
-    checks and workspace query; the bits agree (tested up to n = 32).  A
-    non-finite A raises LinAlgError, as there.
+    The eigenvalues come from one LAPACK zgeev call per matrix, with no
+    eigenvectors, the routine np.linalg.eigvals calls for a complex matrix
+    after its checks and workspace query; the bits agree (tested up to
+    n = 32).  A non-finite A raises LinAlgError, as there.
     """
-    if not np.isfinite(A).all():
+    if not np.logical_and.reduce(np.isfinite(A), None):
         raise LinAlgError("Array must not contain infs or NaNs")
-    w, _, _, info = zgeev(A, compute_vl=0, compute_vr=0)
-    if info != 0:
-        raise LinAlgError(f"eigenvalues not found (zgeev info={info})")
-    return _phases_to_alcove(np.angle(w), len(w))[0]
+    xi = np.empty(A.shape[:-1])
+    rows, mats = xi.reshape(-1, A.shape[-1]), A.reshape((-1,) + A.shape[-2:])
+    for i in range(len(rows)):
+        w, _, _, info = zgeev(mats[i], compute_vl=0, compute_vr=0)
+        if info != 0:
+            raise LinAlgError(f"eigenvalues not found (zgeev info={info})")
+        _phases_to_alcove(np.arctan2(w.imag, w.real), rows[i])  # np.angle(w)
+    return xi
 
 
 def _no_sort(w):
@@ -144,7 +152,7 @@ def _schur(A):
     failed QR iteration LinAlgError, as there."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected square matrix")
-    if not np.isfinite(A).all():
+    if not np.logical_and.reduce(np.isfinite(A), None):
         raise ValueError("array must not contain infs or NaNs")
     T, _, _, Z, _, info = zgees(_no_sort, A, lwork=_gees_lwork(A.shape[-1]))
     if info != 0:
@@ -165,8 +173,8 @@ def spectral_xi(A):
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
     T, Z = _schur(A)
-    xi, perm = _phases_to_alcove(np.angle(T.diagonal()), n)
-    gap = 2.0 * float(xi.min())
+    xi, perm = _phases_to_alcove(np.angle(T.diagonal()), np.empty(n))
+    gap = 2.0 * float(np.minimum.reduce(xi))
     if not gap > GAP_TOL:
         raise NonRegular(f"eigenphase gap {gap:.3e} is at most GAP_TOL={GAP_TOL:.1e}")
 

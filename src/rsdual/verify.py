@@ -34,6 +34,7 @@ from .double import (
 from .errors import RSDualError
 from .lax import global_lax, local_hamiltonian, local_lax, mu_of_v, v_vector
 from .projective import (
+    _norm,
     canonicalize,
     chart_index,
     from_chart,
@@ -68,23 +69,24 @@ from .sun import (
 FD_STEP = 1e-5  # step of every central finite-difference check
 
 
-def _central(f, curve):
-    """d/ds f(curve(s)) at s = 0 by the central difference of step FD_STEP:
-    the one numerical derivative the checks take."""
-    return (f(curve(FD_STEP)) - f(curve(-FD_STEP))) / (2.0 * FD_STEP)
+def _central(values):
+    """d/ds f(curve(s)) at s = 0 from values = (f(curve(FD_STEP)), f(curve(-FD_STEP))),
+    a pair or one array of both: the one numerical derivative the checks take."""
+    return (values[0] - values[1]) / (2.0 * FD_STEP)
 
 
 def _chart_gradient(f, u, j, c):
     """Central-difference gradient of f (scalar- or vector-valued) in the real
     chart-j coordinates: row k is d/dq_k and row m + k is d/dp_k, where
-    w_k = q_k + i p_k are the m = n-1 chart coordinates of u."""
+    w_k = q_k + i p_k are the m = n-1 chart coordinates of u.  f runs once,
+    on the stack of all 4m points w0 +- FD_STEP * axis."""
     w0 = to_chart(u, j)
     axes = np.concatenate((np.eye(len(w0)), 1j * np.eye(len(w0))))
-    return np.array([_central(f, lambda s: from_chart(w0 + s * e, j, c)) for e in axes])
+    return _central(f(from_chart(w0 + np.reshape((FD_STEP, -FD_STEP), (2, 1, 1)) * axes, j, c)))
 
 
 def _stack(p):
-    return np.stack((p.A, p.B))
+    return np.stack((p.A, p.B), axis=-3)
 
 
 def _geodesic(p, X, Y):
@@ -98,7 +100,7 @@ def _push(f, p, v):
     Y = B^{-1}dB, projected onto the tangent space at f(p) to remove its
     O(FD_STEP^2) normal component."""
     curve = _geodesic(p, dagger(p.A) @ v.dA, dagger(p.B) @ v.dB)
-    dA, dB = _central(lambda q: _stack(f(q)), curve)
+    dA, dB = _central([_stack(f(curve(s))) for s in (FD_STEP, -FD_STEP)])
     return DoubleTangent(dA, dB).project(f(p))
 
 
@@ -118,10 +120,15 @@ def _pt(u):
     return {"u": point_to_json(u)}
 
 
+def _all_charts(u, c):
+    """F_j(u) for j = 1..n, stacked along a leading axis by one call."""
+    return section_F(np.broadcast_to(u, (c.n, c.n)), np.arange(1, c.n + 1), c)
+
+
 def _check_constraint(c, rng):
     u = random_point(c, rng, interior_bias=0.02)
-    for j in range(1, c.n + 1):
-        yield constraint_residual(section_F(u, j, c), c), {"chart": j, **_pt(u)}
+    for j, r in enumerate(constraint_residual(_all_charts(u, c), c), 1):
+        yield r, {"chart": j, **_pt(u)}
 
 
 def _check_pullback(c, rng):
@@ -130,28 +137,25 @@ def _check_pullback(c, rng):
     p0 = section_F(u, j, c)
 
     # one chart Jacobian of F_j: rows d/dq_k, then d/dp_k, of (A, B)
-    jq, jp = np.split(_chart_gradient(lambda uu: _stack(section_F(uu, j, c)), u, j, c), 2)
-
-    def push(a):
-        dA, dB = np.tensordot(a.real, jq, 1) + np.tensordot(a.imag, jp, 1)
-        return DoubleTangent(dA, dB).project(p0)
-
-    for _ in range(5):
-        a = rng.standard_normal(c.n - 1) + 1j * rng.standard_normal(c.n - 1)
-        b = rng.standard_normal(c.n - 1) + 1j * rng.standard_normal(c.n - 1)
-        yield abs(omega_eval(p0, push(a), push(b)) - fs_omega_eval(u, a, b, j=j)), _pt(u)
+    jac = _chart_gradient(lambda uu: _stack(section_F(uu, j, c)), u, j, c).reshape(2, c.n - 1, -1)
+    # a and b of five pairs, drawn as a.re, a.im, b.re, b.im of each pair,
+    # pushed as one stack of the vector-matrix products np.tensordot makes
+    z = rng.standard_normal((5, 4, 1, c.n - 1)).swapaxes(0, 1)
+    ab = z[0::2] + 1j * z[1::2]
+    d = (ab.real @ jac[0] + ab.imag @ jac[1]).reshape(2, 5, 2, c.n, c.n)
+    v = DoubleTangent(d[:, :, 0], d[:, :, 1]).project(p0)
+    a, b = (DoubleTangent(v.dA[i], v.dB[i]) for i in (0, 1))
+    for r in abs(omega_eval(p0, a, b) - fs_omega_eval(u, ab[0, :, 0], ab[1, :, 0], j=j)):
+        yield r, _pt(u)
 
 
 def _check_intertwine(c, rng):
     u = random_point(c, rng, interior_bias=0.02)
     xiK = alcove_point(global_lax(u, c))
     jj = moment_J_full(u, c)
-    for j in range(1, c.n + 1):
-        p = section_F(u, j, c)
-        r = max(
-            np.abs(alcove_point(p.A) - xiK).max(),
-            np.abs(alcove_point(p.B) - jj).max(),
-        )
+    p = _all_charts(u, c)
+    rA, rB = np.abs(alcove_point(p.A) - xiK).max(-1), np.abs(alcove_point(p.B) - jj).max(-1)
+    for j, r in enumerate(np.maximum(rA, rB), 1):
         yield r, {"chart": j, **_pt(u)}
 
 
@@ -220,7 +224,8 @@ def _check_lax_unitarity(c, rng, samples):
     eye = np.eye(c.n)
 
     def defect(M):
-        return max(np.linalg.norm(dagger(M) @ M - eye), abs(np.linalg.det(M) - 1.0))
+        gram = dagger(M) @ M - eye
+        return np.maximum(_norm(gram.reshape(M.shape[:-2] + (-1,))), abs(np.linalg.det(M) - 1.0))
 
     for _ in range(samples):
         xi = _random_interior_xi(c, rng)
@@ -228,8 +233,8 @@ def _check_lax_unitarity(c, rng, samples):
     pts = [random_point(c, rng) for _ in range(samples)]
     pts += vertex_points(c)
     pts += vertex_points(c, eps=1e-4, rng=rng)
-    for u in pts:
-        yield defect(global_lax(u, c)), _pt(u)
+    for u, r in zip(pts, defect(global_lax(np.array(pts), c))):
+        yield r, _pt(u)
 
 
 def _check_lax_hamiltonian(c, rng):
@@ -258,7 +263,7 @@ def _check_gradients(c, rng):
 
         for _ in range(4):
             zeta = random_su_algebra(c.n, rng)
-            fd = _central(val, lambda s: scipy.linalg.expm(s * zeta) @ X)
+            fd = _central([val(scipy.linalg.expm(s * zeta) @ X) for s in (FD_STEP, -FD_STEP)])
             yield abs(fd - scalar_product(zeta, grad)), {"kind": kind}
 
 
@@ -304,7 +309,7 @@ def _check_poisson(c, rng):
         return
 
     def actions(uu):
-        return alcove_point(global_lax(uu, c))[: c.n - 1]
+        return alcove_point(global_lax(uu, c))[..., : c.n - 1]
 
     u = random_point(c, rng, interior_bias=0.08)
     # one chart Jacobian of all Xi_k; row k - 1 is the gradient of Xi_k
@@ -352,7 +357,7 @@ def _check_axiom_a2(c, rng):
         X = random_su_algebra(c.n, rng)
         Y = random_su_algebra(c.n, rng)
         v = geodesic_tangent(p, X, Y)
-        dmu = _central(moment, _geodesic(p, X, Y))
+        dmu = _central([moment(_geodesic(p, X, Y)(s)) for s in (FD_STEP, -FD_STEP)])
         mu_inv = dagger(moment(p))
         rhs = 0.5 * scalar_product(mu_inv @ dmu + dmu @ mu_inv, zeta)
         lhs = omega_eval(p, vertical_tangent(p, zeta), v)
@@ -392,7 +397,8 @@ def _check_omega_morphisms(c, rng):
 
 def _check_section_consistency(c, rng):
     u = random_point(c, rng, interior_bias=0.03)
-    labels = [f_beta_inv(section_F(u, j, c), c) for j in range(1, c.n + 1)]
+    p = _all_charts(u, c)
+    labels = [f_beta_inv(DoublePoint(A, B), c) for A, B in zip(p.A, p.B)]
     yield max(projective_distance(labels[0], lab) for lab in labels[1:]), _pt(u)
 
 
@@ -434,9 +440,10 @@ class SuiteConfig:
     """Configuration of a verification sweep.
 
     y_rule is None (the default coupling y = pi/(2n) of every n), one y for
-    every n, or a list with one entry per n, each a y or None.  samples = 0
-    runs one trial per cell (see CHECKS).  A check selector is a stripped,
-    non-empty substring of check names; a bad config raises ValueError.
+    every n, or a list with one entry per n, each a y or None.  samples and
+    seed are ints >= 0; samples = 0 runs one trial per cell (see CHECKS).
+    checks is a sequence (not a str) of stripped, non-empty substrings of
+    check names.  A bad config raises ValueError.
     """
 
     n_list: tuple = (2, 3)
@@ -448,8 +455,10 @@ class SuiteConfig:
     def __post_init__(self):
         if not self.n_list:
             raise ValueError("n_list is empty; a sweep needs at least one n")
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (self.samples, self.seed)):
+            raise ValueError(f"samples, seed must be ints >= 0, got {self.samples}, {self.seed}")
+        if isinstance(self.checks, str):
+            raise ValueError(f"checks must be a sequence, not the str {self.checks!r}")
         twice = sorted({n for n in self.n_list if self.n_list.count(n) > 1})
         if twice:
             raise ValueError(f"n_list repeats n = {twice}; each n runs once")

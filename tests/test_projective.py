@@ -209,6 +209,13 @@ def test_moment_map_values():
     assert np.allclose(moment_J(vert, c), [c.y, c.y], atol=1e-14)
 
 
+def test_vertex_points_need_an_rng_to_perturb():
+    c = Coupling.default(3)
+    with pytest.raises(ValueError, match="rng"):
+        vertex_points(c, eps=1e-4)
+    assert len(vertex_points(c)) == len(vertex_points(c, 1e-4, np.random.default_rng(0))) == 3
+
+
 def test_moment_map_image_in_polytope():
     for n in (2, 3, 4):
         c = Coupling.default(n)

@@ -35,7 +35,9 @@ def poisson_bracket_fs(fa, fb, u, c, j=None):
     """
     if j is None:
         j = chart_index(u)
-    return _bracket(_chart_gradient(fa, u, j, c), _chart_gradient(fb, u, j, c))
+    # _chart_gradient evaluates f once on a stack of points: map f over it
+    fa2, fb2 = (lambda uu, f=f: np.apply_along_axis(f, -1, uu) for f in (fa, fb))
+    return _bracket(_chart_gradient(fa2, u, j, c), _chart_gradient(fb2, u, j, c))
 
 
 # rows per (n = 2, n = 3) cell of run_suite(n_list=(2, 3), samples=6): a
@@ -115,6 +117,27 @@ def test_poisson_check_equals_pairwise_brackets(n):
                 fb = lambda uu, ll=l: float(spectral_xi(global_lax(uu, c))[0][ll - 1])
                 want.append(abs(poisson_bracket_fs(fa, fb, u, c)))
     assert [r for r, _ in rows] == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chart_jacobian_is_one_stacked_call(monkeypatch, n):
+    # the chart Jacobian evaluates all 4(n-1) points w0 +- FD_STEP * axis in
+    # one call: a pullback trial lifts twice (its point, its Jacobian), and a
+    # poisson trial builds K(u) once; point by point they made 1 + 4(n-1)
+    # section_F and 4(n-1) global_lax calls
+    c = Coupling.default(n)
+    calls = []
+    for name in ("section_F", "global_lax"):
+        def counted(*args, f=getattr(verify, name), name=name):
+            calls.append(name)
+            return f(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert len(list(CHECKS["pullback"][0](c, np.random.default_rng(1)))) == 5
+    assert calls == ["section_F"] * 2
+    calls.clear()
+    list(CHECKS["poisson"][0](c, np.random.default_rng(1)))
+    assert calls == (["global_lax"] if n > 2 else [])
 
 
 def test_selector_restricts_checks():
@@ -617,6 +640,19 @@ def test_coupling_stores_integral_n_as_int():
 def test_suite_config_rejects_bad_coupling_when_built(kwargs):
     with pytest.raises(ValueError):
         SuiteConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"checks": "pullback"}, {"samples": 2.5}, {"seed": -1}, {"seed": 1.5}]
+)
+def test_suite_config_rejects_bad_selectors_samples_and_seed_when_built(kwargs):
+    # a bare str would be split into one-letter selectors, and a float
+    # sample count or a negative or fractional seed failed only in the run
+    with pytest.raises(ValueError):
+        SuiteConfig(**kwargs)
+    assert SuiteConfig(checks=["pullback"], samples=np.int64(2), seed=np.int64(3)).checks == (
+        "pullback",
+    )
 
 
 def test_cli_flow_final_point_chains_into_point(tmp_path):
