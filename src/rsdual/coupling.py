@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import AlcoveViolation, DomainViolation
+from .errors import AlcoveViolation, DomainViolation, anywhere, first_row
 
 # default tol of check_alcove and check_shifted_alcove: with it they bound
 # the entries by 1e-12, the sum by 1e-9 and the wall by 1e-10
@@ -75,12 +75,16 @@ class Coupling:
 
 def check_alcove(xi, tol=SUM_TOL):
     """Raise AlcoveViolation unless xi_j >= -tol and sum xi_j is within
-    max(tol, 1e-9) of pi, for xi and for every row of a stack (..., n)."""
+    max(tol, 1e-9) of pi, for xi and for every row of a stack (..., n),
+    naming the first bad row."""
     xi = np.asarray(xi, dtype=float)
-    if np.count_nonzero(abs(np.add.reduce(xi, -1) - math.pi) > max(tol, 1e-9)):
-        raise AlcoveViolation(f"sum(xi) = {np.add.reduce(xi, -1)} differs from pi")
+    total = np.add.reduce(xi, -1)
+    off = abs(total - math.pi) > max(tol, 1e-9)
+    if anywhere(off):
+        raise AlcoveViolation(f"sum(xi) = {total[first_row(off)]} differs from pi")
     if not np.minimum.reduce(xi, None) >= -tol:
-        raise AlcoveViolation(f"negative alcove coordinate in {xi}")
+        bad = ~np.logical_and.reduce(xi >= -tol, -1)
+        raise AlcoveViolation(f"negative alcove coordinate in {xi[first_row(bad)]}")
     return xi
 
 
@@ -89,7 +93,8 @@ def check_shifted_alcove(xi, c, tol=SUM_TOL):
     check_alcove at tol, then xi_j >= y - max(tol, 1e-10)."""
     xi = check_alcove(xi, tol=tol)
     if np.minimum.reduce(xi, None) - c.y < -max(tol, 1e-10):
-        raise DomainViolation(f"xi_j < y for some j: {xi}, y={c.y}")
+        bad = np.minimum.reduce(xi, -1) - c.y < -max(tol, 1e-10)
+        raise DomainViolation(f"xi_j < y for some j: {xi[first_row(bad)]}, y={c.y}")
     return xi
 
 

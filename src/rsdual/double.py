@@ -8,14 +8,16 @@ central twist Q and the conjugating involution nu.  As in the paper, the
 double carries no coupling: nothing here takes a Coupling, and n is the
 size of the matrices.  Nor does it differentiate numerically: the
 finite-difference pushforward the checks take lives in verify.  The 2-form
-and the tangent check and projection take stacks of tangents (..., n, n).
+and the tangent check and projection take stacks of tangents (..., n, n);
+the gradients and flows take stacks of pairs, each row with the one-point
+bits.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TangencyViolation
+from .errors import TangencyViolation, anywhere
 from .sun import (
     alcove_exponents,
     alcove_point,
@@ -49,7 +51,7 @@ class DoubleTangent:
         for m, dm in ((p.A, self.dA), (p.B, self.dB)):
             x = dagger(m) @ dm
             off = np.maximum(np.linalg.norm(x + dagger(x), axis=(-2, -1)), abs(x.trace(0, -2, -1)))
-            if np.count_nonzero(off > TANGENT_TOL):
+            if anywhere(off > TANGENT_TOL):
                 raise TangencyViolation("tangent not in su(n) at the base point")
         return self
 
@@ -192,21 +194,24 @@ def hamiltonian_gradient(h, X):
     for 'dehn' the alcove logarithm, so that exp(s grad h(X)) = X^s.
     """
     V, lam = _gradient_eig(h, X)
-    return V @ ((1j * lam)[:, None] * dagger(V))
+    return V @ ((1j * lam)[..., :, None] * dagger(V))
 
 
 def flow_map(p, h):
     """The exact flow t -> flow(p, h, t) from one decomposition of the
     frozen factor's gradient: each time costs one diagonal scaling and one
-    matrix product, (moved factor) V diag(e^{+-i t lam}) V^dagger.
+    matrix product, (moved factor) V diag(e^{+-i t lam}) V^dagger.  On a
+    stack of pairs t is one time for all or one per pair.
     """
     first = h.side == "first"
     V, lam = _gradient_eig(h, p.A if first else p.B)
     moved = (p.B if first else p.A) @ V
-    rate = (-1j if first else 1j) * lam
+    rate = ((-1j if first else 1j) * lam)[..., None, :]  # scales the columns
     Vh = dagger(V)
 
     def at(t):
+        if not np.isscalar(t):
+            t = np.asarray(t)[..., None, None]
         m = (moved * np.exp(t * rate)) @ Vh
         return DoublePoint(p.A.copy(), m) if first else DoublePoint(m, p.B.copy())
 

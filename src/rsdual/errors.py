@@ -1,4 +1,20 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and where a stack reports from."""
+
+import numpy as np
+
+
+def anywhere(bad):
+    """Whether the boolean array bad holds at any entry.  At one point bad is
+    a numpy bool, read as it is: the scalar test costs no array call."""
+    return bool(bad) if bad.ndim == 0 else np.count_nonzero(bad) > 0
+
+
+def first_row(bad):
+    """Index of the first row of a stack at which the boolean array bad (of
+    the stack's leading shape) holds; () at one point.  A stacked function
+    names value[first_row(bad)] in its message, so a bad row reports what
+    it reports alone."""
+    return np.unravel_index(np.argmax(bad), np.shape(bad))
 
 
 class RSDualError(Exception):

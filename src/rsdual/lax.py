@@ -21,6 +21,8 @@ from .errors import (
     NormViolation,
     PoleAtMinusOne,
     SingularDenominator,
+    anywhere,
+    first_row,
 )
 
 def sinratio(x):
@@ -31,14 +33,15 @@ def sinratio(x):
     return out if out.ndim else float(out)
 
 
-_CyclicIndex = namedtuple("_CyclicIndex", "sup diag rows col0 next prev")
+_CyclicIndex = namedtuple("_CyclicIndex", "sup diag rows col0 cols next prev")
 
 
 @functools.lru_cache(maxsize=128)
 def _cyclic(shape):
     """Flat (take/put) indices, for points (..., n) and their n x n matrices,
     of each superdiagonal (k, k+1 mod n), diagonal, (k, 0) entries (shaped
-    (n, ...)) and first point entry; and k+1, k-1 mod n (the latter (1, n))."""
+    (n, ...) as col0 and (..., n) as cols) and first point entry; and k+1,
+    k-1 mod n (the latter (1, n))."""
     n = shape[-1]
     k = np.arange(n)
     nxt = (k + 1) % n
@@ -47,10 +50,12 @@ def _cyclic(shape):
     start = rows.reshape(-1, 1) * n
     sup = (start + k * n + nxt).ravel()
     diag = (start + k * (n + 1)).ravel()
-    col0 = (start.T + n * k[:, None]).reshape((n,) + shape[:-1])
-    for a in (sup, diag, rows, col0, nxt, prv):
+    cols = (start + n * k).reshape(shape)
+    col0 = np.moveaxis(cols, -1, 0)
+    for a in (sup, diag, rows, col0, cols, nxt, prv):
         a.flags.writeable = False
-    return _CyclicIndex(sup=sup, diag=diag, rows=rows, col0=col0, next=nxt, prev=prv)
+    # rows[()] is a plain integer at one point, so that rows + j stays scalar math
+    return _CyclicIndex(sup=sup, diag=diag, rows=rows[()], col0=col0, cols=cols, next=nxt, prev=prv)
 
 
 def _pair_angles(xi):
@@ -228,12 +233,14 @@ def reflection_g(x, j):
     x (..., n) takes j as an int or as one chart per row."""
     x = np.asarray(x)
     n = x.shape[-1]
-    if np.count_nonzero(abs(np.sqrt(np.vecdot(x, x).real) - 1.0) > 1e-9):
-        raise NormViolation(f"|x| != 1 for x = {x}")
+    off = abs(np.sqrt(np.vecdot(x, x).real) - 1.0) > 1e-9
+    if anywhere(off):
+        raise NormViolation(f"|x| != 1 for x = {x[first_row(off)]}")
     at = _cyclic(x.shape).rows + (j - 1)  # flat index of every x_j
     d = 1.0 + x.take(at).real
-    if np.count_nonzero(d < 1e-12):
-        raise PoleAtMinusOne(f"reflection undefined at x_j = -1 (chart {j})")
+    if anywhere(d < 1e-12):
+        chart = np.broadcast_to(j, d.shape)[first_row(d < 1e-12)]
+        raise PoleAtMinusOne(f"reflection undefined at x_j = -1 (chart {chart})")
     w = x.astype(np.result_type(x, float))
     w.put(at, d)
     g = np.eye(n) - w[..., :, None] * np.conjugate(w)[..., None, :] / d[..., None, None]
@@ -254,8 +261,9 @@ def global_lax(u, c):
     """
     u = np.asarray(u, dtype=complex)
     nrm2 = np.vecdot(u, u).real
-    if np.count_nonzero(abs(nrm2 - c.chi0) > 1e-8):
-        raise NormViolation(f"|u|^2 = {nrm2}, expected chi0 = {c.chi0:.12g}")
+    off = abs(nrm2 - c.chi0) > 1e-8
+    if anywhere(off):
+        raise NormViolation(f"|u|^2 = {nrm2[first_row(off)]}, expected chi0 = {c.chi0:.12g}")
     u = u * np.sqrt(c.chi0 / nrm2)[..., None]
     # |u|^2 = chi0 makes |u_k|^2 + y a point of the shifted alcove
     return _lax_from(u, _lambda_parts(np.abs(u) ** 2 + c.y, c)[0])

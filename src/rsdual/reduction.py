@@ -7,8 +7,10 @@ identification beta-map a computable bijection.  The second identification
 is alpha = nu o beta o Gamma, the self-duality map is their composition.
 Every map on P (S and its inverse, mapping-class words, reduced Hamiltonian
 flows) is f_beta_inv(act(_lift(u))): a point is canonicalized where it is
-lifted and where it is labelled, and nowhere in between.  section_F and
-constraint_residual take stacks (..., n), with one chart for all or per row.
+lifted and where it is labelled, and nowhere in between.  Every one of these
+maps takes a stack of points (..., n) or of pairs (..., n, n), each row with
+the one-point bits; a bad row raises what it raises alone.  section_F takes
+one chart for all rows or one per row, and is where the chart is checked.
 """
 
 import math
@@ -17,8 +19,8 @@ import numpy as np
 
 from .coupling import check_shifted_alcove
 from .double import DoublePoint, apply_word, auto_apply, flow, flow_map
-from .errors import ConstraintViolation
-from .lax import _lambda_parts, _lax_from, global_lax, reflection_g
+from .errors import ConstraintViolation, anywhere, first_row
+from .lax import _cyclic, _lambda_parts, _lax_from, global_lax, reflection_g
 from .projective import (
     _norm,
     canonicalize,
@@ -53,10 +55,28 @@ def section_F(u, j, c):
     share one pass over the W-factor data; K(u) and delta(xi) depend only
     on the phase class of u.
     """
+    _check_chart(j, u)
     xi, K, G = _chart_lift(u, j, c)
     Gi = dagger(G)
     delta = np.exp(1j * alcove_exponents(xi))
     return DoublePoint(Gi @ K @ G, Gi @ (delta[..., None] * G))
+
+
+def _check_chart(j, u):
+    """Raise ValueError naming j unless it is an int, or an integer array
+    broadcastable to the leading shape of the points u, with every entry
+    in 1..n: the one check of the chart index, at section_F."""
+    n, lead = np.shape(u)[-1], np.shape(u)[:-1]
+    if isinstance(j, np.ndarray) and j.dtype.kind in "iu":
+        try:
+            fits = np.broadcast_shapes(j.shape, lead) == lead
+        except ValueError:
+            fits = False
+        fits = fits and np.logical_and.reduce((1 <= j) & (j <= n), None)
+    else:
+        fits = isinstance(j, (int, np.integer)) and not isinstance(j, bool) and 1 <= j <= n
+    if not fits:
+        raise ValueError(f"chart index j must be an int or int array in 1..{n} per point, got {j!r}")
 
 
 def _lift(u, c):
@@ -74,21 +94,34 @@ def constraint_residual(p, c):
 
 
 def _orbit_frame(B, c):
-    """The part of f_beta_inv that reads only the second factor B.
+    """The part of f_beta_inv that reads only the second factor B, of one B
+    or of each matrix of a stack.
 
-    Returns (g, xi, j, Lambda^y(xi)): the diagonalizer g of B = g^dagger
-    delta(xi) g, its alcove point xi (checked to 1e-7 in the sum, the
-    entries and the wall alike) clipped onto the walls xi_k >= y, the
-    chart index j = argmax xi (0-based) and the smooth cofactor matrix.
+    Returns (g, lam, col, den, at, rj): the diagonalizer g of B = g^dagger
+    delta(xi) g and the smooth cofactor matrix lam = Lambda^y(xi) at its
+    alcove point xi, checked to 1e-7 in the sum, the entries and the wall
+    alike and clipped onto the walls xi_k >= y; then what the label reads
+    in the chart j = argmax xi (0-based): the flat indices col of the
+    entries (k, j + 1 mod n) of each matrix, the denominators den = rj
+    lam[:, j + 1 mod n], the flat index at of u_j and its value rj =
+    sqrt(xi_j - y).
     """
     xi, g = spectral_xi(B)
     xi = check_shifted_alcove(xi, c, tol=1e-7)
     # clip onto the walls xi_k >= y; the largest xi_j (>= pi/n > y) gives up
     # the excess, so sum(xi) stays pi and xi_j still selects the chart
-    j = int(xi.argmax())
+    j = xi.argmax(-1)
+    idx = _cyclic(xi.shape)
+    at = idx.rows + j
     clipped = np.maximum(xi, c.y)
-    clipped[j] -= np.add.reduce(clipped - xi)
-    return g, clipped, j, _lambda_parts(clipped, c)[0]
+    xj = clipped.flat[at] - np.add.reduce(clipped - xi, -1)
+    clipped.flat[at] = xj
+    lam = _lambda_parts(clipped, c)[0]
+    # a row times its own rj (or plus its own j + 1) is a product (or sum)
+    # of transposes, so that one point takes the scalar, which is fastest
+    col = (idx.cols.T + ((j + 1) % c.n).T).T
+    rj = np.sqrt(xj - c.y)
+    return g, lam, col, (lam.flat[col].T * rj.T).T, at, rj
 
 
 def _label(A, frame, c):
@@ -96,29 +129,29 @@ def _label(A, frame, c):
     _orbit_frame of the second: conjugate A by g, rotate by the torus
     element that matches its cyclic superdiagonal against Lambda, and read
     the chart coordinates off the remaining entries."""
-    g, xi, j, lam = frame
+    g, lam, col, den, at, rj = frame
     n = c.n
-    K = g @ A @ g.conj().T
+    K = g @ A @ dagger(g)
 
-    ratio = K.diagonal(1) / lam.diagonal(1)
+    ratio = K.diagonal(1, -2, -1) / lam.diagonal(1, -2, -1)
     mag = abs(ratio)
-    if not np.minimum.reduce(mag) >= 1e-13:
+    if not np.minimum.reduce(mag, None) >= 1e-13:
         raise ConstraintViolation("vanishing superdiagonal in conjugated factor")
-    zeta = np.ones(n, dtype=complex)
-    np.multiply.accumulate(ratio / mag, out=zeta[1:])
-    np.multiply(zeta[:, None], K, out=K)
-    K *= zeta.conj()
+    zeta = np.empty(A.shape[:-1], dtype=complex)
+    zeta[..., 0] = 1.0
+    np.multiply.accumulate(ratio / mag, -1, out=zeta[..., 1:])
+    np.multiply(zeta[..., :, None], K, out=K)
+    K *= np.conjugate(zeta)[..., None, :]
 
-    closure = K[n - 1, 0] / lam[n - 1, 0]
-    if abs(closure / abs(closure) - 1.0) > 1e-5:
+    closure = K[..., n - 1, 0] / lam[..., n - 1, 0]
+    bad = abs(closure / abs(closure) - 1.0) > 1e-5
+    if anywhere(bad):
         raise ConstraintViolation(
-            f"cyclic superdiagonal phase fails to close (off by {closure:.6g})"
+            f"cyclic superdiagonal phase fails to close (off by {closure[first_row(bad)]:.6g})"
         )
 
-    col = (j + 1) % n
-    rj = math.sqrt(xi[j] - c.y)
-    u = (K[:, col] / (rj * lam[:, col])).conj()
-    u[j] = rj
+    u = np.conjugate(K.flat[col] / den)
+    u.flat[at] = rj
     return canonicalize(u, c)
 
 
@@ -132,10 +165,12 @@ def f_beta_inv(p, c, frame=None):
     chart coordinates off the remaining entries.  The pair must satisfy the
     constraint to 1e-6, and the superdiagonal phases must close to 1e-5.
     A caller that already holds the _orbit_frame of B passes it as frame.
+    On a stack of pairs (..., n, n) each row is labelled as alone.
     """
     res = constraint_residual(p, c)
-    if res > 1e-6:
-        raise ConstraintViolation(f"moment residual {res:.3e} exceeds 1e-6")
+    bad = res > 1e-6
+    if anywhere(bad):
+        raise ConstraintViolation(f"moment residual {res[first_row(bad)]:.3e} exceeds 1e-6")
     return _label(p.A, frame or _orbit_frame(p.B, c), c)
 
 
@@ -197,7 +232,7 @@ def action_variables(u, c):
     unitary, so its eigenphases are perfectly conditioned, and on the
     shifted alcove xi >= y they are at least 2y apart.
     """
-    return alcove_point(global_lax(canonicalize(u, c), c))[: c.n - 1]
+    return alcove_point(global_lax(canonicalize(u, c), c))[..., : c.n - 1]
 
 
 def reduced_trajectory(u, h, t_final, steps, c):
@@ -234,4 +269,4 @@ def _trajectory(u, h, t_final, steps, c):
         pt = at(t)
         frame = fixed or _orbit_frame(pt.B, c)
         ut = f_beta_inv(pt, c, frame)
-        yield k, t, ut, moment_J(ut, c), alcove_point(_lax_from(ut, frame[3]))[: c.n - 1]
+        yield k, t, ut, moment_J(ut, c), alcove_point(_lax_from(ut, frame[1]))[: c.n - 1]

@@ -8,7 +8,9 @@ checks regularity; where only xi is needed, alcove_point reads it from the
 eigenvalues alone.  Nothing here takes a Coupling: n is the size of the
 input, A.shape[-1] or xi.shape[-1].  The gradients and flows built on
 (xi, g) live in double.py; the invariant pairing of su(n) lives here.
-alcove_exponents, alcove_point, the pairing and the su(n) projection take stacks.
+spectral_xi, alcove_exponents, alcove_point, the pairing and the su(n)
+projection take stacks (..., n, n) or (..., n), each row with the
+one-point bits.
 """
 
 import functools
@@ -26,7 +28,7 @@ GAP_TOL = 1e-8  # eigenphase gap below which a unitary counts as non-regular
 
 
 def dagger(m):
-    return np.conjugate(np.swapaxes(m, -1, -2))
+    return m.swapaxes(-1, -2).conj()
 
 
 def traceless_antihermitian(m):
@@ -121,14 +123,20 @@ def alcove_point(A):
     """
     if not np.logical_and.reduce(np.isfinite(A), None):
         raise LinAlgError("Array must not contain infs or NaNs")
+    if A.ndim == 2:
+        return _eigen_alcove(A, np.empty(A.shape[-1]))
     xi = np.empty(A.shape[:-1])
-    rows, mats = xi.reshape(-1, A.shape[-1]), A.reshape((-1,) + A.shape[-2:])
-    for i in range(len(rows)):
-        w, _, _, info = zgeev(mats[i], compute_vl=0, compute_vr=0)
-        if info != 0:
-            raise LinAlgError(f"eigenvalues not found (zgeev info={info})")
-        _phases_to_alcove(np.arctan2(w.imag, w.real), rows[i])  # np.angle(w)
+    for M, x in zip(A.reshape((-1,) + A.shape[-2:]), xi.reshape(-1, A.shape[-1])):
+        _eigen_alcove(M, x)
     return xi
+
+
+def _eigen_alcove(M, xi):
+    """alcove_point of one matrix, written into xi."""
+    w, _, _, info = zgeev(M, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise LinAlgError(f"eigenvalues not found (zgeev info={info})")
+    return _phases_to_alcove(np.arctan2(w.imag, w.real), xi)[0]  # np.angle(w)
 
 
 def _no_sort(w):
@@ -145,42 +153,54 @@ def _gees_lwork(n):
 
 
 def _schur(A):
-    """Complex Schur form A = Z T Z^dagger of a square complex array by one
-    LAPACK zgees call, the call scipy.linalg.schur(A, output="complex")
+    """Complex Schur form A = Z T Z^dagger of a square, finite complex array
+    by one LAPACK zgees call, the call scipy.linalg.schur(A, output="complex")
     makes after its argument checks and workspace query, so T and Z are
-    the same bits.  A non-square or non-finite A raises ValueError and a
-    failed QR iteration LinAlgError, as there."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected square matrix")
-    if not np.logical_and.reduce(np.isfinite(A), None):
-        raise ValueError("array must not contain infs or NaNs")
+    the same bits.  A failed QR iteration raises LinAlgError, as there."""
     T, _, _, Z, _, info = zgees(_no_sort, A, lwork=_gees_lwork(A.shape[-1]))
     if info != 0:
         raise LinAlgError(f"Schur form not found (zgees info={info})")
     return T, Z
 
 
+def _decompose(M):
+    """(xi, g) of one finite square matrix, as spectral_xi describes."""
+    T, Z = _schur(M)
+    d = T.diagonal()
+    xi, perm = _phases_to_alcove(np.arctan2(d.imag, d.real), np.empty(len(d)))  # np.angle(d)
+    gap = 2.0 * float(np.minimum.reduce(xi))
+    if not gap > GAP_TOL:
+        raise NonRegular(f"eigenphase gap {gap:.3e} is at most GAP_TOL={GAP_TOL:.1e}")
+    vecs = Z[:, perm]
+    lead = vecs[(abs(vecs) > PHASE_TOL).argmax(axis=0), np.arange(len(d))]
+    return xi, (vecs * (lead / abs(lead)).conj()).conj().T
+
+
 def spectral_xi(A):
     """The decomposition (xi, g) of a regular special-unitary matrix,
-    A = g^dagger delta(xi) g.
+    A = g^dagger delta(xi) g, or of each matrix of a stack (..., n, n).
 
     xi is read off the Schur diagonal by the convention of _phases_to_alcove
     and g from the Schur vectors in the same order, the first entry of each
     eigenvector with modulus above PHASE_TOL made real positive.  Raises
     NonRegular when the eigenphase gap 2 min xi is at most GAP_TOL; above
-    it g is unique up to left torus factors.
+    it g is unique up to left torus factors.  A non-square or non-finite A
+    raises ValueError, as scipy.linalg.schur does.  A stack is decomposed
+    matrix by matrix, one zgees each, in order, so its first bad matrix
+    raises what it raises alone.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
-    T, Z = _schur(A)
-    xi, perm = _phases_to_alcove(np.angle(T.diagonal()), np.empty(n))
-    gap = 2.0 * float(np.minimum.reduce(xi))
-    if not gap > GAP_TOL:
-        raise NonRegular(f"eigenphase gap {gap:.3e} is at most GAP_TOL={GAP_TOL:.1e}")
-
-    vecs = Z[:, perm]
-    lead = vecs[(abs(vecs) > PHASE_TOL).argmax(axis=0), np.arange(n)]
-    g = (vecs * (lead / abs(lead)).conj()).conj().T
+    if A.shape[-2:] != (n, n):
+        raise ValueError("expected square matrix")
+    if not np.logical_and.reduce(np.isfinite(A), None):
+        raise ValueError("array must not contain infs or NaNs")
+    if A.ndim == 2:
+        return _decompose(A)
+    xi = np.empty(A.shape[:-1])
+    g = np.empty(A.shape, dtype=complex)
+    for M, x, h in zip(A.reshape(-1, n, n), xi.reshape(-1, n), g.reshape(-1, n, n)):
+        x[:], h[:] = _decompose(M)
     return xi, g
 
 

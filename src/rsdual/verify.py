@@ -4,10 +4,13 @@ run_suite sweeps a configurable grid of (n, y) couplings, evaluates each
 selected check on seeded random samples and reports the worst residual per
 check against its tolerance.  A check is one trial: a generator that makes
 its draws and yields (residual, payload) rows; _run_cell runs the trials of
-a (check, n) cell.  Checks are deterministic given the seed and independent
-across cells, so any cell can be run on its own.
+a (check, n) cell.  The checks of the maps on CP(n-1) are Stacked instead:
+all trials of a cell are drawn first and evaluated as one stack of points.
+Checks are deterministic given the seed and independent across cells, so
+any cell can be run on its own.
 """
 
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 import math
 import time
@@ -121,8 +124,11 @@ def _pt(u):
 
 
 def _all_charts(u, c):
-    """F_j(u) for j = 1..n, stacked along a leading axis by one call."""
-    return section_F(np.broadcast_to(u, (c.n, c.n)), np.arange(1, c.n + 1), c)
+    """F_j(u) for j = 1..n of a point u, or of each point of a stack (..., n),
+    by one call; axis -3 of A and B runs over the charts."""
+    u = np.asarray(u)
+    shape = u.shape[:-1] + (c.n, c.n)
+    return section_F(np.broadcast_to(u[..., None, :], shape), np.arange(1, c.n + 1), c)
 
 
 def _check_constraint(c, rng):
@@ -159,40 +165,42 @@ def _check_intertwine(c, rng):
         yield r, {"chart": j, **_pt(u)}
 
 
-def _check_duality_squares(c, rng):
-    u = random_point(c, rng)
-    r1 = projective_distance(duality("S", duality("S", u, c), c), involution("sigma", u))
-    r2 = projective_distance(duality("R", duality("R", u, c), c), u)
-    yield max(r1, r2), _pt(u)
+# The stacked checks below take the points U (..., n) of all trials of a cell
+# at once and return their residuals (..., rows per trial); see Stacked
 
 
-def _check_duality_exchange(c, rng):
-    u = random_point(c, rng)
-    su = duality("S", u, c)
-    jj = moment_J(u, c)
-    r1 = np.abs(moment_J(su, c) - action_variables(u, c)).max()
-    r2 = np.abs(action_variables(su, c) - jj[::-1]).max()
-    yield max(r1, r2), _pt(u)
+def _check_duality_squares(c, U):
+    su = duality("S", U, c)
+    r1 = projective_distance(duality("S", su, c), involution("sigma", U))
+    # R(R(u)) = C(S(C(S(u)))), from the same S(u)
+    r2 = projective_distance(duality("R", involution("C", su), c), U)
+    return np.maximum(r1, r2)
 
 
-def _check_mapclass_origin(c, rng):
-    u = random_point(c, rng)
-    yield projective_distance(mapclass_on_P(["S"], u, c), duality("S", u, c)), _pt(u)
+def _check_duality_exchange(c, U):
+    su = duality("S", U, c)
+    jj = moment_J(U, c)
+    r1 = np.abs(moment_J(su, c) - action_variables(U, c)).max(-1)
+    r2 = np.abs(action_variables(su, c) - jj[..., ::-1]).max(-1)
+    return np.maximum(r1, r2)
 
 
-def _check_dehn_decomposition(c, rng):
-    u = random_point(c, rng)
-    su = duality("S", u, c)
-    r1 = projective_distance(mapclass_on_P(["T", "Ttilde", "T"], su, c), u)
+def _check_mapclass_origin(c, U):
+    return projective_distance(mapclass_on_P(["S"], U, c), duality("S", U, c))
+
+
+def _check_dehn_decomposition(c, U):
+    su = duality("S", U, c)
+    r1 = projective_distance(mapclass_on_P(["T", "Ttilde", "T"], su, c), U)
     r2 = projective_distance(
-        reduced_flow(u, InvariantHamiltonian("dehn", 1, "second"), 1.0, c),
-        mapclass_on_P(["T"], u, c),
+        reduced_flow(U, InvariantHamiltonian("dehn", 1, "second"), 1.0, c),
+        mapclass_on_P(["T"], U, c),
     )
     r3 = projective_distance(
-        reduced_flow(u, InvariantHamiltonian("dehn", 1, "first"), 1.0, c),
-        mapclass_on_P(["Ttilde"], u, c),
+        reduced_flow(U, InvariantHamiltonian("dehn", 1, "first"), 1.0, c),
+        mapclass_on_P(["Ttilde"], U, c),
     )
-    yield max(r1, r2, r3), _pt(u)
+    return np.maximum(np.maximum(r1, r2), r3)
 
 
 def _check_central_twist(c, rng):
@@ -319,13 +327,14 @@ def _check_poisson(c, rng):
             yield abs(_bracket(jac[k - 1], jac[l - 1])), {"pair": [k, l], **_pt(u)}
 
 
-def _check_conservation(c, rng):
+def _check_conservation(c, U):
+    # every point flowed to all seven times by one call, one time per row
+    times = np.linspace(0.5, 10.0, 7)
     ham = InvariantHamiltonian("re_trace", 1, "first")
-    u = random_point(c, rng)
-    xiK = action_variables(u, c)
-    for t in np.linspace(0.5, 10.0, 7):
-        ut = reduced_flow(u, ham, float(t), c)
-        yield float(np.abs(action_variables(ut, c) - xiK).max()), _pt(u)
+    xiK = action_variables(U, c)
+    shape = U.shape[:-1] + (len(times), c.n)
+    ut = reduced_flow(np.broadcast_to(U[..., None, :], shape), ham, times, c)
+    return np.abs(action_variables(ut, c) - xiK[..., None, :]).max(-1)
 
 
 def _check_polytope_image(c, rng):
@@ -395,11 +404,16 @@ def _check_omega_morphisms(c, rng):
         yield abs(omega_eval(f(p), _push(f, p, v), _push(f, p, w)) - sign * val), {"gen": gen}
 
 
-def _check_section_consistency(c, rng):
-    u = random_point(c, rng, interior_bias=0.03)
-    p = _all_charts(u, c)
-    labels = [f_beta_inv(DoublePoint(A, B), c) for A, B in zip(p.A, p.B)]
-    yield max(projective_distance(labels[0], lab) for lab in labels[1:]), _pt(u)
+def _check_section_consistency(c, U):
+    labels = f_beta_inv(_all_charts(U, c), c)  # (..., chart, n)
+    return projective_distance(labels[..., :1, :], labels[..., 1:, :]).max(-1)
+
+
+# A stacked check: each trial draws one point, random_point(c, rng, bias),
+# and makes no other draw, so drawing the points of all trials of a cell
+# first, in trial order, leaves the seeded stream as it was.  residuals(c, U)
+# then evaluates the stack U of them with one call per stage.
+Stacked = namedtuple("Stacked", "residuals bias")
 
 
 # name: (trial, tolerance, per).  A cell of s samples runs max(1, s // per)
@@ -410,10 +424,10 @@ CHECKS = {
     "constraint": (_check_constraint, 1e-10, 1),
     "pullback": (_check_pullback, 1e-5, 1),
     "intertwine": (_check_intertwine, 1e-9, 1),
-    "duality-squares": (_check_duality_squares, 1e-8, 1),
-    "duality-exchange": (_check_duality_exchange, 1e-8, 1),
-    "mapclass-origin": (_check_mapclass_origin, 1e-8, 1),
-    "dehn-decomposition": (_check_dehn_decomposition, 1e-8, 1),
+    "duality-squares": (Stacked(_check_duality_squares, 0.0), 1e-8, 1),
+    "duality-exchange": (Stacked(_check_duality_exchange, 0.0), 1e-8, 1),
+    "mapclass-origin": (Stacked(_check_mapclass_origin, 0.0), 1e-8, 1),
+    "dehn-decomposition": (Stacked(_check_dehn_decomposition, 0.0), 1e-8, 1),
     "central-twist": (_check_central_twist, 1e-10, 1),
     "lax-conjugation": (_check_lax_conjugation, 1e-10, 1),
     "lax-unitarity": (_check_lax_unitarity, 1e-9, None),
@@ -424,14 +438,14 @@ CHECKS = {
     "global-lax": (_check_global_lax, 1e-9, 1),
     "boundary-limit": (_check_boundary_limit, 1e-6, 5),
     "poisson": (_check_poisson, 1e-5, 1),
-    "conservation": (_check_conservation, 1e-8, 10),
+    "conservation": (Stacked(_check_conservation, 0.0), 1e-8, 10),
     "polytope-image": (_check_polytope_image, 1e-9, 1),
     "polytope-vertices": (_check_polytope_vertices, 1e-3, None),
     "axiom-a2": (_check_axiom_a2, 1e-5, 10),
     "equivariance": (_check_equivariance, 1e-12, 1),
     "flow-moment": (_check_flow_moment, 1e-10, 5),
     "omega-morphisms": (_check_omega_morphisms, 1e-5, 10),
-    "section-consistency": (_check_section_consistency, 1e-9, 1),
+    "section-consistency": (Stacked(_check_section_consistency, 0.03), 1e-9, 1),
 }
 
 
@@ -528,7 +542,8 @@ def _run_cell(name, c, cfg):
 
     A row over tolerance, or a trial raising a library error or ValueError,
     fails the cell; the first failure in trial order is reported and the
-    remaining trials still run.  Any other exception is a bug and propagates.
+    remaining trials still run (see _trials for the stacked checks).  Any
+    other exception is a bug and propagates.
     """
     trial, tol, per = CHECKS[name]
     rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
@@ -538,9 +553,9 @@ def _run_cell(name, c, cfg):
         count, extra = max(1, cfg.samples // per), ()
     residuals, failure = [], None
     start = time.perf_counter()
-    for i in range(count):
+    for i, rows in enumerate(_trials(trial, c, rng, count, extra)):
         try:
-            for r, data in trial(c, rng, *extra):
+            for r, data in rows:
                 if failure is None and not r <= tol:
                     failure = {"sample_index": len(residuals), "residual": float(r), "data": data}
                 residuals.append(r)
@@ -559,6 +574,36 @@ def _run_cell(name, c, cfg):
         wall_time=wall,
         failure=failure,
     )
+
+
+def _trials(trial, c, rng, count, extra):
+    """The rows of each trial of a cell, one lazy iterable per trial.
+
+    A Stacked check evaluates all trials as one stack.  If that raises, each
+    trial is evaluated alone, by the same function, so the error and message
+    reported are those of the first trial that raises alone, and the other
+    trials' rows still count."""
+    if not isinstance(trial, Stacked):
+        for _ in range(count):
+            yield trial(c, rng, *extra)
+        return
+    U = np.array([random_point(c, rng, trial.bias) for _ in range(count)])
+    try:
+        rows = np.reshape(trial.residuals(c, U), (count, -1))
+    except (RSDualError, ValueError):
+        rows = [None] * count
+    for u, r in zip(U, rows):
+        yield _stacked_rows(trial.residuals, c, u, r)
+
+
+def _stacked_rows(residuals, c, u, r):
+    """(residual, payload) rows of one trial of a stacked check: r, its rows
+    of the cell's stacked call, or, if None, residuals(c, u) alone."""
+    if r is None:
+        r = np.ravel(residuals(c, u))
+    data = _pt(u)
+    for x in r:
+        yield x, data
 
 
 def run_suite(cfg):

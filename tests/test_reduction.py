@@ -644,7 +644,7 @@ def test_reduced_trajectory_matches_per_sample_flow(n, y_scale, kind, side):
             assert np.abs(ut - f_beta_inv(expm_flow(rep, ham, t), c)).max() < tol
             assert np.abs(J - moment_J_full(ut, c)[: n - 1]).max() == 0.0
             # K(u_t) is built from the Lambda of the orbit frame that labels u_t
-            K = _lax_from(ut, reduction._orbit_frame(at(t).B, c)[3])
+            K = _lax_from(ut, reduction._orbit_frame(at(t).B, c)[1])
             assert xiK.tobytes() == alcove_point(K)[: n - 1].tobytes()
             # K0, built afresh at |u_t|^2 + y, is unitary to rounding, so by
             # Bauer-Fike each eigenvalue of K = K0 + dK lies within |dK|_2 of
@@ -800,3 +800,40 @@ def test_reduced_point_equality_semantics():
     p = section_F(u, chart_index(u), c)
     h = stabilizer_element(n, RNG)
     assert projective_distance(f_beta_inv(p, c), f_beta_inv(conjugate(p, h), c)) < 1e-9
+
+
+# the chart index is checked once, where section_F takes it: an int or an
+# integer array broadcastable to the leading shape, every entry in 1..n
+BAD_CHARTS = {
+    "zero": 0,  # read u_n through the wrapped index
+    "past-n": 4,  # raised a bare IndexError
+    "list": [1],  # raised TypeError (list minus int)
+    "float": 1.0,  # raised TypeError
+    "bool": True,
+    "float-array": np.array([1.0, 2.0, 3.0]),
+    "array-with-zero": np.array([0, 1, 2]),
+    "array-of-wrong-length": np.array([1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CHARTS))
+def test_section_F_rejects_a_bad_chart_index(name):
+    c = Coupling.default(3)
+    rng = np.random.default_rng(31)
+    U = np.array([random_point(c, rng, interior_bias=0.3) for _ in range(3)])
+    j = BAD_CHARTS[name]
+    for u in (U, U[0]):
+        with pytest.raises(ValueError, match="chart index j") as err:
+            section_F(u, j, c)
+        assert repr(j) in str(err.value)
+
+
+def test_section_F_takes_an_int_or_one_chart_per_row():
+    c = Coupling.default(3)
+    rng = np.random.default_rng(32)
+    U = np.array([random_point(c, rng, interior_bias=0.3) for _ in range(3)])
+    one = section_F(U, 2, c)
+    for j in (np.int64(2), np.array([2]), np.array([2, 2, 2]), np.full((3,), 2, np.int32)):
+        p = section_F(U, j, c)
+        assert p.A.tobytes() == one.A.tobytes() and p.B.tobytes() == one.B.tobytes()
+    assert section_F(U[0], np.int64(2), c).A.tobytes() == one.A[0].tobytes()

@@ -5,12 +5,47 @@ import numpy as np
 import pytest
 
 from rsdual.coupling import Coupling
-from rsdual.double import DoubleTangent, omega_eval, random_double_point
-from rsdual.errors import ChartViolation, DomainViolation, NormViolation
+from rsdual.double import (
+    DoublePoint,
+    DoubleTangent,
+    InvariantHamiltonian,
+    _gradient_eig,
+    flow,
+    flow_map,
+    omega_eval,
+    random_double_point,
+)
+from rsdual.errors import (
+    ChartViolation,
+    ConstraintViolation,
+    DomainViolation,
+    NonRegular,
+    NormViolation,
+    ZeroVector,
+)
 from rsdual.lax import _lambda_parts, global_lax, reflection_g
-from rsdual.projective import canonicalize, chart_index, random_point, vertex_points
-from rsdual.reduction import constraint_residual, section_F
-from rsdual.sun import alcove_point, random_su_algebra
+from rsdual.projective import (
+    canonicalize,
+    chart_index,
+    involution,
+    moment_J,
+    projective_distance,
+    random_point,
+    vertex_points,
+)
+from rsdual.reduction import (
+    _label,
+    _lift,
+    _orbit_frame,
+    action_variables,
+    constraint_residual,
+    duality,
+    f_beta_inv,
+    mapclass_on_P,
+    reduced_flow,
+    section_F,
+)
+from rsdual.sun import alcove_point, random_special_unitary, random_su_algebra, spectral_xi
 
 NS = (2, 3, 4, 8, 16)
 
@@ -111,3 +146,154 @@ def test_a_bad_row_raises_what_it_raises_alone():
     raises_as_alone(lambda x: _lambda_parts(x, c), xi, 3, DomainViolation)
     x = np.array([[0.6, 0.0, 0.8], [0.6, 0.0, 0.81]])
     raises_as_alone(lambda x: reflection_g(x, 3), x, 1, NormViolation)
+
+
+# ---------------------------------------------------------------------------
+# the relabel half: every map on CP(n-1) runs on a stack of points
+
+
+def alone_and_stacked(f, stack):
+    """f on the whole stack and on each row alone."""
+    return f(stack), [f(row) for row in stack]
+
+
+def assert_rows(stacked, alone):
+    for k, one in enumerate(alone):
+        assert same_bits(stacked[k], one), k
+
+
+def lifted_pairs(c, rng):
+    """Points of sample_points and their section lifts, stacked."""
+    U = sample_points(c, rng)
+    return U, _lift(U, c)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_spectral_xi_rows_are_the_one_point_calls(n):
+    c = Coupling.default(n)
+    rng = np.random.default_rng(300 + n)
+    U, p = lifted_pairs(c, rng)
+    mats = np.concatenate([p.B, global_lax(U, c), [random_special_unitary(n, rng)]])
+    xi, g = spectral_xi(mats)
+    for k, M in enumerate(mats):
+        x1, g1 = spectral_xi(M)
+        assert same_bits(xi[k], x1) and same_bits(g[k], g1)
+        assert g[k].strides == g1.strides  # the layout matmuls see
+    # two leading axes
+    xi2, g2 = spectral_xi(mats[:8].reshape(2, 4, n, n))
+    assert same_bits(xi2.reshape(8, n), xi[:8]) and same_bits(g2.reshape(8, n, n), g[:8])
+
+
+@pytest.mark.parametrize("n", NS)
+def test_relabel_rows_are_the_one_point_calls(n):
+    c = Coupling.default(n)
+    U, p = lifted_pairs(c, np.random.default_rng(400 + n))
+    frames = _orbit_frame(p.B, c)
+    labels = f_beta_inv(p, c)
+    for k, u in enumerate(U):
+        one = DoublePoint(p.A[k], p.B[k])
+        frame = _orbit_frame(one.B, c)
+        for part in (0, 1, 3, 5):  # g, lam, den, rj
+            assert same_bits(frames[part][k], frame[part])
+        assert same_bits(_label(one.A, frame, c), labels[k])
+        assert same_bits(f_beta_inv(one, c), labels[k])
+        assert projective_distance(labels[k], u) < 1e-12
+    # two leading axes, as section-consistency stacks its charts
+    square = DoublePoint(*(m.reshape((2, -1) + m.shape[1:]) for m in (p.A, p.B)))
+    assert same_bits(f_beta_inv(square, c).reshape(labels.shape), labels)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_projective_rows_are_the_one_point_calls(n):
+    c = Coupling.default(n)
+    rng = np.random.default_rng(500 + n)
+    U = sample_points(c, rng)
+    raw = U * rng.uniform(0.5, 2.0, (len(U), 1)) * np.exp(1j * rng.uniform(0, 6, (len(U), 1)))
+    raw[0] *= 1e-200  # rows the norm guard rescales, beside ordinary ones
+    raw[1] *= 1e200
+    tie = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    raw = np.concatenate([raw, [tie]])
+    assert_rows(*alone_and_stacked(lambda u: canonicalize(u, c), raw))
+    assert_rows(*alone_and_stacked(chart_index, raw))
+    for which in ("C", "Gamma", "sigma"):
+        assert_rows(*alone_and_stacked(lambda u: involution(which, u), raw))
+    V = np.roll(U, 1, axis=0)
+    dist = projective_distance(U, V)
+    assert_rows(dist, [projective_distance(u, v) for u, v in zip(U, V)])
+    assert same_bits(projective_distance(U, U[:1]), projective_distance(U, U[0]))
+    assert_rows(*alone_and_stacked(lambda u: moment_J(u, c), U))
+
+
+HAMILTONIANS = [
+    InvariantHamiltonian(kind, 1, side)
+    for kind in ("spectral", "re_trace", "im_trace", "dehn")
+    for side in ("first", "second")
+]
+
+
+@pytest.mark.parametrize("n", NS)
+def test_flow_rows_are_the_one_point_calls(n):
+    c = Coupling.default(n)
+    rng = np.random.default_rng(600 + n)
+    _, p = lifted_pairs(c, rng)
+    t = rng.uniform(-5.0, 5.0, len(p.A))
+    for h in HAMILTONIANS:
+        V, lam = _gradient_eig(h, p.A)
+        at = flow_map(p, h)
+        for k in range(len(p.A)):
+            one = DoublePoint(p.A[k], p.B[k])
+            V1, lam1 = _gradient_eig(h, one.A)
+            assert same_bits(V[k], V1) and same_bits(np.broadcast_to(lam, V.shape[:-1])[k], lam1)
+            for q, q1 in ((at(t), flow(one, h, t[k])), (at(1.0), flow_map(one, h)(1.0))):
+                assert same_bits(q.A[k], q1.A) and same_bits(q.B[k], q1.B)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_maps_on_P_rows_are_the_one_point_calls(n):
+    c = Coupling.default(n)
+    rng = np.random.default_rng(700 + n)
+    U = sample_points(c, rng)
+    t = rng.uniform(0.5, 10.0, len(U))
+    maps = [lambda u, w=w: duality(w, u, c) for w in ("S", "S_inv", "R")]
+    maps += [lambda u: mapclass_on_P(["T", "Ttilde", "S"], u, c)]
+    maps += [lambda u: action_variables(u, c)]
+    for f in maps:
+        assert_rows(*alone_and_stacked(f, U))
+    lifts = _lift(U, c)
+    for k, u in enumerate(U):
+        one = _lift(u, c)
+        assert same_bits(lifts.A[k], one.A) and same_bits(lifts.B[k], one.B)
+    for h in (InvariantHamiltonian("re_trace", 1, "first"), InvariantHamiltonian("dehn", 1, "second")):
+        flowed = reduced_flow(U, h, t, c)
+        assert_rows(flowed, [reduced_flow(u, h, tk, c) for u, tk in zip(U, t)])
+        # every point at three times, one per row of a broadcast stack, as
+        # conservation flows its points
+        times = t[:3]
+        spread = reduced_flow(np.broadcast_to(U[:, None, :], (len(U), 3, n)), h, times, c)
+        for k, u in enumerate(U):
+            assert_rows(spread[k], [reduced_flow(u, h, tk, c) for tk in times])
+
+
+def test_a_bad_row_of_the_relabel_raises_what_it_raises_alone():
+    c = Coupling.default(3)
+    rng = np.random.default_rng(8)
+    U = np.array([random_point(c, rng) for _ in range(4)])
+
+    def raises_as_alone(f, stack, k, error):
+        with pytest.raises(error) as alone:
+            f(stack[k])
+        with pytest.raises(error) as stacked:
+            f(stack)
+        assert str(stacked.value) == str(alone.value)
+
+    mats = np.array([random_special_unitary(3, rng) for _ in range(4)])
+    mats[2] = np.diag(np.exp(1j * np.array([0.3, 0.3, -0.6])))  # a repeated eigenvalue
+    raises_as_alone(spectral_xi, mats, 2, NonRegular)
+    p = _lift(U, c)
+    A = p.A.copy()
+    A[1] = A[1] @ random_special_unitary(3, rng)  # off the constraint surface
+    pairs = np.stack((A, p.B), 1)
+    raises_as_alone(lambda q: f_beta_inv(DoublePoint(q[..., 0, :, :], q[..., 1, :, :]), c), pairs, 1, ConstraintViolation)
+    zero = U.copy()
+    zero[3] = 0.0
+    raises_as_alone(lambda u: canonicalize(u, c), zero, 3, ZeroVector)

@@ -711,3 +711,130 @@ def test_cli_flow_rejects_final_point_at_the_out_path(tmp_path, capsys, monkeypa
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the stacked checks: all trials of a cell in one call per stage
+
+STACKED = (
+    "duality-squares", "duality-exchange", "mapclass-origin",
+    "dehn-decomposition", "section-consistency", "conservation",
+)
+
+# max_residual of each stacked cell at n = 2, 3, 4 in the pinned sweeps
+# run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=s)), recorded
+# while the checks still evaluated one trial per call
+PINNED_MAX_RESIDUAL = {
+    "duality-squares": {
+        7: ("0x1.569ddf2b3fa87p-50", "0x1.68865c45ee6dfp-49", "0x1.7ba665c1ae416p-49"),
+        11: ("0x1.2b6f1fde2b694p-50", "0x1.3742ad1616b4bp-49", "0x1.d5067336954d5p-49"),
+    },
+    "duality-exchange": {
+        7: ("0x1.8000000000000p-51", "0x1.c000000000000p-50", "0x1.a000000000000p-50"),
+        11: ("0x1.0000000000000p-49", "0x1.8000000000000p-50", "0x1.8000000000000p-50"),
+    },
+    "mapclass-origin": {
+        7: ("0x1.cd5bde81227d0p-51", "0x1.129928eaa2c71p-49", "0x1.889e6ad4603a3p-49"),
+        11: ("0x1.22f4eb171b562p-50", "0x1.b88afc9c1cfc5p-50", "0x1.d793a70993a6cp-49"),
+    },
+    "dehn-decomposition": {
+        7: ("0x1.29ba2f039c92dp-49", "0x1.737e1653b0ad0p-49", "0x1.adf7848c72432p-49"),
+        11: ("0x1.0e4b1fcc0f333p-49", "0x1.190592ff76556p-48", "0x1.5c202799248c4p-48"),
+    },
+    "section-consistency": {
+        7: ("0x1.0b219145cc66cp-50", "0x1.a5b22f83226e3p-50", "0x1.64ffd776d5877p-49"),
+        11: ("0x1.466b531d8676bp-51", "0x1.4cb5dc1d03fdfp-49", "0x1.72bc80b1d795cp-49"),
+    },
+    "conservation": {
+        7: ("0x1.0000000000000p-52", "0x1.e000000000000p-50", "0x1.0000000000000p-48"),
+        11: ("0x1.0000000000000p-51", "0x1.4000000000000p-50", "0x1.0000000000000p-49"),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_stacked_cells_keep_their_pinned_residuals(seed):
+    rep = run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=seed, checks=STACKED))
+    got = {}
+    for cell in rep.results:
+        assert cell.passed and cell.samples == (14 if cell.name == "conservation" else 20)
+        got.setdefault(cell.name, []).append(float(cell.max_residual).hex())
+    assert got == {name: list(PINNED_MAX_RESIDUAL[name][seed]) for name in STACKED}
+
+
+# f_beta_inv calls per cell: one per stage, whatever the number of trials
+LABELS_PER_CELL = {
+    "duality-squares": 3,  # S(u), S(S(u)), S(C(S(u)))
+    "duality-exchange": 1,
+    "mapclass-origin": 2,
+    "dehn-decomposition": 6,  # S, T Ttilde T, two flows, T, Ttilde
+    "section-consistency": 1,
+    "conservation": 1,
+}
+
+
+@pytest.mark.parametrize("samples", [6, 20])
+@pytest.mark.parametrize("name", STACKED)
+def test_stacked_check_labels_each_stage_in_one_call(monkeypatch, name, samples):
+    from rsdual import reduction
+
+    stacks = []
+
+    def counted(p, c, frame=None, f=reduction.f_beta_inv):
+        stacks.append(p.A.shape[:-2])
+        return f(p, c, frame)
+
+    monkeypatch.setattr(reduction, "f_beta_inv", counted)
+    monkeypatch.setattr(verify, "f_beta_inv", counted)
+    (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=samples, checks=(name,))).results
+    assert cell.passed
+    trials = max(1, samples // CHECKS[name][2])
+    assert len(stacks) == LABELS_PER_CELL[name]
+    assert all(shape[0] == trials for shape in stacks)
+
+
+# the library call of each stacked check that the forced failure breaks, and
+# which of its arguments holds the points
+FORCED_AT = {
+    "duality-squares": ("duality", 1),
+    "duality-exchange": ("duality", 1),
+    "mapclass-origin": ("mapclass_on_P", 1),
+    "dehn-decomposition": ("reduced_flow", 0),  # after S(u) and r1
+    "section-consistency": ("section_F", 0),
+    "conservation": ("reduced_flow", 0),
+}
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name):
+    # trial 2's point makes the library call raise, in the cell's stack and
+    # alone; the cell must report what running each trial by itself reports
+    check, tol, per = CHECKS[name]
+    cfg = SuiteConfig(n_list=(3,), samples=5 * per, seed=3, checks=(name,))
+    (c,) = cfg.couplings()
+    rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
+    points = [random_point(c, rng, check.bias) for _ in range(5)]
+    target, arg = FORCED_AT[name]
+    f = getattr(verify, target)
+    stacks = []
+
+    def forced(*args):
+        stacks.append(np.shape(args[arg])[:-1])
+        if np.all(args[arg] == points[2], -1).any():
+            raise ConstraintViolation(f"forced failure in {target}")
+        return f(*args)
+
+    monkeypatch.setattr(verify, target, forced)
+    (cell,) = run_suite(cfg).results
+
+    rows, failure = [], None
+    for i, u in enumerate(points):
+        try:
+            rows += list(np.ravel(check.residuals(c, u)))
+        except ConstraintViolation as exc:
+            failure = failure or {"trial": i, "error": "ConstraintViolation", "message": str(exc)}
+    assert failure == {"trial": 2, "error": "ConstraintViolation", "message": f"forced failure in {target}"}
+    assert not cell.passed and cell.failure == failure
+    assert cell.samples == len(rows) == 4 * (7 if name == "conservation" else 1)
+    assert cell.max_residual == max(rows)
+    assert stacks[0][0] == 5  # the cell was tried as one stack first
