@@ -6,7 +6,9 @@ r_k = sqrt(xi_k - y) and W_k(-y) in r_{k-1}; splitting those roots off
 leaves strictly positive smooth factors w_k^{+-}.  The matrix Lambda of
 smooth entry cofactors assembled from them never vanishes, which is what
 lets the Lax matrix extend to the whole projective phase space as K(u).
-Lambda, K(u) and the chart gauge take stacks (..., n), each row with the one-point bits.
+Lambda, K(u), the chart gauge, w_factors and v_vector take stacks (..., n),
+each row with the one-point bits; local_lax (which raises ValueError on a
+stack), local_hamiltonian and mu_of_v take one point.
 """
 
 from collections import namedtuple
@@ -115,7 +117,7 @@ def w_factors(xi, c):
     phi = _pair_angles(xi)
     w_plus, w_minus = np.sqrt(_w_factor_data(phi, np.sin(phi + y), sinratio(xi - y)))
     r = np.sqrt(np.maximum(xi - y, 0.0))
-    return r * w_plus, r[_cyclic(xi.shape).prev[0]] * w_minus, w_plus, w_minus
+    return r * w_plus, r.take(_cyclic(xi.shape).prev[0], -1) * w_minus, w_plus, w_minus
 
 
 def _lambda_parts(xi, c):
@@ -161,6 +163,8 @@ def local_lax(xi, theta, c):
     L(delta, Theta; -y) = L(delta, 1)^dagger Theta.
     """
     xi = check_shifted_alcove(xi, c)
+    if xi.ndim != 1:
+        raise ValueError(f"local_lax takes one alcove point xi (n,), got shape {xi.shape}")
     theta = _theta_vector(theta, c.n)
     # W comes from the same sin(phi + y) as the denominator, not from Lambda
     # (r_k r_{l-1} Lambda_kl) or w_factors: built from those, L loses

@@ -6,7 +6,8 @@ fixes a canonical representative, provides the Darboux parametrization by
 Fubini-Study form, the rotational torus action and the discrete involutions.
 canonicalize, chart_index, the distance, the involutions, the moment maps,
 the chart maps and the form also take stacks of points (..., n), each row
-with the one-point bits.
+with the one-point bits.  chart_gauge (which section_F reads) and from_chart
+check every chart index j, one for all rows or one per row.
 """
 
 import json
@@ -162,6 +163,7 @@ def chart_index(u):
 def chart_gauge(u, j):
     """Representative with u_j real positive (chart gauge), j 1-based, for all or per row."""
     u = np.asarray(u, dtype=complex)
+    _check_chart(j, u)
     uj = u.take(_cyclic(u.shape).rows + (j - 1))
     mod = np.hypot(uj.real, uj.imag)  # the scalar abs's bits; np.abs of an array differs
     if anywhere(mod <= CHART_TOL):
@@ -171,23 +173,41 @@ def chart_gauge(u, j):
     return u * (np.conjugate(uj) / mod)[..., None]
 
 
+def _check_chart(j, u):
+    """Raise ValueError naming j unless it is an int, or an integer array
+    broadcastable to the leading shape of the points u, with every entry
+    in 1..n: the one check of the chart index, in chart_gauge and from_chart."""
+    n, lead = np.shape(u)[-1], np.shape(u)[:-1]
+    if isinstance(j, np.ndarray) and j.dtype.kind in "iu":
+        # from the last axis on, each axis of j is 1 or that of lead
+        fits = j.ndim <= len(lead) and all(a in (1, b) for a, b in zip(j.shape[::-1], lead[::-1]))
+        fits = fits and np.logical_and.reduce((1 <= j) & (j <= n), None)
+    else:
+        fits = isinstance(j, (int, np.integer)) and not isinstance(j, bool) and 1 <= j <= n
+    if not fits:
+        raise ValueError(f"chart index j must be an int or int array in 1..{n} per point, got {j!r}")
+
+
 def to_chart(u, j):
-    """Inhomogeneous chart coordinates: the n-1 entries k != j in the
-    u_j > 0 gauge."""
+    """Inhomogeneous chart coordinates: the n-1 entries k != j in the u_j > 0
+    gauge, of a point or of each row of a stack, in one chart or one per row."""
     w = chart_gauge(u, j)
-    return np.delete(w, j - 1)
+    keep = np.arange(w.shape[-1]) != np.expand_dims(j, -1) - 1
+    return w[np.broadcast_to(keep, w.shape)].reshape(w.shape[:-1] + (w.shape[-1] - 1,))
 
 
 def from_chart(w, j, c):
-    """Rebuild the representative from chart-j coordinates."""
+    """Rebuild the representative from chart-j coordinates, in one chart or one per row."""
     w = np.asarray(w, dtype=complex)
+    u = np.empty(w.shape[:-1] + (c.n,), dtype=complex)
+    _check_chart(j, u)
     rest = np.add.reduce(np.abs(w) ** 2, -1)
     if anywhere(rest >= c.chi0):
         rest = rest[first_row(rest >= c.chi0)]
         raise ChartViolation(f"chart coordinates have |w|^2 = {rest:.12g} >= chi0")
-    u = np.empty(w.shape[:-1] + (c.n,), dtype=complex)
-    u[..., np.arange(c.n) != j - 1] = w
-    u[..., j - 1] = np.sqrt(c.chi0 - rest)
+    keep = np.broadcast_to(np.arange(c.n) != np.expand_dims(j, -1) - 1, u.shape)
+    u[keep] = w.ravel()
+    u[~keep] = np.ravel(np.sqrt(c.chi0 - rest))
     return u
 
 
@@ -250,15 +270,12 @@ def random_point(c, rng, interior_bias=0.0):
 
 
 def vertex_points(c, eps=0.0, rng=None):
-    """Near-vertex points of the moment polytope: u on one axis, plus eps noise from rng."""
+    """The n near-vertex points of the moment polytope, as a list: u on one axis, plus eps noise."""
     if eps > 0.0 and rng is None:
         raise ValueError("vertex_points needs an rng to perturb by eps > 0")
-    pts = []
-    for k in range(c.n):
-        u = np.zeros(c.n, dtype=complex)
-        u[k] = 1.0
-        if eps > 0.0:
-            noise = rng.standard_normal(c.n) + 1j * rng.standard_normal(c.n)
-            u = u + eps * noise
-        pts.append(canonicalize(u, c))
-    return pts
+    u = np.eye(c.n, dtype=complex)
+    if eps > 0.0:
+        # the re and im draws of each vertex in turn, as one draw
+        z = rng.standard_normal((c.n, 2, c.n))
+        u = u + eps * (z[:, 0] + 1j * z[:, 1])
+    return list(canonicalize(u, c))

@@ -10,7 +10,7 @@ flows) is f_beta_inv(act(_lift(u))): a point is canonicalized where it is
 lifted and where it is labelled, and nowhere in between.  Every one of these
 maps takes a stack of points (..., n) or of pairs (..., n, n), each row with
 the one-point bits; a bad row raises what it raises alone.  section_F takes
-one chart for all rows or one per row, and is where the chart is checked.
+one chart for all rows or one per row; projective.chart_gauge checks it.
 """
 
 import math
@@ -55,28 +55,10 @@ def section_F(u, j, c):
     share one pass over the W-factor data; K(u) and delta(xi) depend only
     on the phase class of u.
     """
-    _check_chart(j, u)
     xi, K, G = _chart_lift(u, j, c)
     Gi = dagger(G)
     delta = np.exp(1j * alcove_exponents(xi))
     return DoublePoint(Gi @ K @ G, Gi @ (delta[..., None] * G))
-
-
-def _check_chart(j, u):
-    """Raise ValueError naming j unless it is an int, or an integer array
-    broadcastable to the leading shape of the points u, with every entry
-    in 1..n: the one check of the chart index, at section_F."""
-    n, lead = np.shape(u)[-1], np.shape(u)[:-1]
-    if isinstance(j, np.ndarray) and j.dtype.kind in "iu":
-        try:
-            fits = np.broadcast_shapes(j.shape, lead) == lead
-        except ValueError:
-            fits = False
-        fits = fits and np.logical_and.reduce((1 <= j) & (j <= n), None)
-    else:
-        fits = isinstance(j, (int, np.integer)) and not isinstance(j, bool) and 1 <= j <= n
-    if not fits:
-        raise ValueError(f"chart index j must be an int or int array in 1..{n} per point, got {j!r}")
 
 
 def _lift(u, c):

@@ -10,7 +10,8 @@ input, A.shape[-1] or xi.shape[-1].  The gradients and flows built on
 (xi, g) live in double.py; the invariant pairing of su(n) lives here.
 spectral_xi, alcove_exponents, alcove_point, the pairing and the su(n)
 projection take stacks (..., n, n) or (..., n), each row with the
-one-point bits.
+one-point bits; alcove_delta takes one point and raises ValueError on a
+stack.
 """
 
 import functools
@@ -78,6 +79,8 @@ def alcove_delta(xi):
     Injective on the alcove; raises AlcoveViolation off it.
     """
     xi = check_alcove(xi)
+    if xi.ndim != 1:
+        raise ValueError(f"alcove_delta takes one alcove point xi (n,), got shape {xi.shape}")
     return np.diag(np.exp(1j * alcove_exponents(xi)))
 
 

@@ -4,8 +4,9 @@ run_suite sweeps a configurable grid of (n, y) couplings, evaluates each
 selected check on seeded random samples and reports the worst residual per
 check against its tolerance.  A check is one trial: a generator that makes
 its draws and yields (residual, payload) rows; _run_cell runs the trials of
-a (check, n) cell.  The checks of the maps on CP(n-1) are Stacked instead:
-all trials of a cell are drawn first and evaluated as one stack of points.
+a (check, n) cell.  The nine checks whose trials draw one point each are
+Stacked instead: all trials of a cell are drawn first and evaluated as one
+stack of points, and a failure's payload names the point and its row.
 Checks are deterministic given the seed and independent across cells, so
 any cell can be run on its own.
 """
@@ -131,12 +132,6 @@ def _all_charts(u, c):
     return section_F(np.broadcast_to(u[..., None, :], shape), np.arange(1, c.n + 1), c)
 
 
-def _check_constraint(c, rng):
-    u = random_point(c, rng, interior_bias=0.02)
-    for j, r in enumerate(constraint_residual(_all_charts(u, c), c), 1):
-        yield r, {"chart": j, **_pt(u)}
-
-
 def _check_pullback(c, rng):
     u = random_point(c, rng, interior_bias=0.08)
     j = chart_index(u)
@@ -155,18 +150,19 @@ def _check_pullback(c, rng):
         yield r, _pt(u)
 
 
-def _check_intertwine(c, rng):
-    u = random_point(c, rng, interior_bias=0.02)
-    xiK = alcove_point(global_lax(u, c))
-    jj = moment_J_full(u, c)
-    p = _all_charts(u, c)
-    rA, rB = np.abs(alcove_point(p.A) - xiK).max(-1), np.abs(alcove_point(p.B) - jj).max(-1)
-    for j, r in enumerate(np.maximum(rA, rB), 1):
-        yield r, {"chart": j, **_pt(u)}
-
-
 # The stacked checks below take the points U (..., n) of all trials of a cell
 # at once and return their residuals (..., rows per trial); see Stacked
+
+
+def _check_constraint(c, U):
+    return constraint_residual(_all_charts(U, c), c)
+
+
+def _check_intertwine(c, U):
+    xiK = alcove_point(global_lax(U, c))[..., None, :]
+    jj = moment_J_full(U, c)[..., None, :]
+    p = _all_charts(U, c)
+    return np.maximum(np.abs(alcove_point(p.A) - xiK).max(-1), np.abs(alcove_point(p.B) - jj).max(-1))
 
 
 def _check_duality_squares(c, U):
@@ -298,18 +294,16 @@ def _check_global_lax(c, rng):
 
 
 def _check_boundary_limit(c, rng):
-    eps = 1e-8
-    for k in range(c.n):
-        z = rng.standard_normal(c.n) + 1j * rng.standard_normal(c.n)
-        z[k] = 0.0
-        u0 = canonicalize(z, c)
-        K0 = global_lax(u0, c)
-        # step off the wall u_k = 0 on the sphere |u|^2 = chi0 itself, so
-        # its length is eps * sqrt(2) whatever the scale of z
-        u1 = u0.copy()
-        u1[k] = eps * (1.0 + 1j)
-        r = np.linalg.norm(global_lax(canonicalize(u1, c), c) - K0)
-        yield r, {"slot": k + 1, **_pt(u0)}
+    # point k on the wall u_k = 0; the re and im draws of each in turn, as one
+    z = rng.standard_normal((c.n, 2, c.n))
+    wall = np.eye(c.n, dtype=bool)
+    u0 = canonicalize(np.where(wall, 0.0, z[:, 0] + 1j * z[:, 1]), c)
+    K0 = global_lax(u0, c)
+    # step off the wall on the sphere |u|^2 = chi0 itself, so that the step
+    # is 1e-8 sqrt(2) long whatever the scale of z
+    D = global_lax(canonicalize(np.where(wall, 1e-8 * (1.0 + 1j), u0), c), c) - K0
+    for k, r in enumerate(_norm(D.reshape(c.n, -1))):
+        yield r, {"slot": k + 1, **_pt(u0[k])}
 
 
 def _check_poisson(c, rng):
@@ -337,26 +331,23 @@ def _check_conservation(c, U):
     return np.abs(action_variables(ut, c) - xiK[..., None, :]).max(-1)
 
 
-def _check_polytope_image(c, rng):
-    u = random_point(c, rng)
-    for vec in (moment_J_full(u, c), alcove_point(global_lax(u, c))):
-        r = max(float((c.y - vec).max()), abs(float(vec.sum()) - math.pi))
-        yield max(r, 0.0), _pt(u)
+def _check_polytope_image(c, U):
+    # J and Xi o K of every point as one (..., 2, n) stack
+    vec = np.stack((moment_J_full(U, c), alcove_point(global_lax(U, c))), -2)
+    r = np.maximum((c.y - vec).max(-1), abs(vec.sum(-1) - math.pi))
+    return np.maximum(r, 0.0)
 
 
 def _check_polytope_vertices(c, rng, _samples):
     # one trial per cell, whatever the sample count: vertex_points draws all
     # n perturbations at once.  Each vertex of the polytope must be approached
     # by J on near-vertex points and by Xi o K on their duality preimages
-    near = vertex_points(c, eps=1e-4, rng=rng)
-    for k, u in enumerate(near):
-        vert = np.full(c.n - 1, c.y)
-        if k < c.n - 1:
-            vert[k] += c.chi0
-        r1 = float(np.abs(moment_J(u, c) - vert).max())
-        pre = duality("S_inv", u, c)
-        r2 = float(np.abs(action_variables(pre, c) - vert).max())
-        yield max(r1, r2), {"vertex": list(vert)}
+    near = np.array(vertex_points(c, eps=1e-4, rng=rng))
+    vert = c.y + c.chi0 * np.eye(c.n, c.n - 1)  # row k: the vertex next to near[k]
+    r1 = np.abs(moment_J(near, c) - vert).max(-1)
+    r2 = np.abs(action_variables(duality("S_inv", near, c), c) - vert).max(-1)
+    for v, r in zip(vert, np.maximum(r1, r2)):
+        yield r, {"vertex": list(v)}
 
 
 def _check_axiom_a2(c, rng):
@@ -421,9 +412,9 @@ Stacked = namedtuple("Stacked", "residuals bias")
 # the checks whose draws cannot be split into trials without reordering the
 # seeded stream (polytope-vertices ignores s: its draws are one per vertex)
 CHECKS = {
-    "constraint": (_check_constraint, 1e-10, 1),
+    "constraint": (Stacked(_check_constraint, 0.02), 1e-10, 1),
     "pullback": (_check_pullback, 1e-5, 1),
-    "intertwine": (_check_intertwine, 1e-9, 1),
+    "intertwine": (Stacked(_check_intertwine, 0.02), 1e-9, 1),
     "duality-squares": (Stacked(_check_duality_squares, 0.0), 1e-8, 1),
     "duality-exchange": (Stacked(_check_duality_exchange, 0.0), 1e-8, 1),
     "mapclass-origin": (Stacked(_check_mapclass_origin, 0.0), 1e-8, 1),
@@ -439,7 +430,7 @@ CHECKS = {
     "boundary-limit": (_check_boundary_limit, 1e-6, 5),
     "poisson": (_check_poisson, 1e-5, 1),
     "conservation": (Stacked(_check_conservation, 0.0), 1e-8, 10),
-    "polytope-image": (_check_polytope_image, 1e-9, 1),
+    "polytope-image": (Stacked(_check_polytope_image, 0.0), 1e-9, 1),
     "polytope-vertices": (_check_polytope_vertices, 1e-3, None),
     "axiom-a2": (_check_axiom_a2, 1e-5, 10),
     "equivariance": (_check_equivariance, 1e-12, 1),
@@ -598,12 +589,14 @@ def _trials(trial, c, rng, count, extra):
 
 def _stacked_rows(residuals, c, u, r):
     """(residual, payload) rows of one trial of a stacked check: r, its rows
-    of the cell's stacked call, or, if None, residuals(c, u) alone."""
+    of the cell's stacked call, or, if None, residuals(c, u) alone.  The
+    payload names u and the row: the chart j - 1 of constraint and
+    intertwine, the map (J, Xi o K) of polytope-image, the conservation time."""
     if r is None:
         r = np.ravel(residuals(c, u))
-    data = _pt(u)
-    for x in r:
-        yield x, data
+    pt = _pt(u)
+    for k, x in enumerate(r):
+        yield x, {"row": k, **pt}
 
 
 def run_suite(cfg):

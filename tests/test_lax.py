@@ -400,3 +400,11 @@ def test_delta_of_moment_map_identities():
         dG = alcove_delta(moment_J_full(involution("Gamma", u), c))
         assert np.linalg.norm(dC - d) < 1e-12
         assert np.linalg.norm(dG - eta0 @ dagger(d) @ eta0) < 1e-10
+
+
+def test_local_lax_takes_one_point():
+    # on a stack it returned a (3, 3, 3) array of wrong rows, silently
+    c = Coupling.default(3)
+    xi = np.array([random_shifted_alcove(c, RNG) for _ in range(3)])
+    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+        local_lax(xi, np.ones(3), c)

@@ -455,3 +455,17 @@ def test_random_point_interior_bias_bound():
     for _ in range(5):
         u = random_point(c, RNG, interior_bias=0.9)
         assert np.min(np.abs(u) ** 2) > 0.9 * c.chi0 / c.n
+
+
+@pytest.mark.parametrize("j", [0, 1.0, 4])
+def test_chart_maps_reject_a_bad_chart_index(j):
+    # j = 0 read u_n through the wrapped index, 1.0 was taken as chart 1 and
+    # 4 = n + 1 raised a bare IndexError
+    c = Coupling.default(3)
+    u = rand_u(c, bias=0.3)
+    a = np.ones(2, dtype=complex)
+    maps = [lambda: chart_gauge(u, j), lambda: to_chart(u, j), lambda: fs_omega_eval(u, a, a, j)]
+    for f in maps + [lambda: from_chart(a, j, c)]:
+        with pytest.raises(ValueError, match="chart index j") as err:
+            f()
+        assert repr(j) in str(err.value)

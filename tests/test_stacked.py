@@ -23,14 +23,17 @@ from rsdual.errors import (
     NormViolation,
     ZeroVector,
 )
-from rsdual.lax import _lambda_parts, global_lax, reflection_g
+from rsdual.lax import _lambda_parts, global_lax, reflection_g, v_vector, w_factors
 from rsdual.projective import (
     canonicalize,
     chart_index,
+    from_chart,
     involution,
     moment_J,
+    moment_J_full,
     projective_distance,
     random_point,
+    to_chart,
     vertex_points,
 )
 from rsdual.reduction import (
@@ -78,6 +81,58 @@ def test_global_lax_and_alcove_point_rows_are_the_one_point_calls(n):
         assert same_bits(xu, alcove_point(Ku))
     # two leading axes, as the chart Jacobians stack them
     assert same_bits(alcove_point(global_lax(U.reshape(2, -1, n), c)).reshape(xi.shape), xi)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_vertex_points_are_the_per_vertex_draws(n):
+    # one draw of all n perturbations is the stream of n (re, im) draws, and
+    # the result stays a list: list + vertex_points(...) must concatenate
+    c = Coupling.default(n)
+    pts = vertex_points(c, eps=1e-4, rng=np.random.default_rng(n))
+    assert isinstance(pts, list) and len(pts) == n
+    rng = np.random.default_rng(n)
+    for k, u in enumerate(pts):
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert same_bits(u, canonicalize(np.eye(n, dtype=complex)[k] + 1e-4 * noise, c))
+    for k, u in enumerate(vertex_points(c)):
+        assert same_bits(u, canonicalize(np.eye(n, dtype=complex)[k], c))
+
+
+@pytest.mark.parametrize("n", NS)
+def test_w_factors_and_v_vector_rows_are_the_one_point_calls(n):
+    # a stack of exactly n rows once gathered r_{k-1} along the wrong axis
+    c = Coupling.default(n)
+    U = sample_points(c, np.random.default_rng(800 + n))
+    for xi in (moment_J_full(U, c), moment_J_full(U[:n], c)):
+        W = w_factors(xi, c)
+        v, z = v_vector(xi, c)
+        for k, x in enumerate(xi):
+            for part, one in zip(W, w_factors(x, c)):
+                assert same_bits(part[k], one)
+            v1, z1 = v_vector(x, c)
+            assert same_bits(v[k], v1) and same_bits(z[k], z1)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_chart_maps_rows_are_the_one_point_calls(n):
+    c = Coupling.default(n)
+    U = sample_points(c, np.random.default_rng(850 + n))
+    charts = np.array([chart_index(u) for u in U])
+    W = to_chart(U, charts)
+    assert W.shape == (len(U), n - 1)
+    for k, (u, j) in enumerate(zip(U, charts)):
+        assert same_bits(W[k], to_chart(u, j))
+    inside = U[np.abs(U[:, 0]) > 0.1]
+    for k, w in enumerate(to_chart(inside, 1)):
+        assert same_bits(w, to_chart(inside[k], 1))
+    # two leading axes, one chart per row
+    square = to_chart(U.reshape(2, -1, n), charts.reshape(2, -1))
+    assert same_bits(square.reshape(W.shape), W)
+    # and back: a per-row chart once put u_j into the wrong slots, silently
+    back = from_chart(W, charts, c)
+    for k, j in enumerate(charts):
+        assert same_bits(back[k], from_chart(W[k], j, c))
+    assert same_bits(from_chart(square, charts.reshape(2, -1), c).reshape(back.shape), back)
 
 
 @pytest.mark.parametrize("n", NS)

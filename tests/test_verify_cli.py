@@ -11,8 +11,15 @@ import pytest
 from rsdual import cli
 from rsdual.cli import main
 from rsdual.coupling import Coupling
+from rsdual.double import DoublePoint
 from rsdual.errors import ConstraintViolation
-from rsdual.projective import chart_index, point_from_json, projective_distance, random_point
+from rsdual.projective import (
+    chart_index,
+    point_from_json,
+    point_to_json,
+    projective_distance,
+    random_point,
+)
 from rsdual.lax import global_lax
 from rsdual.sun import spectral_xi
 from rsdual import verify
@@ -719,11 +726,13 @@ def test_cli_flow_rejects_final_point_at_the_out_path(tmp_path, capsys, monkeypa
 STACKED = (
     "duality-squares", "duality-exchange", "mapclass-origin",
     "dehn-decomposition", "section-consistency", "conservation",
+    "constraint", "intertwine", "polytope-image",
 )
 
-# max_residual of each stacked cell at n = 2, 3, 4 in the pinned sweeps
+# max_residual of each stacked cell, and of the two cells whose slot and
+# vertex loops became stacked calls, at n = 2, 3, 4 in the pinned sweeps
 # run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=s)), recorded
-# while the checks still evaluated one trial per call
+# while the checks still evaluated one trial (and one slot or vertex) per call
 PINNED_MAX_RESIDUAL = {
     "duality-squares": {
         7: ("0x1.569ddf2b3fa87p-50", "0x1.68865c45ee6dfp-49", "0x1.7ba665c1ae416p-49"),
@@ -749,27 +758,63 @@ PINNED_MAX_RESIDUAL = {
         7: ("0x1.0000000000000p-52", "0x1.e000000000000p-50", "0x1.0000000000000p-48"),
         11: ("0x1.0000000000000p-51", "0x1.4000000000000p-50", "0x1.0000000000000p-49"),
     },
+    "constraint": {
+        7: ("0x1.869150943958ap-49", "0x1.9673a8e7aa612p-48", "0x1.81888cb0479bdp-48"),
+        11: ("0x1.86332fd745588p-49", "0x1.7e2fa73f62552p-48", "0x1.32fc425ae52aap-47"),
+    },
+    "intertwine": {
+        7: ("0x1.0000000000000p-50", "0x1.c000000000000p-50", "0x1.0000000000000p-49"),
+        11: ("0x1.e000000000000p-50", "0x1.8000000000000p-50", "0x1.c000000000000p-50"),
+    },
+    "polytope-image": {
+        7: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
+        11: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
+    },
+    "boundary-limit": {
+        7: ("0x1.e5eb8a5cd53eep-26", "0x1.25ebe2541de55p-25", "0x1.55b02ec33765bp-25"),
+        11: ("0x1.e5eb8a5cd53eep-26", "0x1.25fb19cf542c6p-25", "0x1.5693a86d1f52ap-25"),
+    },
+    "polytope-vertices": {
+        7: ("0x1.421add0000000p-26", "0x1.219781cc00000p-23", "0x1.1b2a779000000p-23"),
+        11: ("0x1.2f0f490000000p-24", "0x1.1ca0293000000p-23", "0x1.88e02fc000000p-24"),
+    },
+}
+# rows of those cells at n = 2, 3, 4 where a cell has other than 20
+PINNED_ROWS = {
+    "conservation": (14, 14, 14),
+    "constraint": (40, 60, 80),  # one row per chart
+    "intertwine": (40, 60, 80),
+    "polytope-image": (40, 40, 40),  # J and Xi o K
+    "boundary-limit": (8, 12, 16),  # four trials of n slots
+    "polytope-vertices": (2, 3, 4),  # one trial of n vertices
 }
 
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_stacked_cells_keep_their_pinned_residuals(seed):
-    rep = run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=seed, checks=STACKED))
-    got = {}
+    names = tuple(PINNED_MAX_RESIDUAL)
+    rep = run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=seed, checks=names))
+    got, rows = {}, {}
     for cell in rep.results:
-        assert cell.passed and cell.samples == (14 if cell.name == "conservation" else 20)
+        assert cell.passed
         got.setdefault(cell.name, []).append(float(cell.max_residual).hex())
-    assert got == {name: list(PINNED_MAX_RESIDUAL[name][seed]) for name in STACKED}
+        rows.setdefault(cell.name, []).append(cell.samples)
+    assert got == {name: list(PINNED_MAX_RESIDUAL[name][seed]) for name in names}
+    assert rows == {name: list(PINNED_ROWS.get(name, (20, 20, 20))) for name in names}
 
 
-# f_beta_inv calls per cell: one per stage, whatever the number of trials
-LABELS_PER_CELL = {
-    "duality-squares": 3,  # S(u), S(S(u)), S(C(S(u)))
-    "duality-exchange": 1,
-    "mapclass-origin": 2,
-    "dehn-decomposition": 6,  # S, T Ttilde T, two flows, T, Ttilde
-    "section-consistency": 1,
-    "conservation": 1,
+# the library call counted in each stacked cell, and its calls per cell: one
+# per stage, whatever the number of trials (one per trial before)
+CALLS_PER_CELL = {
+    "duality-squares": ("f_beta_inv", 3),  # S(u), S(S(u)), S(C(S(u)))
+    "duality-exchange": ("f_beta_inv", 1),
+    "mapclass-origin": ("f_beta_inv", 2),
+    "dehn-decomposition": ("f_beta_inv", 6),  # S, T Ttilde T, two flows, T, Ttilde
+    "section-consistency": ("f_beta_inv", 1),
+    "conservation": ("f_beta_inv", 1),
+    "constraint": ("section_F", 1),  # all charts of all points
+    "intertwine": ("section_F", 1),
+    "polytope-image": ("global_lax", 1),
 }
 
 
@@ -778,18 +823,20 @@ LABELS_PER_CELL = {
 def test_stacked_check_labels_each_stage_in_one_call(monkeypatch, name, samples):
     from rsdual import reduction
 
+    target, calls = CALLS_PER_CELL[name]
     stacks = []
 
-    def counted(p, c, frame=None, f=reduction.f_beta_inv):
-        stacks.append(p.A.shape[:-2])
-        return f(p, c, frame)
+    def counted(p, *args, f=getattr(verify, target)):
+        stacks.append(p.A.shape[:-2] if isinstance(p, DoublePoint) else np.shape(p)[:-1])
+        return f(p, *args)
 
-    monkeypatch.setattr(reduction, "f_beta_inv", counted)
-    monkeypatch.setattr(verify, "f_beta_inv", counted)
+    monkeypatch.setattr(verify, target, counted)
+    if target == "f_beta_inv":  # the maps on CP(n-1) label in reduction
+        monkeypatch.setattr(reduction, target, counted)
     (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=samples, checks=(name,))).results
     assert cell.passed
     trials = max(1, samples // CHECKS[name][2])
-    assert len(stacks) == LABELS_PER_CELL[name]
+    assert len(stacks) == calls
     assert all(shape[0] == trials for shape in stacks)
 
 
@@ -802,7 +849,12 @@ FORCED_AT = {
     "dehn-decomposition": ("reduced_flow", 0),  # after S(u) and r1
     "section-consistency": ("section_F", 0),
     "conservation": ("reduced_flow", 0),
+    "constraint": ("section_F", 0),
+    "intertwine": ("section_F", 0),  # after K(u)
+    "polytope-image": ("global_lax", 0),  # after J(u), whose row is dropped too
 }
+# rows of one trial where it is not one
+ROWS_PER_TRIAL = {"conservation": 7, "constraint": 3, "intertwine": 3, "polytope-image": 2}
 
 
 @pytest.mark.parametrize("name", STACKED)
@@ -835,6 +887,40 @@ def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name)
             failure = failure or {"trial": i, "error": "ConstraintViolation", "message": str(exc)}
     assert failure == {"trial": 2, "error": "ConstraintViolation", "message": f"forced failure in {target}"}
     assert not cell.passed and cell.failure == failure
-    assert cell.samples == len(rows) == 4 * (7 if name == "conservation" else 1)
+    assert cell.samples == len(rows) == 4 * ROWS_PER_TRIAL.get(name, 1)
     assert cell.max_residual == max(rows)
     assert stacks[0][0] == 5  # the cell was tried as one stack first
+
+
+def test_stacked_payload_names_the_point_and_its_row(monkeypatch):
+    # a stacked check's failure payload names the trial's point and which of
+    # its rows failed: for constraint, the chart j = row + 1
+    check, _, per = CHECKS["constraint"]
+    monkeypatch.setitem(CHECKS, "constraint", (check, 1e-30, per))
+    cfg = SuiteConfig(n_list=(3,), samples=4, seed=5, checks=("constraint",))
+    (c,) = cfg.couplings()
+    rng = np.random.default_rng([cfg.seed, list(CHECKS).index("constraint"), c.n])
+    u = random_point(c, rng, check.bias)
+    (cell,) = run_suite(cfg).results
+    assert not cell.passed and cell.samples == 12
+    assert cell.failure["sample_index"] == 0
+    assert cell.failure["data"] == {"row": 0, "u": point_to_json(u)}
+
+
+def test_slot_and_vertex_loops_are_one_call_per_stage(monkeypatch):
+    # boundary-limit puts all n wall points of a trial through each stage in
+    # one call (K(u0) before K(u1)), and polytope-vertices all n near-vertex
+    # points through one duality call; per slot and per vertex they made n
+    calls = []
+    for name in ("canonicalize", "global_lax", "duality"):
+        def counted(*args, f=getattr(verify, name), name=name):
+            calls.append((name, np.shape(args[name == "duality"])))
+            return f(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    run_suite(SuiteConfig(n_list=(3,), samples=20, checks=("boundary-limit",)))
+    stages = [("canonicalize", (3, 3)), ("global_lax", (3, 3))] * 2
+    assert calls == stages * 4
+    calls.clear()
+    run_suite(SuiteConfig(n_list=(3,), samples=20, checks=("polytope-vertices",)))
+    assert calls == [("duality", (3, 3))]
