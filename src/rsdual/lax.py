@@ -7,8 +7,8 @@ leaves strictly positive smooth factors w_k^{+-}.  The matrix Lambda of
 smooth entry cofactors assembled from them never vanishes, which is what
 lets the Lax matrix extend to the whole projective phase space as K(u).
 Lambda, K(u), the chart gauge, w_factors and v_vector take stacks (..., n),
-each row with the one-point bits; local_lax (which raises ValueError on a
-stack), local_hamiltonian and mu_of_v take one point.
+each row with the one-point bits; local_lax, local_hamiltonian and mu_of_v
+take one point and raise ValueError naming the shape of a stack.
 """
 
 from collections import namedtuple
@@ -198,6 +198,8 @@ def local_hamiltonian(xi, p_angles, c):
     product under the root is W_j(y)^2 W_j(-y)^2, so H is evaluated as
     sum_j cos(p_j) W_j(y) W_j(-y), which vanishes exactly on the walls.
     """
+    if np.ndim(xi) != 1:
+        raise ValueError(f"local_hamiltonian takes one alcove point xi (n,), got shape {np.shape(xi)}")
     Wp, Wm, _, _ = w_factors(xi, c)
     p = np.asarray(p_angles, dtype=float)
     if p.shape != (c.n,):
@@ -220,6 +222,8 @@ def v_vector(xi, c):
 def mu_of_v(v, c):
     """Rank-one conjugate e^{2iy} 1 + (e^{2i(1-n)y} - e^{2iy}) v v^dagger of mu0."""
     v = np.asarray(v, dtype=complex)
+    if v.ndim != 1:
+        raise ValueError(f"mu_of_v takes one unit vector v (n,), got shape {v.shape}")
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise NormViolation(f"|v| = {np.linalg.norm(v):.12g}, expected 1")
     coeff = np.exp(2j * (1 - c.n) * c.y) - np.exp(2j * c.y)

@@ -4,11 +4,12 @@ run_suite sweeps a configurable grid of (n, y) couplings, evaluates each
 selected check on seeded random samples and reports the worst residual per
 check against its tolerance.  A check is one trial: a generator that makes
 its draws and yields (residual, payload) rows; _run_cell runs the trials of
-a (check, n) cell.  The nine checks whose trials draw one point each are
-Stacked instead: all trials of a cell are drawn first and evaluated as one
-stack of points, and a failure's payload names the point and its row.
-Checks are deterministic given the seed and independent across cells, so
-any cell can be run on its own.
+a (check, n) cell.  Twelve checks are Stacked instead: a draw function makes
+the draws of one trial (a point, and for pullback and global-lax what
+follows it), all trials of a cell are drawn first, and the residual function
+evaluates them as stacks, in groups bounded by STACK_ENTRIES; a failure's
+payload names the trial's point and its row.  Checks are deterministic given
+the seed and independent across cells, so any cell can be run on its own.
 """
 
 from collections import namedtuple
@@ -83,10 +84,13 @@ def _chart_gradient(f, u, j, c):
     """Central-difference gradient of f (scalar- or vector-valued) in the real
     chart-j coordinates: row k is d/dq_k and row m + k is d/dp_k, where
     w_k = q_k + i p_k are the m = n-1 chart coordinates of u.  f runs once,
-    on the stack of all 4m points w0 +- FD_STEP * axis."""
-    w0 = to_chart(u, j)
-    axes = np.concatenate((np.eye(len(w0)), 1j * np.eye(len(w0))))
-    return _central(f(from_chart(w0 + np.reshape((FD_STEP, -FD_STEP), (2, 1, 1)) * axes, j, c)))
+    on the stack (2, ..., 2m, n) of all 4m points w0 +- FD_STEP * axis of
+    each point of u (..., n), each in its own chart j (...)."""
+    w0 = to_chart(u, j)[..., None, :]
+    m = w0.shape[-1]
+    axes = np.concatenate((np.eye(m), 1j * np.eye(m)))
+    step = np.reshape((FD_STEP, -FD_STEP), (2,) + (1,) * w0.ndim)
+    return _central(f(from_chart(w0 + step * axes, np.expand_dims(j, -1), c)))
 
 
 def _stack(p):
@@ -108,13 +112,6 @@ def _push(f, p, v):
     return DoubleTangent(dA, dB).project(f(p))
 
 
-def _bracket(ga, gb):
-    """{f, g} = -(1/2) sum (f_q g_p - f_p g_q) from two stacked chart
-    gradients: the scaled Fubini-Study form is -2 sum dq ^ dp."""
-    m = len(ga) // 2
-    return -0.5 * float(np.dot(ga[:m], gb[m:]) - np.dot(ga[m:], gb[:m]))
-
-
 # ---------------------------------------------------------------------------
 # individual checks; each is one trial, a generator (c, rng) that makes its
 # draws and yields (residual, sample payload) rows
@@ -132,26 +129,36 @@ def _all_charts(u, c):
     return section_F(np.broadcast_to(u[..., None, :], shape), np.arange(1, c.n + 1), c)
 
 
-def _check_pullback(c, rng):
-    u = random_point(c, rng, interior_bias=0.08)
-    j = chart_index(u)
-    p0 = section_F(u, j, c)
+# The stacked checks below take the draws of all trials of a cell at once,
+# the points U (..., n) first, and return their residuals (..., rows per
+# trial); see Stacked
 
-    # one chart Jacobian of F_j: rows d/dq_k, then d/dp_k, of (A, B)
-    jac = _chart_gradient(lambda uu: _stack(section_F(uu, j, c)), u, j, c).reshape(2, c.n - 1, -1)
-    # a and b of five pairs, drawn as a.re, a.im, b.re, b.im of each pair,
-    # pushed as one stack of the vector-matrix products np.tensordot makes
-    z = rng.standard_normal((5, 4, 1, c.n - 1)).swapaxes(0, 1)
+
+def _draw_pullback(c, rng):
+    # the point, then a and b of five pairs, as a.re, a.im, b.re, b.im of each pair
+    return random_point(c, rng, 0.08), rng.standard_normal((5, 4, 1, c.n - 1))
+
+
+def _check_pullback(c, U, Z):
+    # |F_j^* omega(a, b) - chi0 omega_FS(a, b)| for five pairs (a, b) of
+    # chart tangents at each point, one row per pair
+    lead = np.shape(U)[:-1]
+    j = chart_index(U)
+    p0 = section_F(U, j, c)
+    # one chart Jacobian of F_j per point: rows d/dq_k, then d/dp_k, of (A, B)
+    jj = np.expand_dims(j, -1)
+    jac = _chart_gradient(lambda uu: _stack(section_F(uu, jj, c)), U, j, c)
+    jac = jac.reshape(lead + (2, c.n - 1, -1))
+    # a and b of the pairs pushed as one stack of vector-matrix products,
+    # axes (a or b, pair, ...)
+    z = np.moveaxis(Z, (-4, -3), (1, 0))
     ab = z[0::2] + 1j * z[1::2]
-    d = (ab.real @ jac[0] + ab.imag @ jac[1]).reshape(2, 5, 2, c.n, c.n)
-    v = DoubleTangent(d[:, :, 0], d[:, :, 1]).project(p0)
+    d = ab.real @ jac[..., 0, :, :] + ab.imag @ jac[..., 1, :, :]
+    d = d.reshape((2, 5) + lead + (2, c.n, c.n))
+    v = DoubleTangent(d[..., 0, :, :], d[..., 1, :, :]).project(p0)
     a, b = (DoubleTangent(v.dA[i], v.dB[i]) for i in (0, 1))
-    for r in abs(omega_eval(p0, a, b) - fs_omega_eval(u, ab[0, :, 0], ab[1, :, 0], j=j)):
-        yield r, _pt(u)
-
-
-# The stacked checks below take the points U (..., n) of all trials of a cell
-# at once and return their residuals (..., rows per trial); see Stacked
+    r = abs(omega_eval(p0, a, b) - fs_omega_eval(U, ab[0, ..., 0, :], ab[1, ..., 0, :], j=j))
+    return np.moveaxis(r, 0, -1)
 
 
 def _check_constraint(c, U):
@@ -286,11 +293,14 @@ def _check_mu_spectrum(c, rng):
     yield float(np.abs(e1 - e2).max()), {"xi": list(xi)}
 
 
-def _check_global_lax(c, rng):
-    u = random_point(c, rng)
-    K = global_lax(u, c)
-    gamma = rng.uniform(0, 2 * math.pi)
-    yield np.linalg.norm(global_lax(np.exp(1j * gamma) * u, c) - K), _pt(u)
+def _draw_global_lax(c, rng):
+    return random_point(c, rng), rng.uniform(0, 2 * math.pi)
+
+
+def _check_global_lax(c, U, gamma):
+    # K(u) and K(e^{i gamma} u) of every trial by one call
+    K = global_lax(np.stack((U, np.exp(1j * gamma)[..., None] * U)), c)
+    return _norm((K[1] - K[0]).reshape(np.shape(U)[:-1] + (-1,)))
 
 
 def _check_boundary_limit(c, rng):
@@ -306,19 +316,28 @@ def _check_boundary_limit(c, rng):
         yield r, {"slot": k + 1, **_pt(u0[k])}
 
 
-def _check_poisson(c, rng):
-    if c.n < 3:
-        return
+def _draw_poisson(c, rng):
+    # n = 2 has no pair k < l to bracket: its trials draw nothing, and a
+    # zero vector stands for their point
+    return (random_point(c, rng, 0.08) if c.n > 2 else np.zeros(c.n),)
+
+
+def _check_poisson(c, U):
+    # {Xi_k, Xi_l} = -(1/2) sum (f_q g_p - f_p g_q) of every pair k < l, in
+    # np.triu_indices order, one row per pair: the scaled Fubini-Study form
+    # is -2 sum dq ^ dp
+    m = c.n - 1
+    k, l = np.triu_indices(m, 1)
+    if not len(k):
+        return np.empty(np.shape(U)[:-1] + (0,))
 
     def actions(uu):
-        return alcove_point(global_lax(uu, c))[..., : c.n - 1]
+        return alcove_point(global_lax(uu, c))[..., :m]
 
-    u = random_point(c, rng, interior_bias=0.08)
-    # one chart Jacobian of all Xi_k; row k - 1 is the gradient of Xi_k
-    jac = np.ascontiguousarray(_chart_gradient(actions, u, chart_index(u), c).T)
-    for k in range(1, c.n):
-        for l in range(k + 1, c.n):
-            yield abs(_bracket(jac[k - 1], jac[l - 1])), {"pair": [k, l], **_pt(u)}
+    # one chart Jacobian of all Xi_k per point; row k - 1 is the gradient of Xi_k
+    jac = np.ascontiguousarray(np.swapaxes(_chart_gradient(actions, U, chart_index(U), c), -1, -2))
+    ga, gb = jac[..., k, :], jac[..., l, :]
+    return abs(-0.5 * (np.vecdot(ga[..., :m], gb[..., m:]) - np.vecdot(ga[..., m:], gb[..., :m])))
 
 
 def _check_conservation(c, U):
@@ -400,11 +419,23 @@ def _check_section_consistency(c, U):
     return projective_distance(labels[..., :1, :], labels[..., 1:, :]).max(-1)
 
 
-# A stacked check: each trial draws one point, random_point(c, rng, bias),
-# and makes no other draw, so drawing the points of all trials of a cell
-# first, in trial order, leaves the seeded stream as it was.  residuals(c, U)
-# then evaluates the stack U of them with one call per stage.
-Stacked = namedtuple("Stacked", "residuals bias")
+# A stacked check: draw(c, rng) makes all the draws of one trial, in order,
+# and returns them as a tuple whose first entry is the trial's point; no
+# library call of the check draws, so drawing all trials of a cell first, in
+# trial order, leaves the seeded stream as it was.  residuals(c, *stacks)
+# then evaluates the stacks of each drawn entry with one call per stage.
+Stacked = namedtuple("Stacked", "residuals draw")
+
+# Most matrix entries one stacked call holds.  No Stacked trial puts more
+# than 4n points, 4n n x n matrices, through one call (a chart Jacobian takes
+# 4(n - 1)), so a group holds max(1, STACK_ENTRIES // (4 n^3)) trials: a
+# whole cell at n <= 4, 8 trials at n = 16, one trial from n = 32 on.
+STACK_ENTRIES = 2**17
+
+
+def _point(bias):
+    """The draw of a trial that draws one point."""
+    return lambda c, rng: (random_point(c, rng, bias),)
 
 
 # name: (trial, tolerance, per).  A cell of s samples runs max(1, s // per)
@@ -412,13 +443,13 @@ Stacked = namedtuple("Stacked", "residuals bias")
 # the checks whose draws cannot be split into trials without reordering the
 # seeded stream (polytope-vertices ignores s: its draws are one per vertex)
 CHECKS = {
-    "constraint": (Stacked(_check_constraint, 0.02), 1e-10, 1),
-    "pullback": (_check_pullback, 1e-5, 1),
-    "intertwine": (Stacked(_check_intertwine, 0.02), 1e-9, 1),
-    "duality-squares": (Stacked(_check_duality_squares, 0.0), 1e-8, 1),
-    "duality-exchange": (Stacked(_check_duality_exchange, 0.0), 1e-8, 1),
-    "mapclass-origin": (Stacked(_check_mapclass_origin, 0.0), 1e-8, 1),
-    "dehn-decomposition": (Stacked(_check_dehn_decomposition, 0.0), 1e-8, 1),
+    "constraint": (Stacked(_check_constraint, _point(0.02)), 1e-10, 1),
+    "pullback": (Stacked(_check_pullback, _draw_pullback), 1e-5, 1),
+    "intertwine": (Stacked(_check_intertwine, _point(0.02)), 1e-9, 1),
+    "duality-squares": (Stacked(_check_duality_squares, _point(0.0)), 1e-8, 1),
+    "duality-exchange": (Stacked(_check_duality_exchange, _point(0.0)), 1e-8, 1),
+    "mapclass-origin": (Stacked(_check_mapclass_origin, _point(0.0)), 1e-8, 1),
+    "dehn-decomposition": (Stacked(_check_dehn_decomposition, _point(0.0)), 1e-8, 1),
     "central-twist": (_check_central_twist, 1e-10, 1),
     "lax-conjugation": (_check_lax_conjugation, 1e-10, 1),
     "lax-unitarity": (_check_lax_unitarity, 1e-9, None),
@@ -426,17 +457,17 @@ CHECKS = {
     "gradients": (_check_gradients, 1e-6, 10),
     "normalization": (_check_normalization, 1e-12, 1),
     "mu-spectrum": (_check_mu_spectrum, 1e-10, 1),
-    "global-lax": (_check_global_lax, 1e-9, 1),
+    "global-lax": (Stacked(_check_global_lax, _draw_global_lax), 1e-9, 1),
     "boundary-limit": (_check_boundary_limit, 1e-6, 5),
-    "poisson": (_check_poisson, 1e-5, 1),
-    "conservation": (Stacked(_check_conservation, 0.0), 1e-8, 10),
-    "polytope-image": (Stacked(_check_polytope_image, 0.0), 1e-9, 1),
+    "poisson": (Stacked(_check_poisson, _draw_poisson), 1e-5, 1),
+    "conservation": (Stacked(_check_conservation, _point(0.0)), 1e-8, 10),
+    "polytope-image": (Stacked(_check_polytope_image, _point(0.0)), 1e-9, 1),
     "polytope-vertices": (_check_polytope_vertices, 1e-3, None),
     "axiom-a2": (_check_axiom_a2, 1e-5, 10),
     "equivariance": (_check_equivariance, 1e-12, 1),
     "flow-moment": (_check_flow_moment, 1e-10, 5),
     "omega-morphisms": (_check_omega_morphisms, 1e-5, 10),
-    "section-consistency": (Stacked(_check_section_consistency, 0.03), 1e-9, 1),
+    "section-consistency": (Stacked(_check_section_consistency, _point(0.03)), 1e-9, 1),
 }
 
 
@@ -534,7 +565,8 @@ def _run_cell(name, c, cfg):
     A row over tolerance, or a trial raising a library error or ValueError,
     fails the cell; the first failure in trial order is reported and the
     remaining trials still run (see _trials for the stacked checks).  Any
-    other exception is a bug and propagates.
+    other exception is a bug and propagates, numpy's AxisError (a
+    ValueError) among them.
     """
     trial, tol, per = CHECKS[name]
     rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
@@ -550,6 +582,8 @@ def _run_cell(name, c, cfg):
                 if failure is None and not r <= tol:
                     failure = {"sample_index": len(residuals), "residual": float(r), "data": data}
                 residuals.append(r)
+        except np.exceptions.AxisError:
+            raise
         except (RSDualError, ValueError) as exc:
             if failure is None:
                 failure = {"trial": i, "error": type(exc).__name__, "message": str(exc)}
@@ -570,33 +604,44 @@ def _run_cell(name, c, cfg):
 def _trials(trial, c, rng, count, extra):
     """The rows of each trial of a cell, one lazy iterable per trial.
 
-    A Stacked check evaluates all trials as one stack.  If that raises, each
-    trial is evaluated alone, by the same function, so the error and message
-    reported are those of the first trial that raises alone, and the other
-    trials' rows still count."""
+    A Stacked check draws every trial first and evaluates them in
+    consecutive groups bounded by STACK_ENTRIES, a group as one stack of
+    each drawn entry.  If a group raises, each of its trials is
+    evaluated alone, by the same function, so the error and message reported
+    are those of the first trial that raises alone, and the other trials'
+    rows still count."""
     if not isinstance(trial, Stacked):
         for _ in range(count):
             yield trial(c, rng, *extra)
         return
-    U = np.array([random_point(c, rng, trial.bias) for _ in range(count)])
-    try:
-        rows = np.reshape(trial.residuals(c, U), (count, -1))
-    except (RSDualError, ValueError):
-        rows = [None] * count
-    for u, r in zip(U, rows):
-        yield _stacked_rows(trial.residuals, c, u, r)
+    draws = [trial.draw(c, rng) for _ in range(count)]
+    size = max(1, STACK_ENTRIES // (4 * c.n**3))
+    for start in range(0, count, size):
+        group = draws[start : start + size]
+        stacks = [np.array(entry) for entry in zip(*group)]
+        try:
+            rows = np.reshape(trial.residuals(c, *stacks), (len(group), -1))
+        except np.exceptions.AxisError:
+            raise
+        except (RSDualError, ValueError):
+            rows = [None] * len(group)
+        for drawn, r in zip(group, rows):
+            yield _stacked_rows(trial.residuals, c, drawn, r)
 
 
-def _stacked_rows(residuals, c, u, r):
+def _stacked_rows(residuals, c, drawn, r):
     """(residual, payload) rows of one trial of a stacked check: r, its rows
-    of the cell's stacked call, or, if None, residuals(c, u) alone.  The
-    payload names u and the row: the chart j - 1 of constraint and
-    intertwine, the map (J, Xi o K) of polytope-image, the conservation time."""
+    of the group's stacked call, or, if None, residuals(c, *drawn) alone.
+    The payload names the point u = drawn[0] and the row: the chart j - 1 of
+    constraint and intertwine, the pair (a, b) of pullback, the pair k < l
+    of poisson, the map (J, Xi o K) of polytope-image, the conservation
+    time."""
     if r is None:
-        r = np.ravel(residuals(c, u))
-    pt = _pt(u)
-    for k, x in enumerate(r):
-        yield x, {"row": k, **pt}
+        r = np.ravel(residuals(c, *drawn))
+    if len(r):
+        pt = _pt(drawn[0])
+        for k, x in enumerate(r):
+            yield x, {"row": k, **pt}
 
 
 def run_suite(cfg):

@@ -25,12 +25,18 @@ from rsdual.sun import spectral_xi
 from rsdual import verify
 from rsdual.verify import (
     CHECKS,
+    Stacked,
     SuiteConfig,
-    _bracket,
     _chart_gradient,
-    _check_poisson,
     run_suite,
 )
+
+
+def _bracket(ga, gb):
+    """{f, g} = -(1/2) sum (f_q g_p - f_p g_q) from two stacked chart
+    gradients: the scaled Fubini-Study form is -2 sum dq ^ dp."""
+    m = len(ga) // 2
+    return -0.5 * float(np.dot(ga[:m], gb[m:]) - np.dot(ga[m:], gb[:m]))
 
 
 def poisson_bracket_fs(fa, fb, u, c, j=None):
@@ -109,11 +115,13 @@ def test_suite_determinism():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_poisson_check_equals_pairwise_brackets(n):
-    # one Jacobian of all Xi_k per sample gives bit for bit the brackets
-    # that poisson_bracket_fs computes pair by pair
+    # one Jacobian of all Xi_k per sample, of all samples at once, gives bit
+    # for bit the brackets that poisson_bracket_fs computes pair by pair
     c = Coupling.default(n)
+    check = CHECKS["poisson"][0]
     trial_rng = np.random.default_rng(8)
-    rows = [row for _ in range(3) for row in _check_poisson(c, trial_rng)]
+    U = np.array([check.draw(c, trial_rng)[0] for _ in range(3)])
+    rows = list(np.ravel(check.residuals(c, U)))
     rng = np.random.default_rng(8)
     want = []
     for _ in range(3):
@@ -123,16 +131,16 @@ def test_poisson_check_equals_pairwise_brackets(n):
                 fa = lambda uu, kk=k: float(spectral_xi(global_lax(uu, c))[0][kk - 1])
                 fb = lambda uu, ll=l: float(spectral_xi(global_lax(uu, c))[0][ll - 1])
                 want.append(abs(poisson_bracket_fs(fa, fb, u, c)))
-    assert [r for r, _ in rows] == want
+    assert rows == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_chart_jacobian_is_one_stacked_call(monkeypatch, n):
-    # the chart Jacobian evaluates all 4(n-1) points w0 +- FD_STEP * axis in
-    # one call: a pullback trial lifts twice (its point, its Jacobian), and a
-    # poisson trial builds K(u) once; point by point they made 1 + 4(n-1)
-    # section_F and 4(n-1) global_lax calls
-    c = Coupling.default(n)
+    # the chart Jacobians of all trials of a cell are one stack of their
+    # 4(n-1) points w0 +- FD_STEP * axis each: a pullback cell lifts twice
+    # (its points, their Jacobian points), and a poisson cell builds K(u)
+    # once, never at n = 2, which has no pair k < l.  Per trial they made 2
+    # and 1 calls, point by point 1 + 4(n-1) and 4(n-1)
     calls = []
     for name in ("section_F", "global_lax"):
         def counted(*args, f=getattr(verify, name), name=name):
@@ -140,11 +148,14 @@ def test_chart_jacobian_is_one_stacked_call(monkeypatch, n):
             return f(*args)
 
         monkeypatch.setattr(verify, name, counted)
-    assert len(list(CHECKS["pullback"][0](c, np.random.default_rng(1)))) == 5
-    assert calls == ["section_F"] * 2
-    calls.clear()
-    list(CHECKS["poisson"][0](c, np.random.default_rng(1)))
-    assert calls == (["global_lax"] if n > 2 else [])
+    for check, want in (("pullback", ["section_F"] * 2), ("poisson", ["global_lax"] * (n > 2))):
+        calls.clear()
+        (cell,) = run_suite(SuiteConfig(n_list=(n,), samples=20, checks=(check,))).results
+        assert cell.passed and calls == want
+    # nor does a poisson trial draw at n = 2, where it has nothing to bracket
+    rng = np.random.default_rng(1)
+    CHECKS["poisson"][0].draw(Coupling.default(n), rng)
+    assert (rng.bit_generator.state == np.random.default_rng(1).bit_generator.state) == (n == 2)
 
 
 def test_selector_restricts_checks():
@@ -727,6 +738,7 @@ STACKED = (
     "duality-squares", "duality-exchange", "mapclass-origin",
     "dehn-decomposition", "section-consistency", "conservation",
     "constraint", "intertwine", "polytope-image",
+    "pullback", "poisson", "global-lax",
 )
 
 # max_residual of each stacked cell, and of the two cells whose slot and
@@ -778,6 +790,18 @@ PINNED_MAX_RESIDUAL = {
         7: ("0x1.421add0000000p-26", "0x1.219781cc00000p-23", "0x1.1b2a779000000p-23"),
         11: ("0x1.2f0f490000000p-24", "0x1.1ca0293000000p-23", "0x1.88e02fc000000p-24"),
     },
+    "pullback": {
+        7: ("0x1.5a4d000000000p-31", "0x1.8da0800000000p-30", "0x1.e081800000000p-30"),
+        11: ("0x1.2677200000000p-30", "0x1.9474b00000000p-30", "0x1.4fc8d00000000p-29"),
+    },
+    "poisson": {
+        7: ("0x0.0p+0", "0x1.02fb800000000p-35", "0x1.4fa4b60000000p-35"),
+        11: ("0x0.0p+0", "0x1.3b65c00000000p-36", "0x1.897e000000000p-35"),
+    },
+    "global-lax": {
+        7: ("0x1.6749c680c7e46p-50", "0x1.d47fee83afe55p-51", "0x1.4da3ce7c4fa00p-49"),
+        11: ("0x1.35c2dde50ca3ep-50", "0x1.66dc122b2df15p-50", "0x1.578dc9519533bp-50"),
+    },
 }
 # rows of those cells at n = 2, 3, 4 where a cell has other than 20
 PINNED_ROWS = {
@@ -787,6 +811,8 @@ PINNED_ROWS = {
     "polytope-image": (40, 40, 40),  # J and Xi o K
     "boundary-limit": (8, 12, 16),  # four trials of n slots
     "polytope-vertices": (2, 3, 4),  # one trial of n vertices
+    "pullback": (100, 100, 100),  # five pairs (a, b)
+    "poisson": (0, 20, 60),  # (n-1)(n-2)/2 pairs k < l
 }
 
 
@@ -815,6 +841,9 @@ CALLS_PER_CELL = {
     "constraint": ("section_F", 1),  # all charts of all points
     "intertwine": ("section_F", 1),
     "polytope-image": ("global_lax", 1),
+    "pullback": ("section_F", 2),  # the points, then their chart Jacobian points
+    "poisson": ("global_lax", 1),  # the chart Jacobian points; none at n = 2
+    "global-lax": ("global_lax", 1),  # K(u) and K(e^{i gamma} u)
 }
 
 
@@ -837,7 +866,9 @@ def test_stacked_check_labels_each_stage_in_one_call(monkeypatch, name, samples)
     assert cell.passed
     trials = max(1, samples // CHECKS[name][2])
     assert len(stacks) == calls
-    assert all(shape[0] == trials for shape in stacks)
+    # the trials on axis 0, or on axis 1 behind the two central-difference
+    # steps of a chart Jacobian or the pair K(u), K(e^{i gamma} u)
+    assert all(trials in shape[:2] for shape in stacks)
 
 
 # the library call of each stacked check that the forced failure breaks, and
@@ -852,9 +883,14 @@ FORCED_AT = {
     "constraint": ("section_F", 0),
     "intertwine": ("section_F", 0),  # after K(u)
     "polytope-image": ("global_lax", 0),  # after J(u), whose row is dropped too
+    "pullback": ("section_F", 0),
+    "poisson": ("to_chart", 0),  # the chart coordinates of the points
+    "global-lax": ("global_lax", 0),
 }
-# rows of one trial where it is not one
-ROWS_PER_TRIAL = {"conservation": 7, "constraint": 3, "intertwine": 3, "polytope-image": 2}
+# rows of one trial at n = 3 where it is not one (poisson has one pair k < l)
+ROWS_PER_TRIAL = {
+    "conservation": 7, "constraint": 3, "intertwine": 3, "polytope-image": 2, "pullback": 5,
+}
 
 
 @pytest.mark.parametrize("name", STACKED)
@@ -865,14 +901,14 @@ def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name)
     cfg = SuiteConfig(n_list=(3,), samples=5 * per, seed=3, checks=(name,))
     (c,) = cfg.couplings()
     rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
-    points = [random_point(c, rng, check.bias) for _ in range(5)]
+    draws = [check.draw(c, rng) for _ in range(5)]
     target, arg = FORCED_AT[name]
     f = getattr(verify, target)
     stacks = []
 
     def forced(*args):
         stacks.append(np.shape(args[arg])[:-1])
-        if np.all(args[arg] == points[2], -1).any():
+        if np.all(args[arg] == draws[2][0], -1).any():
             raise ConstraintViolation(f"forced failure in {target}")
         return f(*args)
 
@@ -880,31 +916,79 @@ def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name)
     (cell,) = run_suite(cfg).results
 
     rows, failure = [], None
-    for i, u in enumerate(points):
+    for i, drawn in enumerate(draws):
         try:
-            rows += list(np.ravel(check.residuals(c, u)))
+            rows += list(np.ravel(check.residuals(c, *drawn)))
         except ConstraintViolation as exc:
             failure = failure or {"trial": i, "error": "ConstraintViolation", "message": str(exc)}
     assert failure == {"trial": 2, "error": "ConstraintViolation", "message": f"forced failure in {target}"}
     assert not cell.passed and cell.failure == failure
     assert cell.samples == len(rows) == 4 * ROWS_PER_TRIAL.get(name, 1)
     assert cell.max_residual == max(rows)
-    assert stacks[0][0] == 5  # the cell was tried as one stack first
+    assert 5 in stacks[0][:2]  # the cell was tried as one stack first
 
 
 def test_stacked_payload_names_the_point_and_its_row(monkeypatch):
     # a stacked check's failure payload names the trial's point and which of
-    # its rows failed: for constraint, the chart j = row + 1
-    check, _, per = CHECKS["constraint"]
-    monkeypatch.setitem(CHECKS, "constraint", (check, 1e-30, per))
-    cfg = SuiteConfig(n_list=(3,), samples=4, seed=5, checks=("constraint",))
-    (c,) = cfg.couplings()
-    rng = np.random.default_rng([cfg.seed, list(CHECKS).index("constraint"), c.n])
-    u = random_point(c, rng, check.bias)
-    (cell,) = run_suite(cfg).results
-    assert not cell.passed and cell.samples == 12
-    assert cell.failure["sample_index"] == 0
-    assert cell.failure["data"] == {"row": 0, "u": point_to_json(u)}
+    # its rows failed: the chart j = row + 1 of constraint, the pair (a, b)
+    # of pullback, the pair k < l of poisson in np.triu_indices order
+    for name, n, rows in (("constraint", 3, 3), ("pullback", 3, 5), ("poisson", 4, 3), ("global-lax", 3, 1)):
+        check, _, per = CHECKS[name]
+        monkeypatch.setitem(CHECKS, name, (check, 1e-30, per))
+        cfg = SuiteConfig(n_list=(n,), samples=4, seed=5, checks=(name,))
+        (c,) = cfg.couplings()
+        rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
+        u = check.draw(c, rng)[0]
+        (cell,) = run_suite(cfg).results
+        assert not cell.passed and cell.samples == 4 * rows
+        assert cell.failure["sample_index"] == 0
+        assert cell.failure["data"] == {"row": 0, "u": point_to_json(u)}
+
+
+def test_stack_of_a_cell_is_bounded(monkeypatch):
+    # at n = 32 a group of trials is one trial: no section_F or global_lax
+    # call of a pullback or poisson cell holds more than STACK_ENTRIES
+    # matrix entries, and the rows are those of the trials run one at a time
+    c = Coupling.default(32)
+    sizes = []
+    for target in ("section_F", "global_lax"):
+        def counted(u, *args, f=getattr(verify, target)):
+            sizes.append(np.size(u) // c.n)
+            return f(u, *args)
+
+        monkeypatch.setattr(verify, target, counted)
+    for name in ("pullback", "poisson"):
+        check = CHECKS[name][0]
+        sizes.clear()
+        trials = verify._trials(check, c, np.random.default_rng(7), 20, ())
+        got = [r for rows in trials for r, _ in rows]
+        assert sizes and max(sizes) * c.n**2 <= verify.STACK_ENTRIES
+        assert max(sizes) == 4 * (c.n - 1)  # the chart Jacobian of one trial
+        rng = np.random.default_rng(7)
+        alone = [check.residuals(c, *check.draw(c, rng)) for _ in range(20)]
+        assert np.array_equal(got, np.ravel(alone))
+
+
+def test_axis_error_in_a_check_propagates(monkeypatch):
+    # numpy's AxisError is a ValueError, but in a check it is a bug, not a
+    # failed cell: a plain trial, a stacked group and one trial alone raise it
+    def misplaced(c, U, *rest):
+        if np.ndim(U) > 1:
+            raise ConstraintViolation("the group fails")
+        return np.moveaxis(np.zeros(5), 1, 0)
+
+    def stacked_misplaced(c, U, *rest):
+        return np.moveaxis(np.zeros(np.shape(U)[:-1] + (5,)), 2, 0)
+
+    cases = [
+        ("normalization", _scripted_trial({1: np.exceptions.AxisError(2, 1)}, [])),
+        ("pullback", Stacked(stacked_misplaced, CHECKS["pullback"][0].draw)),
+        ("pullback", Stacked(misplaced, CHECKS["pullback"][0].draw)),
+    ]
+    for name, trial in cases:
+        monkeypatch.setitem(CHECKS, name, (trial, 1e-12, 1))
+        with pytest.raises(np.exceptions.AxisError):
+            run_suite(SuiteConfig(n_list=(3,), samples=3, checks=(name,)))
 
 
 def test_slot_and_vertex_loops_are_one_call_per_stage(monkeypatch):
