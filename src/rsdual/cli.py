@@ -49,10 +49,6 @@ def _coupling(args):
     return Coupling.default(n) if y is None else Coupling(n, y)
 
 
-def _matrix_json(m):
-    return [point_to_json(row) for row in np.asarray(m)]
-
-
 @contextlib.contextmanager
 def _output(path):
     """Sink of a command output: stdout without a path; else path.part,
@@ -212,8 +208,8 @@ def cmd_map_point(args, sink):
         "n": c.n,
         "y": c.y,
         **_point_summary(u, c),
-        "K": _matrix_json(global_lax(u, c)),
-        "F": {"A": _matrix_json(p.A), "B": _matrix_json(p.B)},
+        "K": point_to_json(global_lax(u, c)),
+        "F": {"A": point_to_json(p.A), "B": point_to_json(p.B)},
     }
     _emit(payload, sink)
     return 0

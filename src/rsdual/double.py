@@ -103,14 +103,13 @@ class InvariantHamiltonian:
         X = p.A if self.side == "first" else p.B
         if self.kind == "spectral":
             k = spectral_index(self.index, X.shape[-1])
-            return float(alcove_point(X)[k - 1])
-        if self.kind == "re_trace":
-            return float(np.trace(np.linalg.matrix_power(X, self.index)).real)
-        if self.kind == "im_trace":
-            return float(np.trace(np.linalg.matrix_power(X, self.index)).imag)
+            return alcove_point(X)[..., k - 1]
+        if self.kind in ("re_trace", "im_trace"):
+            t = np.trace(np.linalg.matrix_power(X, self.index), 0, -2, -1)
+            return t.real if self.kind == "re_trace" else t.imag
         # |sum_k xi_k lambda_k|^2, and the exponents are -2 sum_k xi_k lambda_k
         e = alcove_exponents(alcove_point(X))
-        return 0.25 * float(np.dot(e, e))
+        return 0.25 * np.vecdot(e, e)
 
 
 def moment(p):

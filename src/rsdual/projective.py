@@ -81,7 +81,8 @@ def projective_distance(u, v):
 
 
 def point_to_json(u):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(u, dtype=complex)]
+    """A point, or any array of complex numbers, with each number as [re, im]."""
+    return np.stack((np.real(u), np.imag(u)), -1).tolist()
 
 
 def point_from_json(data, c):

@@ -2,14 +2,10 @@
 
 run_suite sweeps a configurable grid of (n, y) couplings, evaluates each
 selected check on seeded random samples and reports the worst residual per
-check against its tolerance.  A check is one trial: a generator that makes
-its draws and yields (residual, payload) rows; _run_cell runs the trials of
-a (check, n) cell.  Twelve checks are Stacked instead: a draw function makes
-the draws of one trial (a point, and for pullback and global-lax what
-follows it), all trials of a cell are drawn first, and the residual function
-evaluates them as stacks, in groups bounded by STACK_ENTRIES; a failure's
-payload names the trial's point and its row.  Checks are deterministic given
-the seed and independent across cells, so any cell can be run on its own.
+check against its tolerance.  Each check is a draw and a residual function
+(Stacked): the trials of a (check, n) cell are all drawn first, then
+evaluated as stacks.  Checks are deterministic given the seed and
+independent across cells, so any cell can be run on its own.
 """
 
 from collections import namedtuple
@@ -108,35 +104,29 @@ def _push(f, p, v):
     Y = B^{-1}dB, projected onto the tangent space at f(p) to remove its
     O(FD_STEP^2) normal component."""
     curve = _geodesic(p, dagger(p.A) @ v.dA, dagger(p.B) @ v.dB)
-    dA, dB = _central([_stack(f(curve(s))) for s in (FD_STEP, -FD_STEP)])
-    return DoubleTangent(dA, dB).project(f(p))
+    d = _central([_stack(f(curve(s))) for s in (FD_STEP, -FD_STEP)])
+    return DoubleTangent(d[..., 0, :, :], d[..., 1, :, :]).project(f(p))
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each is one trial, a generator (c, rng) that makes its
-# draws and yields (residual, sample payload) rows
-
-
-def _pt(u):
-    return {"u": point_to_json(u)}
+# individual checks: each a draw and a residual function (see Stacked)
 
 
 def _all_charts(u, c):
-    """F_j(u) for j = 1..n of a point u, or of each point of a stack (..., n),
-    by one call; axis -3 of A and B runs over the charts."""
-    u = np.asarray(u)
+    """F_j(u) for j = 1..n of each point of a stack u (..., n), by one call;
+    axis -3 of A and B runs over the charts."""
     shape = u.shape[:-1] + (c.n, c.n)
     return section_F(np.broadcast_to(u[..., None, :], shape), np.arange(1, c.n + 1), c)
 
 
-# The stacked checks below take the draws of all trials of a cell at once,
-# the points U (..., n) first, and return their residuals (..., rows per
-# trial); see Stacked
+def _fro(M):
+    """np.linalg.norm of each matrix of a stack (..., n, n), with its bits."""
+    return _norm(M.reshape(M.shape[:-2] + (-1,)))
 
 
 def _draw_pullback(c, rng):
     # the point, then a and b of five pairs, as a.re, a.im, b.re, b.im of each pair
-    return random_point(c, rng, 0.08), rng.standard_normal((5, 4, 1, c.n - 1))
+    return {"u": random_point(c, rng, 0.08), "ab": rng.standard_normal((5, 4, 1, c.n - 1))}
 
 
 def _check_pullback(c, U, Z):
@@ -206,120 +196,130 @@ def _check_dehn_decomposition(c, U):
     return np.maximum(np.maximum(r1, r2), r3)
 
 
-def _check_central_twist(c, rng):
+def _draw_double(c, rng):
     p = random_double_point(c.n, rng)
-    q1 = apply_word(["S", "S", "S", "S"], p)
-    q2 = auto_apply("Q", p)
-    yield max(np.linalg.norm(q1.A - q2.A), np.linalg.norm(q1.B - q2.B)), None
+    return {"A": p.A, "B": p.B}
 
 
-def _random_interior_xi(c, rng):
-    return random_shifted_alcove(c, rng, margin=0.02)
+def _check_central_twist(c, A, B):
+    p = DoublePoint(A, B)
+    q1, q2 = apply_word(["S", "S", "S", "S"], p), auto_apply("Q", p)
+    return np.maximum(_fro(q1.A - q2.A), _fro(q1.B - q2.B))
 
 
-def _random_torus_diag(c, rng):
+def _draw_local_lax(c, rng):
+    # an interior xi, then a torus element Theta = diag(e^{i theta}) of det 1
+    xi = random_shifted_alcove(c, rng, margin=0.02)
     phases = rng.uniform(0, 2 * math.pi, c.n - 1)
-    return np.exp(1j * np.append(phases, -phases.sum()))
+    return {"xi": xi, "theta": np.exp(1j * np.append(phases, -phases.sum()))}
 
 
-def _check_lax_conjugation(c, rng):
-    xi = _random_interior_xi(c, rng)
-    L = local_lax(xi, _random_torus_diag(c, rng), c)
-    d = alcove_delta(xi)
-    v, _ = v_vector(xi, c)
-    yield np.linalg.norm(L @ d @ dagger(L) - mu_of_v(v, c) @ d), {"xi": list(xi)}
+def _check_lax_conjugation(c, xi, theta):
+    # local_lax, local_hamiltonian, mu_of_v and alcove_delta take one point:
+    # the checks of the local Lax matrix map them over the trials
+    L = np.array([local_lax(x, t, c) for x, t in zip(xi, theta)])
+    d = np.array([alcove_delta(x) for x in xi])
+    mu = np.array([mu_of_v(v, c) for v in v_vector(xi, c)[0]])
+    return _fro(L @ d @ dagger(L) - mu @ d)
 
 
-def _check_lax_unitarity(c, rng, samples):
+def _draw_lax_unitarity(c, rng, samples):
     # one trial per cell: all local Lax draws come before the point draws
-    eye = np.eye(c.n)
+    local = [_draw_local_lax(c, rng) for _ in range(samples)]
+    u = [random_point(c, rng) for _ in range(samples)]
+    u += vertex_points(c) + vertex_points(c, eps=1e-4, rng=rng)
+    return {key: np.array([d[key] for d in local]) for key in ("xi", "theta")} | {"u": np.array(u)}
 
+
+def _check_lax_unitarity(c, xi, theta, u):
     def defect(M):
-        gram = dagger(M) @ M - eye
-        return np.maximum(_norm(gram.reshape(M.shape[:-2] + (-1,))), abs(np.linalg.det(M) - 1.0))
+        return np.maximum(_fro(dagger(M) @ M - np.eye(c.n)), abs(np.linalg.det(M) - 1.0))
 
-    for _ in range(samples):
-        xi = _random_interior_xi(c, rng)
-        yield defect(local_lax(xi, _random_torus_diag(c, rng), c)), {"xi": list(xi)}
-    pts = [random_point(c, rng) for _ in range(samples)]
-    pts += vertex_points(c)
-    pts += vertex_points(c, eps=1e-4, rng=rng)
-    for u, r in zip(pts, defect(global_lax(np.array(pts), c))):
-        yield r, _pt(u)
+    # the one trial's local matrices one at a time (abs of one complex det
+    # can differ from np.abs of a stack's by an ulp), then K(u) of its points
+    local = [defect(local_lax(x, t, c)) for x, t in zip(xi[0], theta[0])]
+    return np.concatenate((local, defect(global_lax(u, c)[0])))
 
 
-def _check_lax_hamiltonian(c, rng):
-    xi = _random_interior_xi(c, rng)
+def _draw_lax_hamiltonian(c, rng):
+    xi = random_shifted_alcove(c, rng, margin=0.02)
     p = rng.uniform(-math.pi, math.pi, c.n)
     p[-1] = -p[:-1].sum()
-    H = local_hamiltonian(xi, p, c)
-    L = local_lax(xi, np.exp(-1j * p), c)
-    yield abs(H - np.trace(L).real), {"xi": list(xi), "p": list(p)}
+    return {"xi": xi, "p": p}
 
 
-def _check_gradients(c, rng):
-    kinds = [("spectral", j) for j in range(1, c.n)] + [
-        ("re_trace", 1),
-        ("re_trace", 2),
-        ("im_trace", 1),
-        ("dehn", 1),
-    ]
+def _check_lax_hamiltonian(c, xi, p):
+    H = [local_hamiltonian(x, q, c) for x, q in zip(xi, p)]
+    L = np.array([local_lax(x, np.exp(-1j * q), c) for x, q in zip(xi, p)])
+    return abs(H - np.trace(L, 0, -2, -1).real)
+
+
+def _draw_gradients(c, rng):
+    # X, then four zetas for each of the n + 3 Hamiltonians in turn
     X = random_special_unitary(c.n, rng)
-    for kind, idx in kinds:
-        ham = InvariantHamiltonian(kind, idx, "first")
-        grad = hamiltonian_gradient(ham, X)
-
-        def val(M):
-            return ham.value(DoublePoint(M, M))
-
-        for _ in range(4):
-            zeta = random_su_algebra(c.n, rng)
-            fd = _central([val(scipy.linalg.expm(s * zeta) @ X) for s in (FD_STEP, -FD_STEP)])
-            yield abs(fd - scalar_product(zeta, grad)), {"kind": kind}
+    return {"X": X, "zeta": np.array([random_su_algebra(c.n, rng) for _ in range(4 * c.n + 12)])}
 
 
-def _check_normalization(c, rng):
-    xi = random_shifted_alcove(c, rng)
-    _, z = v_vector(xi, c)
-    yield abs(z.sum() - 1.0), {"xi": list(xi)}
+def _check_gradients(c, X, zeta):
+    # d/ds h(e^{s zeta} X) at s = 0 against <zeta, grad h(X)>, one row per zeta
+    kinds = [("spectral", j) for j in range(1, c.n)]
+    kinds += [("re_trace", 1), ("re_trace", 2), ("im_trace", 1), ("dehn", 1)]
+    rows = []
+    for i, ham in enumerate(InvariantHamiltonian(*kind) for kind in kinds):
+        grad = hamiltonian_gradient(ham, X)[:, None]
+        z = zeta[:, 4 * i : 4 * i + 4]
+        M = scipy.linalg.expm(np.multiply.outer((FD_STEP, -FD_STEP), z)) @ X[:, None]
+        rows.append(abs(_central(ham.value(DoublePoint(M, M))) - scalar_product(z, grad)))
+    return np.concatenate(rows, -1)
 
 
-def _check_mu_spectrum(c, rng):
-    xi = random_shifted_alcove(c, rng)
-    v, _ = v_vector(xi, c)
-    d = alcove_delta(xi)
-    e1 = np.sort(np.angle(np.linalg.eigvals(mu_of_v(v, c) @ d)))
-    e2 = np.sort(np.angle(np.diagonal(d)))
-    yield float(np.abs(e1 - e2).max()), {"xi": list(xi)}
+def _draw_xi(c, rng):
+    return {"xi": random_shifted_alcove(c, rng)}
+
+
+def _check_normalization(c, xi):
+    return abs(v_vector(xi, c)[1].sum(-1) - 1.0)  # z = v^2 sums to one
+
+
+def _check_mu_spectrum(c, xi):
+    vs = v_vector(xi, c)[0]
+    d = np.array([alcove_delta(x) for x in xi])
+    mu = np.array([mu_of_v(v, c) for v in vs])
+    e1 = np.sort(np.angle(np.linalg.eigvals(mu @ d)))
+    e2 = np.sort(np.angle(np.diagonal(d, 0, -2, -1)))
+    return np.abs(e1 - e2).max(-1)
 
 
 def _draw_global_lax(c, rng):
-    return random_point(c, rng), rng.uniform(0, 2 * math.pi)
+    return {"u": random_point(c, rng), "gamma": rng.uniform(0, 2 * math.pi)}
 
 
 def _check_global_lax(c, U, gamma):
     # K(u) and K(e^{i gamma} u) of every trial by one call
     K = global_lax(np.stack((U, np.exp(1j * gamma)[..., None] * U)), c)
-    return _norm((K[1] - K[0]).reshape(np.shape(U)[:-1] + (-1,)))
+    return _fro(K[1] - K[0])
 
 
-def _check_boundary_limit(c, rng):
+def _draw_boundary_limit(c, rng):
     # point k on the wall u_k = 0; the re and im draws of each in turn, as one
     z = rng.standard_normal((c.n, 2, c.n))
-    wall = np.eye(c.n, dtype=bool)
-    u0 = canonicalize(np.where(wall, 0.0, z[:, 0] + 1j * z[:, 1]), c)
+    return {"u": np.where(np.eye(c.n, dtype=bool), 0.0, z[:, 0] + 1j * z[:, 1])}
+
+
+def _check_boundary_limit(c, U):
+    # one row per wall point, all n of each trial through each stage at once
+    u0 = canonicalize(U, c)
     K0 = global_lax(u0, c)
     # step off the wall on the sphere |u|^2 = chi0 itself, so that the step
     # is 1e-8 sqrt(2) long whatever the scale of z
-    D = global_lax(canonicalize(np.where(wall, 1e-8 * (1.0 + 1j), u0), c), c) - K0
-    for k, r in enumerate(_norm(D.reshape(c.n, -1))):
-        yield r, {"slot": k + 1, **_pt(u0[k])}
+    wall = np.eye(c.n, dtype=bool)
+    return _fro(global_lax(canonicalize(np.where(wall, 1e-8 * (1.0 + 1j), u0), c), c) - K0)
 
 
 def _draw_poisson(c, rng):
     # n = 2 has no pair k < l to bracket: its trials draw nothing, and a
     # zero vector stands for their point
-    return (random_point(c, rng, 0.08) if c.n > 2 else np.zeros(c.n),)
+    return {"u": random_point(c, rng, 0.08) if c.n > 2 else np.zeros(c.n)}
 
 
 def _check_poisson(c, U):
@@ -357,61 +357,79 @@ def _check_polytope_image(c, U):
     return np.maximum(r, 0.0)
 
 
-def _check_polytope_vertices(c, rng, _samples):
+def _draw_polytope_vertices(c, rng, _samples):
     # one trial per cell, whatever the sample count: vertex_points draws all
-    # n perturbations at once.  Each vertex of the polytope must be approached
-    # by J on near-vertex points and by Xi o K on their duality preimages
-    near = np.array(vertex_points(c, eps=1e-4, rng=rng))
-    vert = c.y + c.chi0 * np.eye(c.n, c.n - 1)  # row k: the vertex next to near[k]
-    r1 = np.abs(moment_J(near, c) - vert).max(-1)
-    r2 = np.abs(action_variables(duality("S_inv", near, c), c) - vert).max(-1)
-    for v, r in zip(vert, np.maximum(r1, r2)):
-        yield r, {"vertex": list(v)}
+    # n perturbations at once
+    return {"u": np.array(vertex_points(c, eps=1e-4, rng=rng))}
 
 
-def _check_axiom_a2(c, rng):
-    p = random_double_point(c.n, rng)
-    for _ in range(3):
-        zeta = random_su_algebra(c.n, rng)
-        X = random_su_algebra(c.n, rng)
-        Y = random_su_algebra(c.n, rng)
-        v = geodesic_tangent(p, X, Y)
-        dmu = _central([moment(_geodesic(p, X, Y)(s)) for s in (FD_STEP, -FD_STEP)])
-        mu_inv = dagger(moment(p))
-        rhs = 0.5 * scalar_product(mu_inv @ dmu + dmu @ mu_inv, zeta)
-        lhs = omega_eval(p, vertical_tangent(p, zeta), v)
-        yield abs(lhs - rhs), None
+def _check_polytope_vertices(c, U):
+    # each vertex of the polytope must be approached by J on near-vertex
+    # points and by Xi o K on their duality preimages
+    vert = c.y + c.chi0 * np.eye(c.n, c.n - 1)  # row k: the vertex next to U[..., k, :]
+    r1 = np.abs(moment_J(U, c) - vert).max(-1)
+    r2 = np.abs(action_variables(duality("S_inv", U, c), c) - vert).max(-1)
+    return np.maximum(r1, r2)
 
 
-def _check_equivariance(c, rng):
-    p = random_double_point(c.n, rng)
-    g = random_special_unitary(c.n, rng)
-    yield np.linalg.norm(moment(conjugate(p, g)) - g @ moment(p) @ dagger(g)), None
+def _draw_axiom_a2(c, rng):
+    # the point, then zeta, X and Y of each of three tangents in turn
+    drawn = _draw_double(c, rng)
+    drawn["zxy"] = np.array([[random_su_algebra(c.n, rng) for _ in range(3)] for _ in range(3)])
+    return drawn
 
 
-def _check_flow_moment(c, rng):
-    hams = [
-        InvariantHamiltonian("spectral", 1, "first"),
-        InvariantHamiltonian("spectral", 1, "second"),
-        InvariantHamiltonian("re_trace", 2, "first"),
-        InvariantHamiltonian("im_trace", 1, "second"),
-        InvariantHamiltonian("dehn", 1, "first"),
-    ]
-    p = random_double_point(c.n, rng)
+def _check_axiom_a2(c, A, B, zxy):
+    # omega(zeta_M, v) = (1/2) <mu^{-1} dmu(v) + dmu(v) mu^{-1}, zeta> for
+    # the three (zeta, v = (A X, B Y)) of each point, one row each
+    p = DoublePoint(A[:, None], B[:, None])
+    zeta, X, Y = zxy[:, :, 0], zxy[:, :, 1], zxy[:, :, 2]
+    v = geodesic_tangent(p, X, Y)
+    dmu = _central([moment(_geodesic(p, X, Y)(s)) for s in (FD_STEP, -FD_STEP)])
+    mu_inv = dagger(moment(p))
+    rhs = 0.5 * scalar_product(mu_inv @ dmu + dmu @ mu_inv, zeta)
+    return abs(omega_eval(p, vertical_tangent(p, zeta), v) - rhs)
+
+
+def _draw_equivariance(c, rng):
+    return _draw_double(c, rng) | {"g": random_special_unitary(c.n, rng)}
+
+
+def _check_equivariance(c, A, B, g):
+    p = DoublePoint(A, B)
+    return _fro(moment(conjugate(p, g)) - g @ moment(p) @ dagger(g))
+
+
+def _draw_flow_moment(c, rng):
+    return _draw_double(c, rng) | {"t": rng.uniform(-5, 5)}
+
+
+def _check_flow_moment(c, A, B, t):
+    # mu along the flow of each Hamiltonian for time t, one row each
+    hams = [("spectral", 1, "first"), ("spectral", 1, "second"), ("re_trace", 2, "first"),
+            ("im_trace", 1, "second"), ("dehn", 1, "first")]
+    p = DoublePoint(A, B)
     mu = moment(p)
-    t = rng.uniform(-5, 5)
-    for ham in hams:
-        yield np.linalg.norm(moment(flow(p, ham, t)) - mu), {"kind": ham.kind}
+    return np.stack([_fro(moment(flow(p, InvariantHamiltonian(*h), t)) - mu) for h in hams], -1)
 
 
-def _check_omega_morphisms(c, rng):
-    p = random_double_point(c.n, rng)
-    v = geodesic_tangent(p, random_su_algebra(c.n, rng), random_su_algebra(c.n, rng))
-    w = geodesic_tangent(p, random_su_algebra(c.n, rng), random_su_algebra(c.n, rng))
+def _draw_omega_morphisms(c, rng):
+    # the point, then X and Y of v, then of w
+    drawn = _draw_double(c, rng)
+    drawn["XY"] = np.array([[random_su_algebra(c.n, rng) for _ in range(2)] for _ in range(2)])
+    return drawn
+
+
+def _check_omega_morphisms(c, A, B, XY):
+    # omega(f_* v, f_* w) = +-omega(v, w) for each generator f, one row each
+    p = DoublePoint(A, B)
+    v, w = (geodesic_tangent(p, XY[:, i, 0], XY[:, i, 1]) for i in (0, 1))
     val = omega_eval(p, v, w)
+    rows = []
     for gen, sign in (("S", 1.0), ("T", 1.0), ("Ttilde", 1.0), ("nu", -1.0)):
         f = lambda q, g=gen: auto_apply(g, q)
-        yield abs(omega_eval(f(p), _push(f, p, v), _push(f, p, w)) - sign * val), {"gen": gen}
+        rows.append(abs(omega_eval(f(p), _push(f, p, v), _push(f, p, w)) - sign * val))
+    return np.stack(rows, -1)
 
 
 def _check_section_consistency(c, U):
@@ -419,15 +437,15 @@ def _check_section_consistency(c, U):
     return projective_distance(labels[..., :1, :], labels[..., 1:, :]).max(-1)
 
 
-# A stacked check: draw(c, rng) makes all the draws of one trial, in order,
-# and returns them as a tuple whose first entry is the trial's point; no
-# library call of the check draws, so drawing all trials of a cell first, in
-# trial order, leaves the seeded stream as it was.  residuals(c, *stacks)
-# then evaluates the stacks of each drawn entry with one call per stage.
+# A check: draw(c, rng) makes the draws of one trial, in order, and returns
+# them by name; no library call of a check draws, so drawing all trials of a
+# cell first leaves the seeded stream as it was.  residuals(c, *stacks) then
+# evaluates the stacks (trials, ...) of the drawn entries, one call a stage.
 Stacked = namedtuple("Stacked", "residuals draw")
 
-# Most matrix entries one stacked call holds.  No Stacked trial puts more
-# than 4n points, 4n n x n matrices, through one call (a chart Jacobian takes
+# Most matrix entries one stacked call holds.  No trial but lax-unitarity's
+# one (samples + 2n points through one global_lax call) puts more than 4n
+# points, 4n n x n matrices, through one call (a chart Jacobian takes
 # 4(n - 1)), so a group holds max(1, STACK_ENTRIES // (4 n^3)) trials: a
 # whole cell at n <= 4, 8 trials at n = 16, one trial from n = 32 on.
 STACK_ENTRIES = 2**17
@@ -435,11 +453,11 @@ STACK_ENTRIES = 2**17
 
 def _point(bias):
     """The draw of a trial that draws one point."""
-    return lambda c, rng: (random_point(c, rng, bias),)
+    return lambda c, rng: {"u": random_point(c, rng, bias)}
 
 
-# name: (trial, tolerance, per).  A cell of s samples runs max(1, s // per)
-# trials; per None means one call trial(c, rng, s) with the sample count, for
+# name: (check, tolerance, per).  A cell of s samples runs max(1, s // per)
+# trials; per None means one trial, whose draw(c, rng, s) is handed s, for
 # the checks whose draws cannot be split into trials without reordering the
 # seeded stream (polytope-vertices ignores s: its draws are one per vertex)
 CHECKS = {
@@ -450,23 +468,23 @@ CHECKS = {
     "duality-exchange": (Stacked(_check_duality_exchange, _point(0.0)), 1e-8, 1),
     "mapclass-origin": (Stacked(_check_mapclass_origin, _point(0.0)), 1e-8, 1),
     "dehn-decomposition": (Stacked(_check_dehn_decomposition, _point(0.0)), 1e-8, 1),
-    "central-twist": (_check_central_twist, 1e-10, 1),
-    "lax-conjugation": (_check_lax_conjugation, 1e-10, 1),
-    "lax-unitarity": (_check_lax_unitarity, 1e-9, None),
-    "lax-hamiltonian": (_check_lax_hamiltonian, 1e-12, 1),
-    "gradients": (_check_gradients, 1e-6, 10),
-    "normalization": (_check_normalization, 1e-12, 1),
-    "mu-spectrum": (_check_mu_spectrum, 1e-10, 1),
+    "central-twist": (Stacked(_check_central_twist, _draw_double), 1e-10, 1),
+    "lax-conjugation": (Stacked(_check_lax_conjugation, _draw_local_lax), 1e-10, 1),
+    "lax-unitarity": (Stacked(_check_lax_unitarity, _draw_lax_unitarity), 1e-9, None),
+    "lax-hamiltonian": (Stacked(_check_lax_hamiltonian, _draw_lax_hamiltonian), 1e-12, 1),
+    "gradients": (Stacked(_check_gradients, _draw_gradients), 1e-6, 10),
+    "normalization": (Stacked(_check_normalization, _draw_xi), 1e-12, 1),
+    "mu-spectrum": (Stacked(_check_mu_spectrum, _draw_xi), 1e-10, 1),
     "global-lax": (Stacked(_check_global_lax, _draw_global_lax), 1e-9, 1),
-    "boundary-limit": (_check_boundary_limit, 1e-6, 5),
+    "boundary-limit": (Stacked(_check_boundary_limit, _draw_boundary_limit), 1e-6, 5),
     "poisson": (Stacked(_check_poisson, _draw_poisson), 1e-5, 1),
     "conservation": (Stacked(_check_conservation, _point(0.0)), 1e-8, 10),
     "polytope-image": (Stacked(_check_polytope_image, _point(0.0)), 1e-9, 1),
-    "polytope-vertices": (_check_polytope_vertices, 1e-3, None),
-    "axiom-a2": (_check_axiom_a2, 1e-5, 10),
-    "equivariance": (_check_equivariance, 1e-12, 1),
-    "flow-moment": (_check_flow_moment, 1e-10, 5),
-    "omega-morphisms": (_check_omega_morphisms, 1e-5, 10),
+    "polytope-vertices": (Stacked(_check_polytope_vertices, _draw_polytope_vertices), 1e-3, None),
+    "axiom-a2": (Stacked(_check_axiom_a2, _draw_axiom_a2), 1e-5, 10),
+    "equivariance": (Stacked(_check_equivariance, _draw_equivariance), 1e-12, 1),
+    "flow-moment": (Stacked(_check_flow_moment, _draw_flow_moment), 1e-10, 5),
+    "omega-morphisms": (Stacked(_check_omega_morphisms, _draw_omega_morphisms), 1e-5, 10),
     "section-consistency": (Stacked(_check_section_consistency, _point(0.03)), 1e-9, 1),
 }
 
@@ -560,33 +578,40 @@ class SuiteReport:
 
 
 def _run_cell(name, c, cfg):
-    """Run one (check, n) cell: its trials in order on the cell's own rng.
+    """Run one (check, n) cell: draw its trials in order on the cell's own
+    rng, then evaluate them in consecutive groups bounded by STACK_ENTRIES.
 
     A row over tolerance, or a trial raising a library error or ValueError,
-    fails the cell; the first failure in trial order is reported and the
-    remaining trials still run (see _trials for the stacked checks).  Any
-    other exception is a bug and propagates, numpy's AxisError (a
-    ValueError) among them.
+    fails the cell; the first failure in trial order is reported, its "data"
+    the trial's draw by name, and the other trials' rows still count.  Any
+    other exception, numpy's AxisError (a ValueError) among them, is a bug
+    and propagates.  A row's "data" names its "row" too: the chart j - 1
+    (constraint, intertwine), the pair (a, b) (pullback), the pair k < l in
+    np.triu_indices order (poisson), J or Xi o K (polytope-image), the time
+    (conservation), the wall (boundary-limit), the vertex
+    (polytope-vertices), the Hamiltonian (flow-moment; gradients, four
+    zetas each), the generator S, T, Ttilde, nu (omega-morphisms), the
+    tangent (axiom-a2), the local matrices, then the points (lax-unitarity).
     """
-    trial, tol, per = CHECKS[name]
+    check, tol, per = CHECKS[name]
     rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
-    if per is None:
-        count, extra = 1, (cfg.samples,)
-    else:
-        count, extra = max(1, cfg.samples // per), ()
-    residuals, failure = [], None
     start = time.perf_counter()
-    for i, rows in enumerate(_trials(trial, c, rng, count, extra)):
-        try:
-            for r, data in rows:
-                if failure is None and not r <= tol:
-                    failure = {"sample_index": len(residuals), "residual": float(r), "data": data}
-                residuals.append(r)
-        except np.exceptions.AxisError:
-            raise
-        except (RSDualError, ValueError) as exc:
-            if failure is None:
-                failure = {"trial": i, "error": type(exc).__name__, "message": str(exc)}
+    count, extra = (1, (cfg.samples,)) if per is None else (max(1, cfg.samples // per), ())
+    draws = [check.draw(c, rng, *extra) for _ in range(count)]
+    size = max(1, STACK_ENTRIES // (4 * c.n**3))
+    groups = (draws[first : first + size] for first in range(0, len(draws), size))
+    outcomes = (rows for group in groups for rows in _trials(check.residuals, c, group))
+    residuals, failure = [], None
+    for i, (drawn, rows) in enumerate(zip(draws, outcomes)):
+        if isinstance(rows, Exception):
+            error = {"trial": i, "error": type(rows).__name__, "message": str(rows)}
+            failure = failure or {**error, "data": _to_json(drawn)}
+            continue
+        for k, r in enumerate(rows):
+            if failure is None and not r <= tol:
+                data = {"row": k, **_to_json(drawn)}
+                failure = {"sample_index": len(residuals), "residual": float(r), "data": data}
+            residuals.append(r)
     wall = time.perf_counter() - start
     return CheckResult(
         name=name,
@@ -601,47 +626,26 @@ def _run_cell(name, c, cfg):
     )
 
 
-def _trials(trial, c, rng, count, extra):
-    """The rows of each trial of a cell, one lazy iterable per trial.
-
-    A Stacked check draws every trial first and evaluates them in
-    consecutive groups bounded by STACK_ENTRIES, a group as one stack of
-    each drawn entry.  If a group raises, each of its trials is
-    evaluated alone, by the same function, so the error and message reported
-    are those of the first trial that raises alone, and the other trials'
-    rows still count."""
-    if not isinstance(trial, Stacked):
-        for _ in range(count):
-            yield trial(c, rng, *extra)
-        return
-    draws = [trial.draw(c, rng) for _ in range(count)]
-    size = max(1, STACK_ENTRIES // (4 * c.n**3))
-    for start in range(0, count, size):
-        group = draws[start : start + size]
-        stacks = [np.array(entry) for entry in zip(*group)]
-        try:
-            rows = np.reshape(trial.residuals(c, *stacks), (len(group), -1))
-        except np.exceptions.AxisError:
-            raise
-        except (RSDualError, ValueError):
-            rows = [None] * len(group)
-        for drawn, r in zip(group, rows):
-            yield _stacked_rows(trial.residuals, c, drawn, r)
+def _to_json(drawn):
+    """A trial's draw as JSON, entry by entry, a complex one by point_to_json."""
+    return {key: point_to_json(x) if np.iscomplexobj(x) else np.asarray(x).tolist()
+            for key, x in drawn.items()}
 
 
-def _stacked_rows(residuals, c, drawn, r):
-    """(residual, payload) rows of one trial of a stacked check: r, its rows
-    of the group's stacked call, or, if None, residuals(c, *drawn) alone.
-    The payload names the point u = drawn[0] and the row: the chart j - 1 of
-    constraint and intertwine, the pair (a, b) of pullback, the pair k < l
-    of poisson, the map (J, Xi o K) of polytope-image, the conservation
-    time."""
-    if r is None:
-        r = np.ravel(residuals(c, *drawn))
-    if len(r):
-        pt = _pt(drawn[0])
-        for k, x in enumerate(r):
-            yield x, {"row": k, **pt}
+def _trials(residuals, c, group):
+    """The rows of each trial of a group, by one call on the stack of each
+    drawn entry.  If the call raises, each trial is evaluated alone, as a
+    group of one, and gives its rows or the exception it raises alone, so
+    that the other trials' rows still count."""
+    stacks = [np.array([drawn[key] for drawn in group]) for key in group[0]]
+    try:
+        return list(np.reshape(residuals(c, *stacks), (len(group), -1)))
+    except np.exceptions.AxisError:
+        raise
+    except (RSDualError, ValueError) as exc:
+        if len(group) == 1:
+            return [exc]
+        return [rows for drawn in group for rows in _trials(residuals, c, [drawn])]
 
 
 def run_suite(cfg):

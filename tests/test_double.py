@@ -434,6 +434,45 @@ def test_push_and_moment_difference_are_the_tangent_maps(n):
         assert np.linalg.norm(fd - dmu) < 1e-7
 
 
+def _stack_of(points):
+    return DoublePoint(np.array([q.A for q in points]), np.array([q.B for q in points]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hamiltonian_value_rows_are_the_one_point_calls(n):
+    # on a stack of pairs each row of the value has the bits of its
+    # one-point call, for every kind and both sides
+    rng = np.random.default_rng(100 + n)
+    points = [random_double_point(n, rng) for _ in range(3)]
+    kinds = [("spectral", j) for j in range(1, n)]
+    kinds += [("re_trace", 1), ("re_trace", 2), ("im_trace", 1), ("im_trace", 3), ("dehn", 1)]
+    for kind, index in kinds:
+        for side in ("first", "second"):
+            ham = InvariantHamiltonian(kind, index, side)
+            got = ham.value(_stack_of(points))
+            assert got.shape == (3,)
+            assert np.array_equal(got, [ham.value(q) for q in points]), (kind, index, side)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_push_rows_are_the_one_point_pushes(n):
+    # _push of a stack of three tangents at three points is the three
+    # one-point pushes, bit for bit, through every generator
+    rng = np.random.default_rng(200 + n)
+    points = [random_double_point(n, rng) for _ in range(3)]
+    tangents = [
+        geodesic_tangent(q, random_su_algebra(n, rng), random_su_algebra(n, rng)) for q in points
+    ]
+    p = _stack_of(points)
+    v = DoubleTangent(np.array([t.dA for t in tangents]), np.array([t.dB for t in tangents]))
+    for gen in ("S", "T", "Ttilde", "nu"):
+        f = lambda q, g=gen: auto_apply(g, q)
+        got = _push(f, p, v)
+        for i, (q, t) in enumerate(zip(points, tangents)):
+            one = _push(f, q, t)
+            assert np.array_equal(got.dA[i], one.dA) and np.array_equal(got.dB[i], one.dB), gen
+
+
 def test_spectral_flow_rejects_degenerate():
     n = 3
     p = DoublePoint(np.eye(n, dtype=complex), random_special_unitary(n, RNG))

@@ -98,6 +98,7 @@ def test_default_suite_passes_quickly():
     assert rep.all_passed
     names = {r.name for r in rep.results}
     assert names == set(CHECKS)
+    assert all(isinstance(check, Stacked) for check, _, _ in CHECKS.values())  # one trial path
     rows = {}
     for r in rep.results:
         rows.setdefault(r.name, []).append(r.samples)
@@ -120,7 +121,7 @@ def test_poisson_check_equals_pairwise_brackets(n):
     c = Coupling.default(n)
     check = CHECKS["poisson"][0]
     trial_rng = np.random.default_rng(8)
-    U = np.array([check.draw(c, trial_rng)[0] for _ in range(3)])
+    U = np.array([check.draw(c, trial_rng)["u"] for _ in range(3)])
     rows = list(np.ravel(check.residuals(c, U)))
     rng = np.random.default_rng(8)
     want = []
@@ -197,27 +198,34 @@ def test_failure_payload_names_first_bad_sample(monkeypatch):
     assert res.failure["residual"] > 1e-30
 
 
-def _scripted_trial(events, started):
-    """A stand-in check: trial i of a cell yields events.get(i, (i + 1) * 1e-14)
-    as its one row, or raises it when it is an exception; started records the
-    n of every trial begun."""
+def _scripted(events, started):
+    """A stand-in check: trial i of a cell draws {"i": i} and has
+    events.get(i, (i + 1) * 1e-14) as its one row, or raises it when it is
+    an exception, whether it is evaluated in its group or alone; started
+    records the n of every trial drawn."""
 
-    def trial(c, rng):
-        i = started.count(c.n)
+    def draw(c, rng):
         started.append(c.n)
-        event = events.get(i, (i + 1) * 1e-14)
-        if isinstance(event, Exception):
-            raise event
-        yield event, {"trial": i}
+        return {"i": started.count(c.n) - 1}
 
-    return trial
+    def residuals(c, i):
+        rows = [events.get(int(k), (k + 1) * 1e-14) for k in i]
+        for event in rows:
+            if isinstance(event, Exception):
+                raise event
+        return np.array(rows)
+
+    return Stacked(residuals, draw)
 
 
-FORCED = {"trial": 2, "error": "ConstraintViolation", "message": "forced failure in trial 2"}
+FORCED = {
+    "trial": 2, "error": "ConstraintViolation", "message": "forced failure in trial 2",
+    "data": {"i": 2},
+}
 
 
 def _forced(started):
-    return (_scripted_trial({2: ConstraintViolation(FORCED["message"])}, started), 1e-12, 1)
+    return (_scripted({2: ConstraintViolation(FORCED["message"])}, started), 1e-12, 1)
 
 
 def test_throwing_trial_fails_its_cell_not_the_sweep(monkeypatch):
@@ -244,17 +252,17 @@ def test_throwing_trial_fails_its_cell_not_the_sweep(monkeypatch):
     [
         (
             {1: 1.0, 2: np.linalg.LinAlgError("singular")},
-            {"sample_index": 1, "residual": 1.0, "data": {"trial": 1}},
+            {"sample_index": 1, "residual": 1.0, "data": {"row": 0, "i": 1}},
         ),
         (
             {1: np.linalg.LinAlgError("singular"), 3: 1.0},
-            {"trial": 1, "error": "LinAlgError", "message": "singular"},
+            {"trial": 1, "error": "LinAlgError", "message": "singular", "data": {"i": 1}},
         ),
-        ({0: math.nan}, {"sample_index": 0, "residual": math.nan, "data": {"trial": 0}}),
+        ({0: math.nan}, {"sample_index": 0, "residual": math.nan, "data": {"row": 0, "i": 0}}),
     ],
 )
 def test_cell_reports_its_first_failure_in_trial_order(monkeypatch, events, failure):
-    monkeypatch.setitem(CHECKS, "normalization", (_scripted_trial(events, []), 1e-12, 1))
+    monkeypatch.setitem(CHECKS, "normalization", (_scripted(events, []), 1e-12, 1))
     (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=5, checks=("normalization",))).results
     assert not cell.passed
     assert json.dumps(cell.failure) == json.dumps(failure)
@@ -262,7 +270,7 @@ def test_cell_reports_its_first_failure_in_trial_order(monkeypatch, events, fail
 
 def test_exception_outside_the_library_errors_propagates(monkeypatch):
     # anything but a library error or ValueError is a bug, not a failed cell
-    trial = _scripted_trial({2: KeyError("bug")}, [])
+    trial = _scripted({2: KeyError("bug")}, [])
     monkeypatch.setitem(CHECKS, "normalization", (trial, 1e-12, 1))
     with pytest.raises(KeyError):
         run_suite(SuiteConfig(n_list=(3,), samples=5, checks=("normalization",)))
@@ -734,18 +742,26 @@ def test_cli_flow_rejects_final_point_at_the_out_path(tmp_path, capsys, monkeypa
 # ---------------------------------------------------------------------------
 # the stacked checks: all trials of a cell in one call per stage
 
-STACKED = (
-    "duality-squares", "duality-exchange", "mapclass-origin",
-    "dehn-decomposition", "section-consistency", "conservation",
-    "constraint", "intertwine", "polytope-image",
-    "pullback", "poisson", "global-lax",
-)
+STACKED = tuple(CHECKS)
 
-# max_residual of each stacked cell, and of the two cells whose slot and
-# vertex loops became stacked calls, at n = 2, 3, 4 in the pinned sweeps
+# max_residual of every cell at n = 2, 3, 4 in the pinned sweeps
 # run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=s)), recorded
-# while the checks still evaluated one trial (and one slot or vertex) per call
+# while thirteen checks still ran as one generator trial at a time and the
+# other twelve evaluated one trial (and boundary-limit one slot,
+# polytope-vertices one vertex) per call
 PINNED_MAX_RESIDUAL = {
+    "constraint": {
+        7: ("0x1.869150943958ap-49", "0x1.9673a8e7aa612p-48", "0x1.81888cb0479bdp-48"),
+        11: ("0x1.86332fd745588p-49", "0x1.7e2fa73f62552p-48", "0x1.32fc425ae52aap-47"),
+    },
+    "pullback": {
+        7: ("0x1.5a4d000000000p-31", "0x1.8da0800000000p-30", "0x1.e081800000000p-30"),
+        11: ("0x1.2677200000000p-30", "0x1.9474b00000000p-30", "0x1.4fc8d00000000p-29"),
+    },
+    "intertwine": {
+        7: ("0x1.0000000000000p-50", "0x1.c000000000000p-50", "0x1.0000000000000p-49"),
+        11: ("0x1.e000000000000p-50", "0x1.8000000000000p-50", "0x1.c000000000000p-50"),
+    },
     "duality-squares": {
         7: ("0x1.569ddf2b3fa87p-50", "0x1.68865c45ee6dfp-49", "0x1.7ba665c1ae416p-49"),
         11: ("0x1.2b6f1fde2b694p-50", "0x1.3742ad1616b4bp-49", "0x1.d5067336954d5p-49"),
@@ -762,89 +778,160 @@ PINNED_MAX_RESIDUAL = {
         7: ("0x1.29ba2f039c92dp-49", "0x1.737e1653b0ad0p-49", "0x1.adf7848c72432p-49"),
         11: ("0x1.0e4b1fcc0f333p-49", "0x1.190592ff76556p-48", "0x1.5c202799248c4p-48"),
     },
-    "section-consistency": {
-        7: ("0x1.0b219145cc66cp-50", "0x1.a5b22f83226e3p-50", "0x1.64ffd776d5877p-49"),
-        11: ("0x1.466b531d8676bp-51", "0x1.4cb5dc1d03fdfp-49", "0x1.72bc80b1d795cp-49"),
+    "central-twist": {
+        7: ("0x1.3b48e81f21541p-47", "0x1.2cffe01b3597cp-47", "0x1.72d4acbcb2223p-47"),
+        11: ("0x1.432017c493acep-47", "0x1.3594ad02476ecp-47", "0x1.87e697fe3601bp-47"),
     },
-    "conservation": {
-        7: ("0x1.0000000000000p-52", "0x1.e000000000000p-50", "0x1.0000000000000p-48"),
-        11: ("0x1.0000000000000p-51", "0x1.4000000000000p-50", "0x1.0000000000000p-49"),
+    "lax-conjugation": {
+        7: ("0x1.11fe21a0f0298p-49", "0x1.25bfd2aeb84f7p-49", "0x1.6c68d1f669596p-49"),
+        11: ("0x1.7ba455f46f6fdp-50", "0x1.53353a7fe5725p-49", "0x1.dd26e75601744p-49"),
     },
-    "constraint": {
-        7: ("0x1.869150943958ap-49", "0x1.9673a8e7aa612p-48", "0x1.81888cb0479bdp-48"),
-        11: ("0x1.86332fd745588p-49", "0x1.7e2fa73f62552p-48", "0x1.32fc425ae52aap-47"),
+    "lax-unitarity": {
+        7: ("0x1.8ed009e3b1ef0p-50", "0x1.99319253ce118p-49", "0x1.73ee261bfca64p-49"),
+        11: ("0x1.ad73fdae2497dp-50", "0x1.e7ae4f7fac1d7p-49", "0x1.0a69cea7f9f18p-48"),
     },
-    "intertwine": {
-        7: ("0x1.0000000000000p-50", "0x1.c000000000000p-50", "0x1.0000000000000p-49"),
-        11: ("0x1.e000000000000p-50", "0x1.8000000000000p-50", "0x1.c000000000000p-50"),
+    "lax-hamiltonian": {
+        7: ("0x1.0000000000000p-50", "0x1.8000000000000p-50", "0x1.c000000000000p-51"),
+        11: ("0x1.0000000000000p-51", "0x1.2000000000000p-49", "0x1.4000000000000p-49"),
     },
-    "polytope-image": {
-        7: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
+    "gradients": {
+        7: ("0x1.f3c5800000000p-33", "0x1.c948900000000p-31", "0x1.1e51d00000000p-28"),
+        11: ("0x1.f01bc00000000p-33", "0x1.9f84700000000p-30", "0x1.5e6de00000000p-30"),
+    },
+    "normalization": {
+        7: ("0x1.0000000000000p-51", "0x1.0000000000000p-50", "0x1.0000000000000p-51"),
+        11: ("0x1.0000000000000p-51", "0x1.4000000000000p-51", "0x1.8000000000000p-52"),
+    },
+    "mu-spectrum": {
+        7: ("0x1.8000000000000p-51", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
         11: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
-    },
-    "boundary-limit": {
-        7: ("0x1.e5eb8a5cd53eep-26", "0x1.25ebe2541de55p-25", "0x1.55b02ec33765bp-25"),
-        11: ("0x1.e5eb8a5cd53eep-26", "0x1.25fb19cf542c6p-25", "0x1.5693a86d1f52ap-25"),
-    },
-    "polytope-vertices": {
-        7: ("0x1.421add0000000p-26", "0x1.219781cc00000p-23", "0x1.1b2a779000000p-23"),
-        11: ("0x1.2f0f490000000p-24", "0x1.1ca0293000000p-23", "0x1.88e02fc000000p-24"),
-    },
-    "pullback": {
-        7: ("0x1.5a4d000000000p-31", "0x1.8da0800000000p-30", "0x1.e081800000000p-30"),
-        11: ("0x1.2677200000000p-30", "0x1.9474b00000000p-30", "0x1.4fc8d00000000p-29"),
-    },
-    "poisson": {
-        7: ("0x0.0p+0", "0x1.02fb800000000p-35", "0x1.4fa4b60000000p-35"),
-        11: ("0x0.0p+0", "0x1.3b65c00000000p-36", "0x1.897e000000000p-35"),
     },
     "global-lax": {
         7: ("0x1.6749c680c7e46p-50", "0x1.d47fee83afe55p-51", "0x1.4da3ce7c4fa00p-49"),
         11: ("0x1.35c2dde50ca3ep-50", "0x1.66dc122b2df15p-50", "0x1.578dc9519533bp-50"),
     },
+    "boundary-limit": {
+        7: ("0x1.e5eb8a5cd53eep-26", "0x1.25ebe2541de55p-25", "0x1.55b02ec33765bp-25"),
+        11: ("0x1.e5eb8a5cd53eep-26", "0x1.25fb19cf542c6p-25", "0x1.5693a86d1f52ap-25"),
+    },
+    "poisson": {
+        7: ("0x0.0p+0", "0x1.02fb800000000p-35", "0x1.4fa4b60000000p-35"),
+        11: ("0x0.0p+0", "0x1.3b65c00000000p-36", "0x1.897e000000000p-35"),
+    },
+    "conservation": {
+        7: ("0x1.0000000000000p-52", "0x1.e000000000000p-50", "0x1.0000000000000p-48"),
+        11: ("0x1.0000000000000p-51", "0x1.4000000000000p-50", "0x1.0000000000000p-49"),
+    },
+    "polytope-image": {
+        7: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
+        11: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
+    },
+    "polytope-vertices": {
+        7: ("0x1.421add0000000p-26", "0x1.219781cc00000p-23", "0x1.1b2a779000000p-23"),
+        11: ("0x1.2f0f490000000p-24", "0x1.1ca0293000000p-23", "0x1.88e02fc000000p-24"),
+    },
+    "axiom-a2": {
+        7: ("0x1.0a0a380000000p-30", "0x1.60c64c0000000p-31", "0x1.0a08140000000p-28"),
+        11: ("0x1.67c2400000000p-31", "0x1.2ac9e00000000p-31", "0x1.e426700000000p-30"),
+    },
+    "equivariance": {
+        7: ("0x1.d256c448631f7p-50", "0x1.a2e707d42bbf0p-49", "0x1.9db1214c88517p-49"),
+        11: ("0x1.60b9fd68a4554p-49", "0x1.7eb430fa554f8p-49", "0x1.71a2e51067779p-49"),
+    },
+    "flow-moment": {
+        7: ("0x1.bd069d93ea28fp-50", "0x1.3068a81de23d0p-48", "0x1.ac38e31914352p-47"),
+        11: ("0x1.9fb1339d2c7e0p-50", "0x1.e96da20aa157cp-49", "0x1.7c2df7d48685bp-48"),
+    },
+    "omega-morphisms": {
+        7: ("0x1.3efee40000000p-30", "0x1.cc37680000000p-31", "0x1.a89dc00000000p-28"),
+        11: ("0x1.2c46e00000000p-33", "0x1.46832e0000000p-29", "0x1.2c6d500000000p-29"),
+    },
+    "section-consistency": {
+        7: ("0x1.0b219145cc66cp-50", "0x1.a5b22f83226e3p-50", "0x1.64ffd776d5877p-49"),
+        11: ("0x1.466b531d8676bp-51", "0x1.4cb5dc1d03fdfp-49", "0x1.72bc80b1d795cp-49"),
+    },
 }
 # rows of those cells at n = 2, 3, 4 where a cell has other than 20
 PINNED_ROWS = {
-    "conservation": (14, 14, 14),
     "constraint": (40, 60, 80),  # one row per chart
-    "intertwine": (40, 60, 80),
-    "polytope-image": (40, 40, 40),  # J and Xi o K
-    "boundary-limit": (8, 12, 16),  # four trials of n slots
-    "polytope-vertices": (2, 3, 4),  # one trial of n vertices
     "pullback": (100, 100, 100),  # five pairs (a, b)
+    "intertwine": (40, 60, 80),
+    "lax-unitarity": (44, 46, 48),  # 20 local matrices, then 20 + 2n points
+    "gradients": (40, 48, 56),  # two trials of four zetas for n + 3 Hamiltonians
+    "boundary-limit": (8, 12, 16),  # four trials of n slots
     "poisson": (0, 20, 60),  # (n-1)(n-2)/2 pairs k < l
+    "conservation": (14, 14, 14),
+    "polytope-image": (40, 40, 40),  # J and Xi o K
+    "polytope-vertices": (2, 3, 4),  # one trial of n vertices
+    "axiom-a2": (6, 6, 6),  # two trials of three tangents
+    "omega-morphisms": (8, 8, 8),  # two trials of four generators
 }
 
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_stacked_cells_keep_their_pinned_residuals(seed):
-    names = tuple(PINNED_MAX_RESIDUAL)
-    rep = run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=seed, checks=names))
+    rep = run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=seed))
     got, rows = {}, {}
     for cell in rep.results:
         assert cell.passed
         got.setdefault(cell.name, []).append(float(cell.max_residual).hex())
         rows.setdefault(cell.name, []).append(cell.samples)
-    assert got == {name: list(PINNED_MAX_RESIDUAL[name][seed]) for name in names}
-    assert rows == {name: list(PINNED_ROWS.get(name, (20, 20, 20))) for name in names}
+    assert got == {name: list(PINNED_MAX_RESIDUAL[name][seed]) for name in STACKED}
+    assert rows == {name: list(PINNED_ROWS.get(name, (20, 20, 20))) for name in STACKED}
 
 
-# the library call counted in each stacked cell, and its calls per cell: one
-# per stage, whatever the number of trials (one per trial before)
+@pytest.mark.parametrize(
+    "seed, pinned",
+    [(7, ("0x1.3ecc38c9d6d4bp-50", "0x1.05f63a719832dp-49")),
+     (11, ("0x1.4668bdbbdef5fp-50", "0x1.95166fe45ec3cp-50"))],
+)
+def test_lax_unitarity_keeps_its_residuals_at_the_upper_edge(seed, pinned):
+    # at y = pi/n (1 - 1e-9) |det L - 1| of a local matrix is taken one matrix
+    # at a time: np.abs of the stack of dets moves these bits by an ulp
+    ys = [math.pi / n * (1 - 1e-9) for n in (3, 4)]
+    cfg = SuiteConfig(n_list=(3, 4), y_rule=ys, samples=20, seed=seed, checks=("lax-unitarity",))
+    cells = run_suite(cfg).results
+    assert all(cell.passed for cell in cells)
+    assert [float(cell.max_residual).hex() for cell in cells] == list(pinned)
+    assert [cell.samples for cell in cells] == [46, 48]
+
+
+# the library call counted in each cell, which of its arguments holds the
+# trials' stack, and its calls per cell: one per stage, whatever the number
+# of trials (one per trial before); None where the call takes one point and
+# is made once per trial
 CALLS_PER_CELL = {
-    "duality-squares": ("f_beta_inv", 3),  # S(u), S(S(u)), S(C(S(u)))
-    "duality-exchange": ("f_beta_inv", 1),
-    "mapclass-origin": ("f_beta_inv", 2),
-    "dehn-decomposition": ("f_beta_inv", 6),  # S, T Ttilde T, two flows, T, Ttilde
-    "section-consistency": ("f_beta_inv", 1),
-    "conservation": ("f_beta_inv", 1),
-    "constraint": ("section_F", 1),  # all charts of all points
-    "intertwine": ("section_F", 1),
-    "polytope-image": ("global_lax", 1),
-    "pullback": ("section_F", 2),  # the points, then their chart Jacobian points
-    "poisson": ("global_lax", 1),  # the chart Jacobian points; none at n = 2
-    "global-lax": ("global_lax", 1),  # K(u) and K(e^{i gamma} u)
+    "constraint": ("section_F", 0, 1),  # all charts of all points
+    "pullback": ("section_F", 0, 2),  # the points, then their chart Jacobian points
+    "intertwine": ("section_F", 0, 1),
+    "duality-squares": ("f_beta_inv", 0, 3),  # S(u), S(S(u)), S(C(S(u)))
+    "duality-exchange": ("f_beta_inv", 0, 1),
+    "mapclass-origin": ("f_beta_inv", 0, 2),
+    "dehn-decomposition": ("f_beta_inv", 0, 6),  # S, T Ttilde T, two flows, T, Ttilde
+    "central-twist": ("apply_word", 1, 1),
+    "lax-conjugation": ("v_vector", 0, 1),
+    "lax-unitarity": ("global_lax", 0, 1),  # the one trial's points
+    "lax-hamiltonian": ("local_lax", 0, None),
+    "gradients": ("hamiltonian_gradient", 1, 6),  # one per Hamiltonian
+    "normalization": ("v_vector", 0, 1),
+    "mu-spectrum": ("v_vector", 0, 1),
+    "global-lax": ("global_lax", 0, 1),  # K(u) and K(e^{i gamma} u)
+    "boundary-limit": ("global_lax", 0, 2),  # on the walls, then off them
+    "poisson": ("global_lax", 0, 1),  # the chart Jacobian points
+    "conservation": ("f_beta_inv", 0, 1),
+    "polytope-image": ("global_lax", 0, 1),
+    "polytope-vertices": ("duality", 1, 1),
+    "axiom-a2": ("omega_eval", 0, 1),
+    "equivariance": ("conjugate", 0, 1),
+    "flow-moment": ("flow", 0, 5),  # one per Hamiltonian
+    "omega-morphisms": ("omega_eval", 0, 5),  # omega(v, w), then one per generator
+    "section-consistency": ("f_beta_inv", 0, 1),
 }
+
+
+def _lead(x):
+    """The leading shape of a stack of points (..., n) or of pairs."""
+    return x.A.shape[:-2] if isinstance(x, DoublePoint) else np.shape(x)[:-1]
 
 
 @pytest.mark.parametrize("samples", [6, 20])
@@ -852,97 +939,174 @@ CALLS_PER_CELL = {
 def test_stacked_check_labels_each_stage_in_one_call(monkeypatch, name, samples):
     from rsdual import reduction
 
-    target, calls = CALLS_PER_CELL[name]
+    target, arg, calls = CALLS_PER_CELL[name]
     stacks = []
 
-    def counted(p, *args, f=getattr(verify, target)):
-        stacks.append(p.A.shape[:-2] if isinstance(p, DoublePoint) else np.shape(p)[:-1])
-        return f(p, *args)
+    def counted(*args, f=getattr(verify, target)):
+        stacks.append(_lead(args[arg]))
+        return f(*args)
 
     monkeypatch.setattr(verify, target, counted)
     if target == "f_beta_inv":  # the maps on CP(n-1) label in reduction
         monkeypatch.setattr(reduction, target, counted)
     (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=samples, checks=(name,))).results
     assert cell.passed
-    trials = max(1, samples // CHECKS[name][2])
+    per = CHECKS[name][2]
+    trials = max(1, samples // per) if per else 1
+    if calls is None:  # local_lax takes one point: one call per trial
+        assert stacks == [()] * trials
+        return
     assert len(stacks) == calls
     # the trials on axis 0, or on axis 1 behind the two central-difference
     # steps of a chart Jacobian or the pair K(u), K(e^{i gamma} u)
     assert all(trials in shape[:2] for shape in stacks)
 
 
-# the library call of each stacked check that the forced failure breaks, and
-# which of its arguments holds the points
+# the library call of each check that the forced failure breaks, and which
+# of its arguments holds the draw's first entry (the point, xi, or X)
 FORCED_AT = {
+    "constraint": ("section_F", 0),
+    "pullback": ("section_F", 0),
+    "intertwine": ("section_F", 0),  # after K(u)
     "duality-squares": ("duality", 1),
     "duality-exchange": ("duality", 1),
     "mapclass-origin": ("mapclass_on_P", 1),
     "dehn-decomposition": ("reduced_flow", 0),  # after S(u) and r1
-    "section-consistency": ("section_F", 0),
-    "conservation": ("reduced_flow", 0),
-    "constraint": ("section_F", 0),
-    "intertwine": ("section_F", 0),  # after K(u)
-    "polytope-image": ("global_lax", 0),  # after J(u), whose row is dropped too
-    "pullback": ("section_F", 0),
-    "poisson": ("to_chart", 0),  # the chart coordinates of the points
+    "central-twist": ("apply_word", 1),
+    "lax-conjugation": ("local_lax", 0),
+    "lax-unitarity": ("local_lax", 0),
+    "lax-hamiltonian": ("local_hamiltonian", 0),
+    "gradients": ("hamiltonian_gradient", 1),
+    "normalization": ("v_vector", 0),
+    "mu-spectrum": ("alcove_delta", 0),  # after v(xi)
     "global-lax": ("global_lax", 0),
+    "boundary-limit": ("canonicalize", 0),
+    "poisson": ("to_chart", 0),  # the chart coordinates of the points
+    "conservation": ("reduced_flow", 0),
+    "polytope-image": ("global_lax", 0),  # after J(u), whose row is dropped too
+    "polytope-vertices": ("duality", 1),  # after J(u)
+    "axiom-a2": ("omega_eval", 0),  # after dmu
+    "equivariance": ("conjugate", 0),
+    "flow-moment": ("flow", 0),
+    "omega-morphisms": ("omega_eval", 0),
+    "section-consistency": ("section_F", 0),
 }
 # rows of one trial at n = 3 where it is not one (poisson has one pair k < l)
 ROWS_PER_TRIAL = {
-    "conservation": 7, "constraint": 3, "intertwine": 3, "polytope-image": 2, "pullback": 5,
+    "constraint": 3, "pullback": 5, "intertwine": 3, "lax-unitarity": 16, "gradients": 24,
+    "boundary-limit": 3, "conservation": 7, "polytope-image": 2, "polytope-vertices": 3,
+    "axiom-a2": 3, "flow-moment": 5, "omega-morphisms": 4,
 }
+
+
+def _alone(check, c, drawn):
+    """The residuals of one trial evaluated alone, as a group of one."""
+    return np.ravel(check.residuals(c, *(np.array([x]) for x in drawn.values())))
 
 
 @pytest.mark.parametrize("name", STACKED)
 def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name):
-    # trial 2's point makes the library call raise, in the cell's stack and
-    # alone; the cell must report what running each trial by itself reports
+    # trial 2's draw (the one trial's, for lax-unitarity and polytope-vertices)
+    # makes the library call raise, in the cell's stack and alone; the cell
+    # must report what running each trial by itself reports
     check, tol, per = CHECKS[name]
-    cfg = SuiteConfig(n_list=(3,), samples=5 * per, seed=3, checks=(name,))
+    cfg = SuiteConfig(n_list=(3,), samples=5 * (per or 1), seed=3, checks=(name,))
     (c,) = cfg.couplings()
     rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
-    draws = [check.draw(c, rng) for _ in range(5)]
+    draws = [check.draw(c, rng) for _ in range(5)] if per else [check.draw(c, rng, cfg.samples)]
+    t = 2 if per else 0
+    first = next(iter(draws[t].values()))
     target, arg = FORCED_AT[name]
     f = getattr(verify, target)
-    stacks = []
 
     def forced(*args):
-        stacks.append(np.shape(args[arg])[:-1])
-        if np.all(args[arg] == draws[2][0], -1).any():
+        x = args[arg].A if isinstance(args[arg], DoublePoint) else args[arg]
+        if np.all(x == first, -1).any():
             raise ConstraintViolation(f"forced failure in {target}")
         return f(*args)
 
+    groups = []
+
+    def recorded(c, *stacks):
+        groups.append(len(stacks[0]))
+        return check.residuals(c, *stacks)
+
     monkeypatch.setattr(verify, target, forced)
+    monkeypatch.setitem(CHECKS, name, (Stacked(recorded, check.draw), tol, per))
     (cell,) = run_suite(cfg).results
 
     rows, failure = [], None
     for i, drawn in enumerate(draws):
         try:
-            rows += list(np.ravel(check.residuals(c, *drawn)))
+            rows += list(_alone(check, c, drawn))
         except ConstraintViolation as exc:
             failure = failure or {"trial": i, "error": "ConstraintViolation", "message": str(exc)}
-    assert failure == {"trial": 2, "error": "ConstraintViolation", "message": f"forced failure in {target}"}
-    assert not cell.passed and cell.failure == failure
-    assert cell.samples == len(rows) == 4 * ROWS_PER_TRIAL.get(name, 1)
-    assert cell.max_residual == max(rows)
-    assert 5 in stacks[0][:2]  # the cell was tried as one stack first
+    assert failure == {
+        "trial": t, "error": "ConstraintViolation",
+        "message": f"forced failure in {target}",
+    }
+    assert not cell.passed and cell.failure == {**failure, "data": verify._to_json(draws[t])}
+    assert cell.samples == len(rows) == (len(draws) - 1) * ROWS_PER_TRIAL.get(name, 1)
+    assert cell.max_residual == max(rows, default=0.0)
+    assert groups[0] == len(draws)  # the cell was tried as one stack first
+
+
+def _json_floats(x):
+    """x as the JSON of a report: [re, im] pairs for complex numbers."""
+    x = np.asarray(x)
+    return np.stack((x.real, x.imag), -1).tolist() if np.iscomplexobj(x) else x.tolist()
 
 
 def test_stacked_payload_names_the_point_and_its_row(monkeypatch):
-    # a stacked check's failure payload names the trial's point and which of
-    # its rows failed: the chart j = row + 1 of constraint, the pair (a, b)
-    # of pullback, the pair k < l of poisson in np.triu_indices order
-    for name, n, rows in (("constraint", 3, 3), ("pullback", 3, 5), ("poisson", 4, 3), ("global-lax", 3, 1)):
+    # a failure payload names the trial's draw, entry by entry (the point u,
+    # xi and its momenta p, a pair (A, B) of the double ...), and which of its
+    # rows failed: the chart j = row + 1 of constraint, the pair (a, b) of
+    # pullback, the pair k < l of poisson in np.triu_indices order, the wall
+    # of boundary-limit, the Hamiltonian and zeta of gradients, the
+    # generator of omega-morphisms
+    cases = (
+        ("constraint", 3, 3), ("pullback", 3, 5), ("poisson", 4, 3), ("global-lax", 3, 1),
+        ("normalization", 3, 1), ("lax-hamiltonian", 3, 1), ("boundary-limit", 3, 3),
+        ("gradients", 2, 20), ("omega-morphisms", 3, 4),
+    )
+    for name, n, rows in cases:
         check, _, per = CHECKS[name]
         monkeypatch.setitem(CHECKS, name, (check, 1e-30, per))
-        cfg = SuiteConfig(n_list=(n,), samples=4, seed=5, checks=(name,))
+        cfg = SuiteConfig(n_list=(n,), samples=4 * per, seed=5, checks=(name,))
         (c,) = cfg.couplings()
         rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
-        u = check.draw(c, rng)[0]
+        drawn = check.draw(c, rng)
         (cell,) = run_suite(cfg).results
         assert not cell.passed and cell.samples == 4 * rows
         assert cell.failure["sample_index"] == 0
-        assert cell.failure["data"] == {"row": 0, "u": point_to_json(u)}
+        data = cell.failure["data"]
+        assert data == {"row": 0, **{k: _json_floats(x) for k, x in drawn.items()}}
+        if "u" in drawn and drawn["u"].ndim == 1:
+            assert data["u"] == point_to_json(drawn["u"])
+
+
+def test_exception_payload_replays_the_trial():
+    # the small-y polytope-vertices cell raises; its record names the n
+    # near-vertex points, and they, read back from the JSON report exactly
+    # (not canonicalized), raise the same error alone
+    cfg = SuiteConfig(n_list=(2, 3, 4), y_rule=1e-6, samples=5, seed=0,
+                      checks=("polytope-vertices",))
+    record = json.loads(json.dumps(run_suite(cfg).to_json()))
+    cells = {cell["n"]: cell for cell in record["checks"]}
+    for cell in cells.values():
+        failure = cell["failure"]
+        assert set(failure) == {"trial", "error", "message", "data"}
+        assert len(failure["data"]["u"]) == cell["n"]
+    failure = cells[3]["failure"]
+    pairs = np.array(failure["data"]["u"])
+    u = pairs[..., 0] + 1j * pairs[..., 1]
+    c = Coupling(3, 1e-6)
+    with pytest.raises(ConstraintViolation) as exc:
+        CHECKS["polytope-vertices"][0].residuals(c, u[None])
+    assert (failure["error"], failure["message"]) == ("ConstraintViolation", str(exc.value))
+    # the points are those the cell drew
+    rng = np.random.default_rng([0, list(CHECKS).index("polytope-vertices"), 3])
+    assert np.array_equal(u, CHECKS["polytope-vertices"][0].draw(c, rng, 5)["u"])
 
 
 def test_stack_of_a_cell_is_bounded(monkeypatch):
@@ -958,22 +1122,28 @@ def test_stack_of_a_cell_is_bounded(monkeypatch):
 
         monkeypatch.setattr(verify, target, counted)
     for name in ("pullback", "poisson"):
-        check = CHECKS[name][0]
+        check, tol, per = CHECKS[name]
+        got = []
+
+        def recorded(c, *stacks, check=check):
+            got.extend(np.ravel(check.residuals(c, *stacks)))
+            return check.residuals(c, *stacks)
+
+        monkeypatch.setitem(CHECKS, name, (Stacked(recorded, check.draw), tol, per))
         sizes.clear()
-        trials = verify._trials(check, c, np.random.default_rng(7), 20, ())
-        got = [r for rows in trials for r, _ in rows]
+        run_suite(SuiteConfig(n_list=(32,), samples=20, seed=7, checks=(name,)))
         assert sizes and max(sizes) * c.n**2 <= verify.STACK_ENTRIES
         assert max(sizes) == 4 * (c.n - 1)  # the chart Jacobian of one trial
-        rng = np.random.default_rng(7)
-        alone = [check.residuals(c, *check.draw(c, rng)) for _ in range(20)]
+        rng = np.random.default_rng([7, list(CHECKS).index(name), c.n])
+        alone = [_alone(check, c, check.draw(c, rng)) for _ in range(20)]
         assert np.array_equal(got, np.ravel(alone))
 
 
 def test_axis_error_in_a_check_propagates(monkeypatch):
     # numpy's AxisError is a ValueError, but in a check it is a bug, not a
-    # failed cell: a plain trial, a stacked group and one trial alone raise it
+    # failed cell: a scripted trial, a stacked group and one trial alone raise it
     def misplaced(c, U, *rest):
-        if np.ndim(U) > 1:
+        if len(U) > 1:
             raise ConstraintViolation("the group fails")
         return np.moveaxis(np.zeros(5), 1, 0)
 
@@ -981,7 +1151,7 @@ def test_axis_error_in_a_check_propagates(monkeypatch):
         return np.moveaxis(np.zeros(np.shape(U)[:-1] + (5,)), 2, 0)
 
     cases = [
-        ("normalization", _scripted_trial({1: np.exceptions.AxisError(2, 1)}, [])),
+        ("normalization", _scripted({1: np.exceptions.AxisError(2, 1)}, [])),
         ("pullback", Stacked(stacked_misplaced, CHECKS["pullback"][0].draw)),
         ("pullback", Stacked(misplaced, CHECKS["pullback"][0].draw)),
     ]
@@ -992,9 +1162,10 @@ def test_axis_error_in_a_check_propagates(monkeypatch):
 
 
 def test_slot_and_vertex_loops_are_one_call_per_stage(monkeypatch):
-    # boundary-limit puts all n wall points of a trial through each stage in
-    # one call (K(u0) before K(u1)), and polytope-vertices all n near-vertex
-    # points through one duality call; per slot and per vertex they made n
+    # boundary-limit puts the n wall points of all trials of a cell through
+    # each stage in one call (K(u0) before K(u1)), and polytope-vertices all
+    # n near-vertex points through one duality call; per slot and per vertex
+    # they made n calls, per trial 4
     calls = []
     for name in ("canonicalize", "global_lax", "duality"):
         def counted(*args, f=getattr(verify, name), name=name):
@@ -1003,8 +1174,7 @@ def test_slot_and_vertex_loops_are_one_call_per_stage(monkeypatch):
 
         monkeypatch.setattr(verify, name, counted)
     run_suite(SuiteConfig(n_list=(3,), samples=20, checks=("boundary-limit",)))
-    stages = [("canonicalize", (3, 3)), ("global_lax", (3, 3))] * 2
-    assert calls == stages * 4
+    assert calls == [("canonicalize", (4, 3, 3)), ("global_lax", (4, 3, 3))] * 2
     calls.clear()
     run_suite(SuiteConfig(n_list=(3,), samples=20, checks=("polytope-vertices",)))
-    assert calls == [("duality", (3, 3))]
+    assert calls == [("duality", (1, 3, 3))]
