@@ -6,9 +6,7 @@ r_k = sqrt(xi_k - y) and W_k(-y) in r_{k-1}; splitting those roots off
 leaves strictly positive smooth factors w_k^{+-}.  The matrix Lambda of
 smooth entry cofactors assembled from them never vanishes, which is what
 lets the Lax matrix extend to the whole projective phase space as K(u).
-Lambda, K(u), the chart gauge, w_factors and v_vector take stacks (..., n),
-each row with the one-point bits; local_lax, local_hamiltonian and mu_of_v
-take one point and raise ValueError naming the shape of a stack.
+Every function here takes stacks (..., n), each row with the one-point bits.
 """
 
 from collections import namedtuple
@@ -146,7 +144,7 @@ def _lambda_parts(xi, c):
 
 def _theta_vector(theta, n):
     theta = np.asarray(theta)
-    if theta.shape != (n,):
+    if theta.shape[-1:] != (n,):
         raise ValueError(f"Theta must be a diagonal of length {n}")
     if np.any(np.abs(np.abs(theta) - 1.0) > 1e-9):
         raise ValueError("Theta entries must be unit modulus")
@@ -163,8 +161,6 @@ def local_lax(xi, theta, c):
     L(delta, Theta; -y) = L(delta, 1)^dagger Theta.
     """
     xi = check_shifted_alcove(xi, c)
-    if xi.ndim != 1:
-        raise ValueError(f"local_lax takes one alcove point xi (n,), got shape {xi.shape}")
     theta = _theta_vector(theta, c.n)
     # W comes from the same sin(phi + y) as the denominator, not from Lambda
     # (r_k r_{l-1} Lambda_kl) or w_factors: built from those, L loses
@@ -174,8 +170,8 @@ def local_lax(xi, theta, c):
     phi = _pair_angles(xi)
     den = np.sin(phi + c.y)
     ratio = _w_ratios(phi, den)
-    w2p = ratio.prod(axis=1)
-    w2m = ratio.prod(axis=0)
+    w2p = ratio.prod(axis=-1)
+    w2m = ratio.prod(axis=-2)
     if np.any(w2p < -1e-13) or np.any(w2m < -1e-13):
         raise DomainViolation("W^2 factors negative; xi outside the coupling domain")
     Wp = np.sqrt(np.maximum(w2p, 0.0))
@@ -183,11 +179,11 @@ def local_lax(xi, theta, c):
     # |e^{iy} delta_k / delta_l - e^{-iy}| = 2 |sin(phi_kl + y)|
     small = 2.0 * np.abs(den) < 1e-12
     if small.any():
-        k, l = np.argwhere(small)[0]
+        k, l = np.argwhere(small)[0][-2:]  # in the first matrix that has one
         raise SingularDenominator(
             f"Lax denominator vanishes at entry ({k + 1}, {l + 1})"
         )
-    return math.sin(c.y) * np.exp(-1j * phi) / den * Wp[:, None] * Wm * theta
+    return math.sin(c.y) * np.exp(-1j * phi) / den * Wp[..., :, None] * Wm[..., None, :] * theta[..., None, :]
 
 
 def local_hamiltonian(xi, p_angles, c):
@@ -198,15 +194,15 @@ def local_hamiltonian(xi, p_angles, c):
     product under the root is W_j(y)^2 W_j(-y)^2, so H is evaluated as
     sum_j cos(p_j) W_j(y) W_j(-y), which vanishes exactly on the walls.
     """
-    if np.ndim(xi) != 1:
-        raise ValueError(f"local_hamiltonian takes one alcove point xi (n,), got shape {np.shape(xi)}")
     Wp, Wm, _, _ = w_factors(xi, c)
     p = np.asarray(p_angles, dtype=float)
-    if p.shape != (c.n,):
+    if p.shape[-1:] != (c.n,):
         raise ValueError(f"need {c.n} momentum angles")
-    if abs(math.remainder(p.sum(), 2.0 * math.pi)) > 1e-9:
+    # |math.remainder(sum p, 2 pi)| per row, exactly: so are fmod and 2 pi - r, r >= pi
+    r = np.abs(np.fmod(np.add.reduce(p, -1), 2.0 * math.pi))
+    if anywhere(np.minimum(r, 2.0 * math.pi - r) > 1e-9):
         raise DomainViolation("momenta must sum to 0 mod 2 pi")
-    return float(np.dot(np.cos(p), Wp * Wm))
+    return np.vecdot(np.cos(p), Wp * Wm)
 
 
 def v_vector(xi, c):
@@ -222,12 +218,12 @@ def v_vector(xi, c):
 def mu_of_v(v, c):
     """Rank-one conjugate e^{2iy} 1 + (e^{2i(1-n)y} - e^{2iy}) v v^dagger of mu0."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"mu_of_v takes one unit vector v (n,), got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise NormViolation(f"|v| = {np.linalg.norm(v):.12g}, expected 1")
+    nrm = np.sqrt(np.vecdot(v, v).real)
+    off = abs(nrm - 1.0) > 1e-9
+    if anywhere(off):
+        raise NormViolation(f"|v| = {nrm[first_row(off)]:.12g}, expected 1")
     coeff = np.exp(2j * (1 - c.n) * c.y) - np.exp(2j * c.y)
-    return np.exp(2j * c.y) * np.eye(c.n) + coeff * np.outer(v, np.conjugate(v))
+    return np.exp(2j * c.y) * np.eye(c.n) + coeff * (v[..., :, None] * np.conjugate(v)[..., None, :])
 
 
 def reflection_g(x, j):

@@ -4,10 +4,11 @@ Points are phase classes of complex n-vectors with |u|^2 = chi0.  The module
 fixes a canonical representative, provides the Darboux parametrization by
 (xi, tau), the toric moment map, chart-wise evaluation of the scaled
 Fubini-Study form, the rotational torus action and the discrete involutions.
-canonicalize, chart_index, the distance, the involutions, the moment maps,
-the chart maps and the form also take stacks of points (..., n), each row
-with the one-point bits.  chart_gauge (which section_F reads) and from_chart
-check every chart index j, one for all rows or one per row.
+canonicalize, chart_index, the distance, the rotational action, the
+involutions, the moment maps, the chart maps and the form also take stacks
+of points (..., n), each row with the one-point bits.  chart_gauge (which
+section_F reads) and from_chart check every chart index j, one for all rows
+or one per row.
 """
 
 import json
@@ -66,6 +67,11 @@ def _norm(x):
     if x.ndim == 1:
         return np.sqrt(re.dot(re) + im.dot(im))
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def _fro(M):
+    """np.linalg.norm of a matrix, or of each of a stack (..., n, n), with its bits."""
+    return _norm(M.reshape(M.shape[:-2] + (-1,)))
 
 
 def projective_distance(u, v):
@@ -228,10 +234,15 @@ def fs_omega_eval(u, v1, v2, j):
 
 
 def rot_action(theta, u):
-    """Rotational torus action u_k -> e^{i theta_k} u_k, k = 1..n-1."""
+    """Rotational torus action u_k -> e^{i theta_k} u_k, k = 1..n-1, on a
+    point or on each row of a stack, with one theta for all or one per row."""
     u = np.array(u, dtype=complex)
-    theta = np.asarray(theta, dtype=float)
-    u[: len(u) - 1] *= np.exp(1j * theta)
+    e = np.exp(1j * np.asarray(theta, dtype=float))
+    w = u[..., :-1].copy()
+    # w * e from its real products, which round alike in every layout;
+    # numpy rounds a complex product one of two ways, by operand layout
+    u.real[..., :-1] = w.real * e.real - w.imag * e.imag
+    u.imag[..., :-1] = w.real * e.imag + w.imag * e.real
     return u
 
 

@@ -22,7 +22,7 @@ from .double import DoublePoint, apply_word, auto_apply, flow, flow_map
 from .errors import ConstraintViolation, anywhere, first_row
 from .lax import _cyclic, _lambda_parts, _lax_from, global_lax, reflection_g
 from .projective import (
-    _norm,
+    _fro,
     canonicalize,
     chart_gauge,
     chart_index,
@@ -72,7 +72,7 @@ def constraint_residual(p, c):
     as |AB - mu0 BA|_F: right multiplication by the unitary BA mu0^{-1}
     preserves the norm, and mu0 is diagonal."""
     M = p.A @ p.B - c.mu0.diagonal()[:, None] * (p.B @ p.A)
-    return _norm(M.reshape(M.shape[:-2] + (-1,)))
+    return _fro(M)
 
 
 def _orbit_frame(B, c):

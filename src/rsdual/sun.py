@@ -8,10 +8,8 @@ checks regularity; where only xi is needed, alcove_point reads it from the
 eigenvalues alone.  Nothing here takes a Coupling: n is the size of the
 input, A.shape[-1] or xi.shape[-1].  The gradients and flows built on
 (xi, g) live in double.py; the invariant pairing of su(n) lives here.
-spectral_xi, alcove_exponents, alcove_point, the pairing and the su(n)
-projection take stacks (..., n, n) or (..., n), each row with the
-one-point bits; alcove_delta takes one point and raises ValueError on a
-stack.
+Every function of a matrix or an alcove point takes stacks (..., n, n) or
+(..., n), each row with the one-point bits.
 """
 
 import functools
@@ -78,10 +76,11 @@ def alcove_delta(xi):
 
     Injective on the alcove; raises AlcoveViolation off it.
     """
-    xi = check_alcove(xi)
-    if xi.ndim != 1:
-        raise ValueError(f"alcove_delta takes one alcove point xi (n,), got shape {xi.shape}")
-    return np.diag(np.exp(1j * alcove_exponents(xi)))
+    e = np.exp(1j * alcove_exponents(check_alcove(xi)))
+    n = e.shape[-1]
+    d = np.zeros(e.shape + (n,), dtype=complex)
+    d[..., range(n), range(n)] = e
+    return d
 
 
 def _phases_to_alcove(phases, xi):

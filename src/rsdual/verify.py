@@ -35,7 +35,7 @@ from .double import (
 from .errors import RSDualError
 from .lax import global_lax, local_hamiltonian, local_lax, mu_of_v, v_vector
 from .projective import (
-    _norm,
+    _fro,
     canonicalize,
     chart_index,
     from_chart,
@@ -117,11 +117,6 @@ def _all_charts(u, c):
     axis -3 of A and B runs over the charts."""
     shape = u.shape[:-1] + (c.n, c.n)
     return section_F(np.broadcast_to(u[..., None, :], shape), np.arange(1, c.n + 1), c)
-
-
-def _fro(M):
-    """np.linalg.norm of each matrix of a stack (..., n, n), with its bits."""
-    return _norm(M.reshape(M.shape[:-2] + (-1,)))
 
 
 def _draw_pullback(c, rng):
@@ -215,11 +210,9 @@ def _draw_local_lax(c, rng):
 
 
 def _check_lax_conjugation(c, xi, theta):
-    # local_lax, local_hamiltonian, mu_of_v and alcove_delta take one point:
-    # the checks of the local Lax matrix map them over the trials
-    L = np.array([local_lax(x, t, c) for x, t in zip(xi, theta)])
-    d = np.array([alcove_delta(x) for x in xi])
-    mu = np.array([mu_of_v(v, c) for v in v_vector(xi, c)[0]])
+    L = local_lax(xi, theta, c)
+    d = alcove_delta(xi)
+    mu = mu_of_v(v_vector(xi, c)[0], c)
     return _fro(L @ d @ dagger(L) - mu @ d)
 
 
@@ -232,13 +225,11 @@ def _draw_lax_unitarity(c, rng, samples):
 
 
 def _check_lax_unitarity(c, xi, theta, u):
-    def defect(M):
-        return np.maximum(_fro(dagger(M) @ M - np.eye(c.n)), abs(np.linalg.det(M) - 1.0))
-
-    # the one trial's local matrices one at a time (abs of one complex det
-    # can differ from np.abs of a stack's by an ulp), then K(u) of its points
-    local = [defect(local_lax(x, t, c)) for x, t in zip(xi[0], theta[0])]
-    return np.concatenate((local, defect(global_lax(u, c)[0])))
+    # the one trial's local matrices, then K(u) of its points
+    M = np.concatenate((local_lax(xi[0], theta[0], c), global_lax(u, c)[0]))
+    det = np.linalg.det(M) - 1.0
+    # |det - 1| by the scalar abs's bits; np.abs of an array differs
+    return np.maximum(_fro(dagger(M) @ M - np.eye(c.n)), np.hypot(det.real, det.imag))
 
 
 def _draw_lax_hamiltonian(c, rng):
@@ -249,8 +240,8 @@ def _draw_lax_hamiltonian(c, rng):
 
 
 def _check_lax_hamiltonian(c, xi, p):
-    H = [local_hamiltonian(x, q, c) for x, q in zip(xi, p)]
-    L = np.array([local_lax(x, np.exp(-1j * q), c) for x, q in zip(xi, p)])
+    H = local_hamiltonian(xi, p, c)
+    L = local_lax(xi, np.exp(-1j * p), c)
     return abs(H - np.trace(L, 0, -2, -1).real)
 
 
@@ -283,8 +274,8 @@ def _check_normalization(c, xi):
 
 def _check_mu_spectrum(c, xi):
     vs = v_vector(xi, c)[0]
-    d = np.array([alcove_delta(x) for x in xi])
-    mu = np.array([mu_of_v(v, c) for v in vs])
+    d = alcove_delta(xi)
+    mu = mu_of_v(vs, c)
     e1 = np.sort(np.angle(np.linalg.eigvals(mu @ d)))
     e2 = np.sort(np.angle(np.diagonal(d, 0, -2, -1)))
     return np.abs(e1 - e2).max(-1)
@@ -444,10 +435,11 @@ def _check_section_consistency(c, U):
 Stacked = namedtuple("Stacked", "residuals draw")
 
 # Most matrix entries one stacked call holds.  No trial but lax-unitarity's
-# one (samples + 2n points through one global_lax call) puts more than 4n
-# points, 4n n x n matrices, through one call (a chart Jacobian takes
-# 4(n - 1)), so a group holds max(1, STACK_ENTRIES // (4 n^3)) trials: a
-# whole cell at n <= 4, 8 trials at n = 16, one trial from n = 32 on.
+# one (samples local matrices through one local_lax call, samples + 2n
+# points through one global_lax call) puts more than 4n points, 4n n x n
+# matrices, through one call (a chart Jacobian takes 4(n - 1)), so a group
+# holds max(1, STACK_ENTRIES // (4 n^3)) trials: a whole cell at n <= 4,
+# 8 trials at n = 16, one trial from n = 32 on.
 STACK_ENTRIES = 2**17
 
 

@@ -400,29 +400,3 @@ def test_delta_of_moment_map_identities():
         dG = alcove_delta(moment_J_full(involution("Gamma", u), c))
         assert np.linalg.norm(dC - d) < 1e-12
         assert np.linalg.norm(dG - eta0 @ dagger(d) @ eta0) < 1e-10
-
-
-@pytest.mark.parametrize("rows", [2, 3])
-def test_local_hamiltonian_takes_one_point(rows):
-    # on a stack it raised numpy's "shapes not aligned" (2 rows) or a
-    # TypeError (3 rows), naming no point
-    c = Coupling.default(3)
-    xi = np.array([random_shifted_alcove(c, RNG) for _ in range(rows)])
-    with pytest.raises(ValueError, match=rf"shape \({rows}, 3\)"):
-        local_hamiltonian(xi, np.zeros(3), c)
-
-
-def test_mu_of_v_takes_one_point():
-    # on two unit vectors it raised NormViolation "|v| = 1.41421356237"
-    c = Coupling.default(3)
-    v = np.array([v_vector(random_shifted_alcove(c, RNG), c)[0] for _ in range(2)])
-    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
-        mu_of_v(v, c)
-
-
-def test_local_lax_takes_one_point():
-    # on a stack it returned a (3, 3, 3) array of wrong rows, silently
-    c = Coupling.default(3)
-    xi = np.array([random_shifted_alcove(c, RNG) for _ in range(3)])
-    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
-        local_lax(xi, np.ones(3), c)

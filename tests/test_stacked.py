@@ -4,7 +4,7 @@ call bit for bit, and a stack with one bad row raises that row's error."""
 import numpy as np
 import pytest
 
-from rsdual.coupling import Coupling
+from rsdual.coupling import Coupling, random_shifted_alcove
 from rsdual.double import (
     DoublePoint,
     DoubleTangent,
@@ -16,14 +16,25 @@ from rsdual.double import (
     random_double_point,
 )
 from rsdual.errors import (
+    AlcoveViolation,
     ChartViolation,
     ConstraintViolation,
     DomainViolation,
     NonRegular,
     NormViolation,
+    SingularDenominator,
     ZeroVector,
 )
-from rsdual.lax import _lambda_parts, global_lax, reflection_g, v_vector, w_factors
+from rsdual.lax import (
+    _lambda_parts,
+    global_lax,
+    local_hamiltonian,
+    local_lax,
+    mu_of_v,
+    reflection_g,
+    v_vector,
+    w_factors,
+)
 from rsdual.projective import (
     canonicalize,
     chart_index,
@@ -33,6 +44,7 @@ from rsdual.projective import (
     moment_J_full,
     projective_distance,
     random_point,
+    rot_action,
     to_chart,
     vertex_points,
 )
@@ -48,7 +60,14 @@ from rsdual.reduction import (
     reduced_flow,
     section_F,
 )
-from rsdual.sun import alcove_point, random_special_unitary, random_su_algebra, spectral_xi
+from rsdual.sun import (
+    alcove_delta,
+    alcove_exponents,
+    alcove_point,
+    random_special_unitary,
+    random_su_algebra,
+    spectral_xi,
+)
 
 NS = (2, 3, 4, 8, 16)
 
@@ -111,6 +130,37 @@ def test_w_factors_and_v_vector_rows_are_the_one_point_calls(n):
                 assert same_bits(part[k], one)
             v1, z1 = v_vector(x, c)
             assert same_bits(v[k], v1) and same_bits(z[k], z1)
+    # the functions of the local Lax matrix, on interior points and next to
+    # each wall, also at y = 1e-6 with xi_k - y = 1e-11, where local_lax's
+    # unitarity is hardest to keep
+    rng = np.random.default_rng(900 + n)
+    for c in (Coupling.default(n), Coupling(n, 1e-6)):
+        xi, theta, p = local_draws(c, rng)
+        for rows in (slice(None), slice(n)):
+            L = local_lax(xi[rows], theta[rows], c)
+            H = local_hamiltonian(xi[rows], p[rows], c)
+            v = v_vector(xi[rows], c)[0]
+            mu, d = mu_of_v(v, c), alcove_delta(xi[rows])
+            for k, x in enumerate(xi[rows]):
+                assert same_bits(L[k], local_lax(x, theta[k], c))
+                assert same_bits(H[k], local_hamiltonian(x, p[k], c))
+                assert same_bits(mu[k], mu_of_v(v[k], c))
+                assert same_bits(d[k], alcove_delta(x))
+                assert same_bits(d[k], np.diag(np.exp(1j * alcove_exponents(x))))
+
+
+def local_draws(c, rng):
+    """Alcove points (interior, then xi_k - y = 1e-11 for each k in turn),
+    each with a torus diagonal Theta of det 1 and momenta summing to 0."""
+    xi = [random_shifted_alcove(c, rng) for _ in range(4)]
+    for k in range(c.n):
+        x = random_shifted_alcove(c, rng)
+        rest, x[k] = x[k] - (c.y + 1e-11), c.y + 1e-11
+        x[x.argmax()] += rest
+        xi.append(x)
+    phases = rng.uniform(-np.pi, np.pi, (len(xi), c.n))
+    phases[:, -1] = -phases[:, :-1].sum(-1)
+    return np.array(xi), np.exp(1j * phases), phases
 
 
 @pytest.mark.parametrize("n", NS)
@@ -203,6 +253,38 @@ def test_a_bad_row_raises_what_it_raises_alone():
     raises_as_alone(lambda x: reflection_g(x, 3), x, 1, NormViolation)
 
 
+def test_a_bad_row_of_the_local_lax_functions_raises_what_it_raises_alone():
+    # rows 1 and 3 are bad, each in its own way; the stack reports row 1
+    c = Coupling.default(3)
+    xi, theta, p = local_draws(c, np.random.default_rng(6))
+    xi, theta, p = xi[:4], theta[:4], p[:4]
+
+    def raises_as_alone(f, error, *stacks):
+        with pytest.raises(error) as alone:
+            f(*(stack[1] for stack in stacks))
+        with pytest.raises(error) as stacked:
+            f(*stacks)
+        assert str(stacked.value) == str(alone.value)
+
+    wall = xi.copy()
+    for row, k in ((1, 1), (3, 0)):  # xi_k = y: a vanishing denominator
+        wall[row, 2] += wall[row, k] - c.y
+        wall[row, k] = c.y
+    raises_as_alone(lambda x, t: local_lax(x, t, c), SingularDenominator, wall, theta)
+    v = v_vector(xi, c)[0]
+    v[1] *= 1.5
+    v[3] *= 0.5
+    raises_as_alone(lambda v: mu_of_v(v, c), NormViolation, v)
+    off = p.copy()
+    off[1, 0] += 0.5
+    off[3, 0] += 0.25
+    raises_as_alone(lambda x, q: local_hamiltonian(x, q, c), DomainViolation, xi, off)
+    off = xi.copy()
+    off[1, 0] += 0.1
+    off[3, 0] += 0.2
+    raises_as_alone(alcove_delta, AlcoveViolation, off)
+
+
 # ---------------------------------------------------------------------------
 # the relabel half: every map on CP(n-1) runs on a stack of points
 
@@ -277,6 +359,11 @@ def test_projective_rows_are_the_one_point_calls(n):
     assert_rows(dist, [projective_distance(u, v) for u, v in zip(U, V)])
     assert same_bits(projective_distance(U, U[:1]), projective_distance(U, U[0]))
     assert_rows(*alone_and_stacked(lambda u: moment_J(u, c), U))
+    # one theta for all rows, then one per row; at n = 2 the stack once had
+    # whole rows rotated (a global phase, so no point moved)
+    theta = rng.uniform(0.0, 2.0 * np.pi, (len(U), n - 1))
+    assert_rows(*alone_and_stacked(lambda u: rot_action(theta[0], u), U))
+    assert_rows(rot_action(theta, U), [rot_action(t, u) for t, u in zip(theta, U)])
 
 
 HAMILTONIANS = [

@@ -466,10 +466,3 @@ def test_coupling_invariants():
         Coupling(3, 0.0)
     with pytest.raises(ValueError):
         Coupling(1, 0.1)
-
-
-def test_alcove_delta_takes_one_point():
-    # on a stack it returned the diagonal of the stacked exponents, silently
-    xi = np.array([[1.0, 1.0, math.pi - 2.0]] * 3)
-    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
-        alcove_delta(xi)

@@ -911,7 +911,7 @@ CALLS_PER_CELL = {
     "central-twist": ("apply_word", 1, 1),
     "lax-conjugation": ("v_vector", 0, 1),
     "lax-unitarity": ("global_lax", 0, 1),  # the one trial's points
-    "lax-hamiltonian": ("local_lax", 0, None),
+    "lax-hamiltonian": ("local_lax", 0, 1),
     "gradients": ("hamiltonian_gradient", 1, 6),  # one per Hamiltonian
     "normalization": ("v_vector", 0, 1),
     "mu-spectrum": ("v_vector", 0, 1),
@@ -953,9 +953,6 @@ def test_stacked_check_labels_each_stage_in_one_call(monkeypatch, name, samples)
     assert cell.passed
     per = CHECKS[name][2]
     trials = max(1, samples // per) if per else 1
-    if calls is None:  # local_lax takes one point: one call per trial
-        assert stacks == [()] * trials
-        return
     assert len(stacks) == calls
     # the trials on axis 0, or on axis 1 behind the two central-difference
     # steps of a chart Jacobian or the pair K(u), K(e^{i gamma} u)
