@@ -33,7 +33,7 @@ from .reduction import (
     reduced_trajectory,
     section_F,
 )
-from .verify import SuiteConfig, run_suite
+from .verify import STACK_ENTRIES, SuiteConfig, run_suite
 
 
 def _parse_y(text):
@@ -190,11 +190,11 @@ def cmd_polytope(args, sink):
     header = [f"J{k}" for k in range(1, c.n)] + [f"XiK{k}" for k in range(1, c.n)]
     writer = csv.writer(sink)
     writer.writerow(header)
-    for _ in range(args.samples):
-        u = random_point(c, rng)
-        J = moment_J(u, c)
-        xiK = action_variables(u, c)
-        writer.writerow([f"{x:.15g}" for x in J] + [f"{x:.15g}" for x in xiK])
+    size = max(1, STACK_ENTRIES // c.n**2)  # points per stack, so that memory stays bounded
+    for first in range(0, args.samples, size):
+        u = np.array([random_point(c, rng) for _ in range(min(size, args.samples - first))])
+        rows = np.concatenate((moment_J(u, c), action_variables(u, c)), -1)
+        writer.writerows([f"{x:.15g}" for x in row] for row in rows)
     return 0
 
 

@@ -51,7 +51,7 @@ class DoubleTangent:
         for m, dm in ((p.A, self.dA), (p.B, self.dB)):
             x = dagger(m) @ dm
             off = np.maximum(np.linalg.norm(x + dagger(x), axis=(-2, -1)), abs(x.trace(0, -2, -1)))
-            if anywhere(off > TANGENT_TOL):
+            if anywhere(~(off <= TANGENT_TOL)):  # so that NaN fails
                 raise TangencyViolation("tangent not in su(n) at the base point")
         return self
 

@@ -146,8 +146,9 @@ def _theta_vector(theta, n):
     theta = np.asarray(theta)
     if theta.shape[-1:] != (n,):
         raise ValueError(f"Theta must be a diagonal of length {n}")
-    if np.any(np.abs(np.abs(theta) - 1.0) > 1e-9):
-        raise ValueError("Theta entries must be unit modulus")
+    off = ~(np.abs(np.abs(theta) - 1.0) <= 1e-9)  # so that NaN fails
+    if anywhere(off):
+        raise ValueError(f"Theta entries must be unit modulus, got {theta[first_row(off.any(-1))]}")
     return theta.astype(complex)
 
 
@@ -200,8 +201,9 @@ def local_hamiltonian(xi, p_angles, c):
         raise ValueError(f"need {c.n} momentum angles")
     # |math.remainder(sum p, 2 pi)| per row, exactly: so are fmod and 2 pi - r, r >= pi
     r = np.abs(np.fmod(np.add.reduce(p, -1), 2.0 * math.pi))
-    if anywhere(np.minimum(r, 2.0 * math.pi - r) > 1e-9):
-        raise DomainViolation("momenta must sum to 0 mod 2 pi")
+    off = ~(np.minimum(r, 2.0 * math.pi - r) <= 1e-9)
+    if anywhere(off):
+        raise DomainViolation(f"momenta must sum to 0 mod 2 pi, got {p[first_row(off)]}")
     return np.vecdot(np.cos(p), Wp * Wm)
 
 
@@ -219,7 +221,7 @@ def mu_of_v(v, c):
     """Rank-one conjugate e^{2iy} 1 + (e^{2i(1-n)y} - e^{2iy}) v v^dagger of mu0."""
     v = np.asarray(v, dtype=complex)
     nrm = np.sqrt(np.vecdot(v, v).real)
-    off = abs(nrm - 1.0) > 1e-9
+    off = ~(abs(nrm - 1.0) <= 1e-9)
     if anywhere(off):
         raise NormViolation(f"|v| = {nrm[first_row(off)]:.12g}, expected 1")
     coeff = np.exp(2j * (1 - c.n) * c.y) - np.exp(2j * c.y)
@@ -237,7 +239,7 @@ def reflection_g(x, j):
     x (..., n) takes j as an int or as one chart per row."""
     x = np.asarray(x)
     n = x.shape[-1]
-    off = abs(np.sqrt(np.vecdot(x, x).real) - 1.0) > 1e-9
+    off = ~(abs(np.sqrt(np.vecdot(x, x).real) - 1.0) <= 1e-9)
     if anywhere(off):
         raise NormViolation(f"|x| != 1 for x = {x[first_row(off)]}")
     at = _cyclic(x.shape).rows + (j - 1)  # flat index of every x_j
@@ -265,7 +267,7 @@ def global_lax(u, c):
     """
     u = np.asarray(u, dtype=complex)
     nrm2 = np.vecdot(u, u).real
-    off = abs(nrm2 - c.chi0) > 1e-8
+    off = (abs(nrm2 - c.chi0) > 1e-8) | (nrm2 != nrm2)  # NaN too; ~ of a scalar is slow
     if anywhere(off):
         raise NormViolation(f"|u|^2 = {nrm2[first_row(off)]}, expected chi0 = {c.chi0:.12g}")
     u = u * np.sqrt(c.chi0 / nrm2)[..., None]

@@ -38,13 +38,17 @@ def canonicalize(u, c):
         nrm = np.where(big, math.inf, _norm(np.where(big[..., None], 0.0, u)))
     else:
         nrm = _norm(u)
-    far = (nrm <= 1e-150) | (nrm >= 1e150)
+    far = (nrm <= 1e-150) | (nrm >= 1e150) | (nrm != nrm)  # NaN too; ~ of a scalar is slow
     if anywhere(far):
         # the squares inside the norm have left the normal range: divide such
         # a row by its largest modulus first, real and imaginary parts apart,
         # since a complex division by a subnormal overflows
-        if anywhere(far & (top == 0.0)):
-            raise ZeroVector("cannot canonicalize the zero vector")
+        bad = far & ~((top > 0.0) & (top < math.inf))
+        if anywhere(bad):
+            row = first_row(bad)
+            if top[row] == 0.0:
+                raise ZeroVector("cannot canonicalize the zero vector")
+            raise ValueError(f"cannot canonicalize the non-finite point {u[row]}")
         t = np.where(far, top, 1.0)[..., None]
         u = np.where(far[..., None], u.real / t + 1j * (u.imag / t), u)
         nrm = np.where(far, _norm(u), nrm)
@@ -173,8 +177,8 @@ def chart_gauge(u, j):
     _check_chart(j, u)
     uj = u.take(_cyclic(u.shape).rows + (j - 1))
     mod = np.hypot(uj.real, uj.imag)  # the scalar abs's bits; np.abs of an array differs
-    if anywhere(mod <= CHART_TOL):
-        row = first_row(mod <= CHART_TOL)
+    if anywhere(~(mod > CHART_TOL)):  # so that NaN fails
+        row = first_row(~(mod > CHART_TOL))
         chart = np.broadcast_to(j, mod.shape)[row]
         raise ChartViolation(f"|u_j| = {mod[row]:.3e} too small for chart {chart}")
     return u * (np.conjugate(uj) / mod)[..., None]
@@ -209,8 +213,8 @@ def from_chart(w, j, c):
     u = np.empty(w.shape[:-1] + (c.n,), dtype=complex)
     _check_chart(j, u)
     rest = np.add.reduce(np.abs(w) ** 2, -1)
-    if anywhere(rest >= c.chi0):
-        rest = rest[first_row(rest >= c.chi0)]
+    if anywhere(~(rest < c.chi0)):  # so that NaN fails
+        rest = rest[first_row(~(rest < c.chi0))]
         raise ChartViolation(f"chart coordinates have |w|^2 = {rest:.12g} >= chi0")
     keep = np.broadcast_to(np.arange(c.n) != np.expand_dims(j, -1) - 1, u.shape)
     u[keep] = w.ravel()

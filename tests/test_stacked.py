@@ -23,6 +23,7 @@ from rsdual.errors import (
     NonRegular,
     NormViolation,
     SingularDenominator,
+    TangencyViolation,
     ZeroVector,
 )
 from rsdual.lax import (
@@ -37,6 +38,7 @@ from rsdual.lax import (
 )
 from rsdual.projective import (
     canonicalize,
+    chart_gauge,
     chart_index,
     from_chart,
     involution,
@@ -283,6 +285,48 @@ def test_a_bad_row_of_the_local_lax_functions_raises_what_it_raises_alone():
     off[1, 0] += 0.1
     off[3, 0] += 0.2
     raises_as_alone(alcove_delta, AlcoveViolation, off)
+
+
+def nan_row_cases():
+    """(function, error, stacks, (stack, entry)) of each guarded function:
+    the entry of row 1 of that stack that is set to NaN."""
+    c = Coupling.default(3)
+    rng = np.random.default_rng(12)
+    u = np.array([random_point(c, rng) for _ in range(3)])
+    xi, theta, p = (a[:3] for a in local_draws(c, rng))
+    unit = u / np.sqrt(c.chi0)
+    A = np.array([random_special_unitary(3, rng) for _ in range(3)])
+    dA = A @ np.array([random_su_algebra(3, rng) for _ in range(3)])
+
+    def check_tangent(A, dA):
+        return DoubleTangent(dA, np.zeros_like(dA)).check(DoublePoint(A, A))
+
+    return {
+        "mu_of_v": (lambda v: mu_of_v(v, c), NormViolation, [v_vector(xi, c)[0]], (0, 0)),
+        "reflection_g": (lambda x: reflection_g(x, 3), NormViolation, [unit], (0, 1)),
+        "chart_gauge": (lambda v: chart_gauge(v, 1), ChartViolation, [u], (0, 0)),
+        "to_chart": (lambda v: to_chart(v, 1), ChartViolation, [u], (0, 0)),
+        "from_chart": (lambda w: from_chart(w, 1, c), ChartViolation, [to_chart(u, 1)], (0, 1)),
+        "local_lax": (lambda x, t: local_lax(x, t, c), ValueError, [xi, theta], (1, 2)),
+        "local_hamiltonian": (lambda x, q: local_hamiltonian(x, q, c), DomainViolation, [xi, p], (1, 0)),
+        "canonicalize": (lambda v: canonicalize(v, c), ValueError, [u], (0, 2)),
+        "global_lax": (lambda v: global_lax(v, c), NormViolation, [u], (0, 1)),
+        "tangent_check": (check_tangent, TangencyViolation, [A, dA], (1, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(nan_row_cases()))
+def test_a_nan_in_row_one_raises_that_rows_error(name):
+    # a guard written value > bound lets NaN through; each is written so
+    # that NaN fails it, and the stack reports row 1 as row 1 alone does
+    f, error, stacks, (which, entry) = nan_row_cases()[name]
+    stacks = [np.array(s, dtype=complex if np.iscomplexobj(s) else float) for s in stacks]
+    stacks[which][1, entry] = np.nan
+    with pytest.raises(error) as alone:
+        f(*(s[1] for s in stacks))
+    with pytest.raises(error) as stacked:
+        f(*stacks)
+    assert str(stacked.value) == str(alone.value)
 
 
 # ---------------------------------------------------------------------------
