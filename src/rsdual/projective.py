@@ -172,13 +172,19 @@ def chart_index(u):
 
 
 def chart_gauge(u, j):
-    """Representative with u_j real positive (chart gauge), j 1-based, for all or per row."""
+    """Representative with u_j real positive (chart gauge), j 1-based, for all or per row.
+
+    The first bad row raises: ChartViolation if |u_j| is not above
+    CHART_TOL (a NaN u_j too), else ValueError if an entry is not finite."""
     u = np.asarray(u, dtype=complex)
     _check_chart(j, u)
     uj = u.take(_cyclic(u.shape).rows + (j - 1))
     mod = np.hypot(uj.real, uj.imag)  # the scalar abs's bits; np.abs of an array differs
-    if anywhere(~(mod > CHART_TOL)):  # so that NaN fails
-        row = first_row(~(mod > CHART_TOL))
+    fine = (mod > CHART_TOL) & np.logical_and.reduce(np.isfinite(u), -1)  # so that NaN fails
+    if anywhere(~fine):
+        row = first_row(~fine)
+        if mod[row] > CHART_TOL:
+            raise ValueError(f"cannot gauge the non-finite point {u[row]}")
         chart = np.broadcast_to(j, mod.shape)[row]
         raise ChartViolation(f"|u_j| = {mod[row]:.3e} too small for chart {chart}")
     return u * (np.conjugate(uj) / mod)[..., None]

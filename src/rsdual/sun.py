@@ -9,7 +9,11 @@ eigenvalues alone.  Nothing here takes a Coupling: n is the size of the
 input, A.shape[-1] or xi.shape[-1].  The gradients and flows built on
 (xi, g) live in double.py; the invariant pairing of su(n) lives here.
 Every function of a matrix or an alcove point takes stacks (..., n, n) or
-(..., n), each row with the one-point bits.
+(..., n), each row with the one-point bits.  On a stack, alcove_point is
+one np.linalg.eigvals call and one phase map with no Python loop;
+spectral_xi loops in Python over its zgees calls only (there is no stacked
+Schur form) and post-processes the whole stack at once.  One matrix takes
+the direct LAPACK call and the one-point phase map.
 """
 
 import math
@@ -19,7 +23,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import zgees, zgeev
 
 from .coupling import check_alcove
-from .errors import NonRegular
+from .errors import NonRegular, anywhere, first_row
 
 PHASE_TOL = 1e-12
 GAP_TOL = 1e-8  # eigenphase gap below which a unitary counts as non-regular
@@ -109,27 +113,58 @@ def _phases_to_alcove(phases, xi):
     return xi, perm
 
 
+def _stacked_phases_to_alcove(phases):
+    """_phases_to_alcove of each row of (..., n) eigenphases as one array
+    program, with each row's bits: the same sort, rounding, roll and sums,
+    the 2 pi added only where the roll wraps, so that a -0.0 phase keeps
+    its sign."""
+    n = phases.shape[-1]
+    order = phases.argsort(-1, kind="stable")
+    psi = np.take_along_axis(phases, order, -1)
+    shift = -np.rint(np.add.reduce(psi, -1) / (2.0 * math.pi)).astype(int) % n
+    roll = np.arange(n) + shift[..., None]
+    wraps = roll >= n
+    roll[wraps] -= n
+    perm = np.take_along_axis(order, roll, -1)
+    lifted = np.take_along_axis(psi, roll, -1)
+    np.add(lifted, 2.0 * math.pi, out=lifted, where=wraps)
+    xi = np.empty(phases.shape)
+    gaps = xi[..., :-1]
+    np.subtract(lifted[..., 1:], lifted[..., :-1], out=gaps)
+    gaps *= 0.5
+    xi[..., -1] = math.pi - np.add.reduce(gaps, -1)
+    return xi, perm
+
+
 def alcove_point(A):
-    """The alcove point xi of a special-unitary matrix, Xi_k(A) = xi_k.
+    """The alcove point xi of a special-unitary matrix, Xi_k(A) = xi_k, or
+    of each matrix of a stack (..., n, n).
 
     Read from the eigenvalues alone (no Schur vectors), under the phase
     convention of spectral_xi, whose xi it equals to rounding.  A unitary
     matrix has eigenvalue condition number 1, so xi is as accurate as the
     eigenvalues; use spectral_xi where the diagonalizer g is needed too.
 
-    The eigenvalues come from one LAPACK zgeev call per matrix, with no
-    eigenvectors, the routine np.linalg.eigvals calls for a complex matrix
-    after its checks and workspace query; the bits agree (tested up to
-    n = 32).  A non-finite A raises LinAlgError, as there.
+    One matrix takes one LAPACK zgeev call with no eigenvectors, the
+    routine np.linalg.eigvals calls for a complex matrix after its checks
+    and workspace query; the bits agree (tested up to n = 32).  A stack
+    takes one np.linalg.eigvals call and one phase map over all its rows,
+    with no Python loop; each row has the bits of its one-matrix call.  A
+    non-finite A raises LinAlgError, as there; if the stacked call fails,
+    the rows are read one by one, so that the first bad row raises what it
+    raises alone.
     """
     if not np.logical_and.reduce(np.isfinite(A), None):
         raise LinAlgError("Array must not contain infs or NaNs")
     if A.ndim == 2:
         return _eigen_alcove(A, np.empty(A.shape[-1]))
-    xi = np.empty(A.shape[:-1])
-    for M, x in zip(A.reshape((-1,) + A.shape[-2:]), xi.reshape(-1, A.shape[-1])):
-        _eigen_alcove(M, x)
-    return xi
+    try:
+        w = np.linalg.eigvals(np.asarray(A, dtype=complex))
+    except LinAlgError:
+        for M in A.reshape((-1,) + A.shape[-2:]):
+            _eigen_alcove(M, np.empty(A.shape[-1]))
+        raise
+    return _stacked_phases_to_alcove(np.angle(w))[0]
 
 
 def _eigen_alcove(M, xi):
@@ -179,9 +214,14 @@ def spectral_xi(A):
     eigenvector with modulus above PHASE_TOL made real positive.  Raises
     NonRegular when the eigenphase gap 2 min xi is at most GAP_TOL; above
     it g is unique up to left torus factors.  A non-square or non-finite A
-    raises ValueError, as scipy.linalg.schur does.  A stack is decomposed
-    matrix by matrix, one zgees each, in order, so its first bad matrix
-    raises what it raises alone.
+    raises ValueError, as scipy.linalg.schur does.
+
+    A stack is the one place that loops in Python: one zgees call per
+    matrix, in order.  The phase map, the GAP_TOL test, the column order
+    and the phase fix of g then run once over the whole stack, and each
+    row has the bits and the C layout of its one-matrix call.  The first
+    bad matrix raises what it raises alone: if zgees fails on a row, the
+    rows before it are tested for regularity first.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
@@ -191,11 +231,35 @@ def spectral_xi(A):
         raise ValueError("array must not contain infs or NaNs")
     if A.ndim == 2:
         return _decompose(A)
-    xi = np.empty(A.shape[:-1])
-    g = np.empty(A.shape, dtype=complex)
-    for M, x, h in zip(A.reshape(-1, n, n), xi.reshape(-1, n), g.reshape(-1, n, n)):
-        x[:], h[:] = _decompose(M)
-    return xi, g
+    stack = A.reshape(-1, n, n)
+    diag = np.empty(stack.shape[:-1], dtype=complex)
+    vecs = np.empty(stack.shape, dtype=complex)  # vecs[k, i] is Schur vector i of matrix k
+    for k, M in enumerate(stack):
+        try:
+            T, Z = _schur(M)
+        except LinAlgError:
+            _check_gaps(_stacked_phases_to_alcove(np.angle(diag[:k]))[0])
+            raise
+        diag[k] = T.diagonal()
+        vecs[k] = Z.T
+    xi, perm = _stacked_phases_to_alcove(np.angle(diag))
+    _check_gaps(xi)
+    # the layout of one matrix: Z in Fortran order, g = (Z phases)^dagger in C order
+    vecs = np.take_along_axis(vecs, perm[..., None], -2).swapaxes(-1, -2)
+    first = (abs(vecs) > PHASE_TOL).argmax(-2)
+    lead = np.take_along_axis(vecs, first[..., None, :], -2)[..., 0, :]
+    g = (vecs * (lead / abs(lead)).conj()[..., None, :]).conj().swapaxes(-1, -2)
+    return xi.reshape(A.shape[:-1]), g.reshape(A.shape)
+
+
+def _check_gaps(xi):
+    """Raise NonRegular at the first row of a stack of alcove points whose
+    eigenphase gap 2 min xi is at most GAP_TOL, as _decompose does alone."""
+    gap = 2.0 * np.minimum.reduce(xi, -1)
+    bad = ~(gap > GAP_TOL)
+    if anywhere(bad):
+        gap = gap[first_row(bad)]
+        raise NonRegular(f"eigenphase gap {gap:.3e} is at most GAP_TOL={GAP_TOL:.1e}")
 
 
 def spectral_index(j, n):

@@ -3,7 +3,9 @@ call bit for bit, and a stack with one bad row raises that row's error."""
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+from rsdual import sun
 from rsdual.coupling import Coupling, random_shifted_alcove
 from rsdual.double import (
     DoublePoint,
@@ -91,7 +93,7 @@ def sample_points(c, rng):
     return np.array(pts)
 
 
-@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("n", NS + (32,))
 def test_global_lax_and_alcove_point_rows_are_the_one_point_calls(n):
     c = Coupling.default(n)
     U = sample_points(c, np.random.default_rng(n))
@@ -287,6 +289,92 @@ def test_a_bad_row_of_the_local_lax_functions_raises_what_it_raises_alone():
     raises_as_alone(alcove_delta, AlcoveViolation, off)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_chart_maps_reject_a_non_finite_entry_off_the_chart(bad):
+    # only |u_j| was checked, so a NaN in another entry came back as NaN
+    c = Coupling.default(3)
+    rng = np.random.default_rng(13)
+    U = np.array([random_point(c, rng, interior_bias=0.5) for _ in range(4)])
+    U[1, 2] = bad
+    U[3, 0] = 0.0  # off chart 1: a later row's ChartViolation does not mask row 1
+    maps = (lambda u: chart_gauge(u, 1), lambda u: to_chart(u, 1), lambda u: section_F(u, 1, c))
+    for f in maps:
+        with pytest.raises(ValueError, match="non-finite") as alone:
+            f(U[1])
+        for stack in (U, U.reshape(2, 2, 3)):
+            with pytest.raises(ValueError, match="non-finite") as stacked:
+                f(stack)
+            assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ChartViolation):
+            f(U[[0, 3, 1]])  # an earlier row off the chart raises first
+
+
+def test_a_bad_row_of_the_eigensolvers_raises_what_it_raises_alone():
+    # both stacked eigensolvers take the whole stack at once; the first bad
+    # row still raises what it raises alone, with one leading axis or two
+    rng = np.random.default_rng(9)
+    mats = np.array([random_special_unitary(3, rng) for _ in range(6)])
+
+    def raises_as_alone(f, error, stack, k):
+        with pytest.raises(error) as alone:
+            f(stack[k])
+        for shaped in (stack, stack.reshape((2, -1) + stack.shape[1:])):
+            with pytest.raises(error) as stacked:
+                f(shaped)
+            assert str(stacked.value) == str(alone.value)
+
+    for bad in (np.nan, np.inf):
+        off = mats.copy()
+        off[2, 0, 1] = bad
+        raises_as_alone(alcove_point, LinAlgError, off, 2)
+    flat = mats.copy()  # two non-regular rows, with different gaps
+    flat[2] = np.diag(np.exp(1j * np.array([0.3, 0.3, -0.6])))
+    flat[4] = np.diag(np.exp(1j * np.array([0.3, 0.3 + 1e-9, -0.6 - 1e-9])))
+    raises_as_alone(spectral_xi, NonRegular, flat, 2)
+    raises_as_alone(spectral_xi, NonRegular, flat[[0, 4, 1, 2]], 1)
+
+
+def test_a_failed_lapack_call_in_a_stack_raises_the_first_bad_row(monkeypatch):
+    # LAPACK failing on row 3 (never seen on unitary input, so forced here):
+    # the stacked eigvals falls back on the rows in order, and the zgees
+    # loop first tests the gaps of the rows before it
+    rng = np.random.default_rng(10)
+    mats = np.array([random_special_unitary(3, rng) for _ in range(5)])
+    fails = mats[3]
+    zgees, zgeev = sun.zgees, sun.zgeev
+
+    def failing_zgees(select, A):
+        *out, info = zgees(select, A)
+        return (*out, 1 if np.array_equal(A, fails) else info)
+
+    def failing_zgeev(A, **kw):
+        *out, info = zgeev(A, **kw)
+        return (*out, 1 if np.array_equal(A, fails) else info)
+
+    def no_convergence(A):
+        raise LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(sun, "zgees", failing_zgees)
+    monkeypatch.setattr(sun, "zgeev", failing_zgeev)
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    for f in (alcove_point, spectral_xi):
+        with pytest.raises(LinAlgError) as alone:
+            f(fails)
+        assert "info=1" in str(alone.value)
+        with pytest.raises(LinAlgError) as stacked:
+            f(mats)
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(LinAlgError, match="did not converge"):
+        alcove_point(np.delete(mats, 3, 0))  # no row fails alone
+    flat = mats.copy()
+    flat[1] = np.diag(np.exp(1j * np.array([0.3, 0.3, -0.6])))
+    with pytest.raises(NonRegular) as alone:
+        spectral_xi(flat[1])
+    with pytest.raises(NonRegular) as stacked:
+        spectral_xi(flat)
+    assert str(stacked.value) == str(alone.value)
+
+
 def nan_row_cases():
     """(function, error, stacks, (stack, entry)) of each guarded function:
     the entry of row 1 of that stack that is set to NaN."""
@@ -349,7 +437,7 @@ def lifted_pairs(c, rng):
     return U, _lift(U, c)
 
 
-@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("n", NS + (32,))
 def test_spectral_xi_rows_are_the_one_point_calls(n):
     c = Coupling.default(n)
     rng = np.random.default_rng(300 + n)

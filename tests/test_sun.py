@@ -17,6 +17,7 @@ from rsdual.sun import (
     PHASE_TOL,
     _phases_to_alcove,
     _schur,
+    _stacked_phases_to_alcove,
     alcove_delta,
     alcove_exponents,
     alcove_point,
@@ -189,6 +190,80 @@ def test_phases_to_alcove_matches_reference_bit_for_bit(n):
         assert xi.tobytes() == xi0.tobytes() and (perm == perm0).all()
         shifts.add(round(np.sort(phases).sum() / (2.0 * math.pi)) % n)
     assert len(shifts) > 1
+
+
+def edge_spectra(n):
+    """(mats, regular): special-unitary matrices with the spectra random
+    draws miss, and which of them have a regular spectrum.  The n central
+    elements e^{2 pi i k/n} I; alcove_delta on a wall xi_1 = 0 and at each
+    vertex pi e_k; for n >= 3 a diagonal with the eigenvalue -1 whose
+    imaginary part is +0.0 (phase +pi), its conjugate with -0.0 (phase
+    -pi), and a unitary conjugate of each."""
+    mats = [np.exp(2j * math.pi * k / n) * np.eye(n) for k in range(n)]
+    wall = random_alcove(n, RNG)
+    wall[1] += wall[0]
+    wall[0] = 0.0
+    mats.append(alcove_delta(wall))
+    mats += [alcove_delta(math.pi * np.eye(n)[k]) for k in range(n)]
+    regular = [False] * len(mats)
+    if n >= 3:
+        a = RNG.uniform(-2.0, 2.0, n - 2)
+        d = np.diag(np.concatenate([[-1.0], np.exp(1j * a), [-np.exp(-1j * a.sum())]]))
+        g = random_special_unitary(n, RNG)
+        mats += [d, d.conj(), g @ d @ dagger(g), g @ d.conj() @ dagger(g)]
+        regular += [True] * 4
+    return np.array(mats), np.array(regular)
+
+
+def test_edge_spectra_reach_minus_one_with_both_signed_zeros():
+    mats = edge_spectra(3)[0][-4:-2]
+    w = np.linalg.eigvals(mats)
+    assert (w[:, 0] == -1.0).all() and list(np.signbit(w[:, 0].imag)) == [False, True]
+    assert list(np.angle(w[:, 0])) == [math.pi, -math.pi]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+def test_stacked_phase_map_is_the_one_point_map(n):
+    # the loop-free map of a stack against the one-point body and the
+    # reference, on the edge spectra, random SU(n) and signed-zero ties
+    edge = edge_spectra(n)[0]
+    mats = np.concatenate([edge, [random_special_unitary(n, RNG) for _ in range(10 + len(edge) % 2)]])
+    phases = np.angle(np.linalg.eigvals(mats))
+    ties = np.zeros((2, n))
+    ties[0, ::2] = -0.0
+    ties[1, 1::2] = -0.0
+    ties[1, 0] = -math.pi
+    phases = np.concatenate([phases, ties])
+    xi, perm = _stacked_phases_to_alcove(phases)
+    for k, row in enumerate(phases):
+        xi1, perm1 = _phases_to_alcove(row, np.empty(n))
+        xi0, perm0 = ref_phases_to_alcove(row, n)
+        assert xi[k].tobytes() == xi1.tobytes() == xi0.tobytes(), k
+        assert (perm[k] == perm1).all() and (perm1 == perm0).all(), k
+    xi2, perm2 = _stacked_phases_to_alcove(phases.reshape(2, -1, n))
+    assert xi2.tobytes() == xi.tobytes() and (perm2.reshape(perm.shape) == perm).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+def test_edge_spectra_stacked_rows_are_the_one_point_calls(n):
+    mats, regular = edge_spectra(n)
+    mats = np.concatenate([mats, [random_special_unitary(n, RNG) for _ in range(len(mats) % 2 + 4)]])
+    regular = np.concatenate([regular, [True] * (len(mats) - len(regular))])
+    xi = alcove_point(mats)
+    for k, A in enumerate(mats):
+        assert xi[k].tobytes() == alcove_point(A).tobytes(), k
+    assert alcove_point(mats.reshape((2, -1, n, n))).tobytes() == xi.tobytes()
+    xi, g = spectral_xi(mats[regular])
+    for k, A in enumerate(mats[regular]):
+        x1, g1 = spectral_xi(A)
+        assert xi[k].tobytes() == x1.tobytes() and g[k].tobytes() == g1.tobytes(), k
+        assert g[k].strides == g1.strides
+    for A in mats[~regular]:
+        with pytest.raises(NonRegular) as alone:
+            spectral_xi(A)
+        with pytest.raises(NonRegular) as stacked:
+            spectral_xi(np.stack([mats[-1], A, mats[-1]]))
+        assert str(stacked.value) == str(alone.value)
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
