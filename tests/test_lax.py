@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rsdual.coupling import Coupling, random_shifted_alcove
+from rsdual.coupling import Coupling, check_shifted_alcove, random_shifted_alcove
 from rsdual.errors import (
     DomainViolation,
     NormViolation,
@@ -229,6 +229,25 @@ def test_local_hamiltonian_hand_value_and_trace():
             H = local_hamiltonian(xi, p, c)
             L = local_lax(xi, np.exp(-1j * p), c)
             assert abs(H - np.trace(L).real) < 1e-12
+
+
+def test_local_lax_and_hamiltonian_reject_wrong_lengths():
+    c = Coupling.default(3)
+    xi = np.array([1.0, 1.0, math.pi - 2.0])
+    with pytest.raises(ValueError, match="Theta must be a diagonal of length 3"):
+        local_lax(xi, np.ones(2), c)
+    with pytest.raises(ValueError, match="need 3 momentum angles"):
+        local_hamiltonian(xi, np.zeros(2), c)
+
+
+def test_local_lax_rejects_negative_w_squares_inside_the_wall_tolerance():
+    # xi_1 = y - 5e-11 passes the 1e-10 wall tolerance of the alcove check,
+    # but W_1(y)^2 is negative there
+    c = Coupling(3, 0.3)
+    xi = np.array([c.y - 5e-11, 1.2, math.pi - (c.y - 5e-11) - 1.2])
+    check_shifted_alcove(xi, c)
+    with pytest.raises(DomainViolation, match=r"W\^2 factors negative"):
+        local_lax(xi, np.ones(3), c)
 
 
 def test_local_hamiltonian_momentum_shift_flips_sign():

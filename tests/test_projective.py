@@ -1,5 +1,6 @@
 """Projective phase-space model: representatives, charts, form, actions."""
 
+import json
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from rsdual.projective import (
     from_chart,
     fs_omega_eval,
     involution,
+    load_point,
     moment_J,
     moment_J_full,
     point_from_json,
@@ -422,6 +424,36 @@ def test_json_round_trip():
     data = point_to_json(u)
     v = point_from_json(data, c)
     assert projective_distance(u, v) < 1e-12
+
+
+def test_load_point_reads_cli_output_and_warns_on_a_non_canonical_point(tmp_path):
+    c = Coupling.default(3)
+    u = rand_u(c)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"point": point_to_json(u)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert projective_distance(load_point(path, c), u) < 1e-12
+    path.write_text(json.dumps(point_to_json(1j * u)))
+    with pytest.warns(UserWarning, match="not canonical"):
+        assert projective_distance(load_point(path, c), u) < 1e-12
+    path.write_text(json.dumps({"J": [1.0, 1.0]}))
+    with pytest.raises(ValueError, match="no point data found"):
+        load_point(path, c)
+
+
+def test_point_maps_reject_wrong_lengths_and_names():
+    c = Coupling.default(3)
+    u = rand_u(c, bias=0.05)
+    with pytest.raises(ValueError, match="expected length 3 or 2"):
+        e_param([1.0], [0.0, 0.0], c)
+    with pytest.raises(ValueError, match="need 2 torus angles"):
+        e_param([1.0, 1.0], [0.0], c)
+    a = np.ones(2, dtype=complex)
+    with pytest.raises(ChartViolation, match="chart vectors of length 2"):
+        fs_omega_eval(u, a, np.ones(3, dtype=complex), chart_index(u))
+    with pytest.raises(ValueError, match="unknown involution 'tau'"):
+        involution("tau", u)
 
 
 def test_full_moment_sums_to_pi():

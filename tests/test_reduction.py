@@ -356,6 +356,21 @@ def test_f_beta_inv_rejects_off_constraint():
         f_beta_inv(random_double_point(n, RNG), c)
 
 
+def test_f_beta_inv_rejects_a_vanishing_superdiagonal_on_the_constraint():
+    # at y = 1e-8 the superdiagonal of K is ~sin y, so zeroing one entry of
+    # a pair with diagonal B moves the moment residual by ~1e-8, within the
+    # 1e-6 constraint check: the label's own guard is what rejects it
+    c = Coupling(3, 1e-8)
+    p = reduction._lift(rand_u(c), c)
+    g = spectral_xi(p.B)[1]
+    A = g @ p.A @ dagger(g)
+    A[0, 1] = 0.0
+    q = DoublePoint(A, np.diag(np.diag(g @ p.B @ dagger(g))))
+    assert constraint_residual(q, c) < 1e-6
+    with pytest.raises(ConstraintViolation, match="vanishing superdiagonal"):
+        f_beta_inv(q, c)
+
+
 def test_f_beta_inv_moment_map_identity():
     n = 4
     c = Coupling.default(n)
@@ -516,6 +531,12 @@ def test_mapclass_rejects_unknown():
     c = Coupling.default(3)
     with pytest.raises(ValueError):
         mapclass_on_P(["X"], rand_u(c), c)
+
+
+def test_duality_rejects_unknown():
+    c = Coupling.default(3)
+    with pytest.raises(ValueError, match="unknown duality map 'X'"):
+        duality("X", rand_u(c), c)
 
 
 def test_dehn_flows_reproduce_twists():
@@ -695,6 +716,31 @@ def test_reduced_trajectory_builds_lambda_once_per_step(monkeypatch, kind, side,
     calls.clear()
     assert sum(1 for _ in rows) == 10
     assert len(calls) == 10 * per_step
+
+
+@pytest.mark.parametrize("kind,side", [("re_trace", "first"), ("dehn", "second")])
+def test_reduced_trajectory_labels_steps_without_a_constraint_check(monkeypatch, kind, side):
+    # the flow keeps mu = mu0, so a step is labelled through the frame the
+    # trajectory holds, with no constraint check, and with the bits of
+    # f_beta_inv on its flowed pair
+    calls = []
+
+    def counted(p, c):
+        calls.append(1)
+        return constraint_residual(p, c)
+
+    c = Coupling.default(3)
+    u = rand_u(c)
+    ham = InvariantHamiltonian(kind, 1, side)
+    rows = reduced_trajectory(u, ham, 1.0, 10, c)
+    monkeypatch.setattr(reduction, "constraint_residual", counted)
+    next(rows)
+    calls.clear()
+    got = list(rows)
+    assert len(got) == 10 and not calls
+    at = flow_map(reduction._lift(u, c), ham)
+    for k, t, ut, J, xiK in got:
+        assert ut.tobytes() == f_beta_inv(at(t), c).tobytes()
 
 
 def test_reduced_trajectory_rejects_negative_steps():

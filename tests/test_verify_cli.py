@@ -12,7 +12,7 @@ import pytest
 from rsdual import cli
 from rsdual.cli import main
 from rsdual.coupling import Coupling
-from rsdual.double import DoublePoint
+from rsdual.double import DoublePoint, InvariantHamiltonian
 from rsdual.errors import ConstraintViolation
 from rsdual.projective import (
     chart_index,
@@ -651,6 +651,20 @@ def test_cli_flow_rejects_ignored_input(tmp_path, capsys, spec, side, problem):
     assert not out.exists()
 
 
+def test_cli_flow_reads_imtrace_and_rejects_an_unknown_hamiltonian(tmp_path, capsys):
+    # imtrace:m is Im tr of the chosen factor's m-th power, on side first
+    # unless --side says otherwise
+    assert cli._parse_hamiltonian("imtrace:2", None) == InvariantHamiltonian("im_trace", 2, "first")
+    assert cli._parse_hamiltonian("ImTrace", "second") == InvariantHamiltonian("im_trace", 1, "second")
+    out = tmp_path / "traj.csv"
+    argv = ["flow", "--n", "3", "--t", "1", "--steps", "2", "--out", str(out)]
+    assert run_cli(*argv, "--hamiltonian", "imtrace:1") == 0
+    assert len(out.read_text().splitlines()) == 4
+    assert run_cli(*argv, "--hamiltonian", "trace:1") == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and "unknown hamiltonian 'trace:1'" in diag["message"]
+
+
 @pytest.mark.parametrize("selector", ["duality,", ",duality", "duality,,pullback", " "])
 def test_cli_rejects_empty_check_selector(capsys, selector):
     # an empty term is a substring of every check name and would select all
@@ -1141,8 +1155,9 @@ def test_stack_of_a_cell_is_bounded(monkeypatch):
         got = []
 
         def recorded(c, *stacks, check=check):
-            got.extend(np.ravel(check.residuals(c, *stacks)))
-            return check.residuals(c, *stacks)
+            rows = check.residuals(c, *stacks)
+            got.extend(np.ravel(rows))
+            return rows
 
         monkeypatch.setitem(CHECKS, name, (Stacked(recorded, check.draw), tol, per))
         sizes.clear()
