@@ -19,20 +19,8 @@ from .coupling import Coupling
 from .double import InvariantHamiltonian
 from .errors import RSDualError
 from .lax import global_lax
-from .projective import (
-    e_param,
-    load_point,
-    moment_J,
-    point_to_json,
-    random_point,
-)
-from .reduction import (
-    action_variables,
-    duality,
-    mapclass_on_P,
-    reduced_trajectory,
-    section_F,
-)
+from .projective import e_param, load_point, moment_J, point_to_json, random_point
+from .reduction import action_variables, duality, mapclass_on_P, reduced_trajectory, section_F
 from .verify import STACK_ENTRIES, SuiteConfig, run_suite
 
 
@@ -192,7 +180,7 @@ def cmd_polytope(args, sink):
     writer.writerow(header)
     size = max(1, STACK_ENTRIES // c.n**2)  # points per stack, so that memory stays bounded
     for first in range(0, args.samples, size):
-        u = np.array([random_point(c, rng) for _ in range(min(size, args.samples - first))])
+        u = random_point(c, rng, count=min(size, args.samples - first))
         rows = np.concatenate((moment_J(u, c), action_variables(u, c)), -1)
         writer.writerows([f"{x:.15g}" for x in row] for row in rows)
     return 0

@@ -108,13 +108,14 @@ def full_xi(xi, c):
     raise ValueError(f"expected length {c.n} or {c.n - 1}, got shape {xi.shape}")
 
 
-def random_shifted_alcove(c, rng, margin=0.0):
-    """Uniform-ish sample of the thick-walled alcove, optional interior margin.
+def random_shifted_alcove(c, rng, margin=0.0, count=None):
+    """Uniform-ish sample of the thick-walled alcove, optional interior margin;
+    with count, a stack (count, n) of the samples of count calls on rng.
 
     margin is the fraction of the slack chi0 kept away from every wall,
     capped at 1/(2n) so that half the slack is always left to draw from.
     """
     margin = min(margin, 0.5 / c.n)
     slack = c.chi0 * (1.0 - c.n * margin)
-    w = rng.dirichlet(np.ones(c.n))
+    w = rng.dirichlet(np.ones(c.n), size=count)
     return c.y + margin * c.chi0 + slack * w

@@ -19,14 +19,8 @@ import numpy as np
 
 from .errors import TangencyViolation, anywhere
 from .sun import (
-    alcove_exponents,
-    alcove_point,
-    dagger,
-    random_special_unitary,
-    scalar_product,
-    spectral_index,
-    spectral_xi,
-    traceless_antihermitian,
+    alcove_exponents, alcove_point, dagger, random_special_unitary, scalar_product, spectral_index,
+    spectral_xi, traceless_antihermitian,
 )
 
 TANGENT_TOL = 1e-9
@@ -274,10 +268,12 @@ def apply_word(word, p):
     return p
 
 
-def random_double_point(n, rng):
-    return DoublePoint(
-        random_special_unitary(n, rng), random_special_unitary(n, rng)
-    )
+def random_double_point(n, rng, count=None):
+    """Random pair (A, B), A drawn first; with count, a pair of stacks
+    (count, n, n) of the pairs of count calls on rng."""
+    lead = () if count is None else (count,)
+    g = random_special_unitary(n, rng, 2 * np.prod(lead, dtype=int)).reshape(lead + (2, n, n))
+    return DoublePoint(g[..., 0, :, :], g[..., 1, :, :])
 
 
 def geodesic_tangent(p, X, Y):

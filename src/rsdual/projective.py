@@ -273,22 +273,25 @@ def involution(which, u):
     return out
 
 
-def random_point(c, rng, interior_bias=0.0):
-    """Random canonical point; with interior_bias > 0, resample until
-    min_k |u_k|^2 > interior_bias * chi0 / n.
-
-    interior_bias must be below 1: the smallest |u_k|^2 never exceeds the
-    mean chi0 / n, so no draw would ever be accepted (ValueError).
+def random_point(c, rng, interior_bias=0.0, count=None):
+    """Random canonical point from 2n standard normals, the real parts, then
+    the imaginary parts; with count, a stack (count, n) of the points of
+    count calls on rng.  With interior_bias > 0, candidates, one per point
+    still missing, are drawn until each has min_k |u_k|^2 > interior_bias *
+    chi0 / n.  interior_bias must be below 1: the smallest |u_k|^2 never
+    exceeds the mean chi0 / n, so no draw would ever be accepted (ValueError).
     """
     if not interior_bias < 1.0:
         raise ValueError(f"interior_bias must be < 1, got {interior_bias}")
-    while True:
-        z = rng.standard_normal(c.n) + 1j * rng.standard_normal(c.n)
-        u = canonicalize(z, c)
-        if interior_bias <= 0.0:
-            return u
-        if np.min(np.abs(u) ** 2) > interior_bias * c.chi0 / c.n:
-            return u
+    out, done = np.empty((1 if count is None else count, c.n), complex), 0
+    while done < len(out):
+        z = rng.standard_normal((2, c.n) if count is None else (len(out) - done, 2, c.n))
+        u = canonicalize(z[..., 0, :] + 1j * z[..., 1, :], c).reshape(-1, c.n)
+        if interior_bias > 0.0:  # rounding keeps the order, so min |u_k|^2 = (min |u_k|)^2
+            u = u[np.minimum.reduce(abs(u), -1) ** 2 > interior_bias * c.chi0 / c.n]
+        out[done : done + len(u)] = u
+        done += len(u)
+    return out[0] if count is None else out
 
 
 def vertex_points(c, eps=0.0, rng=None):

@@ -45,19 +45,31 @@ def scalar_product(eta, zeta):
     return -0.5 * np.add.reduce(eta * np.swapaxes(zeta, -1, -2), (-2, -1)).real
 
 
-def random_special_unitary(n, rng):
-    """Haar-ish random SU(n) element (QR of a complex Ginibre matrix)."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _ginibre(rng, shape):
+    """Complex Ginibre matrices (..., n, n) by one call on rng: of each
+    matrix the real parts, then the imaginary parts."""
+    z = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def _special_unitary(z):
+    """SU(n) from each Ginibre matrix z: Q of its QR form, with the phases of
+    R's diagonal and an n-th root of the determinant divided out."""
     q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    det = np.linalg.det(q)
-    return q * det ** (-1.0 / n)
+    d = np.diagonal(r, 0, -2, -1)
+    q = q * (d / np.abs(d))[..., None, :]
+    return q * (np.linalg.det(q) ** (-1.0 / z.shape[-1]))[..., None, None]
 
 
-def random_su_algebra(n, rng):
-    """Random element of su(n)."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return traceless_antihermitian(z)
+def random_special_unitary(n, rng, count=None):
+    """Haar-ish random SU(n) element; with count, a stack (count, n, n) of
+    the elements of count calls on rng."""
+    return _special_unitary(_ginibre(rng, (n, n) if count is None else (count, n, n)))
+
+
+def random_su_algebra(n, rng, count=None):
+    """Random element of su(n); with count, a stack as random_special_unitary's."""
+    return traceless_antihermitian(_ginibre(rng, (n, n) if count is None else (count, n, n)))
 
 
 def alcove_exponents(xi):

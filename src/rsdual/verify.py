@@ -3,9 +3,10 @@
 run_suite sweeps a configurable grid of (n, y) couplings, evaluates each
 selected check on seeded random samples and reports the worst residual per
 check against its tolerance.  Each check is a draw and a residual function
-(Stacked): the trials of a (check, n) cell are all drawn first, then
-evaluated as stacks.  Checks are deterministic given the seed and
-independent across cells, so any cell can be run on its own.
+(Stacked): the draw makes all trials of a (check, n) cell at once, as
+stacks with a leading trial axis, and the residual function evaluates them.
+Checks are deterministic given the seed and independent across cells, so
+any cell can be run on its own.
 """
 
 from collections import namedtuple
@@ -17,53 +18,23 @@ import numpy as np
 
 from .coupling import Coupling, random_shifted_alcove
 from .double import (
-    DoublePoint,
-    DoubleTangent,
-    InvariantHamiltonian,
-    apply_word,
-    auto_apply,
-    conjugate,
-    flow,
-    geodesic_tangent,
-    hamiltonian_gradient,
-    moment,
-    omega_eval,
-    random_double_point,
+    DoublePoint, DoubleTangent, InvariantHamiltonian, apply_word, auto_apply, conjugate, flow,
+    geodesic_tangent, hamiltonian_gradient, moment, omega_eval, random_double_point,
     vertical_tangent,
 )
 from .errors import RSDualError
 from .lax import global_lax, local_hamiltonian, local_lax, mu_of_v, v_vector
 from .projective import (
-    _fro,
-    canonicalize,
-    chart_index,
-    from_chart,
-    fs_omega_eval,
-    involution,
-    moment_J,
-    moment_J_full,
-    point_to_json,
-    projective_distance,
-    random_point,
-    to_chart,
-    vertex_points,
+    _fro, canonicalize, chart_index, from_chart, fs_omega_eval, involution, moment_J, moment_J_full,
+    point_to_json, projective_distance, random_point, to_chart, vertex_points,
 )
 from .reduction import (
-    action_variables,
-    constraint_residual,
-    duality,
-    f_beta_inv,
-    mapclass_on_P,
-    reduced_flow,
+    action_variables, constraint_residual, duality, f_beta_inv, mapclass_on_P, reduced_flow,
     section_F,
 )
 from .sun import (
-    alcove_delta,
-    alcove_point,
-    dagger,
-    random_special_unitary,
-    random_su_algebra,
-    scalar_product,
+    _ginibre, _special_unitary, alcove_delta, alcove_point, dagger, scalar_product,
+    traceless_antihermitian,
 )
 
 FD_STEP = 1e-5  # step of every central finite-difference check
@@ -113,6 +84,29 @@ def _push(f, p, v):
 # individual checks: each a draw and a residual function (see Stacked)
 
 
+def _trial_by_trial(draw, per=1):
+    """The draw of a cell of max(1, samples // per) trials, each drawn by
+    draw(c, rng) in turn, stacked by name (see Stacked)."""
+
+    def cell(c, rng, samples):
+        trials = [draw(c, rng) for _ in range(max(1, samples // per))]
+        return {key: np.array([t[key] for t in trials]) for key in trials[0]}
+
+    return cell
+
+
+def _points(bias, per=1):
+    """The draw of a cell whose trials draw one point each."""
+    return lambda c, rng, samples: {"u": random_point(c, rng, bias, max(1, samples // per))}
+
+
+def _unitaries_and_algebra(c, rng, count, m, k):
+    """m SU(n) elements, then k elements of su(n), of each of count trials,
+    from one call on rng: the draws of one-point calls in turn."""
+    z = _ginibre(rng, (count, m + k, c.n, c.n))
+    return _special_unitary(z[:, :m]), traceless_antihermitian(z[:, m:])
+
+
 def _all_charts(u, c):
     """F_j(u) for j = 1..n of each point of a stack u (..., n), by one call;
     axis -3 of A and B runs over the charts."""
@@ -120,6 +114,7 @@ def _all_charts(u, c):
     return section_F(np.broadcast_to(u[..., None, :], shape), np.arange(1, c.n + 1), c)
 
 
+@_trial_by_trial
 def _draw_pullback(c, rng):
     # the point, then a and b of five pairs, as a.re, a.im, b.re, b.im of each pair
     return {"u": random_point(c, rng, 0.08), "ab": rng.standard_normal((5, 4, 1, c.n - 1))}
@@ -192,8 +187,8 @@ def _check_dehn_decomposition(c, U):
     return np.maximum(np.maximum(r1, r2), r3)
 
 
-def _draw_double(c, rng):
-    p = random_double_point(c.n, rng)
+def _draw_double(c, rng, samples):
+    p = random_double_point(c.n, rng, max(1, samples))
     return {"A": p.A, "B": p.B}
 
 
@@ -203,6 +198,7 @@ def _check_central_twist(c, A, B):
     return np.maximum(_fro(q1.A - q2.A), _fro(q1.B - q2.B))
 
 
+@_trial_by_trial
 def _draw_local_lax(c, rng):
     # an interior xi, then a torus element Theta = diag(e^{i theta}) of det 1
     xi = random_shifted_alcove(c, rng, margin=0.02)
@@ -219,10 +215,9 @@ def _check_lax_conjugation(c, xi, theta):
 
 def _draw_lax_unitarity(c, rng, samples):
     # one trial per cell: all local Lax draws come before the point draws
-    local = [_draw_local_lax(c, rng) for _ in range(samples)]
-    u = [random_point(c, rng) for _ in range(samples)]
-    u += vertex_points(c) + vertex_points(c, eps=1e-4, rng=rng)
-    return {key: np.array([d[key] for d in local]) for key in ("xi", "theta")} | {"u": np.array(u)}
+    drawn = _draw_local_lax(c, rng, samples)
+    u = (random_point(c, rng, count=max(1, samples)), vertex_points(c), vertex_points(c, 1e-4, rng))
+    return {key: x[None] for key, x in drawn.items()} | {"u": np.concatenate(u)[None]}
 
 
 def _check_lax_unitarity(c, xi, theta, u):
@@ -233,6 +228,7 @@ def _check_lax_unitarity(c, xi, theta, u):
     return np.maximum(_fro(dagger(M) @ M - np.eye(c.n)), np.hypot(det.real, det.imag))
 
 
+@_trial_by_trial
 def _draw_lax_hamiltonian(c, rng):
     xi = random_shifted_alcove(c, rng, margin=0.02)
     p = rng.uniform(-math.pi, math.pi, c.n)
@@ -246,10 +242,10 @@ def _check_lax_hamiltonian(c, xi, p):
     return abs(H - np.trace(L, 0, -2, -1).real)
 
 
-def _draw_gradients(c, rng):
+def _draw_gradients(c, rng, samples):
     # X, then four zetas for each of the n + 3 Hamiltonians in turn
-    X = random_special_unitary(c.n, rng)
-    return {"X": X, "zeta": np.array([random_su_algebra(c.n, rng) for _ in range(4 * c.n + 12)])}
+    X, zeta = _unitaries_and_algebra(c, rng, max(1, samples // 10), 1, 4 * c.n + 12)
+    return {"X": X[:, 0], "zeta": zeta}
 
 
 def _check_gradients(c, X, zeta):
@@ -265,8 +261,8 @@ def _check_gradients(c, X, zeta):
     return np.concatenate(rows, -1)
 
 
-def _draw_xi(c, rng):
-    return {"xi": random_shifted_alcove(c, rng)}
+def _draw_xi(c, rng, samples):
+    return {"xi": random_shifted_alcove(c, rng, count=max(1, samples))}
 
 
 def _check_normalization(c, xi):
@@ -282,6 +278,7 @@ def _check_mu_spectrum(c, xi):
     return np.abs(e1 - e2).max(-1)
 
 
+@_trial_by_trial
 def _draw_global_lax(c, rng):
     return {"u": random_point(c, rng), "gamma": rng.uniform(0, 2 * math.pi)}
 
@@ -292,10 +289,11 @@ def _check_global_lax(c, U, gamma):
     return _fro(K[1] - K[0])
 
 
-def _draw_boundary_limit(c, rng):
-    # point k on the wall u_k = 0; the re and im draws of each in turn, as one
-    z = rng.standard_normal((c.n, 2, c.n))
-    return {"u": np.where(np.eye(c.n, dtype=bool), 0.0, z[:, 0] + 1j * z[:, 1])}
+def _draw_boundary_limit(c, rng, samples):
+    # point k of a trial on the wall u_k = 0; the re and im draws of each in
+    # turn, as one
+    z = rng.standard_normal((max(1, samples // 5), c.n, 2, c.n))
+    return {"u": np.where(np.eye(c.n, dtype=bool), 0.0, z[..., 0, :] + 1j * z[..., 1, :])}
 
 
 def _check_boundary_limit(c, U):
@@ -308,10 +306,11 @@ def _check_boundary_limit(c, U):
     return _fro(global_lax(canonicalize(np.where(wall, 1e-8 * (1.0 + 1j), u0), c), c) - K0)
 
 
-def _draw_poisson(c, rng):
+def _draw_poisson(c, rng, samples):
     # n = 2 has no pair k < l to bracket: its trials draw nothing, and a
     # zero vector stands for their point
-    return {"u": random_point(c, rng, 0.08) if c.n > 2 else np.zeros(c.n)}
+    count = max(1, samples)
+    return {"u": random_point(c, rng, 0.08, count) if c.n > 2 else np.zeros((count, c.n))}
 
 
 def _check_poisson(c, U):
@@ -352,7 +351,7 @@ def _check_polytope_image(c, U):
 def _draw_polytope_vertices(c, rng, _samples):
     # one trial per cell, whatever the sample count: vertex_points draws all
     # n perturbations at once
-    return {"u": np.array(vertex_points(c, eps=1e-4, rng=rng))}
+    return {"u": np.array(vertex_points(c, eps=1e-4, rng=rng))[None]}
 
 
 def _check_polytope_vertices(c, U):
@@ -364,11 +363,10 @@ def _check_polytope_vertices(c, U):
     return np.maximum(r1, r2)
 
 
-def _draw_axiom_a2(c, rng):
+def _draw_axiom_a2(c, rng, samples):
     # the point, then zeta, X and Y of each of three tangents in turn
-    drawn = _draw_double(c, rng)
-    drawn["zxy"] = np.array([[random_su_algebra(c.n, rng) for _ in range(3)] for _ in range(3)])
-    return drawn
+    AB, zxy = _unitaries_and_algebra(c, rng, max(1, samples // 10), 2, 9)
+    return {"A": AB[:, 0], "B": AB[:, 1], "zxy": zxy.reshape(-1, 3, 3, c.n, c.n)}
 
 
 def _check_axiom_a2(c, A, B, zxy):
@@ -383,8 +381,9 @@ def _check_axiom_a2(c, A, B, zxy):
     return abs(omega_eval(p, vertical_tangent(p, zeta), v) - rhs)
 
 
-def _draw_equivariance(c, rng):
-    return _draw_double(c, rng) | {"g": random_special_unitary(c.n, rng)}
+def _draw_equivariance(c, rng, samples):
+    g = _unitaries_and_algebra(c, rng, max(1, samples), 3, 0)[0]
+    return {"A": g[:, 0], "B": g[:, 1], "g": g[:, 2]}
 
 
 def _check_equivariance(c, A, B, g):
@@ -392,8 +391,12 @@ def _check_equivariance(c, A, B, g):
     return _fro(moment(conjugate(p, g)) - g @ moment(p) @ dagger(g))
 
 
-def _draw_flow_moment(c, rng):
-    return _draw_double(c, rng) | {"t": rng.uniform(-5, 5)}
+def _flow_moment_trial(c, rng):
+    p = random_double_point(c.n, rng)
+    return {"A": p.A, "B": p.B, "t": rng.uniform(-5, 5)}
+
+
+_draw_flow_moment = _trial_by_trial(_flow_moment_trial, 5)
 
 
 def _check_flow_moment(c, A, B, t):
@@ -405,11 +408,10 @@ def _check_flow_moment(c, A, B, t):
     return np.stack([_fro(moment(flow(p, InvariantHamiltonian(*h), t)) - mu) for h in hams], -1)
 
 
-def _draw_omega_morphisms(c, rng):
+def _draw_omega_morphisms(c, rng, samples):
     # the point, then X and Y of v, then of w
-    drawn = _draw_double(c, rng)
-    drawn["XY"] = np.array([[random_su_algebra(c.n, rng) for _ in range(2)] for _ in range(2)])
-    return drawn
+    AB, XY = _unitaries_and_algebra(c, rng, max(1, samples // 10), 2, 4)
+    return {"A": AB[:, 0], "B": AB[:, 1], "XY": XY.reshape(-1, 2, 2, c.n, c.n)}
 
 
 def _check_omega_morphisms(c, A, B, XY):
@@ -429,10 +431,17 @@ def _check_section_consistency(c, U):
     return projective_distance(labels[..., :1, :], labels[..., 1:, :]).max(-1)
 
 
-# A check: draw(c, rng) makes the draws of one trial, in order, and returns
-# them by name; no library call of a check draws, so drawing all trials of a
-# cell first leaves the seeded stream as it was.  residuals(c, *stacks) then
-# evaluates the stacks (trials, ...) of the drawn entries, one call a stage.
+# A check: draw(c, rng, samples) makes all the draws of a cell, by name,
+# each a stack whose axis 0 runs over the cell's max(1, samples // per)
+# trials (per = 1 unless the draw says otherwise); residuals(c, *stacks)
+# evaluates a group of trials, one call a stage.  The draws are those of
+# one-point calls made trial after trial, bit for bit; where they are all
+# normals, a cell's are one rng call.  Five checks draw trial by trial
+# (_trial_by_trial), where one call would reorder the stream:
+# lax-conjugation, lax-hamiltonian, global-lax and flow-moment draw a
+# uniform or Dirichlet sample between normals, pullback normals after a
+# rejection.  lax-unitarity and polytope-vertices run one trial per cell
+# (polytope-vertices ignores samples: its draws are one per vertex).
 Stacked = namedtuple("Stacked", "residuals draw")
 
 # Most matrix entries one stacked call holds.  No trial but lax-unitarity's
@@ -444,41 +453,33 @@ Stacked = namedtuple("Stacked", "residuals draw")
 STACK_ENTRIES = 2**17
 
 
-def _point(bias):
-    """The draw of a trial that draws one point."""
-    return lambda c, rng: {"u": random_point(c, rng, bias)}
-
-
-# name: (check, tolerance, per).  A cell of s samples runs max(1, s // per)
-# trials; per None means one trial, whose draw(c, rng, s) is handed s, for
-# the checks whose draws cannot be split into trials without reordering the
-# seeded stream (polytope-vertices ignores s: its draws are one per vertex)
+# name: (check, tolerance)
 CHECKS = {
-    "constraint": (Stacked(_check_constraint, _point(0.02)), 1e-10, 1),
-    "pullback": (Stacked(_check_pullback, _draw_pullback), 1e-5, 1),
-    "intertwine": (Stacked(_check_intertwine, _point(0.02)), 1e-9, 1),
-    "duality-squares": (Stacked(_check_duality_squares, _point(0.0)), 1e-8, 1),
-    "duality-exchange": (Stacked(_check_duality_exchange, _point(0.0)), 1e-8, 1),
-    "mapclass-origin": (Stacked(_check_mapclass_origin, _point(0.0)), 1e-8, 1),
-    "dehn-decomposition": (Stacked(_check_dehn_decomposition, _point(0.0)), 1e-8, 1),
-    "central-twist": (Stacked(_check_central_twist, _draw_double), 1e-10, 1),
-    "lax-conjugation": (Stacked(_check_lax_conjugation, _draw_local_lax), 1e-10, 1),
-    "lax-unitarity": (Stacked(_check_lax_unitarity, _draw_lax_unitarity), 1e-9, None),
-    "lax-hamiltonian": (Stacked(_check_lax_hamiltonian, _draw_lax_hamiltonian), 1e-12, 1),
-    "gradients": (Stacked(_check_gradients, _draw_gradients), 1e-6, 10),
-    "normalization": (Stacked(_check_normalization, _draw_xi), 1e-12, 1),
-    "mu-spectrum": (Stacked(_check_mu_spectrum, _draw_xi), 1e-10, 1),
-    "global-lax": (Stacked(_check_global_lax, _draw_global_lax), 1e-9, 1),
-    "boundary-limit": (Stacked(_check_boundary_limit, _draw_boundary_limit), 1e-6, 5),
-    "poisson": (Stacked(_check_poisson, _draw_poisson), 1e-5, 1),
-    "conservation": (Stacked(_check_conservation, _point(0.0)), 1e-8, 10),
-    "polytope-image": (Stacked(_check_polytope_image, _point(0.0)), 1e-9, 1),
-    "polytope-vertices": (Stacked(_check_polytope_vertices, _draw_polytope_vertices), 1e-3, None),
-    "axiom-a2": (Stacked(_check_axiom_a2, _draw_axiom_a2), 1e-5, 10),
-    "equivariance": (Stacked(_check_equivariance, _draw_equivariance), 1e-12, 1),
-    "flow-moment": (Stacked(_check_flow_moment, _draw_flow_moment), 1e-10, 5),
-    "omega-morphisms": (Stacked(_check_omega_morphisms, _draw_omega_morphisms), 1e-5, 10),
-    "section-consistency": (Stacked(_check_section_consistency, _point(0.03)), 1e-9, 1),
+    "constraint": (Stacked(_check_constraint, _points(0.02)), 1e-10),
+    "pullback": (Stacked(_check_pullback, _draw_pullback), 1e-5),
+    "intertwine": (Stacked(_check_intertwine, _points(0.02)), 1e-9),
+    "duality-squares": (Stacked(_check_duality_squares, _points(0.0)), 1e-8),
+    "duality-exchange": (Stacked(_check_duality_exchange, _points(0.0)), 1e-8),
+    "mapclass-origin": (Stacked(_check_mapclass_origin, _points(0.0)), 1e-8),
+    "dehn-decomposition": (Stacked(_check_dehn_decomposition, _points(0.0)), 1e-8),
+    "central-twist": (Stacked(_check_central_twist, _draw_double), 1e-10),
+    "lax-conjugation": (Stacked(_check_lax_conjugation, _draw_local_lax), 1e-10),
+    "lax-unitarity": (Stacked(_check_lax_unitarity, _draw_lax_unitarity), 1e-9),
+    "lax-hamiltonian": (Stacked(_check_lax_hamiltonian, _draw_lax_hamiltonian), 1e-12),
+    "gradients": (Stacked(_check_gradients, _draw_gradients), 1e-6),
+    "normalization": (Stacked(_check_normalization, _draw_xi), 1e-12),
+    "mu-spectrum": (Stacked(_check_mu_spectrum, _draw_xi), 1e-10),
+    "global-lax": (Stacked(_check_global_lax, _draw_global_lax), 1e-9),
+    "boundary-limit": (Stacked(_check_boundary_limit, _draw_boundary_limit), 1e-6),
+    "poisson": (Stacked(_check_poisson, _draw_poisson), 1e-5),
+    "conservation": (Stacked(_check_conservation, _points(0.0, per=10)), 1e-8),
+    "polytope-image": (Stacked(_check_polytope_image, _points(0.0)), 1e-9),
+    "polytope-vertices": (Stacked(_check_polytope_vertices, _draw_polytope_vertices), 1e-3),
+    "axiom-a2": (Stacked(_check_axiom_a2, _draw_axiom_a2), 1e-5),
+    "equivariance": (Stacked(_check_equivariance, _draw_equivariance), 1e-12),
+    "flow-moment": (Stacked(_check_flow_moment, _draw_flow_moment), 1e-10),
+    "omega-morphisms": (Stacked(_check_omega_morphisms, _draw_omega_morphisms), 1e-5),
+    "section-consistency": (Stacked(_check_section_consistency, _points(0.03)), 1e-9),
 }
 
 
@@ -571,38 +572,34 @@ class SuiteReport:
 
 
 def _run_cell(name, c, cfg):
-    """Run one (check, n) cell: draw its trials in order on the cell's own
-    rng, then evaluate them in consecutive groups bounded by STACK_ENTRIES.
+    """Run one (check, n) cell: draw all its trials on the cell's own rng,
+    then evaluate them in consecutive groups bounded by STACK_ENTRIES.
 
     A row over tolerance, or a trial raising a library error or ValueError,
     fails the cell; the first failure in trial order is reported, its "data"
     the trial's draw by name, and the other trials' rows still count.  Any
     other exception, numpy's AxisError (a ValueError) among them, is a bug
-    and propagates.  A row's "data" names its "row" too: the chart j - 1
-    (constraint, intertwine), the pair (a, b) (pullback), the pair k < l in
-    np.triu_indices order (poisson), J or Xi o K (polytope-image), the time
-    (conservation), the wall (boundary-limit), the vertex
-    (polytope-vertices), the Hamiltonian (flow-moment; gradients, four
-    zetas each), the generator S, T, Ttilde, nu (omega-morphisms), the
-    tangent (axiom-a2), the local matrices, then the points (lax-unitarity).
+    and propagates.  A row's "data" names its "row" too: its index among
+    the trial's rows, in the order its residual function gives them.
     """
-    check, tol, per = CHECKS[name]
+    check, tol = CHECKS[name]
     rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
     start = time.perf_counter()
-    count, extra = (1, (cfg.samples,)) if per is None else (max(1, cfg.samples // per), ())
-    draws = [check.draw(c, rng, *extra) for _ in range(count)]
+    drawn = check.draw(c, rng, cfg.samples)
+    count = len(next(iter(drawn.values())))
     size = max(1, STACK_ENTRIES // (4 * c.n**3))
-    groups = (draws[first : first + size] for first in range(0, len(draws), size))
-    outcomes = (rows for group in groups for rows in _trials(check.residuals, c, group))
+    groups = (range(first, min(first + size, count)) for first in range(0, count, size))
+    outcomes = (rows for group in groups for rows in _trials(check.residuals, c, drawn, group))
     residuals, failure = [], None
-    for i, (drawn, rows) in enumerate(zip(draws, outcomes)):
+    for i, rows in enumerate(outcomes):
         if isinstance(rows, Exception):
-            error = {"trial": i, "error": type(rows).__name__, "message": str(rows)}
-            failure = failure or {**error, "data": _to_json(drawn)}
+            if failure is None:
+                error = {"trial": i, "error": type(rows).__name__, "message": str(rows)}
+                failure = {**error, "data": _to_json(drawn, i)}
             continue
         for k, r in enumerate(rows):
             if failure is None and not r <= tol:
-                data = {"row": k, **_to_json(drawn)}
+                data = {"row": k, **_to_json(drawn, i)}
                 failure = {"sample_index": len(residuals), "residual": float(r), "data": data}
             residuals.append(r)
     wall = time.perf_counter() - start
@@ -619,18 +616,19 @@ def _run_cell(name, c, cfg):
     )
 
 
-def _to_json(drawn):
-    """A trial's draw as JSON, entry by entry, a complex one by point_to_json."""
-    return {key: point_to_json(x) if np.iscomplexobj(x) else np.asarray(x).tolist()
+def _to_json(drawn, i):
+    """Trial i's draw as JSON, entry by entry, a complex one by point_to_json."""
+    return {key: point_to_json(x[i]) if np.iscomplexobj(x) else x[i].tolist()
             for key, x in drawn.items()}
 
 
-def _trials(residuals, c, group):
-    """The rows of each trial of a group, by one call on the stack of each
-    drawn entry.  If the call raises, each trial is evaluated alone, as a
-    group of one, and gives its rows or the exception it raises alone, so
-    that the other trials' rows still count."""
-    stacks = [np.array([drawn[key] for drawn in group]) for key in group[0]]
+def _trials(residuals, c, drawn, group):
+    """The rows of each trial of a group (a range of trials), by one call on
+    the group's rows of each drawn stack, each laid out as one array.  If
+    the call raises, each trial is evaluated alone, as a group of one, and
+    gives its rows or the exception it raises alone, so that the other
+    trials' rows still count."""
+    stacks = [np.ascontiguousarray(x[group.start : group.stop]) for x in drawn.values()]
     try:
         return list(np.reshape(residuals(c, *stacks), (len(group), -1)))
     except np.exceptions.AxisError:
@@ -638,7 +636,7 @@ def _trials(residuals, c, group):
     except (RSDualError, ValueError) as exc:
         if len(group) == 1:
             return [exc]
-        return [rows for drawn in group for rows in _trials(residuals, c, [drawn])]
+        return [rows for i in group for rows in _trials(residuals, c, drawn, range(i, i + 1))]
 
 
 def run_suite(cfg):

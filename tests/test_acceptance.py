@@ -53,7 +53,7 @@ PINNED_TOLERANCES = {
 
 
 def test_tolerances_are_pinned():
-    assert {name: tol for name, (_, tol, _) in CHECKS.items()} == PINNED_TOLERANCES
+    assert {name: tol for name, (_, tol) in CHECKS.items()} == PINNED_TOLERANCES
 
 
 def _run(criterion, desc, checks, n_list, samples, seed=SEED):

@@ -121,6 +121,45 @@ def test_vertex_points_are_the_per_vertex_draws(n):
         assert same_bits(u, canonicalize(np.eye(n, dtype=complex)[k], c))
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 8, 32))
+def test_sampler_counts_are_the_one_point_draws(n):
+    # each sampler's count form gives the rows of that many one-point calls
+    # on the same rng, bit for bit, and leaves the rng where they leave it
+    c = Coupling.default(n)
+    count = 12
+    samplers = {
+        "point": lambda rng, k=None: random_point(c, rng, 0.0, k),
+        "interior point": lambda rng, k=None: random_point(c, rng, 1.0 / n, k),
+        "SU(n)": lambda rng, k=None: random_special_unitary(n, rng, k),
+        "su(n)": lambda rng, k=None: random_su_algebra(n, rng, k),
+        "alcove": lambda rng, k=None: random_shifted_alcove(c, rng, 0.02, k),
+        "double": lambda rng, k=None: _pair_stack(random_double_point(n, rng, k)),
+    }
+    for name, draw in samplers.items():
+        one, stacked = np.random.default_rng(n), np.random.default_rng(n)
+        rows = draw(stacked, count)
+        assert len(rows) == count, name
+        for row in rows:
+            assert same_bits(row, draw(one)), name
+        assert one.bit_generator.state == stacked.bit_generator.state, name
+    # the interior points are those of the per-candidate loop, which rejects
+    # about two candidates in three at bias 1/n
+    rng = np.random.default_rng(n)
+    want, candidates = [], 0
+    while len(want) < count:
+        u = canonicalize(rng.standard_normal(n) + 1j * rng.standard_normal(n), c)
+        candidates += 1
+        if np.min(np.abs(u) ** 2) > c.chi0 / n**2:
+            want.append(u)
+    assert candidates > count
+    assert same_bits(random_point(c, np.random.default_rng(n), 1.0 / n, count), np.array(want))
+
+
+def _pair_stack(p):
+    """A and B of a pair, or of each pair of a stack, on axis -3."""
+    return np.stack((p.A, p.B), -3)
+
+
 @pytest.mark.parametrize("n", NS)
 def test_w_factors_and_v_vector_rows_are_the_one_point_calls(n):
     # a stack of exactly n rows once gathered r_{k-1} along the wrong axis

@@ -101,7 +101,7 @@ def test_default_suite_passes_quickly():
     assert rep.all_passed
     names = {r.name for r in rep.results}
     assert names == set(CHECKS)
-    assert all(isinstance(check, Stacked) for check, _, _ in CHECKS.values())  # one trial path
+    assert all(isinstance(check, Stacked) for check, _ in CHECKS.values())  # one trial path
     rows = {}
     for r in rep.results:
         rows.setdefault(r.name, []).append(r.samples)
@@ -124,7 +124,7 @@ def test_poisson_check_equals_pairwise_brackets(n):
     c = Coupling.default(n)
     check = CHECKS["poisson"][0]
     trial_rng = np.random.default_rng(8)
-    U = np.array([check.draw(c, trial_rng)["u"] for _ in range(3)])
+    U = check.draw(c, trial_rng, 3)["u"]
     rows = list(np.ravel(check.residuals(c, U)))
     rng = np.random.default_rng(8)
     want = []
@@ -158,7 +158,7 @@ def test_chart_jacobian_is_one_stacked_call(monkeypatch, n):
         assert cell.passed and calls == want
     # nor does a poisson trial draw at n = 2, where it has nothing to bracket
     rng = np.random.default_rng(1)
-    CHECKS["poisson"][0].draw(Coupling.default(n), rng)
+    CHECKS["poisson"][0].draw(Coupling.default(n), rng, 1)
     assert (rng.bit_generator.state == np.random.default_rng(1).bit_generator.state) == (n == 2)
 
 
@@ -192,8 +192,8 @@ def test_y_rule_variants():
 
 
 def test_failure_payload_names_first_bad_sample(monkeypatch):
-    trial, _, per = CHECKS["global-lax"]
-    monkeypatch.setitem(CHECKS, "global-lax", (trial, 1e-30, per))
+    trial, _ = CHECKS["global-lax"]
+    monkeypatch.setitem(CHECKS, "global-lax", (trial, 1e-30))
     rep = run_suite(SuiteConfig(n_list=(3,), samples=4, checks=("global-lax",)))
     (res,) = rep.results
     assert not res.passed
@@ -207,9 +207,9 @@ def _scripted(events, started):
     an exception, whether it is evaluated in its group or alone; started
     records the n of every trial drawn."""
 
-    def draw(c, rng):
-        started.append(c.n)
-        return {"i": started.count(c.n) - 1}
+    def draw(c, rng, samples):
+        started.extend([c.n] * max(1, samples))
+        return {"i": np.arange(max(1, samples))}
 
     def residuals(c, i):
         rows = [events.get(int(k), (k + 1) * 1e-14) for k in i]
@@ -228,7 +228,7 @@ FORCED = {
 
 
 def _forced(started):
-    return (_scripted({2: ConstraintViolation(FORCED["message"])}, started), 1e-12, 1)
+    return (_scripted({2: ConstraintViolation(FORCED["message"])}, started), 1e-12)
 
 
 def test_throwing_trial_fails_its_cell_not_the_sweep(monkeypatch):
@@ -265,7 +265,7 @@ def test_throwing_trial_fails_its_cell_not_the_sweep(monkeypatch):
     ],
 )
 def test_cell_reports_its_first_failure_in_trial_order(monkeypatch, events, failure):
-    monkeypatch.setitem(CHECKS, "normalization", (_scripted(events, []), 1e-12, 1))
+    monkeypatch.setitem(CHECKS, "normalization", (_scripted(events, []), 1e-12))
     (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=5, checks=("normalization",))).results
     assert not cell.passed
     assert json.dumps(cell.failure) == json.dumps(failure)
@@ -274,7 +274,7 @@ def test_cell_reports_its_first_failure_in_trial_order(monkeypatch, events, fail
 def test_exception_outside_the_library_errors_propagates(monkeypatch):
     # anything but a library error or ValueError is a bug, not a failed cell
     trial = _scripted({2: KeyError("bug")}, [])
-    monkeypatch.setitem(CHECKS, "normalization", (trial, 1e-12, 1))
+    monkeypatch.setitem(CHECKS, "normalization", (trial, 1e-12))
     with pytest.raises(KeyError):
         run_suite(SuiteConfig(n_list=(3,), samples=5, checks=("normalization",)))
 
@@ -484,6 +484,26 @@ def test_cli_polytope_csv(tmp_path, monkeypatch):
     for _ in range(50):
         u = random_point(c, rng)
         writer.writerow([f"{x:.15g}" for x in np.append(moment_J(u, c), action_variables(u, c))])
+    assert out.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_cli_polytope_counted_draws_write_the_per_point_csv(tmp_path, monkeypatch, n, seed):
+    # each group's points come from one counted random_point call; the CSV
+    # is byte-equal to the one of a per-point draw loop, over groups of 7
+    monkeypatch.setattr(cli, "STACK_ENTRIES", 7 * n**2)
+    out = tmp_path / "poly.csv"
+    assert run_cli("polytope", "--n", str(n), "--samples", "30", "--seed", str(seed),
+                   "--out", str(out)) == 0
+    c = Coupling.default(n)
+    rng = np.random.default_rng(seed)
+    u = np.array([random_point(c, rng) for _ in range(30)])
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow([f"{name}{k}" for name in ("J", "XiK") for k in range(1, n)])
+    rows = np.concatenate((moment_J(u, c), action_variables(u, c)), -1)
+    writer.writerows([f"{x:.15g}" for x in row] for row in rows)
     assert out.read_bytes() == expected.getvalue().encode()
 
 
@@ -774,6 +794,11 @@ def test_cli_flow_rejects_final_point_at_the_out_path(tmp_path, capsys, monkeypa
 # the stacked checks: all trials of a cell in one call per stage
 
 STACKED = tuple(CHECKS)
+# samples to a trial where not one; None where a cell is one trial
+PER = {
+    "lax-unitarity": None, "gradients": 10, "boundary-limit": 5, "conservation": 10,
+    "polytope-vertices": None, "axiom-a2": 10, "flow-moment": 5, "omega-morphisms": 10,
+}
 
 # max_residual of every cell at n = 2, 3, 4 in the pinned sweeps
 # run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=s)), recorded
@@ -983,7 +1008,7 @@ def test_stacked_check_labels_each_stage_in_one_call(monkeypatch, name, samples)
         monkeypatch.setattr(reduction, target, counted)
     (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=samples, checks=(name,))).results
     assert cell.passed
-    per = CHECKS[name][2]
+    per = PER.get(name, 1)
     trials = max(1, samples // per) if per else 1
     assert len(stacks) == calls
     # the trials on axis 0, or on axis 1 behind the two central-difference
@@ -1033,16 +1058,24 @@ def _alone(check, c, drawn):
     return np.ravel(check.residuals(c, *(np.array([x]) for x in drawn.values())))
 
 
+def _each_trial(drawn):
+    """A cell's draw (stacks by name) as the draw of each of its trials."""
+    count = len(next(iter(drawn.values())))
+    return [{key: x[i] for key, x in drawn.items()} for i in range(count)]
+
+
 @pytest.mark.parametrize("name", STACKED)
 def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name):
     # trial 2's draw (the one trial's, for lax-unitarity and polytope-vertices)
     # makes the library call raise, in the cell's stack and alone; the cell
     # must report what running each trial by itself reports
-    check, tol, per = CHECKS[name]
+    check, tol = CHECKS[name]
+    per = PER.get(name, 1)
     cfg = SuiteConfig(n_list=(3,), samples=5 * (per or 1), seed=3, checks=(name,))
     (c,) = cfg.couplings()
     rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
-    draws = [check.draw(c, rng) for _ in range(5)] if per else [check.draw(c, rng, cfg.samples)]
+    stacks = check.draw(c, rng, cfg.samples)
+    draws = _each_trial(stacks)
     t = 2 if per else 0
     first = next(iter(draws[t].values()))
     target, arg = FORCED_AT[name]
@@ -1061,7 +1094,7 @@ def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name)
         return check.residuals(c, *stacks)
 
     monkeypatch.setattr(verify, target, forced)
-    monkeypatch.setitem(CHECKS, name, (Stacked(recorded, check.draw), tol, per))
+    monkeypatch.setitem(CHECKS, name, (Stacked(recorded, check.draw), tol))
     (cell,) = run_suite(cfg).results
 
     rows, failure = [], None
@@ -1074,7 +1107,7 @@ def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name)
         "trial": t, "error": "ConstraintViolation",
         "message": f"forced failure in {target}",
     }
-    assert not cell.passed and cell.failure == {**failure, "data": verify._to_json(draws[t])}
+    assert not cell.passed and cell.failure == {**failure, "data": verify._to_json(stacks, t)}
     assert cell.samples == len(rows) == (len(draws) - 1) * ROWS_PER_TRIAL.get(name, 1)
     assert cell.max_residual == max(rows, default=0.0)
     assert groups[0] == len(draws)  # the cell was tried as one stack first
@@ -1099,12 +1132,13 @@ def test_stacked_payload_names_the_point_and_its_row(monkeypatch):
         ("gradients", 2, 20), ("omega-morphisms", 3, 4),
     )
     for name, n, rows in cases:
-        check, _, per = CHECKS[name]
-        monkeypatch.setitem(CHECKS, name, (check, 1e-30, per))
+        check, _ = CHECKS[name]
+        per = PER.get(name, 1)
+        monkeypatch.setitem(CHECKS, name, (check, 1e-30))
         cfg = SuiteConfig(n_list=(n,), samples=4 * per, seed=5, checks=(name,))
         (c,) = cfg.couplings()
         rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
-        drawn = check.draw(c, rng)
+        drawn = _each_trial(check.draw(c, rng, cfg.samples))[0]
         (cell,) = run_suite(cfg).results
         assert not cell.passed and cell.samples == 4 * rows
         assert cell.failure["sample_index"] == 0
@@ -1135,7 +1169,7 @@ def test_exception_payload_replays_the_trial():
     assert (failure["error"], failure["message"]) == ("ConstraintViolation", str(exc.value))
     # the points are those the cell drew
     rng = np.random.default_rng([0, list(CHECKS).index("polytope-vertices"), 3])
-    assert np.array_equal(u, CHECKS["polytope-vertices"][0].draw(c, rng, 5)["u"])
+    assert np.array_equal(u, CHECKS["polytope-vertices"][0].draw(c, rng, 5)["u"][0])
 
 
 def test_stack_of_a_cell_is_bounded(monkeypatch):
@@ -1151,7 +1185,7 @@ def test_stack_of_a_cell_is_bounded(monkeypatch):
 
         monkeypatch.setattr(verify, target, counted)
     for name in ("pullback", "poisson"):
-        check, tol, per = CHECKS[name]
+        check, tol = CHECKS[name]
         got = []
 
         def recorded(c, *stacks, check=check):
@@ -1159,13 +1193,13 @@ def test_stack_of_a_cell_is_bounded(monkeypatch):
             got.extend(np.ravel(rows))
             return rows
 
-        monkeypatch.setitem(CHECKS, name, (Stacked(recorded, check.draw), tol, per))
+        monkeypatch.setitem(CHECKS, name, (Stacked(recorded, check.draw), tol))
         sizes.clear()
         run_suite(SuiteConfig(n_list=(32,), samples=20, seed=7, checks=(name,)))
         assert sizes and max(sizes) * c.n**2 <= verify.STACK_ENTRIES
         assert max(sizes) == 4 * (c.n - 1)  # the chart Jacobian of one trial
         rng = np.random.default_rng([7, list(CHECKS).index(name), c.n])
-        alone = [_alone(check, c, check.draw(c, rng)) for _ in range(20)]
+        alone = [_alone(check, c, drawn) for drawn in _each_trial(check.draw(c, rng, 20))]
         assert np.array_equal(got, np.ravel(alone))
 
 
@@ -1186,7 +1220,7 @@ def test_axis_error_in_a_check_propagates(monkeypatch):
         ("pullback", Stacked(misplaced, CHECKS["pullback"][0].draw)),
     ]
     for name, trial in cases:
-        monkeypatch.setitem(CHECKS, name, (trial, 1e-12, 1))
+        monkeypatch.setitem(CHECKS, name, (trial, 1e-12))
         with pytest.raises(np.exceptions.AxisError):
             run_suite(SuiteConfig(n_list=(3,), samples=3, checks=(name,)))
 
