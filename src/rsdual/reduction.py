@@ -5,12 +5,12 @@ F_j of the projection to the reduced space P; labelling each gauge orbit by
 the projective point recovered from the Lax-matrix entries makes the
 identification beta-map a computable bijection.  The second identification is
 alpha = nu o beta o Gamma, the self-duality map is their composition.  S, its
-inverse, mapping-class words and reduced_flow are f_beta_inv(act(_lift(u))),
-a trajectory step _label through its orbit frame.  A point is canonicalized
-where it is lifted and where it is labelled, and nowhere in between.  Each of
-these maps takes a stack of points (..., n) or of pairs (..., n, n), each row
-with the one-point bits; a bad row raises what it raises alone.  section_F
-takes one chart for all rows or one per row (projective.chart_gauge).
+inverse, mapping-class words and reduced_flow are _relabel, f_beta_inv(act(
+_lift(u))) of one map act or of several by one lift and one label call; a
+trajectory step is _label through its orbit frame.  A point is canonicalized
+only where it is lifted and where it is labelled.  Each map takes a stack of
+points (..., n) or pairs (..., n, n), each row with the one-point bits; a bad
+row raises what it raises alone.  section_F takes one chart or one per row.
 """
 
 import math
@@ -167,7 +167,22 @@ def f_alpha(u, c):
 
 def f_alpha_inv(p, c):
     """Inverse of the alpha identification on the constraint surface."""
-    return canonicalize(involution("Gamma", f_beta_inv(auto_apply("nu", p), c)), c)
+    return _from_alpha(f_beta_inv(auto_apply("nu", p), c), c)
+
+
+def _from_alpha(v, c):
+    """f_alpha_inv of the pairs whose nu has the labels v: Gamma(v), canonical."""
+    return canonicalize(involution("Gamma", v), c)
+
+
+def _relabel(u, c, *acts):
+    """f_beta_inv(act(_lift(u))) of each map act of the double, by one lift and
+    one label call; the labels of several acts run over axis -2, in order."""
+    p = _lift(u, c)
+    q = [act(p) for act in acts]
+    if len(q) > 1:
+        q = [DoublePoint(np.stack([x.A for x in q], -3), np.stack([x.B for x in q], -3))]
+    return f_beta_inv(q[0], c)
 
 
 def duality(which, u, c):
@@ -178,9 +193,9 @@ def duality(which, u, c):
     that plainly exchanges positions and actions.
     """
     if which == "S":
-        return f_alpha_inv(_lift(u, c), c)
+        return _from_alpha(_relabel(u, c, lambda p: auto_apply("nu", p)), c)
     if which == "S_inv":
-        return f_beta_inv(f_alpha(u, c), c)
+        return _relabel(involution("Gamma", u), c, lambda p: auto_apply("nu", p))
     if which == "R":
         # C maps the canonical image of S to a canonical point
         return involution("C", duality("S", u, c))
@@ -197,13 +212,13 @@ def mapclass_on_P(word, u, c):
     for gen in word:
         if gen not in ("S", "T", "Ttilde"):
             raise ValueError(f"unknown mapping-class generator {gen!r}")
-    return f_beta_inv(apply_word(word, _lift(u, c)), c)
+    return _relabel(u, c, lambda p: apply_word(word, p))
 
 
 def reduced_flow(u, h, t, c):
     """Reduced Hamiltonian flow: lift through a chart section, apply the
     exact unreduced flow, project back to the canonical label."""
-    return f_beta_inv(flow(_lift(u, c), h, t), c)
+    return _relabel(u, c, lambda p: flow(p, h, t))
 
 
 def action_variables(u, c):

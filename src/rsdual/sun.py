@@ -34,9 +34,11 @@ def dagger(m):
 
 
 def traceless_antihermitian(m):
-    """Project a matrix onto su(n) (anti-Hermitian, traceless)."""
-    a = 0.5 * (m - dagger(m))
-    return a - (a.trace(0, -2, -1)[..., None, None] / m.shape[-1]) * np.eye(m.shape[-1])
+    """Project a matrix onto su(n) (anti-Hermitian, traceless), in one array."""
+    a = m - dagger(m)
+    a *= 0.5
+    np.einsum("...ii->...i", a)[...] -= (a.trace(0, -2, -1) / m.shape[-1])[..., None]
+    return a
 
 
 def scalar_product(eta, zeta):
@@ -45,10 +47,9 @@ def scalar_product(eta, zeta):
     return -0.5 * np.add.reduce(eta * np.swapaxes(zeta, -1, -2), (-2, -1)).real
 
 
-def _ginibre(rng, shape):
-    """Complex Ginibre matrices (..., n, n) by one call on rng: of each
-    matrix the real parts, then the imaginary parts."""
-    z = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+def _ginibre(z):
+    """Complex Ginibre matrices (..., n, n) from standard normals z
+    (..., 2, n, n): of each matrix the real parts, then the imaginary parts."""
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
@@ -64,12 +65,14 @@ def _special_unitary(z):
 def random_special_unitary(n, rng, count=None):
     """Haar-ish random SU(n) element; with count, a stack (count, n, n) of
     the elements of count calls on rng."""
-    return _special_unitary(_ginibre(rng, (n, n) if count is None else (count, n, n)))
+    z = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
+    return _special_unitary(_ginibre(z))
 
 
 def random_su_algebra(n, rng, count=None):
     """Random element of su(n); with count, a stack as random_special_unitary's."""
-    return traceless_antihermitian(_ginibre(rng, (n, n) if count is None else (count, n, n)))
+    z = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
+    return traceless_antihermitian(_ginibre(z))
 
 
 def alcove_exponents(xi):

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .coupling import Coupling, random_shifted_alcove
+from .coupling import Coupling, _shifted_alcove_at, random_shifted_alcove
 from .double import (
     DoublePoint, DoubleTangent, InvariantHamiltonian, apply_word, auto_apply, conjugate, flow,
     geodesic_tangent, hamiltonian_gradient, moment, omega_eval, random_double_point,
@@ -29,8 +29,8 @@ from .projective import (
     point_to_json, projective_distance, random_point, to_chart, vertex_points,
 )
 from .reduction import (
-    action_variables, constraint_residual, duality, f_beta_inv, mapclass_on_P, reduced_flow,
-    section_F,
+    _from_alpha, _relabel, action_variables, constraint_residual, duality, f_beta_inv,
+    reduced_flow, section_F,
 )
 from .sun import (
     _ginibre, _special_unitary, alcove_delta, alcove_point, dagger, scalar_product,
@@ -84,15 +84,10 @@ def _push(f, p, v):
 # individual checks: each a draw and a residual function (see Stacked)
 
 
-def _trial_by_trial(draw, per=1):
-    """The draw of a cell of max(1, samples // per) trials, each drawn by
-    draw(c, rng) in turn, stacked by name (see Stacked)."""
-
-    def cell(c, rng, samples):
-        trials = [draw(c, rng) for _ in range(max(1, samples // per))]
-        return {key: np.array([t[key] for t in trials]) for key in trials[0]}
-
-    return cell
+def _in_turn(count, draw):
+    """The tuples of arrays of count calls draw() made in turn, stacked
+    entry by entry (see Stacked)."""
+    return map(np.array, zip(*[draw() for _ in range(count)]))
 
 
 def _points(bias, per=1):
@@ -103,8 +98,16 @@ def _points(bias, per=1):
 def _unitaries_and_algebra(c, rng, count, m, k):
     """m SU(n) elements, then k elements of su(n), of each of count trials,
     from one call on rng: the draws of one-point calls in turn."""
-    z = _ginibre(rng, (count, m + k, c.n, c.n))
+    z = _ginibre(rng.standard_normal((count, m + k, 2, c.n, c.n)))
     return _special_unitary(z[:, :m]), traceless_antihermitian(z[:, m:])
+
+
+def _alcove_and_uniform(c, rng, samples, low, high, size):
+    """Of each of max(1, samples) trials in turn, random_shifted_alcove(c,
+    rng, margin=0.02) and rng.uniform(low, high, size), by rng calls alone."""
+    draw = lambda: (rng.dirichlet(np.ones(c.n)), rng.uniform(low, high, size))
+    w, x = _in_turn(max(1, samples), draw)
+    return _shifted_alcove_at(w, c, 0.02), x
 
 
 def _all_charts(u, c):
@@ -114,10 +117,10 @@ def _all_charts(u, c):
     return section_F(np.broadcast_to(u[..., None, :], shape), np.arange(1, c.n + 1), c)
 
 
-@_trial_by_trial
-def _draw_pullback(c, rng):
+def _draw_pullback(c, rng, samples):
     # the point, then a and b of five pairs, as a.re, a.im, b.re, b.im of each pair
-    return {"u": random_point(c, rng, 0.08), "ab": rng.standard_normal((5, 4, 1, c.n - 1))}
+    draw = lambda: (random_point(c, rng, 0.08), rng.standard_normal((5, 4, 1, c.n - 1)))
+    return dict(zip(("u", "ab"), _in_turn(max(1, samples), draw)))
 
 
 def _check_pullback(c, U, Z):
@@ -155,35 +158,35 @@ def _check_intertwine(c, U):
 
 def _check_duality_squares(c, U):
     su = duality("S", U, c)
-    r1 = projective_distance(duality("S", su, c), involution("sigma", U))
+    ss = duality("S", np.stack((su, involution("C", su))), c)
+    r1 = projective_distance(ss[0], involution("sigma", U))
     # R(R(u)) = C(S(C(S(u)))), from the same S(u)
-    r2 = projective_distance(duality("R", involution("C", su), c), U)
+    r2 = projective_distance(involution("C", ss[1]), U)
     return np.maximum(r1, r2)
 
 
 def _check_duality_exchange(c, U):
     su = duality("S", U, c)
-    jj = moment_J(U, c)
-    r1 = np.abs(moment_J(su, c) - action_variables(U, c)).max(-1)
-    r2 = np.abs(action_variables(su, c) - jj[..., ::-1]).max(-1)
+    xi = action_variables(np.stack((U, su)), c)
+    r1 = np.abs(moment_J(su, c) - xi[0]).max(-1)
+    r2 = np.abs(xi[1] - moment_J(U, c)[..., ::-1]).max(-1)
     return np.maximum(r1, r2)
 
 
 def _check_mapclass_origin(c, U):
-    return projective_distance(mapclass_on_P(["S"], U, c), duality("S", U, c))
+    labels = _relabel(U, c, lambda p: auto_apply("S", p), lambda p: auto_apply("nu", p))
+    return projective_distance(labels[..., 0, :], _from_alpha(labels[..., 1, :], c))
 
 
 def _check_dehn_decomposition(c, U):
-    su = duality("S", U, c)
-    r1 = projective_distance(mapclass_on_P(["T", "Ttilde", "T"], su, c), U)
-    r2 = projective_distance(
-        reduced_flow(U, InvariantHamiltonian("dehn", 1, "second"), 1.0, c),
-        mapclass_on_P(["T"], U, c),
-    )
-    r3 = projective_distance(
-        reduced_flow(U, InvariantHamiltonian("dehn", 1, "first"), 1.0, c),
-        mapclass_on_P(["Ttilde"], U, c),
-    )
+    # nu (for S(u)), the Dehn flows and the twists T, Ttilde of one lift of u
+    nu, T, Tt = ((lambda p, g=g: auto_apply(g, p)) for g in ("nu", "T", "Ttilde"))
+    h = [InvariantHamiltonian("dehn", 1, side) for side in ("second", "first")]
+    labels = _relabel(U, c, nu, lambda p: flow(p, h[0], 1.0), T, lambda p: flow(p, h[1], 1.0), Tt)
+    su = _from_alpha(labels[..., 0, :], c)
+    r1 = projective_distance(_relabel(su, c, lambda p: apply_word(["T", "Ttilde", "T"], p)), U)
+    r2 = projective_distance(labels[..., 1, :], labels[..., 2, :])
+    r3 = projective_distance(labels[..., 3, :], labels[..., 4, :])
     return np.maximum(np.maximum(r1, r2), r3)
 
 
@@ -198,12 +201,11 @@ def _check_central_twist(c, A, B):
     return np.maximum(_fro(q1.A - q2.A), _fro(q1.B - q2.B))
 
 
-@_trial_by_trial
-def _draw_local_lax(c, rng):
+def _draw_local_lax(c, rng, samples):
     # an interior xi, then a torus element Theta = diag(e^{i theta}) of det 1
-    xi = random_shifted_alcove(c, rng, margin=0.02)
-    phases = rng.uniform(0, 2 * math.pi, c.n - 1)
-    return {"xi": xi, "theta": np.exp(1j * np.append(phases, -phases.sum()))}
+    xi, phases = _alcove_and_uniform(c, rng, samples, 0, 2 * math.pi, c.n - 1)
+    theta = np.exp(1j * np.concatenate((phases, -phases.sum(-1, keepdims=True)), -1))
+    return {"xi": xi, "theta": theta}
 
 
 def _check_lax_conjugation(c, xi, theta):
@@ -228,11 +230,9 @@ def _check_lax_unitarity(c, xi, theta, u):
     return np.maximum(_fro(dagger(M) @ M - np.eye(c.n)), np.hypot(det.real, det.imag))
 
 
-@_trial_by_trial
-def _draw_lax_hamiltonian(c, rng):
-    xi = random_shifted_alcove(c, rng, margin=0.02)
-    p = rng.uniform(-math.pi, math.pi, c.n)
-    p[-1] = -p[:-1].sum()
+def _draw_lax_hamiltonian(c, rng, samples):
+    xi, p = _alcove_and_uniform(c, rng, samples, -math.pi, math.pi, c.n)
+    p[:, -1] = -p[:, :-1].sum(-1)
     return {"xi": xi, "p": p}
 
 
@@ -278,9 +278,9 @@ def _check_mu_spectrum(c, xi):
     return np.abs(e1 - e2).max(-1)
 
 
-@_trial_by_trial
-def _draw_global_lax(c, rng):
-    return {"u": random_point(c, rng), "gamma": rng.uniform(0, 2 * math.pi)}
+def _draw_global_lax(c, rng, samples):
+    draw = lambda: (random_point(c, rng), rng.uniform(0, 2 * math.pi))
+    return dict(zip(("u", "gamma"), _in_turn(max(1, samples), draw)))
 
 
 def _check_global_lax(c, U, gamma):
@@ -391,12 +391,12 @@ def _check_equivariance(c, A, B, g):
     return _fro(moment(conjugate(p, g)) - g @ moment(p) @ dagger(g))
 
 
-def _flow_moment_trial(c, rng):
-    p = random_double_point(c.n, rng)
-    return {"A": p.A, "B": p.B, "t": rng.uniform(-5, 5)}
-
-
-_draw_flow_moment = _trial_by_trial(_flow_moment_trial, 5)
+def _draw_flow_moment(c, rng, samples):
+    # of each trial in turn, the normals of random_double_point, then t
+    draw = lambda: (rng.standard_normal((2, 2, c.n, c.n)), rng.uniform(-5, 5))
+    z, t = _in_turn(max(1, samples // 5), draw)
+    g = _special_unitary(_ginibre(z))
+    return {"A": g[:, 0], "B": g[:, 1], "t": t}
 
 
 def _check_flow_moment(c, A, B, t):
@@ -436,11 +436,11 @@ def _check_section_consistency(c, U):
 # trials (per = 1 unless the draw says otherwise); residuals(c, *stacks)
 # evaluates a group of trials, one call a stage.  The draws are those of
 # one-point calls made trial after trial, bit for bit; where they are all
-# normals, a cell's are one rng call.  Five checks draw trial by trial
-# (_trial_by_trial), where one call would reorder the stream:
-# lax-conjugation, lax-hamiltonian, global-lax and flow-moment draw a
-# uniform or Dirichlet sample between normals, pullback normals after a
-# rejection.  lax-unitarity and polytope-vertices run one trial per cell
+# normals, a cell's are one rng call.  Where that would reorder the stream
+# (a uniform or Dirichlet draw between normals), lax-conjugation,
+# lax-hamiltonian and flow-moment loop making the rng calls alone;
+# global-lax and pullback (normals after a rejection) draw whole trials.
+# lax-unitarity and polytope-vertices run one trial per cell
 # (polytope-vertices ignores samples: its draws are one per vertex).
 Stacked = namedtuple("Stacked", "residuals draw")
 
@@ -589,26 +589,29 @@ def _run_cell(name, c, cfg):
     count = len(next(iter(drawn.values())))
     size = max(1, STACK_ENTRIES // (4 * c.n**3))
     groups = (range(first, min(first + size, count)) for first in range(0, count, size))
-    outcomes = (rows for group in groups for rows in _trials(check.residuals, c, drawn, group))
+    blocks = [b for group in groups for b in _trials(check.residuals, c, drawn, group)]
     residuals, failure = [], None
-    for i, rows in enumerate(outcomes):
+    for first, rows in blocks:
         if isinstance(rows, Exception):
             if failure is None:
-                error = {"trial": i, "error": type(rows).__name__, "message": str(rows)}
-                failure = {**error, "data": _to_json(drawn, i)}
+                error = {"trial": first, "error": type(rows).__name__, "message": str(rows)}
+                failure = {**error, "data": _to_json(drawn, first)}
             continue
-        for k, r in enumerate(rows):
-            if failure is None and not r <= tol:
-                data = {"row": k, **_to_json(drawn, i)}
-                failure = {"sample_index": len(residuals), "residual": float(r), "data": data}
-            residuals.append(r)
+        bad = failure is None and ~(rows <= tol)  # so that NaN fails
+        if np.any(bad):
+            at = int(np.argmax(bad))
+            data = {"row": at % rows.shape[1], **_to_json(drawn, first + at // rows.shape[1])}
+            index = sum(map(np.size, residuals)) + at
+            failure = {"sample_index": index, "residual": float(rows.flat[at]), "data": data}
+        residuals.append(rows.ravel())
+    residuals = np.concatenate(residuals) if residuals else np.empty(0)
     wall = time.perf_counter() - start
     return CheckResult(
         name=name,
         n=c.n,
         y=c.y,
-        samples=len(residuals),
-        max_residual=float(np.max(residuals)) if residuals else 0.0,
+        samples=residuals.size,
+        max_residual=float(np.max(residuals)) if residuals.size else 0.0,
         tolerance=tol,
         passed=failure is None,
         wall_time=wall,
@@ -623,20 +626,20 @@ def _to_json(drawn, i):
 
 
 def _trials(residuals, c, drawn, group):
-    """The rows of each trial of a group (a range of trials), by one call on
-    the group's rows of each drawn stack, each laid out as one array.  If
-    the call raises, each trial is evaluated alone, as a group of one, and
-    gives its rows or the exception it raises alone, so that the other
-    trials' rows still count."""
+    """The blocks (first trial, rows, a row of residuals per trial) of a
+    group (a range of trials): one, by one call on the group's rows of each
+    drawn stack, each laid out as one array.  If the call raises, each trial
+    is evaluated alone and gives its block or (trial, the exception it
+    raises alone), so that the other trials' rows still count."""
     stacks = [np.ascontiguousarray(x[group.start : group.stop]) for x in drawn.values()]
     try:
-        return list(np.reshape(residuals(c, *stacks), (len(group), -1)))
+        return [(group.start, np.reshape(residuals(c, *stacks), (len(group), -1)))]
     except np.exceptions.AxisError:
         raise
     except (RSDualError, ValueError) as exc:
         if len(group) == 1:
-            return [exc]
-        return [rows for i in group for rows in _trials(residuals, c, drawn, range(i, i + 1))]
+            return [(group.start, exc)]
+        return [b for i in group for b in _trials(residuals, c, drawn, range(i, i + 1))]
 
 
 def run_suite(cfg):

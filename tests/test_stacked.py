@@ -1,6 +1,8 @@
 """The per-point core on stacks: every row of a stacked call is the one-point
 call bit for bit, and a stack with one bad row raises that row's error."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -12,6 +14,8 @@ from rsdual.double import (
     DoubleTangent,
     InvariantHamiltonian,
     _gradient_eig,
+    apply_word,
+    auto_apply,
     flow,
     flow_map,
     omega_eval,
@@ -53,9 +57,11 @@ from rsdual.projective import (
     vertex_points,
 )
 from rsdual.reduction import (
+    _from_alpha,
     _label,
     _lift,
     _orbit_frame,
+    _relabel,
     action_variables,
     constraint_residual,
     duality,
@@ -585,6 +591,37 @@ def test_maps_on_P_rows_are_the_one_point_calls(n):
         spread = reduced_flow(np.broadcast_to(U[:, None, :], (len(U), 3, n)), h, times, c)
         for k, u in enumerate(U):
             assert_rows(spread[k], [reduced_flow(u, h, tk, c) for tk in times])
+
+
+@pytest.mark.parametrize("y", [None, 1e-4])
+@pytest.mark.parametrize("n", (2, 3, 4, 8))
+def test_maps_of_one_lift_label_as_the_public_maps_alone(n, y):
+    # the stages of the relabelling checks: several maps of one lift,
+    # labelled by one call, are each public map called on one point alone,
+    # bit for bit
+    c = Coupling.default(n) if y is None else Coupling(n, y)
+    U = sample_points(c, np.random.default_rng(800 + n))
+    dehn = [InvariantHamiltonian("dehn", 1, side) for side in ("second", "first")]
+    stages = [
+        (partial(auto_apply, "nu"), lambda u: duality("S", u, c)),  # by _from_alpha
+        (lambda p: flow(p, dehn[0], 1.0), lambda u: reduced_flow(u, dehn[0], 1.0, c)),
+        (partial(auto_apply, "T"), lambda u: mapclass_on_P(["T"], u, c)),
+        (lambda p: flow(p, dehn[1], 1.0), lambda u: reduced_flow(u, dehn[1], 1.0, c)),
+        (partial(auto_apply, "Ttilde"), lambda u: mapclass_on_P(["Ttilde"], u, c)),
+        (partial(auto_apply, "S"), lambda u: mapclass_on_P(["S"], u, c)),
+    ]
+    labels = _relabel(U, c, *(act for act, _ in stages))
+    su = _from_alpha(labels[:, 0], c)
+    assert_rows(su, [stages[0][1](u) for u in U])
+    for i, (_, f) in enumerate(stages[1:], 1):
+        assert_rows(labels[:, i], [f(u) for u in U])
+    word = ["T", "Ttilde", "T"]
+    assert_rows(_relabel(su, c, partial(apply_word, word)), [mapclass_on_P(word, v, c) for v in su])
+    # S of S(u) and C(S(u)), and Xi of u and S(u), each as one stack
+    for f, stack in ((lambda v: duality("S", v, c), np.stack((su, involution("C", su)))),
+                     (lambda v: action_variables(v, c), np.stack((U, su)))):
+        got = f(stack)
+        assert_rows(got.reshape((-1,) + got.shape[2:]), [f(v) for v in stack.reshape(-1, n)])
 
 
 def test_a_bad_row_of_the_relabel_raises_what_it_raises_alone():

@@ -11,19 +11,21 @@ import pytest
 
 from rsdual import cli
 from rsdual.cli import main
-from rsdual.coupling import Coupling
-from rsdual.double import DoublePoint, InvariantHamiltonian
+from rsdual.coupling import Coupling, random_shifted_alcove
+from rsdual.double import DoublePoint, InvariantHamiltonian, random_double_point
 from rsdual.errors import ConstraintViolation
 from rsdual.projective import (
     chart_index,
+    involution,
     moment_J,
     point_from_json,
     point_to_json,
     projective_distance,
     random_point,
+    vertex_points,
 )
 from rsdual.lax import global_lax
-from rsdual.reduction import action_variables
+from rsdual.reduction import action_variables, duality, mapclass_on_P, reduced_flow
 from rsdual.sun import spectral_xi
 from rsdual import verify
 from rsdual.verify import (
@@ -269,6 +271,24 @@ def test_cell_reports_its_first_failure_in_trial_order(monkeypatch, events, fail
     (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=5, checks=("normalization",))).results
     assert not cell.passed
     assert json.dumps(cell.failure) == json.dumps(failure)
+
+
+@pytest.mark.parametrize("entries", [verify.STACK_ENTRIES, 1])
+def test_failing_row_inside_a_trial_names_its_trial_and_row(monkeypatch, entries):
+    # three rows a trial: trial 1's last row is the first over tolerance,
+    # whether the cell is one group or a group per trial
+    def residuals(c, i):
+        rows = np.full((len(i), 3), 1e-14)
+        rows[i == 1, 2] = 1.0
+        rows[i == 3, 0] = 2.0
+        return rows
+
+    draw = lambda c, rng, samples: {"i": np.arange(samples)}
+    monkeypatch.setitem(CHECKS, "normalization", (Stacked(residuals, draw), 1e-12))
+    monkeypatch.setattr(verify, "STACK_ENTRIES", entries)
+    (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=5, checks=("normalization",))).results
+    assert cell.failure == {"sample_index": 5, "residual": 1.0, "data": {"row": 2, "i": 1}}
+    assert (cell.samples, cell.max_residual) == (15, 2.0)
 
 
 def test_exception_outside_the_library_errors_propagates(monkeypatch):
@@ -961,10 +981,10 @@ CALLS_PER_CELL = {
     "constraint": ("section_F", 0, 1),  # all charts of all points
     "pullback": ("section_F", 0, 2),  # the points, then their chart Jacobian points
     "intertwine": ("section_F", 0, 1),
-    "duality-squares": ("f_beta_inv", 0, 3),  # S(u), S(S(u)), S(C(S(u)))
+    "duality-squares": ("f_beta_inv", 0, 2),  # S(u), then S(S(u)) and S(C(S(u)))
     "duality-exchange": ("f_beta_inv", 0, 1),
-    "mapclass-origin": ("f_beta_inv", 0, 2),
-    "dehn-decomposition": ("f_beta_inv", 0, 6),  # S, T Ttilde T, two flows, T, Ttilde
+    "mapclass-origin": ("f_beta_inv", 0, 1),  # S and nu of one lift
+    "dehn-decomposition": ("f_beta_inv", 0, 2),  # nu, flows, T, Ttilde; then T Ttilde T
     "central-twist": ("apply_word", 1, 1),
     "lax-conjugation": ("v_vector", 0, 1),
     "lax-unitarity": ("global_lax", 0, 1),  # the one trial's points
@@ -1024,8 +1044,8 @@ FORCED_AT = {
     "intertwine": ("section_F", 0),  # after K(u)
     "duality-squares": ("duality", 1),
     "duality-exchange": ("duality", 1),
-    "mapclass-origin": ("mapclass_on_P", 1),
-    "dehn-decomposition": ("reduced_flow", 0),  # after S(u) and r1
+    "mapclass-origin": ("_relabel", 0),
+    "dehn-decomposition": ("_relabel", 0),
     "central-twist": ("apply_word", 1),
     "lax-conjugation": ("local_lax", 0),
     "lax-unitarity": ("local_lax", 0),
@@ -1146,6 +1166,104 @@ def test_stacked_payload_names_the_point_and_its_row(monkeypatch):
         assert data == {"row": 0, **{k: _json_floats(x) for k, x in drawn.items()}}
         if "u" in drawn and drawn["u"].ndim == 1:
             assert data["u"] == point_to_json(drawn["u"])
+
+
+def _squares_by_map(c, U):
+    su = duality("S", U, c)
+    r1 = projective_distance(duality("S", su, c), involution("sigma", U))
+    return np.maximum(r1, projective_distance(duality("R", involution("C", su), c), U))
+
+
+def _exchange_by_map(c, U):
+    su = duality("S", U, c)
+    r1 = np.abs(moment_J(su, c) - action_variables(U, c)).max(-1)
+    return np.maximum(r1, np.abs(action_variables(su, c) - moment_J(U, c)[..., ::-1]).max(-1))
+
+
+def _origin_by_map(c, U):
+    return projective_distance(mapclass_on_P(["S"], U, c), duality("S", U, c))
+
+
+def _dehn_by_map(c, U):
+    su = duality("S", U, c)
+    r = projective_distance(mapclass_on_P(["T", "Ttilde", "T"], su, c), U)
+    for side, gen in (("second", "T"), ("first", "Ttilde")):
+        flowed = reduced_flow(U, InvariantHamiltonian("dehn", 1, side), 1.0, c)
+        r = np.maximum(r, projective_distance(flowed, mapclass_on_P([gen], U, c)))
+    return r
+
+
+# the relabelling checks as they were evaluated before their stages were
+# shared: each map lifts and labels the points alone, in this order
+BY_MAP = {
+    "duality-squares": _squares_by_map, "duality-exchange": _exchange_by_map,
+    "mapclass-origin": _origin_by_map, "dehn-decomposition": _dehn_by_map,
+}
+
+
+@pytest.mark.parametrize("name", BY_MAP)
+def test_shared_stages_report_what_the_maps_one_by_one_report(monkeypatch, name):
+    # at y = 1e-6 near-vertex points make maps raise: trial 1 fails dehn-
+    # decomposition in a map past S, and the other checks by a residual;
+    # trial 2 raises in S.  The cell's report, failure record included, is
+    # that of the check evaluated map by map
+    c = Coupling(4, 1e-6)
+    near = vertex_points(c, 1e-6, np.random.default_rng(0))
+    u = np.array([random_point(c, np.random.default_rng(1)), near[2], near[0]])
+    draw = lambda c, rng, samples: {"u": u}
+    check, tol = CHECKS[name]
+    cfg = SuiteConfig(n_list=(4,), y_rule=1e-6, samples=3, checks=(name,))
+    reports = []
+    for residuals in (check.residuals, BY_MAP[name]):
+        monkeypatch.setitem(CHECKS, name, (Stacked(residuals, draw), tol))
+        (cell,) = run_suite(cfg).results
+        reports.append(json.dumps({**cell.to_json(), "wall_time": None}))
+    assert reports[0] == reports[1]
+    failure = json.loads(reports[0])["failure"]
+    assert failure["data"]["u"] == point_to_json(near[2])
+    assert ("error" in failure) == (name == "dehn-decomposition")
+
+
+def _local_lax_trial(c, rng):
+    xi = random_shifted_alcove(c, rng, margin=0.02)
+    phases = rng.uniform(0, 2 * math.pi, c.n - 1)
+    return {"xi": xi, "theta": np.exp(1j * np.append(phases, -phases.sum()))}
+
+
+def _lax_hamiltonian_trial(c, rng):
+    xi = random_shifted_alcove(c, rng, margin=0.02)
+    p = rng.uniform(-math.pi, math.pi, c.n)
+    p[-1] = -p[:-1].sum()
+    return {"xi": xi, "p": p}
+
+
+def _flow_moment_trial(c, rng):
+    p = random_double_point(c.n, rng)
+    return {"A": p.A, "B": p.B, "t": rng.uniform(-5, 5)}
+
+
+# the draw of one trial of each check whose draw loops over its trials
+# (lax-unitarity's local matrices are lax-conjugation's draw)
+ONE_TRIAL = {
+    "lax-conjugation": _local_lax_trial, "lax-hamiltonian": _lax_hamiltonian_trial,
+    "flow-moment": _flow_moment_trial,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 32])
+@pytest.mark.parametrize("name", ONE_TRIAL)
+def test_looped_draws_are_the_draws_made_trial_by_trial(name, n):
+    # the loop makes the rng calls alone and the rest runs once on the stack:
+    # every entry keeps its bits, and the rng ends where the trials leave it
+    c = Coupling.default(n)
+    looped, one = np.random.default_rng(n), np.random.default_rng(n)
+    drawn = CHECKS[name][0].draw(c, looped, 6 * PER.get(name, 1))
+    trials = [ONE_TRIAL[name](c, one) for _ in range(6)]
+    assert list(drawn) == list(trials[0])
+    for key, x in drawn.items():
+        want = np.array([t[key] for t in trials])
+        assert x.dtype == want.dtype and x.shape == want.shape and x.tobytes() == want.tobytes()
+    assert looped.bit_generator.state == one.bit_generator.state
 
 
 def test_exception_payload_replays_the_trial():
