@@ -106,7 +106,7 @@ def cmd_verify(args, sink):
         checks=tuple(args.checks.split(",")) if args.checks else (),
     )
     report = run_suite(cfg)
-    _emit(report.to_json(), sink)
+    _emit({"argv": args.argv, **report.to_json()}, sink)
     return 0 if report.all_passed else 1
 
 
@@ -265,6 +265,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         with _output(args.out) as sink:
             return args.func(args, sink)

@@ -82,7 +82,7 @@ def check_alcove(xi, tol=SUM_TOL):
     off = abs(total - math.pi) > max(tol, 1e-9)
     if anywhere(off):
         raise AlcoveViolation(f"sum(xi) = {total[first_row(off)]} differs from pi")
-    if not np.minimum.reduce(xi, None) >= -tol:
+    if not np.minimum.reduce(xi, None, initial=math.inf) >= -tol:
         bad = ~np.logical_and.reduce(xi >= -tol, -1)
         raise AlcoveViolation(f"negative alcove coordinate in {xi[first_row(bad)]}")
     return xi
@@ -92,7 +92,7 @@ def check_shifted_alcove(xi, c, tol=SUM_TOL):
     """Raise DomainViolation unless xi lies in the thick-walled alcove:
     check_alcove at tol, then xi_j >= y - max(tol, 1e-10)."""
     xi = check_alcove(xi, tol=tol)
-    if np.minimum.reduce(xi, None) - c.y < -max(tol, 1e-10):
+    if np.minimum.reduce(xi, None, initial=math.inf) - c.y < -max(tol, 1e-10):
         bad = np.minimum.reduce(xi, -1) - c.y < -max(tol, 1e-10)
         raise DomainViolation(f"xi_j < y for some j: {xi[first_row(bad)]}, y={c.y}")
     return xi

@@ -97,7 +97,7 @@ def _w_factor_data(phi, sin_shift, sr):
     w2 = np.empty((2,) + sr.shape)
     np.multiply.reduce(ratio, -1, out=w2[0])
     np.multiply.reduce(ratio, -2, out=w2[1])
-    if not np.minimum.reduce(w2, None) > 0.0:
+    if not np.minimum.reduce(w2, None, initial=math.inf) > 0.0:
         raise DomainViolation("smooth Lax factors not positive; xi outside domain")
     return w2
 

@@ -75,7 +75,7 @@ def _norm(x):
 
 def _fro(M):
     """np.linalg.norm of a matrix, or of each of a stack (..., n, n), with its bits."""
-    return _norm(M.reshape(M.shape[:-2] + (-1,)))
+    return _norm(M.reshape(M.shape[:-2] + (M.shape[-2] * M.shape[-1],)))
 
 
 def projective_distance(u, v):
@@ -286,12 +286,25 @@ def random_point(c, rng, interior_bias=0.0, count=None):
     out, done = np.empty((1 if count is None else count, c.n), complex), 0
     while done < len(out):
         z = rng.standard_normal((2, c.n) if count is None else (len(out) - done, 2, c.n))
-        u = canonicalize(z[..., 0, :] + 1j * z[..., 1, :], c).reshape(-1, c.n)
-        if interior_bias > 0.0:  # rounding keeps the order, so min |u_k|^2 = (min |u_k|)^2
-            u = u[np.minimum.reduce(abs(u), -1) ** 2 > interior_bias * c.chi0 / c.n]
+        u = _from_normals(z, c).reshape(-1, c.n)
+        if interior_bias > 0.0:
+            u = u[_accepts(u, c, interior_bias)]
         out[done : done + len(u)] = u
         done += len(u)
     return out[0] if count is None else out
+
+
+def _from_normals(z, c):
+    """The canonical points of random_point's standard normals z (..., 2, n):
+    of each point the real parts, then the imaginary parts."""
+    return canonicalize(z[..., 0, :] + 1j * z[..., 1, :], c)
+
+
+def _accepts(u, c, interior_bias):
+    """Whether random_point accepts each canonical candidate of a stack u
+    (..., n): min_k |u_k|^2 > interior_bias * chi0 / n."""
+    # rounding keeps the order, so min |u_k|^2 = (min |u_k|)^2
+    return np.minimum.reduce(abs(u), -1) ** 2 > interior_bias * c.chi0 / c.n
 
 
 def vertex_points(c, eps=0.0, rng=None):

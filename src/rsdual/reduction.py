@@ -117,7 +117,7 @@ def _label(A, frame, c):
 
     ratio = K.diagonal(1, -2, -1) / lam.diagonal(1, -2, -1)
     mag = abs(ratio)
-    if not np.minimum.reduce(mag, None) >= 1e-13:
+    if not np.minimum.reduce(mag, None, initial=math.inf) >= 1e-13:
         raise ConstraintViolation("vanishing superdiagonal in conjugated factor")
     zeta = np.empty(A.shape[:-1], dtype=complex)
     zeta[..., 0] = 1.0

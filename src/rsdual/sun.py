@@ -12,8 +12,10 @@ Every function of a matrix or an alcove point takes stacks (..., n, n) or
 (..., n), each row with the one-point bits.  On a stack, alcove_point is
 one np.linalg.eigvals call and one phase map with no Python loop;
 spectral_xi loops in Python over its zgees calls only (there is no stacked
-Schur form) and post-processes the whole stack at once.  One matrix takes
-the direct LAPACK call and the one-point phase map.
+Schur form) and post-processes the whole stack at once.  The stacked code
+reads rows by take at flat offsets, a row's indices plus the flat index
+of its first entry.  One matrix takes the direct LAPACK call and the
+one-point phase map.
 """
 
 import math
@@ -24,6 +26,7 @@ from scipy.linalg.lapack import zgees, zgeev
 
 from .coupling import check_alcove
 from .errors import NonRegular, anywhere, first_row
+from .lax import _cyclic
 
 PHASE_TOL = 1e-12
 GAP_TOL = 1e-8  # eigenphase gap below which a unitary counts as non-regular
@@ -132,23 +135,26 @@ def _stacked_phases_to_alcove(phases):
     """_phases_to_alcove of each row of (..., n) eigenphases as one array
     program, with each row's bits: the same sort, rounding, roll and sums,
     the 2 pi added only where the roll wraps, so that a -0.0 phase keeps
-    its sign.  One matrix keeps the scalar body, ~3x faster at one point."""
+    its sign.  A row is read by take at flat offsets: its own indices plus
+    the flat index of its first entry.  One matrix keeps the scalar body,
+    ~3x faster at one point."""
     n = phases.shape[-1]
+    base = _cyclic(phases.shape).rows[..., None]
     order = phases.argsort(-1, kind="stable")
-    psi = np.take_along_axis(phases, order, -1)
+    psi = phases.take(order + base)
     shift = -np.rint(np.add.reduce(psi, -1) / (2.0 * math.pi)).astype(int) % n
     roll = np.arange(n) + shift[..., None]
     wraps = roll >= n
     roll[wraps] -= n
-    perm = np.take_along_axis(order, roll, -1)
-    lifted = np.take_along_axis(psi, roll, -1)
+    roll += base
+    lifted = psi.take(roll)
     np.add(lifted, 2.0 * math.pi, out=lifted, where=wraps)
     xi = np.empty(phases.shape)
     gaps = xi[..., :-1]
     np.subtract(lifted[..., 1:], lifted[..., :-1], out=gaps)
     gaps *= 0.5
     xi[..., -1] = math.pi - np.add.reduce(gaps, -1)
-    return xi, perm
+    return xi, order.take(roll)
 
 
 def alcove_point(A):
@@ -233,8 +239,9 @@ def spectral_xi(A):
 
     A stack is the one place that loops in Python: one zgees call per
     matrix, in order.  The phase map, the GAP_TOL test, the column order
-    and the phase fix of g then run once over the whole stack, and each
-    row has the bits and the C layout of its one-matrix call.  The first
+    and the phase fix of g then run once over the whole stack, reading the
+    Schur vectors and their leading entries at flat offsets, and each row
+    has the bits and the C layout of its one-matrix call.  The first
     bad matrix raises what it raises alone: if zgees fails on a row, the
     rows before it are tested for regularity first.
     """
@@ -259,10 +266,14 @@ def spectral_xi(A):
         vecs[k] = Z.T
     xi, perm = _stacked_phases_to_alcove(np.angle(diag))
     _check_gaps(xi)
-    # the layout of one matrix: Z in Fortran order, g = (Z phases)^dagger in C order
-    vecs = np.take_along_axis(vecs, perm[..., None], -2).swapaxes(-1, -2)
-    first = (abs(vecs) > PHASE_TOL).argmax(-2)
-    lead = np.take_along_axis(vecs, first[..., None, :], -2)[..., 0, :]
+    # the flat row index n k + i of Schur vector i of matrix k, in g's row
+    # order; the layout of one matrix: Z in Fortran order, g = (Z
+    # phases)^dagger in C order
+    at = perm + _cyclic(perm.shape).rows[:, None]
+    rows = vecs.reshape(-1, n).take(at, 0)
+    first = (abs(rows) > PHASE_TOL).argmax(-1)
+    lead = vecs.take(n * at + first)
+    vecs = rows.swapaxes(-1, -2)
     g = (vecs * (lead / abs(lead)).conj()[..., None, :]).conj().swapaxes(-1, -2)
     return xi.reshape(A.shape[:-1]), g.reshape(A.shape)
 

@@ -12,10 +12,13 @@ any cell can be run on its own.
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 import math
+import platform
 import time
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .coupling import Coupling, _shifted_alcove_at, random_shifted_alcove
 from .double import (
     DoublePoint, DoubleTangent, InvariantHamiltonian, apply_word, auto_apply, conjugate, flow,
@@ -25,8 +28,9 @@ from .double import (
 from .errors import RSDualError
 from .lax import global_lax, local_hamiltonian, local_lax, mu_of_v, v_vector
 from .projective import (
-    _fro, canonicalize, chart_index, from_chart, fs_omega_eval, involution, moment_J, moment_J_full,
-    point_to_json, projective_distance, random_point, to_chart, vertex_points,
+    _accepts, _fro, _from_normals, canonicalize, chart_index, from_chart, fs_omega_eval,
+    involution, moment_J, moment_J_full, point_to_json, projective_distance, random_point,
+    to_chart, vertex_points,
 )
 from .reduction import (
     _from_alpha, _relabel, action_variables, constraint_residual, duality, f_beta_inv,
@@ -68,6 +72,11 @@ def _ends(p, v):
     the straight line through p along v."""
     s = np.reshape((FD_STEP, -FD_STEP), (2,) + (1,) * np.ndim(v.dA))
     return DoublePoint(p.A + s * v.dA, p.B + s * v.dB)
+
+
+def _split(v):
+    """The tangents along axis 0 of a stacked tangent v."""
+    return (DoubleTangent(dA, dB) for dA, dB in zip(v.dA, v.dB))
 
 
 def _push(f, p, v):
@@ -118,9 +127,34 @@ def _all_charts(u, c):
 
 
 def _draw_pullback(c, rng, samples):
-    # the point, then a and b of five pairs, as a.re, a.im, b.re, b.im of each pair
-    draw = lambda: (random_point(c, rng, 0.08), rng.standard_normal((5, 4, 1, c.n - 1)))
-    return dict(zip(("u", "ab"), _in_turn(max(1, samples), draw)))
+    # of each trial in turn, the candidates of random_point(c, rng, 0.08),
+    # then a and b of five pairs, as a.re, a.im, b.re, b.im of each pair;
+    # read from one normal stream in rounds.  A round takes the next
+    # candidate of every trial still missing as accepted and keeps the
+    # trials before the first rejection; the trials from there on start one
+    # candidate later.  A round that keeps no trial also skips, by one
+    # stacked test, that trial's next rejected candidates among the normals
+    # drawn.  A round draws only what the missing trials take at least, so
+    # no normal is drawn that the trial-by-trial draws would not take
+    count, n = max(1, samples), c.n
+    m, size = 2 * n, 2 * n + 20 * (n - 1)  # the normals of a candidate, of a trial
+    candidates = lambda x: _from_normals(x[:, :m].reshape(-1, 2, n), c)
+    u, ab = np.empty((count, n), complex), np.empty((count, size - m))
+    z, done = np.empty(0), 0
+    while done < count:
+        z = np.concatenate((z, rng.standard_normal((count - done) * size - len(z))))
+        trials = z.reshape(-1, size)
+        cand = candidates(trials)
+        ok = _accepts(cand, c, 0.08)
+        kept = len(ok) if ok.all() else int(np.argmin(ok))
+        u[done : done + kept] = cand[:kept]
+        ab[done : done + kept] = trials[:kept, m:]
+        done += kept
+        z = z[kept * size + m :]
+        if kept == 0:
+            ok = _accepts(candidates(z[: min(len(z), size) // m * m].reshape(-1, m)), c, 0.08)
+            z = z[m * (int(np.argmax(ok)) if ok.any() else len(ok)) :]
+    return {"u": u, "ab": ab.reshape(count, 5, 4, 1, n - 1)}
 
 
 def _check_pullback(c, U, Z):
@@ -140,7 +174,7 @@ def _check_pullback(c, U, Z):
     d = ab.real @ jac[..., 0, :, :] + ab.imag @ jac[..., 1, :, :]
     d = d.reshape((2, 5) + lead + (2, c.n, c.n))
     v = DoubleTangent(d[..., 0, :, :], d[..., 1, :, :]).project(p0)
-    a, b = (DoubleTangent(v.dA[i], v.dB[i]) for i in (0, 1))
+    a, b = _split(v)
     r = abs(omega_eval(p0, a, b) - fs_omega_eval(U, ab[0, ..., 0, :], ab[1, ..., 0, :], j=j))
     return np.moveaxis(r, 0, -1)
 
@@ -150,10 +184,13 @@ def _check_constraint(c, U):
 
 
 def _check_intertwine(c, U):
-    xiK = alcove_point(global_lax(U, c))[..., None, :]
-    jj = moment_J_full(U, c)[..., None, :]
+    # Xi of K(u), of the n chart A's and of the n chart B's by one call
+    K = global_lax(U, c)[..., None, :, :]
     p = _all_charts(U, c)
-    return np.maximum(np.abs(alcove_point(p.A) - xiK).max(-1), np.abs(alcove_point(p.B) - jj).max(-1))
+    xi = alcove_point(np.concatenate((K, p.A, p.B), -3))
+    xiA, xiB = xi[..., 1 : c.n + 1, :], xi[..., c.n + 1 :, :]
+    jj = moment_J_full(U, c)[..., None, :]
+    return np.maximum(np.abs(xiA - xi[..., :1, :]).max(-1), np.abs(xiB - jj).max(-1))
 
 
 def _check_duality_squares(c, U):
@@ -279,8 +316,10 @@ def _check_mu_spectrum(c, xi):
 
 
 def _draw_global_lax(c, rng, samples):
-    draw = lambda: (random_point(c, rng), rng.uniform(0, 2 * math.pi))
-    return dict(zip(("u", "gamma"), _in_turn(max(1, samples), draw)))
+    # of each trial in turn, the normals of random_point(c, rng), then gamma
+    draw = lambda: (rng.standard_normal((2, c.n)), rng.uniform(0, 2 * math.pi))
+    z, gamma = _in_turn(max(1, samples), draw)
+    return {"u": _from_normals(z, c), "gamma": gamma}
 
 
 def _check_global_lax(c, U, gamma):
@@ -335,10 +374,11 @@ def _check_conservation(c, U):
     # every point flowed to all seven times by one call, one time per row
     times = np.linspace(0.5, 10.0, 7)
     ham = InvariantHamiltonian("re_trace", 1, "first")
-    xiK = action_variables(U, c)
     shape = U.shape[:-1] + (len(times), c.n)
     ut = reduced_flow(np.broadcast_to(U[..., None, :], shape), ham, times, c)
-    return np.abs(action_variables(ut, c) - xiK[..., None, :]).max(-1)
+    # the actions of the start point and of the flowed points by one call
+    xi = action_variables(np.concatenate((U[..., None, :], ut), -2), c)
+    return np.abs(xi[..., 1:, :] - xi[..., :1, :]).max(-1)
 
 
 def _check_polytope_image(c, U):
@@ -417,12 +457,14 @@ def _draw_omega_morphisms(c, rng, samples):
 def _check_omega_morphisms(c, A, B, XY):
     # omega(f_* v, f_* w) = +-omega(v, w) for each generator f, one row each
     p = DoublePoint(A, B)
-    v, w = (geodesic_tangent(p, XY[:, i, 0], XY[:, i, 1]) for i in (0, 1))
+    # v and w as one stacked tangent, axis 0
+    vw = geodesic_tangent(p, np.moveaxis(XY[:, :, 0], 1, 0), np.moveaxis(XY[:, :, 1], 1, 0))
+    v, w = _split(vw)
     val = omega_eval(p, v, w)
     rows = []
     for gen, sign in (("S", 1.0), ("T", 1.0), ("Ttilde", 1.0), ("nu", -1.0)):
         f = lambda q, g=gen: auto_apply(g, q)
-        rows.append(abs(omega_eval(f(p), _push(f, p, v), _push(f, p, w)) - sign * val))
+        rows.append(abs(omega_eval(f(p), *_split(_push(f, p, vw))) - sign * val))
     return np.stack(rows, -1)
 
 
@@ -438,8 +480,9 @@ def _check_section_consistency(c, U):
 # one-point calls made trial after trial, bit for bit; where they are all
 # normals, a cell's are one rng call.  Where that would reorder the stream
 # (a uniform or Dirichlet draw between normals), lax-conjugation,
-# lax-hamiltonian and flow-moment loop making the rng calls alone;
-# global-lax and pullback (normals after a rejection) draw whole trials.
+# lax-hamiltonian, flow-moment and global-lax loop making the rng calls
+# alone; pullback (normals after a rejection) reads one normal stream in
+# rounds.  Either way the rest runs once on the cell's stack.
 # lax-unitarity and polytope-vertices run one trial per cell
 # (polytope-vertices ignores samples: its draws are one per vertex).
 Stacked = namedtuple("Stacked", "residuals draw")
@@ -554,10 +597,20 @@ class CheckResult:
         return fields
 
 
+# the versions a report names in its header
+VERSIONS = {
+    "rsdual": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+    "python": platform.python_version(),
+}
+
+
 @dataclass
 class SuiteReport:
+    """The cells of a run_suite call and the run's total wall_time."""
+
     results: list
     seed: int
+    wall_time: float
 
     @property
     def all_passed(self):
@@ -567,6 +620,8 @@ class SuiteReport:
         return {
             "seed": self.seed,
             "all_passed": self.all_passed,
+            "wall_time": self.wall_time,
+            "versions": dict(VERSIONS),
             "checks": [r.to_json() for r in self.results],
         }
 
@@ -644,7 +699,8 @@ def _trials(residuals, c, drawn, group):
 
 def run_suite(cfg):
     """Run the selected checks over the configured couplings."""
+    start = time.perf_counter()
     couplings = cfg.couplings()
     names = cfg.selected_checks()
     results = [_run_cell(name, c, cfg) for name in names for c in couplings]
-    return SuiteReport(results=results, seed=cfg.seed)
+    return SuiteReport(results=results, seed=cfg.seed, wall_time=time.perf_counter() - start)

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from rsdual import sun
-from rsdual.coupling import Coupling, random_shifted_alcove
+from rsdual.coupling import Coupling, check_alcove, random_shifted_alcove
 from rsdual.double import (
     DoublePoint,
     DoubleTangent,
@@ -647,3 +647,25 @@ def test_a_bad_row_of_the_relabel_raises_what_it_raises_alone():
     zero = U.copy()
     zero[3] = 0.0
     raises_as_alone(lambda u: canonicalize(u, c), zero, 3, ZeroVector)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_empty_stacks_give_empty_results(n):
+    # a stack of no alcove points, points or pairs, (0, n) or (0, n, n),
+    # goes through every layer and comes out empty, with no guard raising
+    c = Coupling.default(n)
+    xi, u, M = np.empty((0, n)), np.empty((0, n), complex), np.empty((0, n, n), complex)
+    assert check_alcove(xi).shape == (0, n)
+    assert [w.shape for w in w_factors(xi, c)] == [(0, n)] * 4
+    assert local_lax(xi, np.ones((0, n)), c).shape == (0, n, n)
+    assert alcove_delta(xi).shape == (0, n, n)
+    assert global_lax(u, c).shape == (0, n, n)
+    p = section_F(u, 1, c)
+    assert p.A.shape == p.B.shape == (0, n, n)
+    assert f_beta_inv(DoublePoint(M, M), c).shape == (0, n)
+    assert reduced_flow(u, InvariantHamiltonian("dehn", 1, "first"), 1.0, c).shape == (0, n)
+    assert mapclass_on_P(["T", "Ttilde"], u, c).shape == (0, n)
+    for which in ("S", "S_inv", "R"):
+        assert duality(which, u, c).shape == (0, n)
+    assert [x.shape for x in spectral_xi(M)] == [(0, n), (0, n, n)]
+    assert alcove_point(M).shape == canonicalize(u, c).shape == (0, n)

@@ -266,6 +266,63 @@ def test_edge_spectra_stacked_rows_are_the_one_point_calls(n):
         assert str(stacked.value) == str(alone.value)
 
 
+def roll_spectra(n):
+    """(mats, regular): diagonal SU(n) matrices whose eigenphases sum to
+    2 pi M for every M that n phases in (-pi, pi] reach, so that the phase
+    map rolls by every shift (-M) % n (M = n/2 only at -I, n even), a
+    unitary conjugate of each regular one, and a diagonal with a -0.0 phase."""
+    offsets = (np.arange(n) - (n - 1) / 2) / (2.0 * n * n)  # distinct, summing to 0
+    phases = [2 * math.pi * M / n + offsets for M in range(-((n - 1) // 2), (n + 1) // 2)]
+    regular = [True] * len(phases)
+    if n % 2 == 0:
+        phases.append(np.full(n, math.pi))
+        regular.append(False)
+    diag = [np.diag(np.exp(1j * p)) for p in phases]
+    g = random_special_unitary(n, RNG)
+    conj = [g @ d @ dagger(g) for d, r in zip(diag, regular) if r]
+    a = np.linspace(0.3, 1.1, n - 2)
+    signed = np.diag(np.concatenate([[complex(1.0, -0.0)], np.exp(1j * a), [np.exp(-1j * a.sum())]]))
+    return np.array(diag + conj + [signed]), np.array(regular + [True] * len(conj) + [n > 2])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_flat_offset_rows_are_the_one_matrix_calls(n):
+    # stacks of leading shape (2, 3), (1,) and (0,) of the edge spectra
+    # (tied phases, phases +-pi), every roll shift and a -0.0 phase: each
+    # row has the bits of its one-matrix call, the phase map's perm
+    # included, and g the C layout of the one-matrix g
+    mats, regular = (np.concatenate(m) for m in zip(edge_spectra(n), roll_spectra(n)))
+    phases = np.angle(np.linalg.eigvals(mats))
+    assert set(np.signbit(phases[phases == 0.0])) == {False, True}  # +0.0 and -0.0
+    shifts = {round(np.sort(row).sum() / (2 * math.pi)) % n for row in phases}
+    assert shifts == set(range(n))
+    for pool, spectral in ((mats, False), (mats[regular], True)):
+        pad = [random_special_unitary(n, RNG) for _ in range(-len(pool) % 6)]
+        pool = np.concatenate([pool, np.reshape(pad, (-1, n, n))])
+        for lead in ((2, 3), (1,), (0,)):
+            size = math.prod(lead)
+            for first in range(0, len(pool), size) if size else [0]:
+                stack = pool[first : first + size].reshape(lead + (n, n))
+                one = stack.reshape(-1, n, n)
+                if spectral:
+                    xi, g = spectral_xi(stack)
+                    assert xi.shape == lead + (n,) and g.shape == lead + (n, n)
+                    assert g.flags.c_contiguous
+                    for k, (x1, g1) in enumerate(map(spectral_xi, one)):
+                        at = np.unravel_index(k, lead)
+                        assert xi[at].tobytes() == x1.tobytes() and g[at].tobytes() == g1.tobytes()
+                        assert g1.flags.c_contiguous and g[at].strides == g1.strides
+                    continue
+                xi = alcove_point(stack)
+                assert xi.shape == lead + (n,)
+                assert xi.tobytes() == b"".join(alcove_point(A).tobytes() for A in one)
+                xi2, perm = _stacked_phases_to_alcove(np.angle(np.linalg.eigvals(stack)))
+                assert xi2.tobytes() == xi.tobytes() and perm.shape == lead + (n,)
+                for k, A in enumerate(one):
+                    perm1 = _phases_to_alcove(np.angle(np.linalg.eigvals(A)), np.empty(n))[1]
+                    assert (perm[np.unravel_index(k, lead)] == perm1).all()
+
+
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_spectral_round_trip_property(n, seed):

@@ -15,6 +15,7 @@ from rsdual.coupling import Coupling, random_shifted_alcove
 from rsdual.double import DoublePoint, InvariantHamiltonian, random_double_point
 from rsdual.errors import ConstraintViolation
 from rsdual.projective import (
+    _accepts,
     chart_index,
     involution,
     moment_J,
@@ -363,6 +364,21 @@ def test_cli_verify_exits_zero(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
     assert all(ch["passed"] for ch in report["checks"])
+
+
+def test_cli_verify_report_header(tmp_path):
+    # argv, the versions and the run's total wall_time head the report
+    out = tmp_path / "report.json"
+    argv = ["verify", "--n", "2,3", "--samples", "2", "--checks", "lax", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    report = json.loads(out.read_text())
+    assert list(report) == ["argv", "seed", "all_passed", "wall_time", "versions", "checks"]
+    assert report["argv"] == argv
+    assert set(report["versions"]) == {"rsdual", "numpy", "scipy", "python"}
+    assert report["versions"]["numpy"] == np.__version__
+    assert all(isinstance(v, str) for v in report["versions"].values())
+    cells = report["checks"]
+    assert len(cells) == 8 and report["wall_time"] >= sum(cell["wall_time"] for cell in cells)
 
 
 def test_cli_verify_writes_report_when_a_trial_raises(tmp_path, monkeypatch):
@@ -1242,11 +1258,21 @@ def _flow_moment_trial(c, rng):
     return {"A": p.A, "B": p.B, "t": rng.uniform(-5, 5)}
 
 
-# the draw of one trial of each check whose draw loops over its trials
-# (lax-unitarity's local matrices are lax-conjugation's draw)
+def _global_lax_trial(c, rng):
+    return {"u": random_point(c, rng), "gamma": rng.uniform(0, 2 * math.pi)}
+
+
+def _pullback_trial(c, rng):
+    return {"u": random_point(c, rng, 0.08), "ab": rng.standard_normal((5, 4, 1, c.n - 1))}
+
+
+# the draw of one trial of each check whose draw loops over its trials or
+# reads its normals in rounds (lax-unitarity's local matrices are
+# lax-conjugation's draw)
 ONE_TRIAL = {
     "lax-conjugation": _local_lax_trial, "lax-hamiltonian": _lax_hamiltonian_trial,
-    "flow-moment": _flow_moment_trial,
+    "flow-moment": _flow_moment_trial, "global-lax": _global_lax_trial,
+    "pullback": _pullback_trial,
 }
 
 
@@ -1264,6 +1290,20 @@ def test_looped_draws_are_the_draws_made_trial_by_trial(name, n):
         want = np.array([t[key] for t in trials])
         assert x.dtype == want.dtype and x.shape == want.shape and x.tobytes() == want.tobytes()
     assert looped.bit_generator.state == one.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [4, 32])
+def test_looped_pullback_draws_reject_in_consecutive_and_last_trials(n):
+    # the six trials that the test above draws at n = 4 and 32, candidate by
+    # candidate: a rejection in two trials in a row and in the last trial
+    c = Coupling.default(n)
+    rng, rejected = np.random.default_rng(n), []
+    for _ in range(6):
+        rejected.append(0)
+        while not _accepts(random_point(c, rng), c, 0.08):
+            rejected[-1] += 1
+        rng.standard_normal((5, 4, 1, c.n - 1))
+    assert rejected[-1] and any(a and b for a, b in zip(rejected, rejected[1:])), rejected
 
 
 def test_exception_payload_replays_the_trial():
