@@ -5,8 +5,13 @@ W_k(delta, +-y).  On the y-shifted alcove each W_k(+y) vanishes linearly in
 r_k = sqrt(xi_k - y) and W_k(-y) in r_{k-1}; splitting those roots off
 leaves strictly positive smooth factors w_k^{+-}.  The matrix Lambda of
 smooth entry cofactors assembled from them never vanishes, which is what
-lets the Lax matrix extend to the whole projective phase space as K(u).
-Every function here takes stacks (..., n), each row with the one-point bits.
+lets the Lax matrix extend to the whole projective phase space as K(u),
+and L(delta(xi), Theta) is K(r) Theta.  Every sine and phase of the layer
+comes from one table of pair angles (_arcs): each arc of xi around the
+circle sum(xi) = pi is summed from its own start and taken from the shorter
+of it and its complement, so that no digits are lost next to the vertices,
+where one xi_k nears pi.  Every function here takes stacks (..., n), each
+row with the one-point bits.
 """
 
 from collections import namedtuple
@@ -25,15 +30,7 @@ from .errors import (
     first_row,
 )
 
-def sinratio(x):
-    """sin(x)/x, smooth through x = 0: np.sinc(x / pi) step by step, without its overhead."""
-    t = np.pi * (np.asarray(x, dtype=float) / np.pi)
-    t = np.where(t, t, 2.220446049250313e-16)  # np.finfo(float).eps, as in np.sinc
-    out = np.sin(t) / t
-    return out if out.ndim else float(out)
-
-
-_CyclicIndex = namedtuple("_CyclicIndex", "sup diag rows col0 cols next prev")
+_CyclicIndex = namedtuple("_CyclicIndex", "sup diag rows col0 cols next prev steps skew")
 
 
 @functools.lru_cache(maxsize=128)
@@ -41,7 +38,9 @@ def _cyclic(shape):
     """Flat (take/put) indices, for points (..., n) and their n x n matrices,
     of each superdiagonal (k, k+1 mod n), diagonal, (k, 0) entries (shaped
     (n, ...) as col0 and (..., n) as cols) and first point entry; and k+1,
-    k-1 mod n (the latter (1, n))."""
+    k-1 mod n (the latter (1, n)).  For _arcs, taken along the last axis
+    of a point and of a flattened matrix: steps (n, n-1) reads xi_{l+j mod
+    n} at [l, j], and skew (n, n) entry [l, k - l mod n] at [k, l]."""
     n = shape[-1]
     k = np.arange(n)
     nxt = (k + 1) % n
@@ -52,49 +51,61 @@ def _cyclic(shape):
     diag = (start + k * (n + 1)).ravel()
     cols = (start + n * k).reshape(shape)
     col0 = np.moveaxis(cols, -1, 0)
-    for a in (sup, diag, rows, col0, cols, nxt, prv):
+    steps = (k[:, None] + k[:-1]) % n
+    skew = k * n + (k[:, None] - k) % n
+    for a in (sup, diag, rows, col0, cols, nxt, prv, steps, skew):
         a.flags.writeable = False
     # rows[()] is a plain integer at one point, so that rows + j stays scalar math
-    return _CyclicIndex(sup=sup, diag=diag, rows=rows[()], col0=col0, cols=cols, next=nxt, prev=prv)
+    return _CyclicIndex(sup=sup, diag=diag, rows=rows[()], col0=col0, cols=cols, next=nxt,
+                        prev=prv, steps=steps, skew=skew)
 
 
-def _pair_angles(xi):
-    """phi[k, l] = x_k - x_l = C_k - C_l, with C_k = xi_0 + ... + xi_{k-1}
-    the alcove prefix sums (well defined modulo pi)."""
-    C = np.zeros(xi.shape)
-    np.add.accumulate(xi[..., :-1], -1, out=C[..., 1:])
-    return C[..., None] - C[..., None, :]
+def _arcs(xi, y):
+    """(sin a, sin(a + y), e^{-ia}) for the pair angles a[k, l] in [0, pi),
+    a[k, l] = xi_l + ... + xi_{k-1} the arc from l forward to k.
 
-
-def _w_ratios(phi, sin_shift):
-    """ratio[k, j] = sin(phi_kj + y) / sin(phi_kj) with a unit diagonal,
-    given sin_shift = sin(phi + y).
-
-    W_k(y)^2 is the product of row k and W_k(-y)^2 that of column k, since
-    sin(phi_kj - y) / sin(phi_kj) = ratio[j, k].
+    Each arc is summed from its own start by one cumsum, and so is its
+    complement pi - a[k, l] = a[l, k]; every sine and phase is taken of the
+    shorter of the two, so that no argument lies near pi and no arc is a
+    difference of large sums.  Two sets of entries are replaced: on the
+    diagonal sin a = sin(a + y) = sin y, so that their ratio is 1, and on
+    the cyclic superdiagonal, where the complement is xi_k alone, sin(a + y)
+    = sin(xi_k - y) holds sin(xi_k - y) / (xi_k - y), the zero r_k^2 = xi_k
+    - y split off (1 where the gap is 0).
     """
-    diag = _cyclic(phi.shape[:-1]).diag
-    ratio = np.sin(phi)
-    ratio.put(diag, 1.0)
-    np.divide(sin_shift, ratio, out=ratio)
-    ratio.put(diag, 1.0)
-    return ratio
+    idx = _cyclic(xi.shape)
+    n = xi.shape[-1]
+    table = np.zeros(xi.shape + (n,))  # [l, j]: the arc of j steps from l
+    np.add.accumulate(xi.take(idx.steps, -1), -1, out=table[..., 1:])
+    a = table.reshape(xi.shape[:-1] + (n * n,)).take(idx.skew, -1)
+    b = a.swapaxes(-1, -2)
+    short = np.minimum(a, b)
+    s0 = np.sin(short)
+    sp = np.sin(np.minimum(a + y, b - y))
+    # e^{-ia} = cos a - i sin a, with cos a = -cos(pi - a) where the
+    # complement is the shorter arc
+    e = np.empty(a.shape, complex)
+    np.copysign(np.cos(short), b - a, out=e.real)
+    np.negative(s0, out=e.imag)
+    gap = xi - y
+    zero = gap == 0.0
+    sp.put(idx.sup, (sp.take(idx.sup) + zero.ravel()) / (gap + zero).ravel())
+    siny = math.sin(y)
+    s0.put(idx.diag, siny)
+    sp.put(idx.diag, siny)
+    return s0, sp, e
 
 
-def _w_factor_data(phi, sin_shift, sr):
-    """Smooth squared factors of W_k(+-y) with the zero r_v^2 split off.
+def _w_factor_data(s0, sp):
+    """Smooth squared factors of W_k(+-y) with the zero r_v^2 split off,
+    from (s0, sp) = _arcs(xi, y)[:2].
 
-    phi is _pair_angles(xi), sin_shift = sin(phi + y) and sr =
-    sinratio(xi - y).  Returns the stack (wp2, wm2)
-    with W_k(+y)^2 = (xi_k - y) * wp2_k and W_k(-y)^2 = (xi_{k-1} - y) *
-    wm2_k, cyclic index k-1.  The ratio on the cyclic superdiagonal,
-    sin(xi_k - y) / sin(xi_k) up to sign, is the one that vanishes at the
-    wall xi_k = y; it enters W_k(+y) by row and W_{k+1}(-y) by column.
+    Returns the stack (wp2, wm2) of the row and column products of sp / s0:
+    W_k(+y)^2 = (xi_k - y) * wp2_k and W_k(-y)^2 = (xi_{k-1} - y) * wm2_k,
+    cyclic index k-1, since sin(a_kj - y) / sin(a_kj) = sp[j, k] / s0[j, k].
     """
-    sup = _cyclic(sr.shape).sup
-    ratio = _w_ratios(phi, sin_shift)
-    ratio.put(sup, sr.ravel() / np.sin(np.abs(phi.take(sup))))
-    w2 = np.empty((2,) + sr.shape)
+    w2 = np.empty((2,) + sp.shape[:-1])
+    ratio = np.divide(sp, s0)
     np.multiply.reduce(ratio, -1, out=w2[0])
     np.multiply.reduce(ratio, -2, out=w2[1])
     if not np.minimum.reduce(w2, None, initial=math.inf) > 0.0:
@@ -111,35 +122,26 @@ def w_factors(xi, c):
     All square roots are taken non-negative.
     """
     xi = check_shifted_alcove(xi, c)
-    y = c.y
-    phi = _pair_angles(xi)
-    w_plus, w_minus = np.sqrt(_w_factor_data(phi, np.sin(phi + y), sinratio(xi - y)))
-    r = np.sqrt(np.maximum(xi - y, 0.0))
+    w_plus, w_minus = np.sqrt(_w_factor_data(*_arcs(xi, c.y)[:2]))
+    r = np.sqrt(np.maximum(xi - c.y, 0.0))
     return r * w_plus, r.take(_cyclic(xi.shape).prev[0], -1) * w_minus, w_plus, w_minus
 
 
 def _lambda_parts(xi, c):
-    """(Lambda^y(xi), w_plus) from one pass over the W-factor data, on a xi
-    the caller has already validated.  Lambda is the smooth cofactor matrix,
-    nowhere zero on the polytope: L(delta(xi), 1)_{kl} = r_k r_{l-1}
-    Lambda_{kl} off the cyclic superdiagonal, and Lambda = L on it."""
-    y = c.y
-    idx = _cyclic(xi.shape)
-    phi = _pair_angles(xi)
-    sr = sinratio(xi - y)
-    den = np.sin(phi + y)
-    wp, wm = np.sqrt(_w_factor_data(phi, den, sr))
-    den.put(idx.sup, 1.0)
-    siny = math.sin(y)
-    # siny e^{-i phi} wp_k wm_l / den in place, in the left-to-right order
-    # of that product, so with the bits of its one-expression form
-    lam = np.exp(-1j * phi)
-    np.multiply(siny, lam, out=lam)
+    """(Lambda^y(xi), w_plus, w_minus) from one arc table, on a xi the caller
+    has already validated.  Lambda = sin y e^{-ia} w_plus (x) w_minus /
+    sin(a + y) entry by entry is the smooth cofactor matrix, nowhere zero
+    on the polytope: L(delta(xi), 1)_{kl} = r_k r_{l-1} Lambda_{kl} off the
+    cyclic superdiagonal, and Lambda = L on it."""
+    s0, sp, lam = _arcs(xi, c.y)
+    wp, wm = np.sqrt(_w_factor_data(s0, sp))
+    # sin y e^{-ia} wp_k wm_l / sp in place, in the left-to-right order of
+    # that product, so with the bits of its one-expression form
+    np.multiply(math.sin(c.y), lam, out=lam)
     lam *= wp[..., None]
     lam *= wm[..., None, :]
-    lam /= den
-    lam.put(idx.sup, -siny * np.exp(1j * xi) * wp * wm.take(idx.next, axis=-1) / sr)
-    return lam, wp
+    lam /= sp
+    return lam, wp, wm
 
 
 def _theta_vector(theta, n):
@@ -156,35 +158,29 @@ def local_lax(xi, theta, c):
     """Local Lax matrix L(delta(xi), Theta), special-unitary on the interior.
 
     theta is the diagonal of an element of the maximal torus.  L_kl = (e^{iy} - e^{-iy}) / (e^{iy} delta_k / delta_l
-    - e^{-iy}) W_k(y) W_l(-y) Theta_l, evaluated with delta_k / delta_l =
-    e^{2i phi_kl} as sin y e^{-i phi_kl} W_k(y) W_l(-y) Theta_l / sin(phi_kl + y).
-    The reversed-coupling matrix of the second toric identification is
-    L(delta, Theta; -y) = L(delta, 1)^dagger Theta.
+    - e^{-iy}) W_k(y) W_l(-y) Theta_l is r_k r_{l-1} Lambda_kl Theta_l off
+    the cyclic superdiagonal and Lambda_kl Theta_l on it: K(r) Theta with
+    r_k = sqrt(xi_k - y).  The denominator's modulus 2 |sin(a_kl + y)|
+    vanishes on the superdiagonal entry of a wall xi_k = y, where L is not
+    defined.  The reversed-coupling matrix of the second toric
+    identification is L(delta, Theta; -y) = L(delta, 1)^dagger Theta.
     """
     xi = check_shifted_alcove(xi, c)
     theta = _theta_vector(theta, c.n)
-    # W comes from the same sin(phi + y) as the denominator, not from Lambda
-    # (r_k r_{l-1} Lambda_kl) or w_factors: built from those, L loses
-    # unitarity next to a wall at small y (y = 1e-6, xi_k - y = 1e-11:
-    # |L^dagger L - 1| is 2e-9 and 6e-5, against 4e-10 here and the 1e-9
-    # lax-unitarity tolerance)
-    phi = _pair_angles(xi)
-    den = np.sin(phi + c.y)
-    ratio = _w_ratios(phi, den)
-    w2p = ratio.prod(axis=-1)
-    w2m = ratio.prod(axis=-2)
-    if np.any(w2p < -1e-13) or np.any(w2m < -1e-13):
+    lam, wp, wm = _lambda_parts(xi, c)
+    gap = xi - c.y
+    # W_k(y)^2 = gap_k wp_k^2 and W_{k+1}(-y)^2 = gap_k wm_{k+1}^2
+    w2 = gap * np.maximum(wp, wm.take(_cyclic(xi.shape).next, axis=-1)) ** 2
+    if anywhere(w2 < -1e-13):
         raise DomainViolation("W^2 factors negative; xi outside the coupling domain")
-    Wp = np.sqrt(np.maximum(w2p, 0.0))
-    Wm = np.sqrt(np.maximum(w2m, 0.0))
-    # |e^{iy} delta_k / delta_l - e^{-iy}| = 2 |sin(phi_kl + y)|
-    small = 2.0 * np.abs(den) < 1e-12
-    if small.any():
-        k, l = np.argwhere(small)[0][-2:]  # in the first matrix that has one
+    small = 2.0 * np.abs(gap) < 1e-12
+    if anywhere(small):
+        k = np.argwhere(small)[0][-1]  # in the first matrix that has one
         raise SingularDenominator(
-            f"Lax denominator vanishes at entry ({k + 1}, {l + 1})"
+            f"Lax denominator vanishes at entry ({k + 1}, {(k + 1) % c.n + 1})"
         )
-    return math.sin(c.y) * np.exp(-1j * phi) / den * Wp[..., :, None] * Wm[..., None, :] * theta[..., None, :]
+    r = np.sqrt(np.maximum(gap, 0.0)).astype(complex)
+    return _lax_from(r, lam) * theta[..., None, :]
 
 
 def local_hamiltonian(xi, p_angles, c):

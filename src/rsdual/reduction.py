@@ -42,7 +42,7 @@ def _chart_lift(u, j, c):
     to the whole chart |u_j| > 0."""
     u = chart_gauge(u, j)
     xi = check_shifted_alcove(moment_J_full(u, c), c)
-    lam, w_plus = _lambda_parts(xi, c)
+    lam, w_plus, _ = _lambda_parts(xi, c)
     x = np.conjugate(u) * c.v_scale * w_plus
     return xi, _lax_from(u, lam), reflection_g(x, j)
 

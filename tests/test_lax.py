@@ -19,7 +19,6 @@ from rsdual.lax import (
     local_lax,
     mu_of_v,
     reflection_g,
-    sinratio,
     v_vector,
     w_factors,
 )
@@ -34,12 +33,6 @@ L_HAND = np.array([[math.sqrt(3) / 2, -0.5j], [-0.5j, math.sqrt(3) / 2]])
 
 def antidiag(n):
     return np.eye(n)[::-1]
-
-
-def test_sinratio_series_and_branch():
-    assert sinratio(0.0) == 1.0
-    assert abs(sinratio(1e-6) - (1 - 1e-12 / 6)) < 1e-18
-    assert abs(sinratio(0.3) - math.sin(0.3) / 0.3) < 1e-15
 
 
 def test_w_factors_hand_value_n2():

@@ -13,7 +13,7 @@ from rsdual import cli
 from rsdual.cli import main
 from rsdual.coupling import Coupling, random_shifted_alcove
 from rsdual.double import DoublePoint, InvariantHamiltonian, random_double_point
-from rsdual.errors import ConstraintViolation
+from rsdual.errors import ConstraintViolation, NormViolation
 from rsdual.projective import (
     _accepts,
     chart_index,
@@ -844,83 +844,83 @@ PER = {
 # and omega-morphisms since they difference along straight lines
 PINNED_MAX_RESIDUAL = {
     "constraint": {
-        7: ("0x1.869150943958ap-49", "0x1.9673a8e7aa612p-48", "0x1.81888cb0479bdp-48"),
-        11: ("0x1.86332fd745588p-49", "0x1.7e2fa73f62552p-48", "0x1.32fc425ae52aap-47"),
+        7: ("0x1.b97d073ceeab6p-49", "0x1.602589a284bc7p-48", "0x1.fb8459c54067cp-49"),
+        11: ("0x1.3165e9efdfa9fp-49", "0x1.f354e0ab4c08bp-49", "0x1.57ee116a95822p-48"),
     },
     "pullback": {
-        7: ("0x1.5a4d000000000p-31", "0x1.8da0800000000p-30", "0x1.e081800000000p-30"),
-        11: ("0x1.2677200000000p-30", "0x1.9474b00000000p-30", "0x1.4fc8d00000000p-29"),
+        7: ("0x1.5508800000000p-31", "0x1.9992000000000p-30", "0x1.0a72e00000000p-29"),
+        11: ("0x1.1ff7e00000000p-30", "0x1.7c6fd00000000p-30", "0x1.6bf8400000000p-29"),
     },
     "intertwine": {
-        7: ("0x1.0000000000000p-50", "0x1.c000000000000p-50", "0x1.0000000000000p-49"),
-        11: ("0x1.e000000000000p-50", "0x1.8000000000000p-50", "0x1.c000000000000p-50"),
+        7: ("0x1.0000000000000p-50", "0x1.c000000000000p-50", "0x1.8000000000000p-50"),
+        11: ("0x1.3000000000000p-49", "0x1.8000000000000p-50", "0x1.8000000000000p-50"),
     },
     "duality-squares": {
-        7: ("0x1.569ddf2b3fa87p-50", "0x1.68865c45ee6dfp-49", "0x1.7ba665c1ae416p-49"),
-        11: ("0x1.2b6f1fde2b694p-50", "0x1.3742ad1616b4bp-49", "0x1.d5067336954d5p-49"),
+        7: ("0x1.1e5d20d481a64p-50", "0x1.35558282c713fp-49", "0x1.e77604394dae8p-49"),
+        11: ("0x1.d2a8e7060c04fp-51", "0x1.179cd57b460c0p-49", "0x1.df92124965bd3p-49"),
     },
     "duality-exchange": {
-        7: ("0x1.8000000000000p-51", "0x1.c000000000000p-50", "0x1.a000000000000p-50"),
-        11: ("0x1.0000000000000p-49", "0x1.8000000000000p-50", "0x1.8000000000000p-50"),
+        7: ("0x1.8000000000000p-51", "0x1.8000000000000p-50", "0x1.a000000000000p-50"),
+        11: ("0x1.4000000000000p-50", "0x1.4000000000000p-50", "0x1.0000000000000p-49"),
     },
     "mapclass-origin": {
-        7: ("0x1.cd5bde81227d0p-51", "0x1.129928eaa2c71p-49", "0x1.889e6ad4603a3p-49"),
-        11: ("0x1.22f4eb171b562p-50", "0x1.b88afc9c1cfc5p-50", "0x1.d793a70993a6cp-49"),
+        7: ("0x1.bcd374794f7a1p-51", "0x1.b2459fc960a9bp-50", "0x1.ae7e18c85fe52p-49"),
+        11: ("0x1.dfd3b39223b8fp-51", "0x1.1926605ce1c0dp-49", "0x1.72f2a460aed9dp-49"),
     },
     "dehn-decomposition": {
-        7: ("0x1.29ba2f039c92dp-49", "0x1.737e1653b0ad0p-49", "0x1.adf7848c72432p-49"),
-        11: ("0x1.0e4b1fcc0f333p-49", "0x1.190592ff76556p-48", "0x1.5c202799248c4p-48"),
+        7: ("0x1.adf38071a0bbdp-50", "0x1.4b4fb6c51cdedp-49", "0x1.c1cf5f499b7e9p-49"),
+        11: ("0x1.21629c16e1111p-49", "0x1.0990433116729p-48", "0x1.1742e94e2d69dp-48"),
     },
     "central-twist": {
         7: ("0x1.3b48e81f21541p-47", "0x1.2cffe01b3597cp-47", "0x1.72d4acbcb2223p-47"),
         11: ("0x1.432017c493acep-47", "0x1.3594ad02476ecp-47", "0x1.87e697fe3601bp-47"),
     },
     "lax-conjugation": {
-        7: ("0x1.11fe21a0f0298p-49", "0x1.25bfd2aeb84f7p-49", "0x1.6c68d1f669596p-49"),
-        11: ("0x1.7ba455f46f6fdp-50", "0x1.53353a7fe5725p-49", "0x1.dd26e75601744p-49"),
+        7: ("0x1.2252eed8541dap-50", "0x1.50741e389bdc0p-50", "0x1.e5f7925cf637ap-50"),
+        11: ("0x1.2170dae7f6302p-50", "0x1.ad3d2602a506cp-50", "0x1.986bdda9b6061p-50"),
     },
     "lax-unitarity": {
-        7: ("0x1.8ed009e3b1ef0p-50", "0x1.99319253ce118p-49", "0x1.73ee261bfca64p-49"),
-        11: ("0x1.ad73fdae2497dp-50", "0x1.e7ae4f7fac1d7p-49", "0x1.0a69cea7f9f18p-48"),
+        7: ("0x1.d2369f40ed944p-51", "0x1.3599b80952b9ep-50", "0x1.01fe03f61bad1p-49"),
+        11: ("0x1.1f51bbf22196cp-50", "0x1.282ec6683d3c3p-50", "0x1.027ce7b7ea379p-49"),
     },
     "lax-hamiltonian": {
-        7: ("0x1.0000000000000p-50", "0x1.8000000000000p-50", "0x1.c000000000000p-51"),
-        11: ("0x1.0000000000000p-51", "0x1.2000000000000p-49", "0x1.4000000000000p-49"),
+        7: ("0x1.0000000000000p-52", "0x1.4000000000000p-52", "0x1.0000000000000p-52"),
+        11: ("0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-52"),
     },
     "gradients": {
         7: ("0x1.37f4800000000p-32", "0x1.cd22100000000p-32", "0x1.584d900000000p-28"),
         11: ("0x1.7c22980000000p-32", "0x1.6978b00000000p-30", "0x1.47fe680000000p-30"),
     },
     "normalization": {
-        7: ("0x1.0000000000000p-51", "0x1.0000000000000p-50", "0x1.0000000000000p-51"),
-        11: ("0x1.0000000000000p-51", "0x1.4000000000000p-51", "0x1.8000000000000p-52"),
+        7: ("0x1.0000000000000p-51", "0x1.4000000000000p-51", "0x1.0000000000000p-51"),
+        11: ("0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-52"),
     },
     "mu-spectrum": {
-        7: ("0x1.8000000000000p-51", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
+        7: ("0x1.8000000000000p-51", "0x1.2000000000000p-50", "0x1.0000000000000p-50"),
         11: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
     },
     "global-lax": {
-        7: ("0x1.6749c680c7e46p-50", "0x1.d47fee83afe55p-51", "0x1.4da3ce7c4fa00p-49"),
-        11: ("0x1.35c2dde50ca3ep-50", "0x1.66dc122b2df15p-50", "0x1.578dc9519533bp-50"),
+        7: ("0x1.d8340e7c3bda9p-51", "0x1.501860a3b5a5ap-51", "0x1.a5bfad72d7993p-51"),
+        11: ("0x1.10785dd689a29p-51", "0x1.31785a67b5a75p-51", "0x1.05759900632a2p-50"),
     },
     "boundary-limit": {
-        7: ("0x1.e5eb8a5cd53eep-26", "0x1.25ebe2541de55p-25", "0x1.55b02ec33765bp-25"),
-        11: ("0x1.e5eb8a5cd53eep-26", "0x1.25fb19cf542c6p-25", "0x1.5693a86d1f52ap-25"),
+        7: ("0x1.e5eb8a5cd53edp-26", "0x1.25ebe2541de55p-25", "0x1.55b02ec33765ap-25"),
+        11: ("0x1.e5eb8a5cd53edp-26", "0x1.25fb19cf542c6p-25", "0x1.5693a86d1f52ep-25"),
     },
     "poisson": {
-        7: ("0x0.0p+0", "0x1.02fb800000000p-35", "0x1.4fa4b60000000p-35"),
-        11: ("0x0.0p+0", "0x1.3b65c00000000p-36", "0x1.897e000000000p-35"),
+        7: ("0x0.0p+0", "0x1.0c61600000000p-35", "0x1.4d6ea60000000p-35"),
+        11: ("0x0.0p+0", "0x1.41ce280000000p-36", "0x1.b01b800000000p-35"),
     },
     "conservation": {
-        7: ("0x1.0000000000000p-52", "0x1.e000000000000p-50", "0x1.0000000000000p-48"),
-        11: ("0x1.0000000000000p-51", "0x1.4000000000000p-50", "0x1.0000000000000p-49"),
+        7: ("0x1.0000000000000p-52", "0x1.4000000000000p-50", "0x1.e000000000000p-49"),
+        11: ("0x1.0000000000000p-52", "0x1.0000000000000p-50", "0x1.a000000000000p-50"),
     },
     "polytope-image": {
         7: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
         11: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
     },
     "polytope-vertices": {
-        7: ("0x1.421add0000000p-26", "0x1.219781cc00000p-23", "0x1.1b2a779000000p-23"),
+        7: ("0x1.421add0000000p-26", "0x1.219781d000000p-23", "0x1.1b2a778000000p-23"),
         11: ("0x1.2f0f490000000p-24", "0x1.1ca0293000000p-23", "0x1.88e02fc000000p-24"),
     },
     "axiom-a2": {
@@ -940,8 +940,8 @@ PINNED_MAX_RESIDUAL = {
         11: ("0x1.6f3b800000000p-33", "0x1.5383e80000000p-31", "0x1.157e200000000p-32"),
     },
     "section-consistency": {
-        7: ("0x1.0b219145cc66cp-50", "0x1.a5b22f83226e3p-50", "0x1.64ffd776d5877p-49"),
-        11: ("0x1.466b531d8676bp-51", "0x1.4cb5dc1d03fdfp-49", "0x1.72bc80b1d795cp-49"),
+        7: ("0x1.894dcfe8f68e6p-51", "0x1.7b6b7fbd3f68dp-50", "0x1.8104238ce21aep-49"),
+        11: ("0x1.021684cd81520p-50", "0x1.d2423135b5e6dp-50", "0x1.62a9f3e833a93p-49"),
     },
 }
 # rows of those cells at n = 2, 3, 4 where a cell has other than 20
@@ -975,8 +975,8 @@ def test_stacked_cells_keep_their_pinned_residuals(seed):
 
 @pytest.mark.parametrize(
     "seed, pinned",
-    [(7, ("0x1.3ecc38c9d6d4bp-50", "0x1.05f63a719832dp-49")),
-     (11, ("0x1.4668bdbbdef5fp-50", "0x1.95166fe45ec3cp-50"))],
+    [(7, ("0x1.5413930354bc8p-50", "0x1.8154be2773526p-50")),
+     (11, ("0x1.a4e4efeda34dcp-50", "0x1.f107fbd0add05p-50"))],
 )
 def test_lax_unitarity_keeps_its_residuals_at_the_upper_edge(seed, pinned):
     # at y = pi/n (1 - 1e-9) |det L - 1| of a local matrix is taken one matrix
@@ -1219,16 +1219,17 @@ BY_MAP = {
 
 @pytest.mark.parametrize("name", BY_MAP)
 def test_shared_stages_report_what_the_maps_one_by_one_report(monkeypatch, name):
-    # at y = 1e-6 near-vertex points make maps raise: trial 1 fails dehn-
-    # decomposition in a map past S, and the other checks by a residual;
-    # trial 2 raises in S.  The cell's report, failure record included, is
-    # that of the check evaluated map by map
+    # at y = 1e-6 the near-vertex trial 1 fails duality-squares and dehn-
+    # decomposition by a residual (the label's eps/y) and passes the other
+    # two checks; trial 3, the zero vector, raises in the first lift.  The
+    # cell's report, failure record included, is that of the check
+    # evaluated map by map
     c = Coupling(4, 1e-6)
     near = vertex_points(c, 1e-6, np.random.default_rng(0))
-    u = np.array([random_point(c, np.random.default_rng(1)), near[2], near[0]])
+    u = np.array([random_point(c, np.random.default_rng(1)), near[2], near[0], np.zeros(4)])
     draw = lambda c, rng, samples: {"u": u}
     check, tol = CHECKS[name]
-    cfg = SuiteConfig(n_list=(4,), y_rule=1e-6, samples=3, checks=(name,))
+    cfg = SuiteConfig(n_list=(4,), y_rule=1e-6, samples=4, checks=(name,))
     reports = []
     for residuals in (check.residuals, BY_MAP[name]):
         monkeypatch.setitem(CHECKS, name, (Stacked(residuals, draw), tol))
@@ -1236,8 +1237,10 @@ def test_shared_stages_report_what_the_maps_one_by_one_report(monkeypatch, name)
         reports.append(json.dumps({**cell.to_json(), "wall_time": None}))
     assert reports[0] == reports[1]
     failure = json.loads(reports[0])["failure"]
-    assert failure["data"]["u"] == point_to_json(near[2])
-    assert ("error" in failure) == (name == "dehn-decomposition")
+    if name in ("duality-squares", "dehn-decomposition"):
+        assert "error" not in failure and failure["data"]["u"] == point_to_json(near[2])
+    else:
+        assert (failure["trial"], failure["error"]) == (3, "ZeroVector")
 
 
 def _local_lax_trial(c, rng):
@@ -1307,27 +1310,31 @@ def test_looped_pullback_draws_reject_in_consecutive_and_last_trials(n):
 
 
 def test_exception_payload_replays_the_trial():
-    # the small-y polytope-vertices cell raises; its record names the n
-    # near-vertex points, and they, read back from the JSON report exactly
-    # (not canonicalized), raise the same error alone
-    cfg = SuiteConfig(n_list=(2, 3, 4), y_rule=1e-6, samples=5, seed=0,
-                      checks=("polytope-vertices",))
+    # at y = pi/n (1 - 1e-9) the lax-conjugation cell raises (|v| misses 1,
+    # since the drawn xi carries the gap xi - y only to ulp(pi/n)); its
+    # record names the trial's xi and Theta, and they, read back from the
+    # JSON report exactly, raise the same error alone
+    ys = [math.pi / n * (1 - 1e-9) for n in (2, 3, 4)]
+    cfg = SuiteConfig(n_list=(2, 3, 4), y_rule=ys, samples=5, seed=0,
+                      checks=("lax-conjugation",))
     record = json.loads(json.dumps(run_suite(cfg).to_json()))
     cells = {cell["n"]: cell for cell in record["checks"]}
     for cell in cells.values():
         failure = cell["failure"]
         assert set(failure) == {"trial", "error", "message", "data"}
-        assert len(failure["data"]["u"]) == cell["n"]
+        assert [len(x) for x in failure["data"].values()] == [cell["n"]] * 2
     failure = cells[3]["failure"]
-    pairs = np.array(failure["data"]["u"])
-    u = pairs[..., 0] + 1j * pairs[..., 1]
-    c = Coupling(3, 1e-6)
-    with pytest.raises(ConstraintViolation) as exc:
-        CHECKS["polytope-vertices"][0].residuals(c, u[None])
-    assert (failure["error"], failure["message"]) == ("ConstraintViolation", str(exc.value))
-    # the points are those the cell drew
-    rng = np.random.default_rng([0, list(CHECKS).index("polytope-vertices"), 3])
-    assert np.array_equal(u, CHECKS["polytope-vertices"][0].draw(c, rng, 5)["u"][0])
+    xi = np.array(failure["data"]["xi"])
+    theta = np.array(failure["data"]["theta"]) @ [1, 1j]
+    c = Coupling(3, ys[1])
+    with pytest.raises(NormViolation) as exc:
+        CHECKS["lax-conjugation"][0].residuals(c, xi[None], theta[None])
+    assert (failure["error"], failure["message"]) == ("NormViolation", str(exc.value))
+    # the trial is one that the cell drew
+    rng = np.random.default_rng([0, list(CHECKS).index("lax-conjugation"), 3])
+    drawn = CHECKS["lax-conjugation"][0].draw(c, rng, 5)
+    assert np.array_equal(xi, drawn["xi"][failure["trial"]])
+    assert np.array_equal(theta, drawn["theta"][failure["trial"]])
 
 
 def test_stack_of_a_cell_is_bounded(monkeypatch):
