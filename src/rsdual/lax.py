@@ -60,9 +60,9 @@ def _cyclic(shape):
                         prev=prv, steps=steps, skew=skew)
 
 
-def _arcs(xi, y):
-    """(sin a, sin(a + y), e^{-ia}) for the pair angles a[k, l] in [0, pi),
-    a[k, l] = xi_l + ... + xi_{k-1} the arc from l forward to k.
+def _arcs(xi, y, phase=False):
+    """(sin a, sin(a + y)), and e^{-ia} too with phase, for the pair angles
+    a[k, l] in [0, pi), a[k, l] = xi_l + ... + xi_{k-1} the arc l to k.
 
     Each arc is summed from its own start by one cumsum, and so is its
     complement pi - a[k, l] = a[l, k]; every sine and phase is taken of the
@@ -82,23 +82,27 @@ def _arcs(xi, y):
     short = np.minimum(a, b)
     s0 = np.sin(short)
     sp = np.sin(np.minimum(a + y, b - y))
-    # e^{-ia} = cos a - i sin a, with cos a = -cos(pi - a) where the
-    # complement is the shorter arc
-    e = np.empty(a.shape, complex)
-    np.copysign(np.cos(short), b - a, out=e.real)
-    np.negative(s0, out=e.imag)
-    gap = xi - y
-    zero = gap == 0.0
-    sp.put(idx.sup, (sp.take(idx.sup) + zero.ravel()) / (gap + zero).ravel())
+    if phase:
+        # e^{-ia} = cos a - i sin a, with cos a = -cos(pi - a) where the
+        # complement is the shorter arc
+        e = np.empty(a.shape, complex)
+        np.copysign(np.cos(short), b - a, out=e.real)
+        np.negative(s0, out=e.imag)
+    gap = (xi - y).ravel()
+    if np.count_nonzero(gap) == gap.size:  # no zero to split off
+        sp.put(idx.sup, sp.take(idx.sup) / gap)
+    else:
+        zero = gap == 0.0
+        sp.put(idx.sup, (sp.take(idx.sup) + zero) / (gap + zero))
     siny = math.sin(y)
     s0.put(idx.diag, siny)
     sp.put(idx.diag, siny)
-    return s0, sp, e
+    return (s0, sp, e) if phase else (s0, sp)
 
 
 def _w_factor_data(s0, sp):
     """Smooth squared factors of W_k(+-y) with the zero r_v^2 split off,
-    from (s0, sp) = _arcs(xi, y)[:2].
+    from (s0, sp) = _arcs(xi, y).
 
     Returns the stack (wp2, wm2) of the row and column products of sp / s0:
     W_k(+y)^2 = (xi_k - y) * wp2_k and W_k(-y)^2 = (xi_{k-1} - y) * wm2_k,
@@ -122,7 +126,7 @@ def w_factors(xi, c):
     All square roots are taken non-negative.
     """
     xi = check_shifted_alcove(xi, c)
-    w_plus, w_minus = np.sqrt(_w_factor_data(*_arcs(xi, c.y)[:2]))
+    w_plus, w_minus = np.sqrt(_w_factor_data(*_arcs(xi, c.y)))
     r = np.sqrt(np.maximum(xi - c.y, 0.0))
     return r * w_plus, r.take(_cyclic(xi.shape).prev[0], -1) * w_minus, w_plus, w_minus
 
@@ -133,7 +137,7 @@ def _lambda_parts(xi, c):
     sin(a + y) entry by entry is the smooth cofactor matrix, nowhere zero
     on the polytope: L(delta(xi), 1)_{kl} = r_k r_{l-1} Lambda_{kl} off the
     cyclic superdiagonal, and Lambda = L on it."""
-    s0, sp, lam = _arcs(xi, c.y)
+    s0, sp, lam = _arcs(xi, c.y, phase=True)
     wp, wm = np.sqrt(_w_factor_data(s0, sp))
     # sin y e^{-ia} wp_k wm_l / sp in place, in the left-to-right order of
     # that product, so with the bits of its one-expression form

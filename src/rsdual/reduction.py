@@ -7,10 +7,12 @@ identification beta-map a computable bijection.  The second identification is
 alpha = nu o beta o Gamma, the self-duality map is their composition.  S, its
 inverse, mapping-class words and reduced_flow are _relabel, f_beta_inv(act(
 _lift(u))) of one map act or of several by one lift and one label call; a
-trajectory step is _label through its orbit frame.  A point is canonicalized
-only where it is lifted and where it is labelled.  Each map takes a stack of
-points (..., n) or pairs (..., n, n), each row with the one-point bits; a bad
-row raises what it raises alone.  section_F takes one chart or one per row.
+trajectory step is _label through its orbit frame.  A point is validated
+and canonicalized where it is lifted, a pair where f_beta_inv takes it (the
+constraint, B finite); the frame then checks only B's wall, and the label
+canonicalizes only on a modulus tie.  Each map takes a stack of points
+(..., n) or pairs (..., n, n), each row with the one-point bits; a bad row
+raises what it raises alone.  section_F takes one chart or one per row.
 """
 
 import math
@@ -19,10 +21,12 @@ import numpy as np
 
 from .coupling import check_shifted_alcove
 from .double import DoublePoint, apply_word, auto_apply, flow, flow_map
-from .errors import ConstraintViolation, anywhere, first_row
+from .errors import ConstraintViolation, DomainViolation, anywhere, first_row
 from .lax import _cyclic, _lambda_parts, _lax_from, global_lax, reflection_g
 from .projective import (
+    TIE_TOL,
     _fro,
+    _norm,
     canonicalize,
     chart_gauge,
     chart_index,
@@ -30,7 +34,7 @@ from .projective import (
     moment_J,
     moment_J_full,
 )
-from .sun import alcove_exponents, alcove_point, dagger, spectral_index, spectral_xi
+from .sun import _eigen_alcove, _spectral_xi, alcove_exponents, alcove_point, dagger, spectral_index
 
 
 def _chart_lift(u, j, c):
@@ -81,28 +85,33 @@ def _orbit_frame(B, c):
 
     Returns (g, lam, col, den, at, rj): the diagonalizer g of B = g^dagger
     delta(xi) g and the smooth cofactor matrix lam = Lambda^y(xi) at its
-    alcove point xi, checked to 1e-7 in the sum, the entries and the wall
-    alike and clipped onto the walls xi_k >= y; then what the label reads
-    in the chart j = argmax xi (0-based): the flat indices col of the
+    alcove point xi, clipped onto the walls xi_k >= y; then what the label
+    reads in the chart j = argmax xi (0-based): the flat indices col of the
     entries (k, j + 1 mod n) of each matrix, the denominators den = rj
     lam[:, j + 1 mod n], the flat index at of u_j and its value rj =
-    sqrt(xi_j - y).
+    sqrt(xi_j - y).  B must be finite (f_beta_inv checks it; a flow keeps
+    it so).  xi sums to pi and is positive by construction and GAP_TOL, so
+    only the wall is checked, to 1e-7.
     """
-    xi, g = spectral_xi(B)
-    xi = check_shifted_alcove(xi, c, tol=1e-7)
-    # clip onto the walls xi_k >= y; the largest xi_j (>= pi/n > y) gives up
-    # the excess, so sum(xi) stays pi and xi_j still selects the chart
+    xi, g = _spectral_xi(B)
+    low = np.minimum.reduce(xi, None, initial=math.inf) - c.y
+    if low < -1e-7:
+        bad = np.minimum.reduce(xi, -1) - c.y < -1e-7
+        raise DomainViolation(f"xi_j < y for some j: {xi[first_row(bad)]}, y={c.y}")
     j = xi.argmax(-1)
     idx = _cyclic(xi.shape)
     at = idx.rows + j
-    clipped = np.maximum(xi, c.y)
-    xj = clipped.flat[at] - np.add.reduce(clipped - xi, -1)
-    clipped.flat[at] = xj
-    lam = _lambda_parts(clipped, c)[0]
+    if low < 0.0:
+        # clip onto the walls; the largest xi_j (>= pi/n > y) gives up the
+        # excess, so sum(xi) stays pi and xi_j still selects the chart
+        clipped = np.maximum(xi, c.y)
+        clipped.flat[at] -= np.add.reduce(clipped - xi, -1)
+        xi = clipped
+    lam = _lambda_parts(xi, c)[0]
     # a row times its own rj (or plus its own j + 1) is a product (or sum)
     # of transposes, so that one point takes the scalar, which is fastest
     col = (idx.cols.T + ((j + 1) % c.n).T).T
-    rj = np.sqrt(xj - c.y)
+    rj = np.sqrt(xi.flat[at] - c.y)
     return g, lam, col, (lam.flat[col].T * rj.T).T, at, rj
 
 
@@ -134,7 +143,16 @@ def _label(A, frame, c):
 
     u = np.conjugate(K.flat[col] / den)
     u.flat[at] = rj
-    return canonicalize(u, c)
+    # u_j = rj >= 0: unless a modulus ties with it or the norm leaves the
+    # normal range, canonicalize's rescale and phase multiply finish the label
+    nrm = _norm(u)
+    v = (u.T * (math.sqrt(c.chi0) / nrm).T).T
+    mags = abs(v)
+    top = mags.flat[at]
+    tie = np.count_nonzero(mags.T >= (top - TIE_TOL).T) != top.size
+    if tie or anywhere((nrm <= 1e-150) | (nrm >= 1e150)):
+        return canonicalize(u, c)
+    return (v.T * (np.conjugate(v.flat[at]) / top).T).T
 
 
 def f_beta_inv(p, c):
@@ -152,6 +170,8 @@ def f_beta_inv(p, c):
     bad = res > 1e-6
     if anywhere(bad):
         raise ConstraintViolation(f"moment residual {res[first_row(bad)]:.3e} exceeds 1e-6")
+    if not np.logical_and.reduce(np.isfinite(p.B), None):
+        raise ValueError("array must not contain infs or NaNs")
     return _label(p.A, _orbit_frame(p.B, c), c)
 
 
@@ -235,8 +255,9 @@ def reduced_trajectory(u, h, t_final, steps, c):
     """Sampled reduced flow; an iterator of (step, t, u_t, J(u_t), Xi(K(u_t))).
 
     steps, t_final and a spectral Hamiltonian's index are checked when it is
-    called, the point when it is lifted; the flow keeps mu = mu0, so no step
-    re-checks the constraint.  The flow is exact for every t, so each sample
+    called, the point when it is lifted; the flow keeps mu = mu0 and the
+    pair finite, so no step re-checks either, nor the finite K(u_t) whose
+    eigenvalues give Xi.  The flow is exact for every t, so each sample
     comes from the single initial lift with no accumulated integration
     error.  At the first next(), once per trajectory: the lift, the
     decomposition of the frozen factor's gradient (flow_map) and, for side
@@ -265,4 +286,4 @@ def _trajectory(u, h, t_final, steps, c):
         pt = at(t)
         frame = fixed or _orbit_frame(pt.B, c)
         ut = _label(pt.A, frame, c)
-        yield k, t, ut, moment_J(ut, c), alcove_point(_lax_from(ut, frame[1]))[: c.n - 1]
+        yield k, t, ut, moment_J(ut, c), _eigen_alcove(_lax_from(ut, frame[1]), np.empty(c.n))[: c.n - 1]

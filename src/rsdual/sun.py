@@ -113,16 +113,15 @@ def _phases_to_alcove(phases, xi):
     delta parametrization; xi_k is half the k-th gap of the lifted phases.
     One matrix takes this body; a stack takes _stacked_phases_to_alcove.
     """
-    n = len(xi)
     order = phases.argsort(kind="stable")
     psi = phases[order]
     # det A = 1 forces sum(psi) = 2 pi M; the shift below makes M = 0 mod n.
     m0 = round(float(np.add.reduce(psi)) / (2.0 * math.pi))
-    shift = (-m0) % n
-    roll = np.arange(shift, shift + n)
-    perm = order.take(roll, mode="wrap")
-    lifted = psi.take(roll, mode="wrap")
-    lifted[n - shift :] += 2.0 * math.pi
+    shift = (-m0) % len(xi)
+    perm, lifted = order, psi
+    if shift:  # roll, 2 pi added only where it wraps
+        perm = np.concatenate((order[shift:], order[:shift]))
+        lifted = np.concatenate((psi[shift:], psi[:shift] + 2.0 * math.pi))
 
     gaps = xi[:-1]
     np.subtract(lifted[1:], lifted[:-1], out=gaps)
@@ -213,19 +212,6 @@ def _schur(A):
     return T, Z
 
 
-def _decompose(M):
-    """(xi, g) of one finite square matrix, as spectral_xi describes."""
-    T, Z = _schur(M)
-    d = T.diagonal()
-    xi, perm = _phases_to_alcove(np.arctan2(d.imag, d.real), np.empty(len(d)))  # np.angle(d)
-    gap = 2.0 * float(np.minimum.reduce(xi))
-    if not gap > GAP_TOL:
-        raise NonRegular(f"eigenphase gap {gap:.3e} is at most GAP_TOL={GAP_TOL:.1e}")
-    vecs = Z[:, perm]
-    lead = vecs[(abs(vecs) > PHASE_TOL).argmax(axis=0), np.arange(len(d))]
-    return xi, (vecs * (lead / abs(lead)).conj()).conj().T
-
-
 def spectral_xi(A):
     """The decomposition (xi, g) of a regular special-unitary matrix,
     A = g^dagger delta(xi) g, or of each matrix of a stack (..., n, n).
@@ -251,8 +237,22 @@ def spectral_xi(A):
         raise ValueError("expected square matrix")
     if not np.logical_and.reduce(np.isfinite(A), None):
         raise ValueError("array must not contain infs or NaNs")
+    return _spectral_xi(A)
+
+
+def _spectral_xi(A):
+    """spectral_xi of a square complex A the caller knows to be finite."""
+    n = A.shape[-1]
     if A.ndim == 2:
-        return _decompose(A)
+        T, Z = _schur(A)
+        d = T.diagonal()
+        xi, perm = _phases_to_alcove(np.arctan2(d.imag, d.real), np.empty(n))  # np.angle(d)
+        gap = 2.0 * float(np.minimum.reduce(xi))
+        if not gap > GAP_TOL:
+            raise NonRegular(f"eigenphase gap {gap:.3e} is at most GAP_TOL={GAP_TOL:.1e}")
+        vecs = Z[:, perm]
+        lead = vecs[(abs(vecs) > PHASE_TOL).argmax(axis=0), np.arange(n)]
+        return xi, (vecs * (lead / abs(lead)).conj()).conj().T
     stack = A.reshape(-1, n, n)
     diag = np.empty(stack.shape[:-1], dtype=complex)
     vecs = np.empty(stack.shape, dtype=complex)  # vecs[k, i] is Schur vector i of matrix k
@@ -280,7 +280,7 @@ def spectral_xi(A):
 
 def _check_gaps(xi):
     """Raise NonRegular at the first row of a stack of alcove points whose
-    eigenphase gap 2 min xi is at most GAP_TOL, as _decompose does alone."""
+    eigenphase gap 2 min xi is at most GAP_TOL, as one matrix does alone."""
     gap = 2.0 * np.minimum.reduce(xi, -1)
     bad = ~(gap > GAP_TOL)
     if anywhere(bad):

@@ -21,7 +21,7 @@ from rsdual.double import (
     random_double_point,
     rho_embedding,
 )
-from rsdual.errors import ChartViolation, ConstraintViolation
+from rsdual.errors import ChartViolation, ConstraintViolation, DomainViolation
 from rsdual.lax import (
     _lambda_parts,
     _lax_from,
@@ -371,6 +371,64 @@ def test_f_beta_inv_rejects_a_vanishing_superdiagonal_on_the_constraint():
         f_beta_inv(q, c)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "factor,error,message",
+    [("A", ConstraintViolation, "vanishing superdiagonal"), ("B", ValueError, "infs or NaNs")],
+)
+def test_f_beta_inv_rejects_a_non_finite_factor(factor, error, message, bad):
+    # f_beta_inv checks B's finiteness once, past the constraint check, for
+    # its orbit frame; a non-finite A fails the label's superdiagonal guard
+    c = Coupling.default(3)
+    p = reduction._lift(rand_u(c), c)
+    A, B = p.A.copy(), p.B.copy()
+    (A if factor == "A" else B)[1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=message):
+        f_beta_inv(DoublePoint(A, B), c)
+
+
+def _below_the_wall(xi, c, delta):
+    """xi with xi_1 moved to y - delta and xi_3 taking up the difference."""
+    xi = xi.copy()
+    d = xi[..., 0] - (c.y - delta)
+    xi[..., 0] -= d
+    xi[..., 2] += d
+    return xi
+
+
+def test_orbit_frame_rejects_a_spectrum_below_the_wall():
+    # the frame checks only the wall xi_k >= y - 1e-7: spectral_xi's xi sums
+    # to pi and is positive by construction
+    c = Coupling.default(3)
+    xi = random_shifted_alcove(c, RNG, count=2)
+    xi[1] = _below_the_wall(xi[1], c, 2e-7)
+    for B in (alcove_delta(xi[1]), alcove_delta(xi)):
+        with pytest.raises(DomainViolation, match="xi_j < y"):
+            reduction._orbit_frame(B, c)
+
+
+def test_orbit_frame_clips_a_row_below_the_wall_as_alone():
+    # a row within 1e-7 below the wall is clipped as it is alone, xi_j
+    # giving up the excess; a stack with such a row clips the others to
+    # their own bits
+    c = Coupling.default(3)
+    xi = random_shifted_alcove(c, RNG, count=3)
+    xi[1] = _below_the_wall(xi[1], c, 5e-8)
+    B = alcove_delta(xi)
+    xs = spectral_xi(B)[0]
+    assert (xs[1] < c.y).any() and (np.delete(xs, 1, 0) >= c.y).all()
+    frames = reduction._orbit_frame(B, c)
+    for k in range(3):
+        frame = reduction._orbit_frame(B[k], c)
+        for part in (0, 1, 3, 5):  # g, lam, den, rj
+            assert np.asarray(frames[part][k]).tobytes() == np.asarray(frame[part]).tobytes()
+        clipped = np.maximum(xs[k], c.y)
+        j = xs[k].argmax()
+        clipped[j] -= np.add.reduce(clipped - xs[k])
+        assert frame[1].tobytes() == _lambda_parts(clipped, c)[0].tobytes()
+        assert frame[5] == math.sqrt(clipped[j] - c.y)
+
+
 def test_f_beta_inv_moment_map_identity():
     n = 4
     c = Coupling.default(n)
@@ -680,9 +738,10 @@ def test_reduced_trajectory_matches_per_sample_flow(n, y_scale, kind, side):
 
 
 @pytest.mark.parametrize("kind,side", [("re_trace", "first"), ("dehn", "second")])
-def test_reduced_trajectory_canonicalizes_once_per_step(monkeypatch, kind, side):
-    # the label of a step is canonical already: its action variables are
-    # read from it directly, with no second canonicalize
+def test_reduced_trajectory_labels_as_canonicalize_bit_for_bit(monkeypatch, kind, side):
+    # a step's label finishes in the gauge it built, u_j = r_j >= 0, with no
+    # canonicalize call; each u_t has the bits canonicalize gives the same
+    # raw label, which a TIE_TOL of inf forces, since every modulus then ties
     calls = []
 
     def counted(u, c):
@@ -690,12 +749,41 @@ def test_reduced_trajectory_canonicalizes_once_per_step(monkeypatch, kind, side)
         return canonicalize(u, c)
 
     c = Coupling.default(3)
-    rows = reduced_trajectory(rand_u(c), InvariantHamiltonian(kind, 1, side), 1.0, 10, c)
+    u, ham = rand_u(c), InvariantHamiltonian(kind, 1, side)
     monkeypatch.setattr(reduction, "canonicalize", counted)
-    next(rows)
-    calls.clear()
-    assert sum(1 for _ in rows) == 10
-    assert len(calls) == 10
+    got = list(reduced_trajectory(u, ham, 1.0, 10, c))
+    assert len(calls) == 1  # the lift
+    monkeypatch.setattr(reduction, "TIE_TOL", math.inf)
+    want = list(reduced_trajectory(u, ham, 1.0, 10, c))
+    assert len(calls) == 1 + 1 + 11
+    for (_, _, ut, J, xiK), (_, _, vt, J0, xiK0) in zip(got, want, strict=True):
+        assert ut.tobytes() == vt.tobytes()
+        assert J.tobytes() == J0.tobytes() and xiK.tobytes() == xiK0.tobytes()
+
+
+def test_label_of_a_modulus_tie_takes_canonicalize(monkeypatch):
+    # |u_1| = |u_2| to rounding: the label's own j = argmax xi may be either,
+    # so the tie goes to canonicalize, whose rule makes u_1 real; a stack
+    # with the tied row in it takes the same path, with each row's bits
+    calls = []
+
+    def counted(u, c):
+        calls.append(1)
+        return canonicalize(u, c)
+
+    c = Coupling.default(3)
+    tie = canonicalize(np.array([1.0, np.exp(0.7j), 0.5 * np.exp(0.3j)]), c)
+    p = reduction._lift(np.stack([tie, rand_u(c)]), c)
+    monkeypatch.setattr(reduction, "canonicalize", counted)
+    rows = [f_beta_inv(DoublePoint(p.A[k], p.B[k]), c) for k in range(2)]
+    assert len(calls) == 1
+    ut = rows[0]
+    assert abs(abs(ut[0]) - abs(ut[1])) <= 1e-12
+    assert abs(ut[0].imag) <= 1e-15 and ut[0].real > 0.0 and abs(ut[1].imag) > 0.1
+    assert projective_distance(ut, tie) < 1e-12
+    stacked = f_beta_inv(p, c)
+    assert len(calls) == 2
+    assert stacked.tobytes() == np.stack(rows).tobytes()
 
 
 @pytest.mark.parametrize("kind,side,per_step", [("re_trace", "first", 1), ("dehn", "second", 0)])

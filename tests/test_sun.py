@@ -192,6 +192,34 @@ def test_phases_to_alcove_matches_reference_bit_for_bit(n):
     assert len(shifts) > 1
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_one_point_phase_map_is_the_stacked_map_at_every_shift(n):
+    # phase sets around 2 pi M / n for n consecutive M reach every shift
+    # 0..n-1; each M adds a set with a repeated phase, one of n equal phases
+    # and one with -0.0 phases, and -0.0 and +0.0 ties close the stack
+    rng = np.random.default_rng([23, n])
+    sets = []
+    for m in range(-(n // 2), n - n // 2):
+        phases = np.full((4, n), 2.0 * math.pi * m / n)
+        phases[:2] += rng.uniform(-0.5, 0.5, (2, n)) / n
+        phases[1, 1] = phases[1, 0]
+        phases[3, ::2] = -0.0
+        sets.append(np.clip(phases, -math.pi, math.pi))
+    ties = np.zeros((3, n))
+    ties[0] = -0.0
+    ties[1, 1::2] = -0.0
+    ties[2, ::2] = -0.0
+    phases = np.concatenate(sets + [ties])
+    shifts = {-round(np.sort(row).sum() / (2.0 * math.pi)) % n for row in phases}
+    assert shifts == set(range(n))
+    xi, perm = _stacked_phases_to_alcove(phases)
+    for k, row in enumerate(phases):
+        xi1, perm1 = _phases_to_alcove(row, np.empty(n))
+        xi0, perm0 = ref_phases_to_alcove(row, n)
+        assert xi[k].tobytes() == xi1.tobytes() == xi0.tobytes(), k
+        assert (perm[k] == perm1).all() and (perm1 == perm0).all(), k
+
+
 def edge_spectra(n):
     """(mats, regular): special-unitary matrices with the spectra random
     draws miss, and which of them have a regular spectrum.  The n central
