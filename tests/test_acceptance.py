@@ -209,6 +209,83 @@ def test_upper_coupling_edge():
         assert not bad, json.dumps(bad)
 
 
+# The coupling rows of the edge ledger, each a y per n
+EDGE_ROWS = {
+    "1e-8": lambda n: 1e-8,
+    "1e-6": lambda n: 1e-6,
+    "1e-4": lambda n: 1e-4,
+    "1e-3": lambda n: 1e-3,
+    "pi/n (1 - 1e-3)": lambda n: math.pi / n * (1 - 1e-3),
+    "pi/n - 1e-6": lambda n: math.pi / n - 1e-6,
+    "pi/n (1 - 1e-9)": lambda n: math.pi / n * (1 - 1e-9),
+}
+# Every failing cell of run_suite(SuiteConfig(n_list=(2, 3, 4), y_rule=<row>,
+# samples=8, seed=7)) over the rows above: (row, n, check) -> (the exception
+# type the cell reports, or the decade floor(log10(max residual / tolerance)),
+# and the ROADMAP item that owns the cell).  Item 15: the label's eps/y at
+# the lower edge.  Item 2: boundary-limit measures the map's slope 2/sqrt(y)
+# at a wall.  Item 3: pullback's finite-difference step is not small against
+# sqrt(chi0).  Item 18: a drawn xi carries its gaps xi - y only to ulp(pi/n).
+# Every cell not listed passes.
+EDGE_LEDGER = {
+    ("1e-8", 2, "boundary-limit"): (2, 2),
+    ("1e-8", 3, "boundary-limit"): (2, 2),
+    ("1e-8", 4, "boundary-limit"): (2, 2),
+    ("1e-8", 3, "duality-squares"): (0, 15),
+    ("1e-8", 4, "duality-squares"): (1, 15),
+    ("1e-8", 3, "duality-exchange"): (0, 15),
+    ("1e-8", 4, "duality-exchange"): (0, 15),
+    ("1e-8", 3, "mapclass-origin"): (0, 15),
+    ("1e-8", 4, "mapclass-origin"): (1, 15),
+    ("1e-8", 3, "dehn-decomposition"): (1, 15),
+    ("1e-8", 4, "dehn-decomposition"): (0, 15),
+    ("1e-8", 3, "conservation"): (0, 15),
+    ("1e-8", 4, "conservation"): (0, 15),
+    ("1e-8", 3, "section-consistency"): (1, 15),
+    ("1e-8", 4, "section-consistency"): (2, 15),
+    ("1e-6", 2, "boundary-limit"): (1, 2),
+    ("1e-6", 3, "boundary-limit"): (1, 2),
+    ("1e-6", 4, "boundary-limit"): (1, 2),
+    ("1e-4", 2, "boundary-limit"): (0, 2),
+    ("1e-4", 3, "boundary-limit"): (0, 2),
+    ("1e-4", 4, "boundary-limit"): (0, 2),
+    ("pi/n (1 - 1e-3)", 2, "pullback"): (0, 3),
+    ("pi/n (1 - 1e-3)", 3, "pullback"): (1, 3),
+    ("pi/n (1 - 1e-3)", 4, "pullback"): (1, 3),
+    ("pi/n - 1e-6", 2, "pullback"): (6, 3),
+    ("pi/n - 1e-6", 3, "pullback"): (7, 3),
+    ("pi/n - 1e-6", 4, "pullback"): (6, 3),
+    ("pi/n - 1e-6", 3, "normalization"): (1, 18),
+    ("pi/n - 1e-6", 4, "normalization"): (1, 18),
+    ("pi/n (1 - 1e-9)", 2, "pullback"): (12, 3),
+    ("pi/n (1 - 1e-9)", 3, "pullback"): (13, 3),
+    ("pi/n (1 - 1e-9)", 4, "pullback"): (13, 3),
+    ("pi/n (1 - 1e-9)", 2, "lax-conjugation"): ("NormViolation", 18),
+    ("pi/n (1 - 1e-9)", 3, "lax-conjugation"): ("NormViolation", 18),
+    ("pi/n (1 - 1e-9)", 4, "lax-conjugation"): ("NormViolation", 18),
+    ("pi/n (1 - 1e-9)", 3, "normalization"): (4, 18),
+    ("pi/n (1 - 1e-9)", 4, "normalization"): (4, 18),
+    ("pi/n (1 - 1e-9)", 3, "mu-spectrum"): ("NormViolation", 18),
+    ("pi/n (1 - 1e-9)", 4, "mu-spectrum"): ("NormViolation", 18),
+}
+
+
+def test_edge_ledger():
+    # strict both ways: a new failing cell, a moved decade or type, and a
+    # ledger cell that now passes all fail this test
+    n_list = (2, 3, 4)
+    failing = {}
+    for label, y in EDGE_ROWS.items():
+        cfg = SuiteConfig(n_list=n_list, y_rule=[y(n) for n in n_list], samples=8, seed=7)
+        for r in run_suite(cfg).results:
+            if not r.passed:
+                ratio = r.max_residual / r.tolerance
+                kind = r.failure.get("error") or math.floor(math.log10(ratio))
+                failing[(label, r.n, r.name)] = kind
+                print(f"edge ledger y = {label}, n = {r.n}, {r.name}: {kind} ({ratio:.3g})")
+    assert failing == {cell: kind for cell, (kind, _) in EDGE_LEDGER.items()}
+
+
 def test_lower_coupling_edge_chart_lift():
     # the v(xi, y) scale stays accurate as y -> 0: the chart gauge is unitary
     # and its reflection vector has unit norm (no NormViolation)
