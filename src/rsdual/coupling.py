@@ -115,11 +115,6 @@ def random_shifted_alcove(c, rng, margin=0.0, count=None):
     margin is the fraction of the slack chi0 kept away from every wall,
     capped at 1/(2n) so that half the slack is always left to draw from.
     """
-    return _shifted_alcove_at(rng.dirichlet(np.ones(c.n), size=count), c, margin)
-
-
-def _shifted_alcove_at(w, c, margin):
-    """The sample of random_shifted_alcove at the Dirichlet draws w (..., n)."""
     margin = min(margin, 0.5 / c.n)
     slack = c.chi0 * (1.0 - c.n * margin)
-    return c.y + margin * c.chi0 + slack * w
+    return c.y + margin * c.chi0 + slack * rng.dirichlet(np.ones(c.n), size=count)

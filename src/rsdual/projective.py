@@ -275,36 +275,25 @@ def involution(which, u):
 
 def random_point(c, rng, interior_bias=0.0, count=None):
     """Random canonical point from 2n standard normals, the real parts, then
-    the imaginary parts; with count, a stack (count, n) of the points of
-    count calls on rng.  With interior_bias > 0, candidates, one per point
-    still missing, are drawn until each has min_k |u_k|^2 > interior_bias *
-    chi0 / n.  interior_bias must be below 1: the smallest |u_k|^2 never
-    exceeds the mean chi0 / n, so no draw would ever be accepted (ValueError).
+    the imaginary parts; with count, a stack (count, n).  With interior_bias
+    > 0, candidates are drawn until each point has min_k |u_k|^2 >
+    interior_bias * chi0 / n; a stack draws one candidate per point still
+    missing, so it holds the points of count calls on rng only without a
+    bias.  interior_bias must be below 1: the smallest |u_k|^2 never exceeds
+    the mean chi0 / n, so no draw would ever be accepted (ValueError).
     """
     if not interior_bias < 1.0:
         raise ValueError(f"interior_bias must be < 1, got {interior_bias}")
     out, done = np.empty((1 if count is None else count, c.n), complex), 0
     while done < len(out):
         z = rng.standard_normal((2, c.n) if count is None else (len(out) - done, 2, c.n))
-        u = _from_normals(z, c).reshape(-1, c.n)
+        u = canonicalize(z[..., 0, :] + 1j * z[..., 1, :], c).reshape(-1, c.n)
         if interior_bias > 0.0:
-            u = u[_accepts(u, c, interior_bias)]
+            # rounding keeps the order, so min |u_k|^2 = (min |u_k|)^2
+            u = u[np.minimum.reduce(abs(u), -1) ** 2 > interior_bias * c.chi0 / c.n]
         out[done : done + len(u)] = u
         done += len(u)
     return out[0] if count is None else out
-
-
-def _from_normals(z, c):
-    """The canonical points of random_point's standard normals z (..., 2, n):
-    of each point the real parts, then the imaginary parts."""
-    return canonicalize(z[..., 0, :] + 1j * z[..., 1, :], c)
-
-
-def _accepts(u, c, interior_bias):
-    """Whether random_point accepts each canonical candidate of a stack u
-    (..., n): min_k |u_k|^2 > interior_bias * chi0 / n."""
-    # rounding keeps the order, so min |u_k|^2 = (min |u_k|)^2
-    return np.minimum.reduce(abs(u), -1) ** 2 > interior_bias * c.chi0 / c.n
 
 
 def vertex_points(c, eps=0.0, rng=None):
@@ -313,7 +302,7 @@ def vertex_points(c, eps=0.0, rng=None):
         raise ValueError("vertex_points needs an rng to perturb by eps > 0")
     u = np.eye(c.n, dtype=complex)
     if eps > 0.0:
-        # the re and im draws of each vertex in turn, as one draw
+        # the re, then the im parts of each vertex's noise, by one call
         z = rng.standard_normal((c.n, 2, c.n))
         u = u + eps * (z[:, 0] + 1j * z[:, 1])
     return list(canonicalize(u, c))

@@ -56,26 +56,22 @@ def _ginibre(z):
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def _special_unitary(z):
-    """SU(n) from each Ginibre matrix z: Q of its QR form, with the phases of
-    R's diagonal and an n-th root of the determinant divided out."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, 0, -2, -1)
-    q = q * (d / np.abs(d))[..., None, :]
-    return q * (np.linalg.det(q) ** (-1.0 / z.shape[-1]))[..., None, None]
-
-
 def random_special_unitary(n, rng, count=None):
     """Haar-ish random SU(n) element; with count, a stack (count, n, n) of
-    the elements of count calls on rng."""
+    the elements of count calls on rng.  Each is Q of the QR form of a
+    Ginibre matrix, with the phases of R's diagonal and an n-th root of the
+    determinant divided out."""
     z = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
-    return _special_unitary(_ginibre(z))
+    q, r = np.linalg.qr(_ginibre(z))
+    d = np.diagonal(r, 0, -2, -1)
+    q = q * (d / np.abs(d))[..., None, :]
+    return q * (np.linalg.det(q) ** (-1.0 / n))[..., None, None]
 
 
 def random_su_algebra(n, rng, count=None):
     """Random element of su(n); with count, a stack as random_special_unitary's."""
-    z = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
-    return traceless_antihermitian(_ginibre(z))
+    shape = (2, n, n) if count is None else (count, 2, n, n)
+    return traceless_antihermitian(_ginibre(rng.standard_normal(shape)))  # normals freed early
 
 
 def alcove_exponents(xi):

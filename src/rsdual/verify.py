@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .coupling import Coupling, _shifted_alcove_at, random_shifted_alcove
+from .coupling import Coupling, random_shifted_alcove
 from .double import (
     DoublePoint, DoubleTangent, InvariantHamiltonian, apply_word, auto_apply, conjugate, flow,
     geodesic_tangent, hamiltonian_gradient, moment, omega_eval, random_double_point,
@@ -28,17 +28,15 @@ from .double import (
 from .errors import RSDualError
 from .lax import global_lax, local_hamiltonian, local_lax, mu_of_v, v_vector
 from .projective import (
-    _accepts, _fro, _from_normals, canonicalize, chart_index, from_chart, fs_omega_eval,
-    involution, moment_J, moment_J_full, point_to_json, projective_distance, random_point,
-    to_chart, vertex_points,
+    _fro, canonicalize, chart_index, from_chart, fs_omega_eval, involution, moment_J,
+    moment_J_full, point_to_json, projective_distance, random_point, to_chart, vertex_points,
 )
 from .reduction import (
     _from_alpha, _relabel, action_variables, constraint_residual, duality, f_beta_inv,
     reduced_flow, section_F,
 )
 from .sun import (
-    _ginibre, _special_unitary, alcove_delta, alcove_point, dagger, scalar_product,
-    traceless_antihermitian,
+    alcove_delta, alcove_point, dagger, random_special_unitary, random_su_algebra, scalar_product,
 )
 
 FD_STEP = 1e-5  # step of every central finite-difference check
@@ -93,30 +91,23 @@ def _push(f, p, v):
 # individual checks: each a draw and a residual function (see Stacked)
 
 
-def _in_turn(count, draw):
-    """The tuples of arrays of count calls draw() made in turn, stacked
-    entry by entry (see Stacked)."""
-    return map(np.array, zip(*[draw() for _ in range(count)]))
-
-
 def _points(bias, per=1):
     """The draw of a cell whose trials draw one point each."""
     return lambda c, rng, samples: {"u": random_point(c, rng, bias, max(1, samples // per))}
 
 
 def _unitaries_and_algebra(c, rng, count, m, k):
-    """m SU(n) elements, then k elements of su(n), of each of count trials,
-    from one call on rng: the draws of one-point calls in turn."""
-    z = _ginibre(rng.standard_normal((count, m + k, 2, c.n, c.n)))
-    return _special_unitary(z[:, :m]), traceless_antihermitian(z[:, m:])
+    """m SU(n) elements of each of count trials, then k elements of su(n) of
+    each, as stacks (count, m or k, n, n) of one sampler call each."""
+    g = random_special_unitary(c.n, rng, count * m).reshape(count, m, c.n, c.n)
+    return g, random_su_algebra(c.n, rng, count * k).reshape(count, k, c.n, c.n)
 
 
 def _alcove_and_uniform(c, rng, samples, low, high, size):
-    """Of each of max(1, samples) trials in turn, random_shifted_alcove(c,
-    rng, margin=0.02) and rng.uniform(low, high, size), by rng calls alone."""
-    draw = lambda: (rng.dirichlet(np.ones(c.n)), rng.uniform(low, high, size))
-    w, x = _in_turn(max(1, samples), draw)
-    return _shifted_alcove_at(w, c, 0.02), x
+    """random_shifted_alcove(c, rng, 0.02, count), then rng.uniform(low, high,
+    (count, size)), of count = max(1, samples) trials."""
+    count = max(1, samples)
+    return random_shifted_alcove(c, rng, 0.02, count), rng.uniform(low, high, (count, size))
 
 
 def _all_charts(u, c):
@@ -127,34 +118,10 @@ def _all_charts(u, c):
 
 
 def _draw_pullback(c, rng, samples):
-    # of each trial in turn, the candidates of random_point(c, rng, 0.08),
-    # then a and b of five pairs, as a.re, a.im, b.re, b.im of each pair;
-    # read from one normal stream in rounds.  A round takes the next
-    # candidate of every trial still missing as accepted and keeps the
-    # trials before the first rejection; the trials from there on start one
-    # candidate later.  A round that keeps no trial also skips, by one
-    # stacked test, that trial's next rejected candidates among the normals
-    # drawn.  A round draws only what the missing trials take at least, so
-    # no normal is drawn that the trial-by-trial draws would not take
-    count, n = max(1, samples), c.n
-    m, size = 2 * n, 2 * n + 20 * (n - 1)  # the normals of a candidate, of a trial
-    candidates = lambda x: _from_normals(x[:, :m].reshape(-1, 2, n), c)
-    u, ab = np.empty((count, n), complex), np.empty((count, size - m))
-    z, done = np.empty(0), 0
-    while done < count:
-        z = np.concatenate((z, rng.standard_normal((count - done) * size - len(z))))
-        trials = z.reshape(-1, size)
-        cand = candidates(trials)
-        ok = _accepts(cand, c, 0.08)
-        kept = len(ok) if ok.all() else int(np.argmin(ok))
-        u[done : done + kept] = cand[:kept]
-        ab[done : done + kept] = trials[:kept, m:]
-        done += kept
-        z = z[kept * size + m :]
-        if kept == 0:
-            ok = _accepts(candidates(z[: min(len(z), size) // m * m].reshape(-1, m)), c, 0.08)
-            z = z[m * (int(np.argmax(ok)) if ok.any() else len(ok)) :]
-    return {"u": u, "ab": ab.reshape(count, 5, 4, 1, n - 1)}
+    # the points, then a and b of five pairs at each, as a.re, a.im, b.re, b.im
+    count = max(1, samples)
+    return {"u": random_point(c, rng, 0.08, count),
+            "ab": rng.standard_normal((count, 5, 4, 1, c.n - 1))}
 
 
 def _check_pullback(c, U, Z):
@@ -280,7 +247,7 @@ def _check_lax_hamiltonian(c, xi, p):
 
 
 def _draw_gradients(c, rng, samples):
-    # X, then four zetas for each of the n + 3 Hamiltonians in turn
+    # the X of every trial, then its four zetas for each of the n + 3 Hamiltonians
     X, zeta = _unitaries_and_algebra(c, rng, max(1, samples // 10), 1, 4 * c.n + 12)
     return {"X": X[:, 0], "zeta": zeta}
 
@@ -316,10 +283,8 @@ def _check_mu_spectrum(c, xi):
 
 
 def _draw_global_lax(c, rng, samples):
-    # of each trial in turn, the normals of random_point(c, rng), then gamma
-    draw = lambda: (rng.standard_normal((2, c.n)), rng.uniform(0, 2 * math.pi))
-    z, gamma = _in_turn(max(1, samples), draw)
-    return {"u": _from_normals(z, c), "gamma": gamma}
+    count = max(1, samples)
+    return {"u": random_point(c, rng, count=count), "gamma": rng.uniform(0, 2 * math.pi, count)}
 
 
 def _check_global_lax(c, U, gamma):
@@ -329,8 +294,8 @@ def _check_global_lax(c, U, gamma):
 
 
 def _draw_boundary_limit(c, rng, samples):
-    # point k of a trial on the wall u_k = 0; the re and im draws of each in
-    # turn, as one
+    # point k of a trial on the wall u_k = 0; the re, then the im parts of
+    # each point, by one call
     z = rng.standard_normal((max(1, samples // 5), c.n, 2, c.n))
     return {"u": np.where(np.eye(c.n, dtype=bool), 0.0, z[..., 0, :] + 1j * z[..., 1, :])}
 
@@ -404,7 +369,7 @@ def _check_polytope_vertices(c, U):
 
 
 def _draw_axiom_a2(c, rng, samples):
-    # the point, then zeta, X and Y of each of three tangents in turn
+    # the points, then zeta, X and Y of each of three tangents at each
     AB, zxy = _unitaries_and_algebra(c, rng, max(1, samples // 10), 2, 9)
     return {"A": AB[:, 0], "B": AB[:, 1], "zxy": zxy.reshape(-1, 3, 3, c.n, c.n)}
 
@@ -422,7 +387,7 @@ def _check_axiom_a2(c, A, B, zxy):
 
 
 def _draw_equivariance(c, rng, samples):
-    g = _unitaries_and_algebra(c, rng, max(1, samples), 3, 0)[0]
+    g = random_special_unitary(c.n, rng, 3 * max(1, samples)).reshape(-1, 3, c.n, c.n)
     return {"A": g[:, 0], "B": g[:, 1], "g": g[:, 2]}
 
 
@@ -432,11 +397,9 @@ def _check_equivariance(c, A, B, g):
 
 
 def _draw_flow_moment(c, rng, samples):
-    # of each trial in turn, the normals of random_double_point, then t
-    draw = lambda: (rng.standard_normal((2, 2, c.n, c.n)), rng.uniform(-5, 5))
-    z, t = _in_turn(max(1, samples // 5), draw)
-    g = _special_unitary(_ginibre(z))
-    return {"A": g[:, 0], "B": g[:, 1], "t": t}
+    count = max(1, samples // 5)
+    p = random_double_point(c.n, rng, count)
+    return {"A": p.A, "B": p.B, "t": rng.uniform(-5, 5, count)}
 
 
 def _check_flow_moment(c, A, B, t):
@@ -449,7 +412,7 @@ def _check_flow_moment(c, A, B, t):
 
 
 def _draw_omega_morphisms(c, rng, samples):
-    # the point, then X and Y of v, then of w
+    # the points, then X and Y of v, then of w, at each
     AB, XY = _unitaries_and_algebra(c, rng, max(1, samples // 10), 2, 4)
     return {"A": AB[:, 0], "B": AB[:, 1], "XY": XY.reshape(-1, 2, 2, c.n, c.n)}
 
@@ -476,13 +439,10 @@ def _check_section_consistency(c, U):
 # A check: draw(c, rng, samples) makes all the draws of a cell, by name,
 # each a stack whose axis 0 runs over the cell's max(1, samples // per)
 # trials (per = 1 unless the draw says otherwise); residuals(c, *stacks)
-# evaluates a group of trials, one call a stage.  The draws are those of
-# one-point calls made trial after trial, bit for bit; where they are all
-# normals, a cell's are one rng call.  Where that would reorder the stream
-# (a uniform or Dirichlet draw between normals), lax-conjugation,
-# lax-hamiltonian, flow-moment and global-lax loop making the rng calls
-# alone; pullback (normals after a rejection) reads one normal stream in
-# rounds.  Either way the rest runs once on the cell's stack.
+# evaluates a group of trials, one call a stage.  A draw makes its variables
+# in the order of their names, each of the whole cell by one public sampler
+# or rng call (A and B of the double share one call, theta and p are formed
+# from one uniform call, lax-unitarity's points take one call per kind).
 # lax-unitarity and polytope-vertices run one trial per cell
 # (polytope-vertices ignores samples: its draws are one per vertex).
 Stacked = namedtuple("Stacked", "residuals draw")

@@ -254,7 +254,7 @@ EDGE_LEDGER = {
     ("pi/n (1 - 1e-3)", 4, "pullback"): (1, 3),
     ("pi/n - 1e-6", 2, "pullback"): (6, 3),
     ("pi/n - 1e-6", 3, "pullback"): (7, 3),
-    ("pi/n - 1e-6", 4, "pullback"): (6, 3),
+    ("pi/n - 1e-6", 4, "pullback"): (7, 3),
     ("pi/n - 1e-6", 3, "normalization"): (1, 18),
     ("pi/n - 1e-6", 4, "normalization"): (1, 18),
     ("pi/n (1 - 1e-9)", 2, "pullback"): (12, 3),

@@ -15,7 +15,6 @@ from rsdual.coupling import Coupling, random_shifted_alcove
 from rsdual.double import DoublePoint, InvariantHamiltonian, random_double_point
 from rsdual.errors import ConstraintViolation, NormViolation
 from rsdual.projective import (
-    _accepts,
     chart_index,
     involution,
     moment_J,
@@ -27,7 +26,7 @@ from rsdual.projective import (
 )
 from rsdual.lax import global_lax
 from rsdual.reduction import action_variables, duality, mapclass_on_P, reduced_flow
-from rsdual.sun import spectral_xi
+from rsdual.sun import random_special_unitary, random_su_algebra, spectral_xi
 from rsdual import verify
 from rsdual.verify import (
     CHECKS,
@@ -837,19 +836,18 @@ PER = {
 }
 
 # max_residual of every cell at n = 2, 3, 4 in the pinned sweeps
-# run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=s)), recorded
-# while thirteen checks still ran as one generator trial at a time and the
-# other twelve evaluated one trial (and boundary-limit one slot,
-# polytope-vertices one vertex) per call; those of gradients, axiom-a2
-# and omega-morphisms since they difference along straight lines
+# run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=s)), as
+# float.hex: the bits of each cell's draws (one sampler or rng call per
+# variable, see verify.Stacked) through its residual function, evaluated as
+# one stack per stage
 PINNED_MAX_RESIDUAL = {
     "constraint": {
         7: ("0x1.b97d073ceeab6p-49", "0x1.602589a284bc7p-48", "0x1.fb8459c54067cp-49"),
         11: ("0x1.3165e9efdfa9fp-49", "0x1.f354e0ab4c08bp-49", "0x1.57ee116a95822p-48"),
     },
     "pullback": {
-        7: ("0x1.5508800000000p-31", "0x1.9992000000000p-30", "0x1.0a72e00000000p-29"),
-        11: ("0x1.1ff7e00000000p-30", "0x1.7c6fd00000000p-30", "0x1.6bf8400000000p-29"),
+        7: ("0x1.097ae00000000p-31", "0x1.bd55a00000000p-30", "0x1.9e34000000000p-29"),
+        11: ("0x1.e414c00000000p-31", "0x1.439d380000000p-29", "0x1.9ed7800000000p-29"),
     },
     "intertwine": {
         7: ("0x1.0000000000000p-50", "0x1.c000000000000p-50", "0x1.8000000000000p-50"),
@@ -876,20 +874,20 @@ PINNED_MAX_RESIDUAL = {
         11: ("0x1.432017c493acep-47", "0x1.3594ad02476ecp-47", "0x1.87e697fe3601bp-47"),
     },
     "lax-conjugation": {
-        7: ("0x1.2252eed8541dap-50", "0x1.50741e389bdc0p-50", "0x1.e5f7925cf637ap-50"),
-        11: ("0x1.2170dae7f6302p-50", "0x1.ad3d2602a506cp-50", "0x1.986bdda9b6061p-50"),
+        7: ("0x1.4296eaf19f7eap-50", "0x1.9132bd9678480p-50", "0x1.0481d7b3a5062p-49"),
+        11: ("0x1.ea8cfb64547abp-51", "0x1.86583f889e4bbp-50", "0x1.78d01d8d9ab79p-50"),
     },
     "lax-unitarity": {
-        7: ("0x1.d2369f40ed944p-51", "0x1.3599b80952b9ep-50", "0x1.01fe03f61bad1p-49"),
-        11: ("0x1.1f51bbf22196cp-50", "0x1.282ec6683d3c3p-50", "0x1.027ce7b7ea379p-49"),
+        7: ("0x1.0fcf77c243b4ep-50", "0x1.2f9422c23c47cp-50", "0x1.ace0381c0a5b6p-50"),
+        11: ("0x1.def2c8fc09563p-51", "0x1.282ec6683d3c3p-50", "0x1.2564d8cd4886ep-49"),
     },
     "lax-hamiltonian": {
-        7: ("0x1.0000000000000p-52", "0x1.4000000000000p-52", "0x1.0000000000000p-52"),
-        11: ("0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-52"),
+        7: ("0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-51"),
+        11: ("0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-51"),
     },
     "gradients": {
-        7: ("0x1.37f4800000000p-32", "0x1.cd22100000000p-32", "0x1.584d900000000p-28"),
-        11: ("0x1.7c22980000000p-32", "0x1.6978b00000000p-30", "0x1.47fe680000000p-30"),
+        7: ("0x1.37f4800000000p-32", "0x1.86c0d00000000p-31", "0x1.584d900000000p-28"),
+        11: ("0x1.7c22980000000p-32", "0x1.afe3f00000000p-29", "0x1.a9f7ac0000000p-30"),
     },
     "normalization": {
         7: ("0x1.0000000000000p-51", "0x1.4000000000000p-51", "0x1.0000000000000p-51"),
@@ -900,8 +898,8 @@ PINNED_MAX_RESIDUAL = {
         11: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x1.0000000000000p-50"),
     },
     "global-lax": {
-        7: ("0x1.d8340e7c3bda9p-51", "0x1.501860a3b5a5ap-51", "0x1.a5bfad72d7993p-51"),
-        11: ("0x1.10785dd689a29p-51", "0x1.31785a67b5a75p-51", "0x1.05759900632a2p-50"),
+        7: ("0x1.87eb1990b697ap-51", "0x1.238a6d972a468p-51", "0x1.ab3f4ea454d26p-51"),
+        11: ("0x1.3ec0fa93cb495p-51", "0x1.d0c6cdafc64ccp-51", "0x1.acc7124d52169p-51"),
     },
     "boundary-limit": {
         7: ("0x1.e5eb8a5cd53edp-26", "0x1.25ebe2541de55p-25", "0x1.55b02ec33765ap-25"),
@@ -924,20 +922,20 @@ PINNED_MAX_RESIDUAL = {
         11: ("0x1.2f0f490000000p-24", "0x1.1ca0293000000p-23", "0x1.88e02fc000000p-24"),
     },
     "axiom-a2": {
-        7: ("0x1.0095280000000p-32", "0x1.7188300000000p-32", "0x1.e8c2b00000000p-30"),
-        11: ("0x1.5a42c00000000p-33", "0x1.76d33a0000000p-32", "0x1.79b3380000000p-31"),
+        7: ("0x1.fd57000000000p-34", "0x1.8131f00000000p-33", "0x1.d454000000000p-31"),
+        11: ("0x1.fa24800000000p-33", "0x1.d9df400000000p-31", "0x1.0e60a00000000p-31"),
     },
     "equivariance": {
         7: ("0x1.d256c448631f7p-50", "0x1.a2e707d42bbf0p-49", "0x1.9db1214c88517p-49"),
         11: ("0x1.60b9fd68a4554p-49", "0x1.7eb430fa554f8p-49", "0x1.71a2e51067779p-49"),
     },
     "flow-moment": {
-        7: ("0x1.bd069d93ea28fp-50", "0x1.3068a81de23d0p-48", "0x1.ac38e31914352p-47"),
-        11: ("0x1.9fb1339d2c7e0p-50", "0x1.e96da20aa157cp-49", "0x1.7c2df7d48685bp-48"),
+        7: ("0x1.42cb79bf7a9aap-48", "0x1.4daf4a8f5de54p-48", "0x1.e1e5202e25a08p-47"),
+        11: ("0x1.a310ccf3b3760p-50", "0x1.3093acf937f6bp-48", "0x1.7a06f1096b364p-48"),
     },
     "omega-morphisms": {
-        7: ("0x1.4cbfb00000000p-32", "0x1.89d3700000000p-31", "0x1.1a53e80000000p-29"),
-        11: ("0x1.6f3b800000000p-33", "0x1.5383e80000000p-31", "0x1.157e200000000p-32"),
+        7: ("0x1.bbd6800000000p-33", "0x1.9b89580000000p-32", "0x1.0aba9c0000000p-30"),
+        11: ("0x1.5850200000000p-32", "0x1.eb4cc00000000p-34", "0x1.7203100000000p-30"),
     },
     "section-consistency": {
         7: ("0x1.894dcfe8f68e6p-51", "0x1.7b6b7fbd3f68dp-50", "0x1.8104238ce21aep-49"),
@@ -975,8 +973,8 @@ def test_stacked_cells_keep_their_pinned_residuals(seed):
 
 @pytest.mark.parametrize(
     "seed, pinned",
-    [(7, ("0x1.5413930354bc8p-50", "0x1.8154be2773526p-50")),
-     (11, ("0x1.a4e4efeda34dcp-50", "0x1.f107fbd0add05p-50"))],
+    [(7, ("0x1.3b2af1ea91bdcp-50", "0x1.716380ce70399p-50")),
+     (11, ("0x1.b9297f7faf31fp-50", "0x1.09eeacab398f2p-49"))],
 )
 def test_lax_unitarity_keeps_its_residuals_at_the_upper_edge(seed, pinned):
     # at y = pi/n (1 - 1e-9) |det L - 1| of a local matrix is taken one matrix
@@ -1243,70 +1241,76 @@ def test_shared_stages_report_what_the_maps_one_by_one_report(monkeypatch, name)
         assert (failure["trial"], failure["error"]) == (3, "ZeroVector")
 
 
-def _local_lax_trial(c, rng):
-    xi = random_shifted_alcove(c, rng, margin=0.02)
-    phases = rng.uniform(0, 2 * math.pi, c.n - 1)
-    return {"xi": xi, "theta": np.exp(1j * np.append(phases, -phases.sum()))}
+def _local_lax_cell(c, rng, k):
+    xi = random_shifted_alcove(c, rng, 0.02, k)
+    phases = rng.uniform(0, 2 * math.pi, (k, c.n - 1))
+    return {"xi": xi, "theta": np.exp(1j * np.append(phases, -phases.sum(-1, keepdims=True), -1))}
 
 
-def _lax_hamiltonian_trial(c, rng):
-    xi = random_shifted_alcove(c, rng, margin=0.02)
-    p = rng.uniform(-math.pi, math.pi, c.n)
-    p[-1] = -p[:-1].sum()
+def _lax_unitarity_cell(c, rng, k):
+    drawn = {key: x[None] for key, x in _local_lax_cell(c, rng, k).items()}
+    u = (random_point(c, rng, count=k), vertex_points(c), vertex_points(c, 1e-4, rng))
+    return drawn | {"u": np.concatenate(u)[None]}
+
+
+def _lax_hamiltonian_cell(c, rng, k):
+    xi = random_shifted_alcove(c, rng, 0.02, k)
+    p = rng.uniform(-math.pi, math.pi, (k, c.n))
+    p[:, -1] = -p[:, :-1].sum(-1)
     return {"xi": xi, "p": p}
 
 
-def _flow_moment_trial(c, rng):
-    p = random_double_point(c.n, rng)
-    return {"A": p.A, "B": p.B, "t": rng.uniform(-5, 5)}
+def _double_and_algebra_cell(key, *m):
+    def cell(c, rng, k):
+        p = random_double_point(c.n, rng, k)
+        X = random_su_algebra(c.n, rng, k * math.prod(m)).reshape((k, *m, c.n, c.n))
+        return {"A": p.A, "B": p.B, key: X}
+    return cell
 
 
-def _global_lax_trial(c, rng):
-    return {"u": random_point(c, rng), "gamma": rng.uniform(0, 2 * math.pi)}
+def _gradients_cell(c, rng, k):
+    X = random_special_unitary(c.n, rng, k)
+    m = 4 * c.n + 12
+    return {"X": X, "zeta": random_su_algebra(c.n, rng, k * m).reshape(k, m, c.n, c.n)}
 
 
-def _pullback_trial(c, rng):
-    return {"u": random_point(c, rng, 0.08), "ab": rng.standard_normal((5, 4, 1, c.n - 1))}
+def _flow_moment_cell(c, rng, k):
+    p = random_double_point(c.n, rng, k)
+    return {"A": p.A, "B": p.B, "t": rng.uniform(-5, 5, k)}
 
 
-# the draw of one trial of each check whose draw loops over its trials or
-# reads its normals in rounds (lax-unitarity's local matrices are
-# lax-conjugation's draw)
-ONE_TRIAL = {
-    "lax-conjugation": _local_lax_trial, "lax-hamiltonian": _lax_hamiltonian_trial,
-    "flow-moment": _flow_moment_trial, "global-lax": _global_lax_trial,
-    "pullback": _pullback_trial,
+# the draw of a cell of k trials of each check whose draw is more than one
+# sampler call, as the public sampler and rng calls that the draw documents,
+# one per variable, in order
+CELL_CALLS = {
+    "pullback": lambda c, rng, k: {
+        "u": random_point(c, rng, 0.08, k), "ab": rng.standard_normal((k, 5, 4, 1, c.n - 1))},
+    "lax-conjugation": _local_lax_cell,
+    "lax-unitarity": _lax_unitarity_cell,
+    "lax-hamiltonian": _lax_hamiltonian_cell,
+    "gradients": _gradients_cell,
+    "global-lax": lambda c, rng, k: {
+        "u": random_point(c, rng, count=k), "gamma": rng.uniform(0, 2 * math.pi, k)},
+    "axiom-a2": _double_and_algebra_cell("zxy", 3, 3),
+    "flow-moment": _flow_moment_cell,
+    "omega-morphisms": _double_and_algebra_cell("XY", 2, 2),
 }
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 32])
-@pytest.mark.parametrize("name", ONE_TRIAL)
-def test_looped_draws_are_the_draws_made_trial_by_trial(name, n):
-    # the loop makes the rng calls alone and the rest runs once on the stack:
-    # every entry keeps its bits, and the rng ends where the trials leave it
+@pytest.mark.parametrize("name", CELL_CALLS)
+def test_draws_are_one_sampler_call_per_variable(name, n):
+    # every entry keeps the bits of the calls, and the rng ends where they
+    # leave it
     c = Coupling.default(n)
-    looped, one = np.random.default_rng(n), np.random.default_rng(n)
-    drawn = CHECKS[name][0].draw(c, looped, 6 * PER.get(name, 1))
-    trials = [ONE_TRIAL[name](c, one) for _ in range(6)]
-    assert list(drawn) == list(trials[0])
+    drawn_rng, calls_rng = np.random.default_rng(n), np.random.default_rng(n)
+    drawn = CHECKS[name][0].draw(c, drawn_rng, 6 * (PER.get(name) or 1))
+    want = CELL_CALLS[name](c, calls_rng, 6)
+    assert list(drawn) == list(want)
     for key, x in drawn.items():
-        want = np.array([t[key] for t in trials])
-        assert x.dtype == want.dtype and x.shape == want.shape and x.tobytes() == want.tobytes()
-    assert looped.bit_generator.state == one.bit_generator.state
-
-
-@pytest.mark.parametrize("n", [4, 32])
-def test_looped_pullback_draws_reject_in_consecutive_and_last_trials(n):
-    # the six trials that the test above draws at n = 4 and 32, candidate by
-    # candidate: a rejection in two trials in a row and in the last trial
-    c = Coupling.default(n)
-    rng, rejected = np.random.default_rng(n), []
-    for _ in range(6):
-        rejected.append(0)
-        while not _accepts(random_point(c, rng), c, 0.08):
-            rejected[-1] += 1
-        rng.standard_normal((5, 4, 1, c.n - 1))
-    assert rejected[-1] and any(a and b for a, b in zip(rejected, rejected[1:])), rejected
+        w = want[key]
+        assert x.dtype == w.dtype and x.shape == w.shape and x.tobytes() == w.tobytes(), key
+    assert drawn_rng.bit_generator.state == calls_rng.bit_generator.state
 
 
 def test_exception_payload_replays_the_trial():
