@@ -60,10 +60,10 @@ def _emit(payload, sink):
     sink.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _point_from_args(args, c, rng_seed=0):
-    if getattr(args, "point", None):
+def _point_from_args(args, c):
+    if args.point:
         return load_point(args.point, c)
-    return random_point(c, np.random.default_rng(rng_seed))
+    return random_point(c, np.random.default_rng(args.seed))
 
 
 def _parse_hamiltonian(text, side):
@@ -117,7 +117,7 @@ def cmd_flow(args, sink):
     final = _output(args.final_point) if args.final_point else contextlib.nullcontext()
     with final as final_sink:
         c = _coupling(args)
-        u = _point_from_args(args, c, rng_seed=args.seed)
+        u = _point_from_args(args, c)
         ham = _parse_hamiltonian(args.hamiltonian, args.side)
         samples = reduced_trajectory(u, ham, args.t, args.steps, c)
         header = ["step", "t", *(f"{p}_u{k}" for k in range(1, c.n + 1) for p in ("re", "im"))]
@@ -138,7 +138,7 @@ def cmd_flow(args, sink):
 
 def cmd_duality(args, sink):
     c = _coupling(args)
-    u = _point_from_args(args, c, rng_seed=args.seed)
+    u = _point_from_args(args, c)
     image = duality(args.which, u, c)
     payload = {
         "n": c.n,
@@ -155,7 +155,7 @@ def cmd_duality(args, sink):
 
 def cmd_mapclass(args, sink):
     c = _coupling(args)
-    u = _point_from_args(args, c, rng_seed=args.seed)
+    u = _point_from_args(args, c)
     word = args.word.split()
     image = mapclass_on_P(word, u, c)
     payload = {

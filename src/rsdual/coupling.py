@@ -14,11 +14,6 @@ import numpy as np
 
 from .errors import AlcoveViolation, DomainViolation, anywhere, first_row
 
-# default tol of check_alcove and check_shifted_alcove: with it they bound
-# the entries by 1e-12, the sum by 1e-9 and the wall by 1e-10
-SUM_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class Coupling:
     """Coupling data (n, y), validated once here.
@@ -73,39 +68,29 @@ class Coupling:
         return np.diag(np.exp(1j * phases))
 
 
-def check_alcove(xi, tol=SUM_TOL):
-    """Raise AlcoveViolation unless xi_j >= -tol and sum xi_j is within
-    max(tol, 1e-9) of pi, for xi and for every row of a stack (..., n),
-    naming the first bad row."""
+def check_alcove(xi):
+    """Raise AlcoveViolation unless xi_j >= -1e-12 and sum xi_j is within
+    1e-9 of pi, for xi and for every row of a stack (..., n), naming the
+    first bad row."""
     xi = np.asarray(xi, dtype=float)
     total = np.add.reduce(xi, -1)
-    off = abs(total - math.pi) > max(tol, 1e-9)
+    off = abs(total - math.pi) > 1e-9
     if anywhere(off):
         raise AlcoveViolation(f"sum(xi) = {total[first_row(off)]} differs from pi")
-    if not np.minimum.reduce(xi, None, initial=math.inf) >= -tol:
-        bad = ~np.logical_and.reduce(xi >= -tol, -1)
+    if not np.minimum.reduce(xi, None, initial=math.inf) >= -1e-12:
+        bad = ~np.logical_and.reduce(xi >= -1e-12, -1)
         raise AlcoveViolation(f"negative alcove coordinate in {xi[first_row(bad)]}")
     return xi
 
 
-def check_shifted_alcove(xi, c, tol=SUM_TOL):
+def check_shifted_alcove(xi, c):
     """Raise DomainViolation unless xi lies in the thick-walled alcove:
-    check_alcove at tol, then xi_j >= y - max(tol, 1e-10)."""
-    xi = check_alcove(xi, tol=tol)
-    if np.minimum.reduce(xi, None, initial=math.inf) - c.y < -max(tol, 1e-10):
-        bad = np.minimum.reduce(xi, -1) - c.y < -max(tol, 1e-10)
+    check_alcove, then xi_j >= y - 1e-10."""
+    xi = check_alcove(xi)
+    if np.minimum.reduce(xi, None, initial=math.inf) - c.y < -1e-10:
+        bad = np.minimum.reduce(xi, -1) - c.y < -1e-10
         raise DomainViolation(f"xi_j < y for some j: {xi[first_row(bad)]}, y={c.y}")
     return xi
-
-
-def full_xi(xi, c):
-    """Extend an (n-1)-vector of polytope coordinates by xi_n = pi - sum."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape == (c.n,):
-        return xi
-    if xi.shape == (c.n - 1,):
-        return np.append(xi, math.pi - xi.sum())
-    raise ValueError(f"expected length {c.n} or {c.n - 1}, got shape {xi.shape}")
 
 
 def random_shifted_alcove(c, rng, margin=0.0, count=None):

@@ -5,12 +5,10 @@ A B A^{-1} B^{-1}, the explicit flows of invariant Hamiltonians (which move
 only one factor and are exact for all times), the two commuting torus
 actions, and the mapping-class automorphisms S, T, Ttilde together with the
 central twist Q and the conjugating involution nu.  As in the paper, the
-double carries no coupling: nothing here takes a Coupling, and n is the
-size of the matrices.  Nor does it differentiate numerically: the
-finite-difference pushforward the checks take lives in verify.  The 2-form
-and the tangent check and projection take stacks of tangents (..., n, n);
-the gradients and flows take stacks of pairs, each row with the one-point
-bits.
+double carries no coupling: n is the size of the matrices.  The 2-form
+(which checks its tangents) and the tangent projection take stacks of
+tangents (..., n, n), the gradients and flows stacks of pairs, each row
+with the one-point bits; finite differences live in verify.
 """
 
 from dataclasses import dataclass
@@ -40,14 +38,6 @@ class DoubleTangent:
 
     dA: np.ndarray
     dB: np.ndarray
-
-    def check(self, p):
-        for m, dm in ((p.A, self.dA), (p.B, self.dB)):
-            x = dagger(m) @ dm
-            off = np.maximum(np.linalg.norm(x + dagger(x), axis=(-2, -1)), abs(x.trace(0, -2, -1)))
-            if anywhere(~(off <= TANGENT_TOL)):  # so that NaN fails
-                raise TangencyViolation("tangent not in su(n) at the base point")
-        return self
 
     def project(self, p):
         """Orthogonal projection onto the tangent space at p (kills the
@@ -132,19 +122,23 @@ def omega_eval(p, v1, v2):
 
     2 omega = <A^{-1}dA ^ dB B^{-1}> + <dA A^{-1} ^ B^{-1}dB>
               - <(AB)^{-1} d(AB) ^ (BA)^{-1} d(BA)>.
-    Both tangents must lie in the tangent space at p (TangencyViolation).
+    Both tangents must lie in the tangent space at p: A^{-1}dA and
+    B^{-1}dB in su(n) to TANGENT_TOL (TangencyViolation).
     """
-    v1.check(p)
-    v2.check(p)
     A, B = p.A, p.B
     Ai, Bi = dagger(A), dagger(B)
     ab_i = Bi @ Ai
     ba_i = Ai @ Bi
 
     def left_terms(v):
+        left = (Ai @ v.dA, Bi @ v.dB)
+        for x in left:
+            off = np.maximum(np.linalg.norm(x + dagger(x), axis=(-2, -1)), abs(x.trace(0, -2, -1)))
+            if anywhere(~(off <= TANGENT_TOL)):  # so that NaN fails
+                raise TangencyViolation("tangent not in su(n) at the base point")
         dAB = v.dA @ B + A @ v.dB
         dBA = v.dB @ A + B @ v.dA
-        return (Ai @ v.dA, v.dB @ Bi, v.dA @ Ai, Bi @ v.dB, ab_i @ dAB, ba_i @ dBA)
+        return (left[0], v.dB @ Bi, v.dA @ Ai, left[1], ab_i @ dAB, ba_i @ dBA)
 
     t1 = left_terms(v1)
     t2 = left_terms(v2)

@@ -17,8 +17,8 @@ import warnings
 
 import numpy as np
 
-from .coupling import full_xi
-from .errors import ChartViolation, DomainViolation, ZeroVector, anywhere, first_row
+from .coupling import check_shifted_alcove
+from .errors import ChartViolation, ZeroVector, anywhere, first_row
 from .lax import _cyclic
 
 TIE_TOL = 1e-12
@@ -31,18 +31,11 @@ def canonicalize(u, c):
     of a point or of each row of a stack (..., n)."""
     u = np.ascontiguousarray(u, dtype=complex)  # rows laid out as one point is
     top = np.maximum.reduce(abs(u), -1)
-    # below 1e150 no square overflows and the norm decides; from there on
-    # the norm is at least 1e150, and the rescaling below runs anyway
-    big = top >= 1e150
-    if anywhere(big):
-        nrm = np.where(big, math.inf, _norm(np.where(big[..., None], 0.0, u)))
-    else:
-        nrm = _norm(u)
-    far = (nrm <= 1e-150) | (nrm >= 1e150) | (nrm != nrm)  # NaN too; ~ of a scalar is slow
+    # a far row's squares may leave the normal range inside the norm: divide
+    # it by its largest modulus first, real and imaginary parts apart, since
+    # a complex division by a subnormal overflows
+    far = (top <= 1e-150) | (top >= 1e150) | (top != top)  # NaN too; ~ of a scalar is slow
     if anywhere(far):
-        # the squares inside the norm have left the normal range: divide such
-        # a row by its largest modulus first, real and imaginary parts apart,
-        # since a complex division by a subnormal overflows
         bad = far & ~((top > 0.0) & (top < math.inf))
         if anywhere(bad):
             row = first_row(bad)
@@ -51,7 +44,7 @@ def canonicalize(u, c):
             raise ValueError(f"cannot canonicalize the non-finite point {u[row]}")
         t = np.where(far, top, 1.0)[..., None]
         u = np.where(far[..., None], u.real / t + 1j * (u.imag / t), u)
-        nrm = np.where(far, _norm(u), nrm)
+    nrm = _norm(u)
     # a row times its own factor s is (u.T * s.T).T: at one point s is a
     # scalar, which numpy multiplies by fastest
     u = (u.T * (math.sqrt(c.chi0) / nrm).T).T
@@ -133,19 +126,23 @@ def load_point(path, c):
 def e_param(xi, theta, c):
     """Darboux parametrization u_j = e^{i theta_j} sqrt(xi_j - y), u_n real.
 
-    xi may be given as the n-1 polytope coordinates or the full alcove
-    vector; theta are the n-1 torus angles.  Returns the canonical
-    representative.
+    xi may be given as the n-1 polytope coordinates, extended by xi_n =
+    pi - sum, or the full alcove vector, which must lie in the thick-walled
+    alcove (check_shifted_alcove); theta are the n-1 torus angles.  Returns
+    the canonical representative.
     """
-    xi = full_xi(xi, c)
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape == (c.n - 1,):
+        xi = np.append(xi, math.pi - xi.sum())
+    elif xi.shape != (c.n,):
+        raise ValueError(f"expected length {c.n} or {c.n - 1}, got shape {xi.shape}")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (c.n - 1,):
         raise ValueError(f"need {c.n - 1} torus angles")
     for name, value in (("xi", xi), ("theta (--tau)", theta)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} has non-finite entries: {value}")
-    if np.any(xi < c.y - 1e-12) or abs(xi.sum() - math.pi) > 1e-9:
-        raise DomainViolation(f"xi outside the moment polytope: {xi}")
+    xi = check_shifted_alcove(xi, c)
     r = np.sqrt(np.maximum(xi - c.y, 0.0))
     u = r.astype(complex)
     u[: c.n - 1] *= np.exp(1j * theta)
@@ -154,8 +151,7 @@ def e_param(xi, theta, c):
 
 def moment_J(u, c):
     """Toric moment map J_k = |u_k|^2 + y, k = 1..n-1."""
-    u = np.asarray(u, dtype=complex)
-    return np.abs(u[..., :-1]) ** 2 + c.y
+    return moment_J_full(u, c)[..., :-1]
 
 
 def moment_J_full(u, c):

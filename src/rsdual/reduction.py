@@ -143,14 +143,14 @@ def _label(A, frame, c):
 
     u = np.conjugate(K.flat[col] / den)
     u.flat[at] = rj
-    # u_j = rj >= 0: unless a modulus ties with it or the norm leaves the
-    # normal range, canonicalize's rescale and phase multiply finish the label
+    # u_j = rj >= 0: unless a modulus ties with it or rj is far, as
+    # canonicalize tests, its rescale and phase multiply finish the label
     nrm = _norm(u)
     v = (u.T * (math.sqrt(c.chi0) / nrm).T).T
     mags = abs(v)
     top = mags.flat[at]
     tie = np.count_nonzero(mags.T >= (top - TIE_TOL).T) != top.size
-    if tie or anywhere((nrm <= 1e-150) | (nrm >= 1e150)):
+    if tie or anywhere((rj <= 1e-150) | (rj >= 1e150)):
         return canonicalize(u, c)
     return (v.T * (np.conjugate(v.flat[at]) / top).T).T
 

@@ -91,9 +91,9 @@ def _push(f, p, v):
 # individual checks: each a draw and a residual function (see Stacked)
 
 
-def _points(bias, per=1):
+def _points(bias):
     """The draw of a cell whose trials draw one point each."""
-    return lambda c, rng, samples: {"u": random_point(c, rng, bias, max(1, samples // per))}
+    return lambda c, rng, count: {"u": random_point(c, rng, bias, count)}
 
 
 def _unitaries_and_algebra(c, rng, count, m, k):
@@ -103,10 +103,9 @@ def _unitaries_and_algebra(c, rng, count, m, k):
     return g, random_su_algebra(c.n, rng, count * k).reshape(count, k, c.n, c.n)
 
 
-def _alcove_and_uniform(c, rng, samples, low, high, size):
+def _alcove_and_uniform(c, rng, count, low, high, size):
     """random_shifted_alcove(c, rng, 0.02, count), then rng.uniform(low, high,
-    (count, size)), of count = max(1, samples) trials."""
-    count = max(1, samples)
+    (count, size))."""
     return random_shifted_alcove(c, rng, 0.02, count), rng.uniform(low, high, (count, size))
 
 
@@ -117,9 +116,8 @@ def _all_charts(u, c):
     return section_F(np.broadcast_to(u[..., None, :], shape), np.arange(1, c.n + 1), c)
 
 
-def _draw_pullback(c, rng, samples):
+def _draw_pullback(c, rng, count):
     # the points, then a and b of five pairs at each, as a.re, a.im, b.re, b.im
-    count = max(1, samples)
     return {"u": random_point(c, rng, 0.08, count),
             "ab": rng.standard_normal((count, 5, 4, 1, c.n - 1))}
 
@@ -194,8 +192,8 @@ def _check_dehn_decomposition(c, U):
     return np.maximum(np.maximum(r1, r2), r3)
 
 
-def _draw_double(c, rng, samples):
-    p = random_double_point(c.n, rng, max(1, samples))
+def _draw_double(c, rng, count):
+    p = random_double_point(c.n, rng, count)
     return {"A": p.A, "B": p.B}
 
 
@@ -205,9 +203,9 @@ def _check_central_twist(c, A, B):
     return np.maximum(_fro(q1.A - q2.A), _fro(q1.B - q2.B))
 
 
-def _draw_local_lax(c, rng, samples):
+def _draw_local_lax(c, rng, count):
     # an interior xi, then a torus element Theta = diag(e^{i theta}) of det 1
-    xi, phases = _alcove_and_uniform(c, rng, samples, 0, 2 * math.pi, c.n - 1)
+    xi, phases = _alcove_and_uniform(c, rng, count, 0, 2 * math.pi, c.n - 1)
     theta = np.exp(1j * np.concatenate((phases, -phases.sum(-1, keepdims=True)), -1))
     return {"xi": xi, "theta": theta}
 
@@ -219,10 +217,10 @@ def _check_lax_conjugation(c, xi, theta):
     return _fro(L @ d @ dagger(L) - mu @ d)
 
 
-def _draw_lax_unitarity(c, rng, samples):
+def _draw_lax_unitarity(c, rng, count):
     # one trial per cell: all local Lax draws come before the point draws
-    drawn = _draw_local_lax(c, rng, samples)
-    u = (random_point(c, rng, count=max(1, samples)), vertex_points(c), vertex_points(c, 1e-4, rng))
+    drawn = _draw_local_lax(c, rng, count)
+    u = (random_point(c, rng, count=count), vertex_points(c), vertex_points(c, 1e-4, rng))
     return {key: x[None] for key, x in drawn.items()} | {"u": np.concatenate(u)[None]}
 
 
@@ -234,8 +232,8 @@ def _check_lax_unitarity(c, xi, theta, u):
     return np.maximum(_fro(dagger(M) @ M - np.eye(c.n)), np.hypot(det.real, det.imag))
 
 
-def _draw_lax_hamiltonian(c, rng, samples):
-    xi, p = _alcove_and_uniform(c, rng, samples, -math.pi, math.pi, c.n)
+def _draw_lax_hamiltonian(c, rng, count):
+    xi, p = _alcove_and_uniform(c, rng, count, -math.pi, math.pi, c.n)
     p[:, -1] = -p[:, :-1].sum(-1)
     return {"xi": xi, "p": p}
 
@@ -246,9 +244,9 @@ def _check_lax_hamiltonian(c, xi, p):
     return abs(H - np.trace(L, 0, -2, -1).real)
 
 
-def _draw_gradients(c, rng, samples):
+def _draw_gradients(c, rng, count):
     # the X of every trial, then its four zetas for each of the n + 3 Hamiltonians
-    X, zeta = _unitaries_and_algebra(c, rng, max(1, samples // 10), 1, 4 * c.n + 12)
+    X, zeta = _unitaries_and_algebra(c, rng, count, 1, 4 * c.n + 12)
     return {"X": X[:, 0], "zeta": zeta}
 
 
@@ -265,8 +263,8 @@ def _check_gradients(c, X, zeta):
     return np.concatenate(rows, -1)
 
 
-def _draw_xi(c, rng, samples):
-    return {"xi": random_shifted_alcove(c, rng, count=max(1, samples))}
+def _draw_xi(c, rng, count):
+    return {"xi": random_shifted_alcove(c, rng, count=count)}
 
 
 def _check_normalization(c, xi):
@@ -282,8 +280,7 @@ def _check_mu_spectrum(c, xi):
     return np.abs(e1 - e2).max(-1)
 
 
-def _draw_global_lax(c, rng, samples):
-    count = max(1, samples)
+def _draw_global_lax(c, rng, count):
     return {"u": random_point(c, rng, count=count), "gamma": rng.uniform(0, 2 * math.pi, count)}
 
 
@@ -293,10 +290,10 @@ def _check_global_lax(c, U, gamma):
     return _fro(K[1] - K[0])
 
 
-def _draw_boundary_limit(c, rng, samples):
+def _draw_boundary_limit(c, rng, count):
     # point k of a trial on the wall u_k = 0; the re, then the im parts of
     # each point, by one call
-    z = rng.standard_normal((max(1, samples // 5), c.n, 2, c.n))
+    z = rng.standard_normal((count, c.n, 2, c.n))
     return {"u": np.where(np.eye(c.n, dtype=bool), 0.0, z[..., 0, :] + 1j * z[..., 1, :])}
 
 
@@ -310,10 +307,9 @@ def _check_boundary_limit(c, U):
     return _fro(global_lax(canonicalize(np.where(wall, 1e-8 * (1.0 + 1j), u0), c), c) - K0)
 
 
-def _draw_poisson(c, rng, samples):
+def _draw_poisson(c, rng, count):
     # n = 2 has no pair k < l to bracket: its trials draw nothing, and a
     # zero vector stands for their point
-    count = max(1, samples)
     return {"u": random_point(c, rng, 0.08, count) if c.n > 2 else np.zeros((count, c.n))}
 
 
@@ -353,9 +349,9 @@ def _check_polytope_image(c, U):
     return np.maximum(r, 0.0)
 
 
-def _draw_polytope_vertices(c, rng, _samples):
-    # one trial per cell, whatever the sample count: vertex_points draws all
-    # n perturbations at once
+def _draw_polytope_vertices(c, rng, _count):
+    # one trial per cell, whatever the count: vertex_points draws all n
+    # perturbations at once
     return {"u": np.array(vertex_points(c, eps=1e-4, rng=rng))[None]}
 
 
@@ -368,9 +364,9 @@ def _check_polytope_vertices(c, U):
     return np.maximum(r1, r2)
 
 
-def _draw_axiom_a2(c, rng, samples):
+def _draw_axiom_a2(c, rng, count):
     # the points, then zeta, X and Y of each of three tangents at each
-    AB, zxy = _unitaries_and_algebra(c, rng, max(1, samples // 10), 2, 9)
+    AB, zxy = _unitaries_and_algebra(c, rng, count, 2, 9)
     return {"A": AB[:, 0], "B": AB[:, 1], "zxy": zxy.reshape(-1, 3, 3, c.n, c.n)}
 
 
@@ -386,8 +382,8 @@ def _check_axiom_a2(c, A, B, zxy):
     return abs(omega_eval(p, vertical_tangent(p, zeta), v) - rhs)
 
 
-def _draw_equivariance(c, rng, samples):
-    g = random_special_unitary(c.n, rng, 3 * max(1, samples)).reshape(-1, 3, c.n, c.n)
+def _draw_equivariance(c, rng, count):
+    g = random_special_unitary(c.n, rng, 3 * count).reshape(-1, 3, c.n, c.n)
     return {"A": g[:, 0], "B": g[:, 1], "g": g[:, 2]}
 
 
@@ -396,8 +392,7 @@ def _check_equivariance(c, A, B, g):
     return _fro(moment(conjugate(p, g)) - g @ moment(p) @ dagger(g))
 
 
-def _draw_flow_moment(c, rng, samples):
-    count = max(1, samples // 5)
+def _draw_flow_moment(c, rng, count):
     p = random_double_point(c.n, rng, count)
     return {"A": p.A, "B": p.B, "t": rng.uniform(-5, 5, count)}
 
@@ -411,9 +406,9 @@ def _check_flow_moment(c, A, B, t):
     return np.stack([_fro(moment(flow(p, InvariantHamiltonian(*h), t)) - mu) for h in hams], -1)
 
 
-def _draw_omega_morphisms(c, rng, samples):
+def _draw_omega_morphisms(c, rng, count):
     # the points, then X and Y of v, then of w, at each
-    AB, XY = _unitaries_and_algebra(c, rng, max(1, samples // 10), 2, 4)
+    AB, XY = _unitaries_and_algebra(c, rng, count, 2, 4)
     return {"A": AB[:, 0], "B": AB[:, 1], "XY": XY.reshape(-1, 2, 2, c.n, c.n)}
 
 
@@ -436,20 +431,18 @@ def _check_section_consistency(c, U):
     return projective_distance(labels[..., :1, :], labels[..., 1:, :]).max(-1)
 
 
-# A check: draw(c, rng, samples) makes all the draws of a cell, by name,
-# each a stack whose axis 0 runs over the cell's max(1, samples // per)
-# trials (per = 1 unless the draw says otherwise); residuals(c, *stacks)
-# evaluates a group of trials, one call a stage.  A draw makes its variables
-# in the order of their names, each of the whole cell by one public sampler
-# or rng call (A and B of the double share one call, theta and p are formed
-# from one uniform call, lax-unitarity's points take one call per kind).
-# lax-unitarity and polytope-vertices run one trial per cell
-# (polytope-vertices ignores samples: its draws are one per vertex).
-Stacked = namedtuple("Stacked", "residuals draw")
+# A check: draw(c, rng, count) makes the draws of a cell's count trials,
+# samples // per but at least one (_run_cell; per = 1 unless set), by name,
+# in order, each variable by one public sampler or rng call (A and B of the
+# double share one) as a stack with the trials on axis 0; residuals(c,
+# *stacks) evaluates a group of trials, one call a stage.  lax-unitarity stacks its count draws
+# into one trial, and polytope-vertices draws one trial of n near-vertex
+# points whatever the count.
+Stacked = namedtuple("Stacked", "residuals draw per", defaults=(1,))
 
 # Most matrix entries one stacked call holds.  No trial but lax-unitarity's
-# one (samples local matrices through one local_lax call, samples + 2n
-# points through one global_lax call) puts more than 4n points, 4n n x n
+# one (count local matrices through one local_lax call, count + 2n points
+# through one global_lax call) puts more than 4n points, 4n n x n
 # matrices, through one call (a chart Jacobian takes 4(n - 1)), so a group
 # holds max(1, STACK_ENTRIES // (4 n^3)) trials: a whole cell at n <= 4,
 # 8 trials at n = 16, one trial from n = 32 on.
@@ -469,19 +462,19 @@ CHECKS = {
     "lax-conjugation": (Stacked(_check_lax_conjugation, _draw_local_lax), 1e-10),
     "lax-unitarity": (Stacked(_check_lax_unitarity, _draw_lax_unitarity), 1e-9),
     "lax-hamiltonian": (Stacked(_check_lax_hamiltonian, _draw_lax_hamiltonian), 1e-12),
-    "gradients": (Stacked(_check_gradients, _draw_gradients), 1e-6),
+    "gradients": (Stacked(_check_gradients, _draw_gradients, 10), 1e-6),
     "normalization": (Stacked(_check_normalization, _draw_xi), 1e-12),
     "mu-spectrum": (Stacked(_check_mu_spectrum, _draw_xi), 1e-10),
     "global-lax": (Stacked(_check_global_lax, _draw_global_lax), 1e-9),
-    "boundary-limit": (Stacked(_check_boundary_limit, _draw_boundary_limit), 1e-6),
+    "boundary-limit": (Stacked(_check_boundary_limit, _draw_boundary_limit, 5), 1e-6),
     "poisson": (Stacked(_check_poisson, _draw_poisson), 1e-5),
-    "conservation": (Stacked(_check_conservation, _points(0.0, per=10)), 1e-8),
+    "conservation": (Stacked(_check_conservation, _points(0.0), 10), 1e-8),
     "polytope-image": (Stacked(_check_polytope_image, _points(0.0)), 1e-9),
     "polytope-vertices": (Stacked(_check_polytope_vertices, _draw_polytope_vertices), 1e-3),
-    "axiom-a2": (Stacked(_check_axiom_a2, _draw_axiom_a2), 1e-5),
+    "axiom-a2": (Stacked(_check_axiom_a2, _draw_axiom_a2, 10), 1e-5),
     "equivariance": (Stacked(_check_equivariance, _draw_equivariance), 1e-12),
-    "flow-moment": (Stacked(_check_flow_moment, _draw_flow_moment), 1e-10),
-    "omega-morphisms": (Stacked(_check_omega_morphisms, _draw_omega_morphisms), 1e-5),
+    "flow-moment": (Stacked(_check_flow_moment, _draw_flow_moment, 5), 1e-10),
+    "omega-morphisms": (Stacked(_check_omega_morphisms, _draw_omega_morphisms, 10), 1e-5),
     "section-consistency": (Stacked(_check_section_consistency, _points(0.03)), 1e-9),
 }
 
@@ -600,10 +593,10 @@ def _run_cell(name, c, cfg):
     check, tol = CHECKS[name]
     rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
     start = time.perf_counter()
-    drawn = check.draw(c, rng, cfg.samples)
-    count = len(next(iter(drawn.values())))
+    drawn = check.draw(c, rng, max(1, cfg.samples // check.per))
+    trials = len(next(iter(drawn.values())))
     size = max(1, STACK_ENTRIES // (4 * c.n**3))
-    groups = (range(first, min(first + size, count)) for first in range(0, count, size))
+    groups = (range(first, min(first + size, trials)) for first in range(0, trials, size))
     blocks = [b for group in groups for b in _trials(check.residuals, c, drawn, group)]
     residuals, failure = [], None
     for first, rows in blocks:

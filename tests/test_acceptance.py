@@ -219,11 +219,11 @@ EDGE_ROWS = {
     "pi/n - 1e-6": lambda n: math.pi / n - 1e-6,
     "pi/n (1 - 1e-9)": lambda n: math.pi / n * (1 - 1e-9),
 }
-# Every failing cell of run_suite(SuiteConfig(n_list=(2, 3, 4), y_rule=<row>,
-# samples=8, seed=7)) over the rows above: (row, n, check) -> (the exception
-# type the cell reports, or the decade floor(log10(max residual / tolerance)),
-# and the ROADMAP item that owns the cell).  Item 15: the label's eps/y at
-# the lower edge.  Item 2: boundary-limit measures the map's slope 2/sqrt(y)
+# Every failing cell of run_suite(SuiteConfig(n_list=(2, 3, 4, 8),
+# y_rule=<row>, samples=8, seed=7)) over the rows above: (row, n, check) ->
+# (the exception type the cell reports, or the decade floor(log10(max
+# residual / tolerance)), and the ROADMAP item that owns the cell).  Item
+# 15: the label's eps/y at the lower edge, which n = 8 reaches at y = 1e-6.  Item 2: boundary-limit measures the map's slope 2/sqrt(y)
 # at a wall.  Item 3: pullback's finite-difference step is not small against
 # sqrt(chi0).  Item 18: a drawn xi carries its gaps xi - y only to ulp(pi/n).
 # Every cell not listed passes.
@@ -231,49 +231,66 @@ EDGE_LEDGER = {
     ("1e-8", 2, "boundary-limit"): (2, 2),
     ("1e-8", 3, "boundary-limit"): (2, 2),
     ("1e-8", 4, "boundary-limit"): (2, 2),
+    ("1e-8", 8, "boundary-limit"): (2, 2),
     ("1e-8", 3, "duality-squares"): (0, 15),
     ("1e-8", 4, "duality-squares"): (1, 15),
+    ("1e-8", 8, "duality-squares"): (1, 15),
     ("1e-8", 3, "duality-exchange"): (0, 15),
     ("1e-8", 4, "duality-exchange"): (0, 15),
+    ("1e-8", 8, "duality-exchange"): (0, 15),
     ("1e-8", 3, "mapclass-origin"): (0, 15),
     ("1e-8", 4, "mapclass-origin"): (1, 15),
+    ("1e-8", 8, "mapclass-origin"): (1, 15),
     ("1e-8", 3, "dehn-decomposition"): (1, 15),
     ("1e-8", 4, "dehn-decomposition"): (0, 15),
+    ("1e-8", 8, "dehn-decomposition"): (1, 15),
     ("1e-8", 3, "conservation"): (0, 15),
     ("1e-8", 4, "conservation"): (0, 15),
+    ("1e-8", 8, "conservation"): (1, 15),
     ("1e-8", 3, "section-consistency"): (1, 15),
     ("1e-8", 4, "section-consistency"): (2, 15),
+    ("1e-8", 8, "section-consistency"): (2, 15),
     ("1e-6", 2, "boundary-limit"): (1, 2),
     ("1e-6", 3, "boundary-limit"): (1, 2),
     ("1e-6", 4, "boundary-limit"): (1, 2),
+    ("1e-6", 8, "boundary-limit"): (1, 2),
+    ("1e-6", 8, "section-consistency"): (0, 15),
     ("1e-4", 2, "boundary-limit"): (0, 2),
     ("1e-4", 3, "boundary-limit"): (0, 2),
     ("1e-4", 4, "boundary-limit"): (0, 2),
+    ("1e-4", 8, "boundary-limit"): (0, 2),
     ("pi/n (1 - 1e-3)", 2, "pullback"): (0, 3),
     ("pi/n (1 - 1e-3)", 3, "pullback"): (1, 3),
     ("pi/n (1 - 1e-3)", 4, "pullback"): (1, 3),
+    ("pi/n (1 - 1e-3)", 8, "pullback"): (1, 3),
     ("pi/n - 1e-6", 2, "pullback"): (6, 3),
     ("pi/n - 1e-6", 3, "pullback"): (7, 3),
     ("pi/n - 1e-6", 4, "pullback"): (7, 3),
+    ("pi/n - 1e-6", 8, "pullback"): (6, 3),
     ("pi/n - 1e-6", 3, "normalization"): (1, 18),
     ("pi/n - 1e-6", 4, "normalization"): (1, 18),
+    ("pi/n - 1e-6", 8, "normalization"): (0, 18),
     ("pi/n (1 - 1e-9)", 2, "pullback"): (12, 3),
     ("pi/n (1 - 1e-9)", 3, "pullback"): (13, 3),
     ("pi/n (1 - 1e-9)", 4, "pullback"): (13, 3),
+    ("pi/n (1 - 1e-9)", 8, "pullback"): (13, 3),
     ("pi/n (1 - 1e-9)", 2, "lax-conjugation"): ("NormViolation", 18),
     ("pi/n (1 - 1e-9)", 3, "lax-conjugation"): ("NormViolation", 18),
     ("pi/n (1 - 1e-9)", 4, "lax-conjugation"): ("NormViolation", 18),
+    ("pi/n (1 - 1e-9)", 8, "lax-conjugation"): ("NormViolation", 18),
     ("pi/n (1 - 1e-9)", 3, "normalization"): (4, 18),
     ("pi/n (1 - 1e-9)", 4, "normalization"): (4, 18),
+    ("pi/n (1 - 1e-9)", 8, "normalization"): (4, 18),
     ("pi/n (1 - 1e-9)", 3, "mu-spectrum"): ("NormViolation", 18),
     ("pi/n (1 - 1e-9)", 4, "mu-spectrum"): ("NormViolation", 18),
+    ("pi/n (1 - 1e-9)", 8, "mu-spectrum"): ("NormViolation", 18),
 }
 
 
 def test_edge_ledger():
     # strict both ways: a new failing cell, a moved decade or type, and a
     # ledger cell that now passes all fail this test
-    n_list = (2, 3, 4)
+    n_list = (2, 3, 4, 8)
     failing = {}
     for label, y in EDGE_ROWS.items():
         cfg = SuiteConfig(n_list=n_list, y_rule=[y(n) for n in n_list], samples=8, seed=7)

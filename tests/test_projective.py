@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsdual.coupling import Coupling
-from rsdual.errors import ChartViolation, DomainViolation, ZeroVector
+from rsdual.errors import AlcoveViolation, ChartViolation, DomainViolation, ZeroVector
 from rsdual.lax import global_lax
 from rsdual.sun import dagger
 from rsdual.projective import (
@@ -199,6 +199,17 @@ def test_e_param_domain_and_inverse_chart_errors():
     u[2] = math.sqrt(c.chi0)
     with pytest.raises(ChartViolation):
         e_param_inv(u, c)
+
+
+def test_e_param_checks_xi_as_check_shifted_alcove():
+    # a negative coordinate is an AlcoveViolation, as check_alcove makes
+    # it; the wall bound is the library's 1e-10 below y
+    c = Coupling.default(3)
+    with pytest.raises(AlcoveViolation, match="negative alcove coordinate"):
+        e_param([-0.1, 1.1, math.pi - 1.0], [0.0, 0.0], c)
+    assert np.isfinite(e_param([c.y - 5e-11, 1.0], [0.0, 0.0], c)).all()
+    with pytest.raises(DomainViolation, match="xi_j < y"):
+        e_param([c.y - 2e-10, 1.0], [0.0, 0.0], c)
 
 
 def test_moment_map_values():

@@ -786,6 +786,32 @@ def test_label_of_a_modulus_tie_takes_canonicalize(monkeypatch):
     assert stacked.tobytes() == np.stack(rows).tobytes()
 
 
+def test_label_rejects_a_superdiagonal_phase_that_fails_to_close():
+    # a trajectory step reaches _label with no constraint check, so the
+    # label guards the closure of the cyclic superdiagonal phases itself:
+    # K's (n, 1) entry in the orbit frame rotated by e^{i 1e-4} fails it,
+    # at one point and as row 1 of a stack; f_beta_inv rejects the same
+    # pair earlier, by its constraint residual
+    c = Coupling.default(3)
+    p = reduction._lift(random_point(c, np.random.default_rng(5), count=3), c)
+    frame = reduction._orbit_frame(p.B, c)
+    g = frame[0]
+    K = g @ p.A @ dagger(g)
+    K[1, -1, 0] *= np.exp(1e-4j)
+    A = p.A.copy()
+    A[1] = dagger(g[1]) @ K[1] @ g[1]
+    with pytest.raises(ConstraintViolation, match="fails to close") as alone:
+        reduction._label(A[1], reduction._orbit_frame(p.B[1], c), c)
+    with pytest.raises(ConstraintViolation) as stacked:
+        reduction._label(A, frame, c)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ConstraintViolation, match="moment residual"):
+        f_beta_inv(DoublePoint(A[1], p.B[1]), c)
+    good = [0, 2]
+    labels = reduction._label(A[good], reduction._orbit_frame(p.B[good], c), c)
+    assert labels.tobytes() == f_beta_inv(DoublePoint(p.A[good], p.B[good]), c).tobytes()
+
+
 @pytest.mark.parametrize("kind,side,per_step", [("re_trace", "first", 1), ("dehn", "second", 0)])
 def test_reduced_trajectory_builds_lambda_once_per_step(monkeypatch, kind, side, per_step):
     # K(u_t) is built from the Lambda of the orbit frame that labels u_t: a

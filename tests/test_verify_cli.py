@@ -209,9 +209,9 @@ def _scripted(events, started):
     an exception, whether it is evaluated in its group or alone; started
     records the n of every trial drawn."""
 
-    def draw(c, rng, samples):
-        started.extend([c.n] * max(1, samples))
-        return {"i": np.arange(max(1, samples))}
+    def draw(c, rng, count):
+        started.extend([c.n] * count)
+        return {"i": np.arange(count)}
 
     def residuals(c, i):
         rows = [events.get(int(k), (k + 1) * 1e-14) for k in i]
@@ -283,7 +283,7 @@ def test_failing_row_inside_a_trial_names_its_trial_and_row(monkeypatch, entries
         rows[i == 3, 0] = 2.0
         return rows
 
-    draw = lambda c, rng, samples: {"i": np.arange(samples)}
+    draw = lambda c, rng, count: {"i": np.arange(count)}
     monkeypatch.setitem(CHECKS, "normalization", (Stacked(residuals, draw), 1e-12))
     monkeypatch.setattr(verify, "STACK_ENTRIES", entries)
     (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=5, checks=("normalization",))).results
@@ -829,11 +829,10 @@ def test_cli_flow_rejects_final_point_at_the_out_path(tmp_path, capsys, monkeypa
 # the stacked checks: all trials of a cell in one call per stage
 
 STACKED = tuple(CHECKS)
-# samples to a trial where not one; None where a cell is one trial
-PER = {
-    "lax-unitarity": None, "gradients": 10, "boundary-limit": 5, "conservation": 10,
-    "polytope-vertices": None, "axiom-a2": 10, "flow-moment": 5, "omega-morphisms": 10,
-}
+# samples to a trial, the divisor of a cell's count = max(1, samples // per)
+PER = {name: check.per for name, (check, _) in CHECKS.items()}
+# the checks whose cell is one trial whatever the count
+ONE_TRIAL = ("lax-unitarity", "polytope-vertices")
 
 # max_residual of every cell at n = 2, 3, 4 in the pinned sweeps
 # run_suite(SuiteConfig(n_list=(2, 3, 4), samples=20, seed=s)), as
@@ -1042,8 +1041,7 @@ def test_stacked_check_labels_each_stage_in_one_call(monkeypatch, name, samples)
         monkeypatch.setattr(reduction, target, counted)
     (cell,) = run_suite(SuiteConfig(n_list=(3,), samples=samples, checks=(name,))).results
     assert cell.passed
-    per = PER.get(name, 1)
-    trials = max(1, samples // per) if per else 1
+    trials = 1 if name in ONE_TRIAL else max(1, samples // PER[name])
     assert len(stacks) == calls
     # the trials on axis 0, or on axis 1 behind the two central-difference
     # steps of a chart Jacobian or the pair K(u), K(e^{i gamma} u)
@@ -1104,13 +1102,12 @@ def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name)
     # makes the library call raise, in the cell's stack and alone; the cell
     # must report what running each trial by itself reports
     check, tol = CHECKS[name]
-    per = PER.get(name, 1)
-    cfg = SuiteConfig(n_list=(3,), samples=5 * (per or 1), seed=3, checks=(name,))
+    cfg = SuiteConfig(n_list=(3,), samples=5 * PER[name], seed=3, checks=(name,))
     (c,) = cfg.couplings()
     rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
-    stacks = check.draw(c, rng, cfg.samples)
+    stacks = check.draw(c, rng, 5)
     draws = _each_trial(stacks)
-    t = 2 if per else 0
+    t = 0 if name in ONE_TRIAL else 2
     first = next(iter(draws[t].values()))
     target, arg = FORCED_AT[name]
     f = getattr(verify, target)
@@ -1128,7 +1125,7 @@ def test_failing_stacked_trial_is_reported_as_one_trial_alone(monkeypatch, name)
         return check.residuals(c, *stacks)
 
     monkeypatch.setattr(verify, target, forced)
-    monkeypatch.setitem(CHECKS, name, (Stacked(recorded, check.draw), tol))
+    monkeypatch.setitem(CHECKS, name, (check._replace(residuals=recorded), tol))
     (cell,) = run_suite(cfg).results
 
     rows, failure = [], None
@@ -1167,12 +1164,11 @@ def test_stacked_payload_names_the_point_and_its_row(monkeypatch):
     )
     for name, n, rows in cases:
         check, _ = CHECKS[name]
-        per = PER.get(name, 1)
         monkeypatch.setitem(CHECKS, name, (check, 1e-30))
-        cfg = SuiteConfig(n_list=(n,), samples=4 * per, seed=5, checks=(name,))
+        cfg = SuiteConfig(n_list=(n,), samples=4 * PER[name], seed=5, checks=(name,))
         (c,) = cfg.couplings()
         rng = np.random.default_rng([cfg.seed, list(CHECKS).index(name), c.n])
-        drawn = _each_trial(check.draw(c, rng, cfg.samples))[0]
+        drawn = _each_trial(check.draw(c, rng, 4))[0]
         (cell,) = run_suite(cfg).results
         assert not cell.passed and cell.samples == 4 * rows
         assert cell.failure["sample_index"] == 0
@@ -1225,7 +1221,7 @@ def test_shared_stages_report_what_the_maps_one_by_one_report(monkeypatch, name)
     c = Coupling(4, 1e-6)
     near = vertex_points(c, 1e-6, np.random.default_rng(0))
     u = np.array([random_point(c, np.random.default_rng(1)), near[2], near[0], np.zeros(4)])
-    draw = lambda c, rng, samples: {"u": u}
+    draw = lambda c, rng, count: {"u": u}
     check, tol = CHECKS[name]
     cfg = SuiteConfig(n_list=(4,), y_rule=1e-6, samples=4, checks=(name,))
     reports = []
@@ -1304,7 +1300,7 @@ def test_draws_are_one_sampler_call_per_variable(name, n):
     # leave it
     c = Coupling.default(n)
     drawn_rng, calls_rng = np.random.default_rng(n), np.random.default_rng(n)
-    drawn = CHECKS[name][0].draw(c, drawn_rng, 6 * (PER.get(name) or 1))
+    drawn = CHECKS[name][0].draw(c, drawn_rng, 6)
     want = CELL_CALLS[name](c, calls_rng, 6)
     assert list(drawn) == list(want)
     for key, x in drawn.items():
