@@ -29,6 +29,15 @@ def canonicalize(u, c):
     """Canonical representative: |u|^2 = chi0 and the largest-modulus
     coordinate (smallest index on ties within 1e-12) real non-negative;
     of a point or of each row of a stack (..., n)."""
+    u = _normalized(u, c)
+    mags = abs(u)
+    jstar = (mags.T >= (np.maximum.reduce(mags, -1) - TIE_TOL).T).T.argmax(-1)
+    at = _cyclic(u.shape).rows + jstar
+    return (u.T * (np.conjugate(u.flat[at]) / mags.flat[at]).T).T
+
+
+def _normalized(u, c):
+    """canonicalize without its phase fix: |u|^2 = chi0, the same raises."""
     u = np.ascontiguousarray(u, dtype=complex)  # rows laid out as one point is
     top = np.maximum.reduce(abs(u), -1)
     # a far row's squares may leave the normal range inside the norm: divide
@@ -47,11 +56,7 @@ def canonicalize(u, c):
     nrm = _norm(u)
     # a row times its own factor s is (u.T * s.T).T: at one point s is a
     # scalar, which numpy multiplies by fastest
-    u = (u.T * (math.sqrt(c.chi0) / nrm).T).T
-    mags = abs(u)
-    jstar = (mags.T >= (np.maximum.reduce(mags, -1) - TIE_TOL).T).T.argmax(-1)
-    at = _cyclic(u.shape).rows + jstar
-    return (u.T * (np.conjugate(u.flat[at]) / mags.flat[at]).T).T
+    return (u.T * (math.sqrt(c.chi0) / nrm).T).T
 
 
 def _norm(x):

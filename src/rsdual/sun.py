@@ -172,6 +172,11 @@ def alcove_point(A):
     """
     if not np.logical_and.reduce(np.isfinite(A), None):
         raise LinAlgError("Array must not contain infs or NaNs")
+    return _alcove_point(A)
+
+
+def _alcove_point(A):
+    """alcove_point of an A known to be finite."""
     if A.ndim == 2:
         return _eigen_alcove(A, np.empty(A.shape[-1]))
     try:

@@ -12,7 +12,9 @@ any cell can be run on its own.
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 import math
+import os
 import platform
+import subprocess
 import time
 
 import numpy as np
@@ -575,8 +577,18 @@ class SuiteReport:
             "all_passed": self.all_passed,
             "wall_time": self.wall_time,
             "versions": dict(VERSIONS),
+            "git_sha": _git_sha(),
             "checks": [r.to_json() for r in self.results],
         }
+
+
+def _git_sha():
+    """HEAD of the git checkout the package runs from; None outside one."""
+    git = ["git", "-C", os.path.dirname(__file__), "rev-parse", "--verify", "-q", "HEAD"]
+    try:
+        return subprocess.run(git, capture_output=True, text=True).stdout.strip() or None
+    except OSError:  # no git
+        return None
 
 
 def _run_cell(name, c, cfg):

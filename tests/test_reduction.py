@@ -21,7 +21,7 @@ from rsdual.double import (
     random_double_point,
     rho_embedding,
 )
-from rsdual.errors import ChartViolation, ConstraintViolation, DomainViolation
+from rsdual.errors import ChartViolation, ConstraintViolation, DomainViolation, ZeroVector
 from rsdual.lax import (
     _lambda_parts,
     _lax_from,
@@ -358,16 +358,38 @@ def test_f_beta_inv_rejects_off_constraint():
 
 def test_f_beta_inv_rejects_a_vanishing_superdiagonal_on_the_constraint():
     # at y = 1e-8 the superdiagonal of K is ~sin y, so zeroing one entry of
-    # a pair with diagonal B moves the moment residual by ~1e-8, within the
-    # 1e-6 constraint check: the label's own guard is what rejects it
+    # a pair with diagonal B moves the moment residual by ~1e-8, within 1e-6
+    # but over the constraint guard's 1e-3 sin y; the label's own guard,
+    # which a trajectory step reaches with no constraint check, rejects it
+    # too
     c = Coupling(3, 1e-8)
     p = reduction._lift(rand_u(c), c)
     g = spectral_xi(p.B)[1]
     A = g @ p.A @ dagger(g)
     A[0, 1] = 0.0
-    q = DoublePoint(A, np.diag(np.diag(g @ p.B @ dagger(g))))
-    assert constraint_residual(q, c) < 1e-6
+    B = np.diag(np.diag(g @ p.B @ dagger(g)))
+    assert constraint_residual(DoublePoint(A, B), c) < 1e-6
+    with pytest.raises(ConstraintViolation, match="moment residual"):
+        f_beta_inv(DoublePoint(A, B), c)
     with pytest.raises(ConstraintViolation, match="vanishing superdiagonal"):
+        reduction._label(A, reduction._orbit_frame(B, c), c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_f_beta_inv_constraint_guard_scales_with_the_coupling(n):
+    # at y = 1e-8 halving one superdiagonal entry of A in B's frame moves
+    # the moment residual by ~1e-8: an absolute 1e-6 would let the pair be
+    # labelled, 1e-3 sin y rejects it, while the lift itself reads rounding
+    c = Coupling(n, 1e-8)
+    p = reduction._lift(random_point(c, np.random.default_rng(60 + n)), c)
+    assert constraint_residual(p, c) < 1e-14
+    f_beta_inv(p, c)
+    g = spectral_xi(p.B)[1]
+    A = g @ p.A @ dagger(g)
+    A[0, 1] *= 0.5
+    q = DoublePoint(A, np.diag(np.diag(g @ p.B @ dagger(g))))
+    assert 1e-3 * math.sin(c.y) < constraint_residual(q, c) < 1e-6
+    with pytest.raises(ConstraintViolation, match="moment residual"):
         f_beta_inv(q, c)
 
 
@@ -633,14 +655,46 @@ def test_reduced_flows_2pi_periodic():
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_action_variables_take_any_phase(n):
     # K(u) depends only on the phase class, so Xi o K is the same on every
-    # representative of the point
+    # representative of the point: action_variables rescales u at every
+    # scale canonicalize takes, but does not fix its phase
     c = Coupling.default(n)
     rng = np.random.default_rng(n)
     for _ in range(10):
         u = random_point(c, rng)
-        xiK = action_variables(u, c)
+        xiK = alcove_point(global_lax(canonicalize(u, c), c))[: n - 1]
         turned = np.exp(1j * rng.uniform(0, 2 * math.pi)) * u
-        assert np.abs(action_variables(turned, c) - xiK).max() < 1e-13
+        for v in (u, turned, 1.1 * u, 1e-160 * u, 1e300 * u, 1e-160 * turned, 1e300 * turned):
+            assert np.abs(action_variables(v, c) - xiK).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_action_variables_of_a_mixed_stack_are_the_one_point_calls(n):
+    # rows at several phases and scales, one of them far, in one stack
+    c = Coupling.default(n)
+    rng = np.random.default_rng(40 + n)
+    scale = np.array([1.0, 1.1, 1e-160, 1e300, 0.5])[:, None]
+    U = random_point(c, rng, count=5) * scale * np.exp(1j * rng.uniform(0, 2 * math.pi, (5, 1)))
+    got = action_variables(U, c)
+    for k, u in enumerate(U):
+        assert got[k].tobytes() == action_variables(u, c).tobytes()
+
+
+@pytest.mark.parametrize(
+    "row, error", [(0.0, ZeroVector), (math.nan, ValueError), (math.inf, ValueError)]
+)
+def test_action_variables_raise_what_canonicalize_raises(row, error):
+    # the zero vector, and a row with a NaN or inf entry, alone and as row 1
+    # of a stack, raise with canonicalize's message
+    c = Coupling.default(3)
+    U = random_point(c, np.random.default_rng(9), count=3)
+    U[1] = 0.0
+    U[1, 1] = row
+    for bad in (U[1], U):
+        with pytest.raises(error) as got:
+            action_variables(bad, c)
+        with pytest.raises(error) as want:
+            canonicalize(bad, c)
+        assert str(got.value) == str(want.value)
 
 
 def test_reduced_trace_flow_conserves_actions():

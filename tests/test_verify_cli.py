@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from rsdual.verify import (
     CHECKS,
     Stacked,
     SuiteConfig,
+    SuiteReport,
     _chart_gradient,
     run_suite,
 )
@@ -365,13 +367,25 @@ def test_cli_verify_exits_zero(tmp_path, capsys):
     assert all(ch["passed"] for ch in report["checks"])
 
 
-def test_cli_verify_report_header(tmp_path):
-    # argv, the versions and the run's total wall_time head the report
+def test_cli_verify_report_header(tmp_path, monkeypatch):
+    # argv, the versions, the git sha and the run's total wall_time head the
+    # report; the sha is None outside a git checkout and before its first
+    # commit
     out = tmp_path / "report.json"
     argv = ["verify", "--n", "2,3", "--samples", "2", "--checks", "lax", "--out", str(out)]
     assert run_cli(*argv) == 0
     report = json.loads(out.read_text())
-    assert list(report) == ["argv", "seed", "all_passed", "wall_time", "versions", "checks"]
+    keys = ["argv", "seed", "all_passed", "wall_time", "versions", "git_sha", "checks"]
+    assert list(report) == keys
+    assert report["git_sha"] is None or re.fullmatch("[0-9a-f]{40}", report["git_sha"])
+    git_dir = tmp_path / "git"
+    git_dir.mkdir()
+    monkeypatch.setenv("GIT_DIR", str(git_dir))
+    assert SuiteReport([], 0, 0.0).to_json()["git_sha"] is None
+    (git_dir / "objects").mkdir()
+    (git_dir / "refs").mkdir()
+    (git_dir / "HEAD").write_text("ref: refs/heads/main\n")  # no commit yet
+    assert SuiteReport([], 0, 0.0).to_json()["git_sha"] is None
     assert report["argv"] == argv
     assert set(report["versions"]) == {"rsdual", "numpy", "scipy", "python"}
     assert report["versions"]["numpy"] == np.__version__
@@ -857,8 +871,8 @@ PINNED_MAX_RESIDUAL = {
         11: ("0x1.d2a8e7060c04fp-51", "0x1.179cd57b460c0p-49", "0x1.df92124965bd3p-49"),
     },
     "duality-exchange": {
-        7: ("0x1.8000000000000p-51", "0x1.8000000000000p-50", "0x1.a000000000000p-50"),
-        11: ("0x1.4000000000000p-50", "0x1.4000000000000p-50", "0x1.0000000000000p-49"),
+        7: ("0x1.0000000000000p-51", "0x1.8000000000000p-50", "0x1.4000000000000p-50"),
+        11: ("0x1.8000000000000p-50", "0x1.4000000000000p-50", "0x1.0000000000000p-49"),
     },
     "mapclass-origin": {
         7: ("0x1.bcd374794f7a1p-51", "0x1.b2459fc960a9bp-50", "0x1.ae7e18c85fe52p-49"),
@@ -909,7 +923,7 @@ PINNED_MAX_RESIDUAL = {
         11: ("0x0.0p+0", "0x1.41ce280000000p-36", "0x1.b01b800000000p-35"),
     },
     "conservation": {
-        7: ("0x1.0000000000000p-52", "0x1.4000000000000p-50", "0x1.e000000000000p-49"),
+        7: ("0x1.0000000000000p-52", "0x1.8000000000000p-50", "0x1.e000000000000p-49"),
         11: ("0x1.0000000000000p-52", "0x1.0000000000000p-50", "0x1.a000000000000p-50"),
     },
     "polytope-image": {
