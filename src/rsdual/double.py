@@ -2,13 +2,13 @@
 
 Carries the invariant 2-form, the group-valued moment map mu(A,B) =
 A B A^{-1} B^{-1}, the explicit flows of invariant Hamiltonians (which move
-only one factor and are exact for all times), the two commuting torus
-actions, and the mapping-class automorphisms S, T, Ttilde together with the
-central twist Q and the conjugating involution nu.  As in the paper, the
-double carries no coupling: n is the size of the matrices.  The 2-form
-(which checks its tangents) and the tangent projection take stacks of
-tangents (..., n, n), the gradients and flows stacks of pairs, each row
-with the one-point bits; finite differences live in verify.
+one factor, are exact for all times, and of the spectral kind compose to
+the torus actions), and the mapping-class automorphisms S, T, Ttilde with
+the central twist Q and the conjugating involution nu.  As in the paper,
+the double carries no coupling: n is the size of the matrices.  The 2-form (which checks its
+tangents) and the tangent projection take stacks of tangents (..., n, n),
+the gradients and flows stacks of pairs, each row with the one-point bits;
+finite differences live in verify.
 """
 
 from dataclasses import dataclass
@@ -47,16 +47,6 @@ class DoubleTangent:
         return DoubleTangent(dA, dB)
 
 
-def rho_embedding(theta, n):
-    """Torus embedding rho(tau) = exp(i sum theta_j (E_jj - E_{j+1,j+1}))."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n - 1,):
-        raise ValueError(f"need {n - 1} angles")
-    lower = np.concatenate([theta, [0.0]])
-    upper = np.concatenate([[0.0], theta])
-    return np.diag(np.exp(1j * (lower - upper)))
-
-
 VALID_KINDS = ("spectral", "re_trace", "im_trace", "dehn")
 VALID_SIDES = ("first", "second")
 
@@ -66,8 +56,8 @@ class InvariantHamiltonian:
     """Class function of one factor of the double.
 
     kind 'spectral' is the alcove coordinate Xi_index; 're_trace'/'im_trace'
-    are Re/Im tr(X^index); 'dehn' is the quadratic spectral combination
-    whose time-one flow is a Dehn twist.  side 'first' reads A and flows B,
+    are Re/Im tr(X^index); 'dehn' (index 1 only) is the quadratic spectral
+    combination whose time-one flow is a Dehn twist.  side 'first' reads A and flows B,
     side 'second' reads B and flows A.
     """
 
@@ -82,6 +72,8 @@ class InvariantHamiltonian:
             raise ValueError(f"side must be one of {VALID_SIDES}")
         if self.kind in ("re_trace", "im_trace") and self.index < 1:
             raise ValueError("trace power must be >= 1")
+        if self.kind == "dehn" and self.index != 1:
+            raise ValueError(f"dehn takes no index, got {self.index}")
 
     def value(self, p):
         X = p.A if self.side == "first" else p.B
@@ -210,25 +202,12 @@ def flow(p, h, t):
 
     side 'first':  (A, B) -> (A, B exp(-t grad h(A))),
     side 'second': (A, B) -> (A exp(t grad h(B)), B);
-    the moment map is conserved because grad h(X) commutes with X.
+    the moment map is conserved because grad h(X) commutes with X.  The
+    n - 1 spectral flows of a side at times theta_k compose to its torus
+    action, B -> B g(A)^dagger rho g(A) resp. A -> A g(B)^dagger conj(rho)
+    g(B) with rho = diag(e^{i(theta_k - theta_{k-1})}), theta_0 = theta_n = 0.
     """
     return flow_map(p, h)(t)
-
-
-def torus_action(p, side, theta):
-    """The commuting torus actions generated by the spectral Hamiltonians.
-
-    side 'a': (A, B) -> (A, B g(A)^{-1} rho(tau) g(A));
-    side 'b': (A, B) -> (A g(B)^{-1} rho(tau)^{-1} g(B), B).
-    """
-    rho = rho_embedding(theta, p.A.shape[-1])
-    if side == "a":
-        g = spectral_xi(p.A)[1]
-        return DoublePoint(p.A.copy(), p.B @ dagger(g) @ rho @ g)
-    if side == "b":
-        g = spectral_xi(p.B)[1]
-        return DoublePoint(p.A @ dagger(g) @ np.conjugate(rho) @ g, p.B.copy())
-    raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
 def auto_apply(gen, p):

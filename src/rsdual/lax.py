@@ -30,34 +30,33 @@ from .errors import (
     first_row,
 )
 
-_CyclicIndex = namedtuple("_CyclicIndex", "sup diag rows col0 cols next prev steps skew")
+_CyclicIndex = namedtuple("_CyclicIndex", "sup diag rows col0 cols prev steps skew")
 
 
 @functools.lru_cache(maxsize=128)
 def _cyclic(shape):
     """Flat (take/put) indices, for points (..., n) and their n x n matrices,
     of each superdiagonal (k, k+1 mod n), diagonal, (k, 0) entries (shaped
-    (n, ...) as col0 and (..., n) as cols) and first point entry; and k+1,
-    k-1 mod n (the latter (1, n)).  For _arcs, taken along the last axis
-    of a point and of a flattened matrix: steps (n, n-1) reads xi_{l+j mod
-    n} at [l, j], and skew (n, n) entry [l, k - l mod n] at [k, l]."""
+    (n, ...) as col0 and (..., n) as cols) and first point entry; and k-1
+    mod n, shaped (1, n).  For _arcs, taken along the last axis of a point
+    and of a flattened matrix: steps (n, n-1) reads xi_{l+j mod n} at
+    [l, j], and skew (n, n) entry [l, k - l mod n] at [k, l]."""
     n = shape[-1]
     k = np.arange(n)
-    nxt = (k + 1) % n
     prv = (k - 1)[None, :] % n
     rows = np.arange(0, math.prod(shape), n).reshape(shape[:-1])
     start = rows.reshape(-1, 1) * n
-    sup = (start + k * n + nxt).ravel()
+    sup = (start + k * n + (k + 1) % n).ravel()
     diag = (start + k * (n + 1)).ravel()
     cols = (start + n * k).reshape(shape)
     col0 = np.moveaxis(cols, -1, 0)
     steps = (k[:, None] + k[:-1]) % n
     skew = k * n + (k[:, None] - k) % n
-    for a in (sup, diag, rows, col0, cols, nxt, prv, steps, skew):
+    for a in (sup, diag, rows, col0, cols, prv, steps, skew):
         a.flags.writeable = False
     # rows[()] is a plain integer at one point, so that rows + j stays scalar math
-    return _CyclicIndex(sup=sup, diag=diag, rows=rows[()], col0=col0, cols=cols, next=nxt,
-                        prev=prv, steps=steps, skew=skew)
+    return _CyclicIndex(sup=sup, diag=diag, rows=rows[()], col0=col0, cols=cols, prev=prv,
+                        steps=steps, skew=skew)
 
 
 def _arcs(xi, y, phase=False):
@@ -166,18 +165,19 @@ def local_lax(xi, theta, c):
     the cyclic superdiagonal and Lambda_kl Theta_l on it: K(r) Theta with
     r_k = sqrt(xi_k - y).  The denominator's modulus 2 |sin(a_kl + y)|
     vanishes on the superdiagonal entry of a wall xi_k = y, where L is not
-    defined.  The reversed-coupling matrix of the second toric
-    identification is L(delta, Theta; -y) = L(delta, 1)^dagger Theta.
+    defined (SingularDenominator at |xi_k - y| < 5e-13, DomainViolation
+    below).  The reversed-coupling matrix of the second toric identification
+    is L(delta, Theta; -y) = L(delta, 1)^dagger Theta.
     """
     xi = check_shifted_alcove(xi, c)
     theta = _theta_vector(theta, c.n)
-    lam, wp, wm = _lambda_parts(xi, c)
+    lam = _lambda_parts(xi, c)[0]
+    # W_k(y)^2 = gap_k wp_k^2 and W_{k+1}(-y)^2 = gap_k wm_{k+1}^2 have the
+    # sign of gap_k, as wp, wm > 0
     gap = xi - c.y
-    # W_k(y)^2 = gap_k wp_k^2 and W_{k+1}(-y)^2 = gap_k wm_{k+1}^2
-    w2 = gap * np.maximum(wp, wm.take(_cyclic(xi.shape).next, axis=-1)) ** 2
-    if anywhere(w2 < -1e-13):
+    if anywhere(gap < -5e-13):
         raise DomainViolation("W^2 factors negative; xi outside the coupling domain")
-    small = 2.0 * np.abs(gap) < 1e-12
+    small = np.abs(gap) < 5e-13
     if anywhere(small):
         k = np.argwhere(small)[0][-1]  # in the first matrix that has one
         raise SingularDenominator(
@@ -224,8 +224,8 @@ def mu_of_v(v, c):
     off = ~(abs(nrm - 1.0) <= 1e-9)
     if anywhere(off):
         raise NormViolation(f"|v| = {nrm[first_row(off)]:.12g}, expected 1")
-    coeff = np.exp(2j * (1 - c.n) * c.y) - np.exp(2j * c.y)
-    return np.exp(2j * c.y) * np.eye(c.n) + coeff * (v[..., :, None] * np.conjugate(v)[..., None, :])
+    d = c.mu0.diagonal()
+    return d[0] * np.eye(c.n) + (d[-1] - d[0]) * (v[..., :, None] * np.conjugate(v)[..., None, :])
 
 
 def reflection_g(x, j):

@@ -3,17 +3,17 @@
 The constraint surface mu(A,B) = mu0 is covered by explicit chart sections
 F_j of the projection to the reduced space P; labelling each gauge orbit by
 the projective point recovered from the Lax-matrix entries makes the
-identification beta-map a computable bijection.  The second identification is
-alpha = nu o beta o Gamma, the self-duality map is their composition.  S, its
-inverse, mapping-class words and reduced_flow are _relabel, f_beta_inv(act(
-_lift(u))) of one map act or of several by one lift and one label call; a
-trajectory step is _label through its orbit frame.  A point is validated
-and canonicalized where it is lifted, a pair where f_beta_inv takes it (the
-constraint, B finite); the frame then checks only B's wall, and the label
-canonicalizes only on a modulus tie; action_variables rescales a point
-but leaves its phase.  Each map takes a stack of points (..., n) or pairs
-(..., n, n), each row with the one-point bits; a bad row raises what it
-raises alone.  section_F takes one chart or one per row.
+identification beta-map a computable bijection.  The second identification
+is alpha = nu o beta o Gamma, and the self-duality map is S = f_alpha_inv o
+f_beta.  Mapping-class words and reduced_flow are _relabel,
+f_beta_inv(act(_lift(u))) of one map act or of several by one lift and one
+label call; a trajectory step is _label through its orbit frame.  A point is
+validated and canonicalized where it is lifted, a pair where f_beta_inv
+takes it (A and B finite, the constraint); the frame then checks only B's
+wall, and the label canonicalizes only on a modulus tie; action_variables
+rescales a point but leaves its phase.  Each map takes a stack of points
+(..., n) or pairs (..., n, n), each row with the one-point bits; a bad row
+raises what it raises alone.  section_F takes one chart or one per row.
 """
 
 import math
@@ -145,14 +145,14 @@ def _label(A, frame, c):
 
     u = np.conjugate(K.flat[col] / den)
     u.flat[at] = rj
-    # u_j = rj >= 0: unless a modulus ties with it or rj is far, as
-    # canonicalize tests, its rescale and phase multiply finish the label
+    # u_j = rj >= 0, never far (rj^2 = xi_j - y >= chi0 / n): unless a modulus
+    # ties with it, as canonicalize tests, its rescale and phase finish the label
     nrm = _norm(u)
     v = (u.T * (math.sqrt(c.chi0) / nrm).T).T
     mags = abs(v)
     top = mags.flat[at]
     tie = np.count_nonzero(mags.T >= (top - TIE_TOL).T) != top.size
-    if tie or anywhere((rj <= 1e-150) | (rj >= 1e150)):
+    if tie:
         return canonicalize(u, c)
     return (v.T * (np.conjugate(v.flat[at]) / top).T).T
 
@@ -167,15 +167,16 @@ def f_beta_inv(p, c):
     chart coordinates off the remaining entries.  The pair must satisfy the
     constraint to min(1e-6, 1e-3 sin y), as a broken superdiagonal entry
     (~sin y) moves it by ~sin y, and the superdiagonal phases must close to
-    1e-5.  On a stack of pairs (..., n, n) each row is labelled as alone.
+    1e-5; A and B must be finite (ValueError).  On a stack of pairs
+    (..., n, n) each row is labelled as alone.
     """
+    if not np.logical_and.reduce(np.isfinite(p.A) & np.isfinite(p.B), None):
+        raise ValueError("array must not contain infs or NaNs")
     res = constraint_residual(p, c)
     tol = min(1e-6, 1e-3 * math.sin(c.y))
-    bad = res > tol
+    bad = ~(res <= tol)
     if anywhere(bad):
         raise ConstraintViolation(f"moment residual {res[first_row(bad)]:.3e} exceeds {tol:.3g}")
-    if not np.logical_and.reduce(np.isfinite(p.B), None):
-        raise ValueError("array must not contain infs or NaNs")
     return _label(p.A, _orbit_frame(p.B, c), c)
 
 
@@ -212,14 +213,15 @@ def _relabel(u, c, *acts):
 def duality(which, u, c):
     """Self-duality maps of the compactified phase space.
 
-    'S' is the symplectic duality map (alpha-inverse after beta), 'S_inv'
-    its inverse, and 'R' = C o S the anti-symplectic involutive version
-    that plainly exchanges positions and actions.
+    'S' is the symplectic duality map f_alpha_inv o f_beta (the lift is
+    f_beta), 'S_inv' its inverse f_beta_inv o f_alpha, and 'R' = C o S the
+    anti-symplectic involutive version that plainly exchanges positions and
+    actions.
     """
     if which == "S":
-        return _from_alpha(_relabel(u, c, lambda p: auto_apply("nu", p)), c)
+        return f_alpha_inv(_lift(u, c), c)
     if which == "S_inv":
-        return _relabel(involution("Gamma", u), c, lambda p: auto_apply("nu", p))
+        return f_beta_inv(f_alpha(u, c), c)
     if which == "R":
         # C maps the canonical image of S to a canonical point
         return involution("C", duality("S", u, c))
@@ -292,4 +294,4 @@ def _trajectory(u, h, t_final, steps, c):
         pt = at(t)
         frame = fixed or _orbit_frame(pt.B, c)
         ut = _label(pt.A, frame, c)
-        yield k, t, ut, moment_J(ut, c), _eigen_alcove(_lax_from(ut, frame[1]), np.empty(c.n))[: c.n - 1]
+        yield k, t, ut, moment_J(ut, c), _eigen_alcove(_lax_from(ut, frame[1]))[: c.n - 1]

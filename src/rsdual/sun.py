@@ -100,9 +100,9 @@ def alcove_delta(xi):
     return d
 
 
-def _phases_to_alcove(phases, xi):
+def _phases_to_alcove(phases):
     """(xi, perm): the alcove point of a special-unitary matrix from its n
-    eigenphases, written into xi, and the eigenphases' cyclic order perm.
+    eigenphases and the eigenphases' cyclic order perm.
 
     The cyclic ordering is rolled so that the lifted phase sum vanishes mod
     2*pi*n, which singles out the unique alcove representative matching the
@@ -113,12 +113,13 @@ def _phases_to_alcove(phases, xi):
     psi = phases[order]
     # det A = 1 forces sum(psi) = 2 pi M; the shift below makes M = 0 mod n.
     m0 = round(float(np.add.reduce(psi)) / (2.0 * math.pi))
-    shift = (-m0) % len(xi)
+    shift = (-m0) % len(phases)
     perm, lifted = order, psi
     if shift:  # roll, 2 pi added only where it wraps
         perm = np.concatenate((order[shift:], order[:shift]))
         lifted = np.concatenate((psi[shift:], psi[:shift] + 2.0 * math.pi))
 
+    xi = np.empty(len(phases))
     gaps = xi[:-1]
     np.subtract(lifted[1:], lifted[:-1], out=gaps)
     gaps *= 0.5
@@ -178,22 +179,22 @@ def alcove_point(A):
 def _alcove_point(A):
     """alcove_point of an A known to be finite."""
     if A.ndim == 2:
-        return _eigen_alcove(A, np.empty(A.shape[-1]))
+        return _eigen_alcove(A)
     try:
         w = np.linalg.eigvals(np.asarray(A, dtype=complex))
     except LinAlgError:
         for M in A.reshape((-1,) + A.shape[-2:]):
-            _eigen_alcove(M, np.empty(A.shape[-1]))
+            _eigen_alcove(M)
         raise
     return _stacked_phases_to_alcove(np.angle(w))[0]
 
 
-def _eigen_alcove(M, xi):
-    """alcove_point of one matrix, written into xi."""
+def _eigen_alcove(M):
+    """alcove_point of one matrix."""
     w, _, _, info = zgeev(M, compute_vl=0, compute_vr=0)
     if info != 0:
         raise LinAlgError(f"eigenvalues not found (zgeev info={info})")
-    return _phases_to_alcove(np.arctan2(w.imag, w.real), xi)[0]  # np.angle(w)
+    return _phases_to_alcove(np.arctan2(w.imag, w.real))[0]  # np.angle(w)
 
 
 def _no_sort(w):
@@ -247,7 +248,7 @@ def _spectral_xi(A):
     if A.ndim == 2:
         T, Z = _schur(A)
         d = T.diagonal()
-        xi, perm = _phases_to_alcove(np.arctan2(d.imag, d.real), np.empty(n))  # np.angle(d)
+        xi, perm = _phases_to_alcove(np.arctan2(d.imag, d.real))  # np.angle(d)
         gap = 2.0 * float(np.minimum.reduce(xi))
         if not gap > GAP_TOL:
             raise NonRegular(f"eigenphase gap {gap:.3e} is at most GAP_TOL={GAP_TOL:.1e}")

@@ -22,8 +22,6 @@ from rsdual.double import (
     moment,
     omega_eval,
     random_double_point,
-    rho_embedding,
-    torus_action,
     vertical_tangent,
 )
 from rsdual.errors import NonRegular, TangencyViolation
@@ -45,6 +43,19 @@ RNG = np.random.default_rng(424242)
 
 def rand_p(n):
     return random_double_point(n, RNG)
+
+
+def torus_action(p, side, theta):
+    """The torus action of a side ('first' moves B, 'second' A): its n - 1
+    spectral flows, flow k at time theta_k."""
+    for k, t in enumerate(theta, 1):
+        p = flow(p, InvariantHamiltonian("spectral", k, side), t)
+    return p
+
+
+def rho_diagonal(theta):
+    """Diagonal of rho(theta) = exp(i sum_k theta_k (E_kk - E_k+1,k+1))."""
+    return np.exp(1j * (np.append(theta, 0.0) - np.insert(theta, 0, 0.0)))
 
 
 def rand_tangent(p, n):
@@ -283,11 +294,13 @@ def test_torus_action_group_law_and_triviality():
     n = 4
     p = rand_p(n)
     zero = np.zeros(n - 1)
-    q = torus_action(p, "a", zero)
+    q = torus_action(p, "first", zero)
     assert np.linalg.norm(q.B - p.B) < 1e-13
+    q = torus_action(p, "second", zero)
+    assert np.linalg.norm(q.A - p.A) < 1e-13
     th1 = RNG.uniform(0, 2 * math.pi, n - 1)
     th2 = RNG.uniform(0, 2 * math.pi, n - 1)
-    for side in ("a", "b"):
+    for side in ("first", "second"):
         q1 = torus_action(torus_action(p, side, th1), side, th2)
         q2 = torus_action(p, side, th1 + th2)
         assert np.linalg.norm(q1.A - q2.A) < 1e-10
@@ -298,38 +311,36 @@ def test_torus_action_fixes_own_spectrum():
     n = 3
     p = rand_p(n)
     th = RNG.uniform(0, 2 * math.pi, n - 1)
-    qa = torus_action(p, "a", th)
+    qa = torus_action(p, "first", th)
     assert np.allclose(spectral_xi(qa.A)[0], spectral_xi(p.A)[0], atol=1e-12)
-    qb = torus_action(p, "b", th)
+    qb = torus_action(p, "second", th)
     assert np.allclose(spectral_xi(qb.B)[0], spectral_xi(p.B)[0], atol=1e-12)
 
 
 def test_torus_action_matches_spectral_flow():
-    # the alpha_j flow at time t is the side-a action with angle t in slot j
-    n = 3
-    p = rand_p(n)
-    t = 1.234
-    q_flow = flow(p, InvariantHamiltonian("spectral", 2, "first"), t)
-    th = np.zeros(n - 1)
-    th[1] = t
-    q_act = torus_action(p, "a", th)
-    assert np.linalg.norm(q_flow.B - q_act.B) < 1e-11
-
-
-def test_rho_embedding_values():
-    th = np.array([0.4, -1.1])
-    rho = rho_embedding(th, 3)
-    expected = np.diag(np.exp(1j * np.array([0.4, -1.5, 1.1])))
-    assert np.allclose(rho, expected, atol=1e-14)
-    assert abs(np.linalg.det(rho) - 1.0) < 1e-14
+    # the composed spectral flows of side 'first' are the closed form
+    # (A, B g(A)^dagger rho(theta) g(A)), those of side 'second'
+    # (A g(B)^dagger conj(rho(theta)) g(B), B); one flow is one slot of theta
+    assert np.allclose(rho_diagonal([0.4, -1.1]), np.exp(1j * np.array([0.4, -1.5, 1.1])), atol=1e-15)
+    for n in (2, 3, 4, 8):
+        p = rand_p(n)
+        th = RNG.uniform(0, 2 * math.pi, n - 1)
+        rho = rho_diagonal(th)
+        g = spectral_xi(p.A)[1]
+        q = torus_action(p, "first", th)
+        assert np.array_equal(q.A, p.A)
+        assert np.abs(q.B - p.B @ dagger(g) @ (rho[:, None] * g)).max() < 1e-13
+        g = spectral_xi(p.B)[1]
+        q = torus_action(p, "second", th)
+        assert np.array_equal(q.B, p.B)
+        assert np.abs(q.A - p.A @ dagger(g) @ (np.conjugate(rho)[:, None] * g)).max() < 1e-13
+    p = rand_p(3)
+    one = flow(p, InvariantHamiltonian("spectral", 2, "first"), 1.234)
+    assert np.linalg.norm(one.B - torus_action(p, "first", [0.0, 1.234]).B) < 1e-13
 
 
 def test_torus_maps_and_generators_reject_bad_arguments():
     p = rand_p(3)
-    with pytest.raises(ValueError, match="need 2 angles"):
-        rho_embedding(np.zeros(3), 3)
-    with pytest.raises(ValueError, match="side must be 'a' or 'b', got 'c'"):
-        torus_action(p, "c", np.zeros(2))
     with pytest.raises(ValueError, match="unknown generator 'R'"):
         auto_apply("R", p)
 
@@ -501,8 +512,8 @@ DECOMPOSITION_CONSUMERS = {
     "gradient-spectral": lambda X, c: hamiltonian_gradient(InvariantHamiltonian("spectral", 1), X),
     "gradient-dehn": lambda X, c: hamiltonian_gradient(InvariantHamiltonian("dehn", 1), X),
     "flow": lambda X, c: flow(DoublePoint(X, X), InvariantHamiltonian("dehn", 1, "second"), 0.5),
-    "torus-a": lambda X, c: torus_action(DoublePoint(X, X), "a", np.full(c.n - 1, 0.3)),
-    "torus-b": lambda X, c: torus_action(DoublePoint(X, X), "b", np.full(c.n - 1, 0.3)),
+    "torus-a": lambda X, c: torus_action(DoublePoint(X, X), "first", np.full(c.n - 1, 0.3)),
+    "torus-b": lambda X, c: torus_action(DoublePoint(X, X), "second", np.full(c.n - 1, 0.3)),
     "orbit-frame": lambda X, c: _orbit_frame(X, c),
 }
 
@@ -525,6 +536,11 @@ def test_invariant_hamiltonian_validation():
         InvariantHamiltonian("re_trace", 0, "first")
     with pytest.raises(ValueError):
         InvariantHamiltonian("spectral", 1, "third")
+    # the Dehn Hamiltonian has no index: any but 1 is rejected, not flowed as 1
+    for index in (0, 2, 5, -1):
+        with pytest.raises(ValueError, match=f"dehn takes no index, got {index}"):
+            InvariantHamiltonian("dehn", index, "second")
+    assert InvariantHamiltonian("dehn").index == 1
 
 
 def test_hamiltonian_value_reads_correct_side():

@@ -243,6 +243,24 @@ def test_local_lax_rejects_negative_w_squares_inside_the_wall_tolerance():
         local_lax(xi, np.ones(3), c)
 
 
+@pytest.mark.parametrize(
+    "gap,error", [(-1e-12, DomainViolation), (-1e-13, SingularDenominator), (1e-13, SingularDenominator)]
+)
+def test_local_lax_wall_rule(gap, error):
+    # one rule on the gap xi_k - y, whatever the scale of the W factors:
+    # below -5e-13 xi is off the domain, within 5e-13 of 0 the superdiagonal
+    # denominator of the wall vanishes; a bad row of a stack raises as alone
+    c = Coupling(3, 0.3)
+    xi = random_shifted_alcove(c, RNG, count=3, margin=0.05)
+    xi[1] = [c.y + gap, 1.2, math.pi - (c.y + gap) - 1.2]
+    local_lax(xi[0], np.ones(3), c)
+    with pytest.raises(error) as alone:
+        local_lax(xi[1], np.ones(3), c)
+    with pytest.raises(error) as stacked:
+        local_lax(xi, np.ones((3, 3)), c)
+    assert str(stacked.value) == str(alone.value)
+
+
 def test_local_hamiltonian_momentum_shift_flips_sign():
     p = np.array([0.7, -0.7])
     H1 = local_hamiltonian(XI22, p, C26)
@@ -281,8 +299,6 @@ def test_lambda_matrix_reassembles_local_lax():
 def test_global_lax_equals_conjugated_local_on_dense_part():
     for n in (2, 3, 4):
         c = Coupling.default(n)
-        from rsdual.double import rho_embedding
-
         for _ in range(20):
             xi = random_shifted_alcove(c, RNG, margin=0.03)
             theta = RNG.uniform(0, 2 * math.pi, n - 1)
@@ -290,7 +306,8 @@ def test_global_lax_equals_conjugated_local_on_dense_part():
             K = global_lax(u, c)
             tau = np.exp(1j * theta)
             delta_tau = np.diag(np.append(tau, 1.0))
-            rho_inv = np.conjugate(np.diagonal(rho_embedding(theta, n)))
+            # rho(theta)^{-1} = diag(e^{-i(theta_k - theta_{k-1})}), theta_0 = theta_n = 0
+            rho_inv = np.exp(-1j * (np.append(theta, 0.0) - np.insert(theta, 0, 0.0)))
             L = local_lax(xi, rho_inv, c)
             assert np.linalg.norm(dagger(delta_tau) @ L @ delta_tau - K) < 1e-10
 

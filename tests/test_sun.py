@@ -185,7 +185,7 @@ def test_phases_to_alcove_matches_reference_bit_for_bit(n):
     shifts = set()
     for A in mats:
         phases = np.angle(np.linalg.eigvals(A))
-        xi, perm = _phases_to_alcove(phases, np.empty(n))
+        xi, perm = _phases_to_alcove(phases)
         xi0, perm0 = ref_phases_to_alcove(phases, n)
         assert xi.tobytes() == xi0.tobytes() and (perm == perm0).all()
         shifts.add(round(np.sort(phases).sum() / (2.0 * math.pi)) % n)
@@ -214,7 +214,7 @@ def test_one_point_phase_map_is_the_stacked_map_at_every_shift(n):
     assert shifts == set(range(n))
     xi, perm = _stacked_phases_to_alcove(phases)
     for k, row in enumerate(phases):
-        xi1, perm1 = _phases_to_alcove(row, np.empty(n))
+        xi1, perm1 = _phases_to_alcove(row)
         xi0, perm0 = ref_phases_to_alcove(row, n)
         assert xi[k].tobytes() == xi1.tobytes() == xi0.tobytes(), k
         assert (perm[k] == perm1).all() and (perm1 == perm0).all(), k
@@ -264,7 +264,7 @@ def test_stacked_phase_map_is_the_one_point_map(n):
     phases = np.concatenate([phases, ties])
     xi, perm = _stacked_phases_to_alcove(phases)
     for k, row in enumerate(phases):
-        xi1, perm1 = _phases_to_alcove(row, np.empty(n))
+        xi1, perm1 = _phases_to_alcove(row)
         xi0, perm0 = ref_phases_to_alcove(row, n)
         assert xi[k].tobytes() == xi1.tobytes() == xi0.tobytes(), k
         assert (perm[k] == perm1).all() and (perm1 == perm0).all(), k
@@ -347,7 +347,7 @@ def test_flat_offset_rows_are_the_one_matrix_calls(n):
                 xi2, perm = _stacked_phases_to_alcove(np.angle(np.linalg.eigvals(stack)))
                 assert xi2.tobytes() == xi.tobytes() and perm.shape == lead + (n,)
                 for k, A in enumerate(one):
-                    perm1 = _phases_to_alcove(np.angle(np.linalg.eigvals(A)), np.empty(n))[1]
+                    perm1 = _phases_to_alcove(np.angle(np.linalg.eigvals(A)))[1]
                     assert (perm[np.unravel_index(k, lead)] == perm1).all()
 
 
@@ -370,7 +370,7 @@ XI_TOL = 1e-13
 
 def schur_xi(A):
     phases = np.angle(np.diagonal(schur(A, output="complex")[0]))
-    return _phases_to_alcove(phases, np.empty(A.shape[-1]))[0]
+    return _phases_to_alcove(phases)[0]
 
 
 def assert_alcove_point_matches(A):
@@ -391,7 +391,7 @@ def test_alcove_point_is_eigvals_bit_for_bit(n):
     mats = [random_special_unitary(n, RNG) for _ in range(20)]
     mats += [global_lax(u, c) for u in vertex_points(c, eps=1e-4, rng=RNG)[:5]]
     for A in mats:
-        want = _phases_to_alcove(np.angle(np.linalg.eigvals(A)), np.empty(n))[0]
+        want = _phases_to_alcove(np.angle(np.linalg.eigvals(A)))[0]
         assert alcove_point(A).tobytes() == want.tobytes()
 
 
